@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .account import (
     Account,
@@ -50,7 +50,14 @@ from .erasers import (
     welsh_powell,
 )
 from .errors import InputError, LimitExceededError
-from .keywords import Keyword, NegativeKeyword, distinct_keywords, exact, phrase
+from .keywords import (
+    Keyword,
+    NegativeIndex,
+    NegativeKeyword,
+    distinct_keywords,
+    exact,
+    phrase,
+)
 
 GENERAL_CAMPAIGN = "c1"
 BRAND_CAMPAIGN = "c2"
@@ -82,11 +89,24 @@ class BuildConfig:
             raise InputError("max_words must be positive")
 
 
-def _check_limit(limit: int, where: str, negatives: frozenset[NegativeKeyword]) -> None:
-    if len(negatives) > limit:
+def _check_limit(limit: int, where: str, count: int) -> None:
+    if count > limit:
         raise LimitExceededError(
-            f"{where} needs {len(negatives)} negatives, over the limit of {limit}"
+            f"{where} needs {count} negatives, over the limit of {limit}"
         )
+
+
+def _check_routable(keywords: Iterable[Keyword], non_brands: Sequence[Keyword]) -> None:
+    """Reject keywords holding a blocked brand as a phrase: every campaign
+    blocks such a keyword, so its traffic could never land anywhere."""
+    blocked = NegativeIndex(phrase(b) for b in non_brands)
+    for kw in keywords:
+        hit = blocked.first_match(kw)
+        if hit is not None:
+            raise InputError(
+                f"keyword {kw.text!r} contains the blocked brand"
+                f" {hit.keyword.text!r}, so no campaign can route it"
+            )
 
 
 def _validate_inputs(
@@ -101,6 +121,7 @@ def _validate_inputs(
     if overlap:
         names = ", ".join(sorted(kw.text for kw in overlap))
         raise InputError(f"terms listed as both brand and blocked brand: {names}")
+    _check_routable((r.keyword for r in rules), non_brands)
 
 
 def naive_partition(
@@ -176,7 +197,7 @@ def build_account(
     campaigns: list[Campaign] = []
 
     general_negs = sk_exact | sb_phrases | snb_phrases
-    _check_limit(config.limit, f"campaign {GENERAL_CAMPAIGN}", general_negs)
+    _check_limit(config.limit, f"campaign {GENERAL_CAMPAIGN}", len(general_negs))
     campaigns.append(
         Campaign(
             name=GENERAL_CAMPAIGN,
@@ -196,11 +217,11 @@ def build_account(
 
     if brands:
         brand_negs = sk_exact | snb_phrases
-        _check_limit(config.limit, f"campaign {BRAND_CAMPAIGN}", brand_negs)
+        _check_limit(config.limit, f"campaign {BRAND_CAMPAIGN}", len(brand_negs))
         adgroups = []
         for brand in brands:
             others = frozenset(phrase(b) for b in brands if b != brand)
-            _check_limit(config.limit, f"ad group {brand.text}", others)
+            _check_limit(config.limit, f"ad group {brand.text}", len(others))
             tree: ProductTree = Leaf(config.default_bid)
             if brand_trees and brand in brand_trees:
                 tree = brand_trees[brand]
@@ -227,11 +248,11 @@ def build_account(
         index = idx + 1
         name = group_campaign_name(index)
         negs = _group_negatives(erasers, idx, snb_phrases)
-        _check_limit(config.limit, f"campaign {name}", negs)
+        _check_limit(config.limit, f"campaign {name}", len(negs))
         adgroups = []
         for kw in sorted(group, key=lambda kw: position[kw]):
             siblings = frozenset(exact(other) for other in group if other != kw)
-            _check_limit(config.limit, f"ad group {kw.text}", siblings)
+            _check_limit(config.limit, f"ad group {kw.text}", len(siblings))
             adgroups.append(
                 AdGroup(
                     name=kw.text,

@@ -23,7 +23,7 @@ from .builder import BuildConfig, build_account, reduction_stats
 from .errors import InputError, ShopstructError
 from .keywords import Keyword, normalize
 from .rules_io import load_keywords, load_rules, save_keywords, save_rules
-from .simulate import Blocked, Trajectory, simulate
+from .simulate import Blocked, Simulator, Trajectory
 from .snapshot import parse_account, render_account
 from .synth import SyntheticCatalogue, SyntheticSpec, generate
 from .updates import UpdateOutcome, add_rule, describe, remove_item, remove_rule
@@ -111,7 +111,7 @@ def _trajectory_doc(t: Trajectory) -> dict:
 def _cmd_simulate(args) -> int:
     account = _read_account(args.account)
     query = normalize(args.query)
-    t = simulate(account, query)
+    t = Simulator(account).run(query)
     if args.json:
         print(json.dumps(_trajectory_doc(t), indent=2))
         return 0

@@ -1,4 +1,4 @@
-"""Keyword text model and negative-keyword match semantics.
+"""Keyword text model and negative-keyword matching.
 
 Search queries and bidding keywords are both short token sequences.  A negative
 keyword blocks a query according to its match type:
@@ -12,6 +12,11 @@ Each type blocks at least everything the previous one blocks, so permissiveness
 strictly increases from exact to large.  All text is normalized to lowercase
 whitespace-separated tokens; hyphens are kept inside a token ("tee-shirt" stays
 one word).
+
+This module is the one place that decides whether a negative blocks a query.
+``NegativeIndex`` answers for a fixed negative list by hash lookups keyed by
+the query's own words (an inverted-file lookup); ``blocks`` answers a one-off
+question in a single pass; ``matches`` is the plain reference definition.
 """
 
 from __future__ import annotations
@@ -97,32 +102,81 @@ class NegativeKeyword:
         return f"[{self.match.value}] {self.keyword.text}"
 
 
-def exact_matches(query: Keyword, keyword: Keyword) -> bool:
-    return query.words == keyword.words
-
-
-def phrase_matches(query: Keyword, keyword: Keyword) -> bool:
-    """True when ``keyword`` occurs as a contiguous token run inside ``query``."""
-    needle = keyword.words
-    hay = query.words
-    k = len(needle)
-    if k > len(hay):
-        return False
-    return any(hay[i : i + k] == needle for i in range(len(hay) - k + 1))
-
-
-def large_matches(query: Keyword, keyword: Keyword) -> bool:
-    """True when every distinct word of ``keyword`` appears in ``query``."""
-    return word_set(keyword) <= word_set(query)
-
-
 def matches(query: Keyword, negative: NegativeKeyword) -> bool:
-    """Does ``negative`` block ``query``?"""
+    """Does ``negative`` block ``query``?  The reference definition."""
+    needle = negative.keyword.words
+    hay = query.words
     if negative.match is MatchType.EXACT:
-        return exact_matches(query, negative.keyword)
+        return hay == needle
     if negative.match is MatchType.PHRASE:
-        return phrase_matches(query, negative.keyword)
-    return large_matches(query, negative.keyword)
+        k = len(needle)
+        return any(hay[i : i + k] == needle for i in range(len(hay) - k + 1))
+    return set(needle) <= set(hay)
+
+
+def blocks(negatives: Iterable[NegativeKeyword], query: Keyword) -> bool:
+    """Does any of ``negatives`` block ``query``?  One pass over the list."""
+    words = query.words
+    runs = subword_set(query)
+    distinct = frozenset(words)
+    for neg in negatives:
+        needle = neg.keyword.words
+        if neg.match is MatchType.EXACT:
+            if needle == words:
+                return True
+        elif neg.match is MatchType.PHRASE:
+            if needle in runs:
+                return True
+        elif distinct.issuperset(needle):
+            return True
+    return False
+
+
+class NegativeIndex:
+    """The negatives of one campaign or ad group, keyed by query words.
+
+    Exact negatives are keyed by their token tuple and phrase negatives by
+    theirs, looked up once per contiguous run of the query.  Large negatives
+    are bucketed under their smallest word and confirmed by word-set
+    inclusion.  ``first_match`` reports the hit with the smallest
+    ``sort_key``: exact before phrase before large, canonical order within a
+    type.
+    """
+
+    __slots__ = ("exact", "phrases", "larges")
+
+    def __init__(self, negatives: Iterable[NegativeKeyword]) -> None:
+        self.exact: dict[tuple[str, ...], NegativeKeyword] = {}
+        self.phrases: dict[tuple[str, ...], NegativeKeyword] = {}
+        self.larges: dict[str, list[tuple[frozenset[str], NegativeKeyword]]] = {}
+        for neg in negatives:
+            words = neg.keyword.words
+            if neg.match is MatchType.EXACT:
+                self.exact[words] = neg
+            elif neg.match is MatchType.PHRASE:
+                self.phrases[words] = neg
+            else:
+                self.larges.setdefault(min(words), []).append((frozenset(words), neg))
+
+    def first_match(self, query: Keyword) -> NegativeKeyword | None:
+        hit = self.exact.get(query.words)
+        if hit is not None:
+            return hit
+        if self.phrases:
+            hits = [self.phrases[r] for r in subword_set(query) if r in self.phrases]
+            if hits:
+                return min(hits, key=NegativeKeyword.sort_key)
+        if self.larges:
+            distinct = frozenset(query.words)
+            hits = [
+                neg
+                for word in distinct
+                for needed, neg in self.larges.get(word, ())
+                if needed <= distinct
+            ]
+            if hits:
+                return min(hits, key=NegativeKeyword.sort_key)
+        return None
 
 
 def exact(keyword: Keyword) -> NegativeKeyword:

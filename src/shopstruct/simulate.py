@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .account import Account, AdGroup, Campaign, Priority
-from .keywords import (
-    Keyword,
-    MatchType,
-    NegativeKeyword,
-    large_matches,
-    phrase_matches,
-)
+from .keywords import Keyword, NegativeIndex, NegativeKeyword
 
 
 @dataclass(frozen=True)
@@ -84,39 +78,6 @@ class Trajectory:
     query: Keyword
     steps: tuple[Step, ...]
     disposition: Disposition
-
-
-class NegativeIndex:
-    """Negatives of one campaign or ad group, split by match type for speed."""
-
-    __slots__ = ("exact", "phrases", "larges")
-
-    def __init__(self, negatives: frozenset[NegativeKeyword]) -> None:
-        self.exact: dict[tuple[str, ...], NegativeKeyword] = {}
-        phrases = []
-        larges = []
-        for neg in negatives:
-            if neg.match is MatchType.EXACT:
-                self.exact[neg.keyword.words] = neg
-            elif neg.match is MatchType.PHRASE:
-                phrases.append(neg)
-            else:
-                larges.append(neg)
-        # Sorted so the reported blocker is the canonically first match.
-        self.phrases = sorted(phrases, key=NegativeKeyword.sort_key)
-        self.larges = sorted(larges, key=NegativeKeyword.sort_key)
-
-    def first_match(self, query: Keyword) -> NegativeKeyword | None:
-        hit = self.exact.get(query.words)
-        if hit is not None:
-            return hit
-        for neg in self.phrases:
-            if phrase_matches(query, neg.keyword):
-                return neg
-        for neg in self.larges:
-            if large_matches(query, neg.keyword):
-                return neg
-        return None
 
 
 class Simulator:
@@ -187,26 +148,3 @@ class Simulator:
             )
         return Trajectory(query, tuple(steps), FellThrough())
 
-
-def simulate(account: Account, query: Keyword) -> Trajectory:
-    """One-off convenience wrapper; builds a throwaway Simulator."""
-    return Simulator(account).run(query)
-
-
-@dataclass(frozen=True)
-class TraceReport:
-    trajectories: tuple[Trajectory, ...]
-    counts: tuple[tuple[str, int], ...]
-
-    def count(self, kind: str) -> int:
-        return dict(self.counts).get(kind, 0)
-
-
-def trace_report(account: Account, queries: list[Keyword]) -> TraceReport:
-    """Simulate many queries and tally dispositions by kind."""
-    sim = Simulator(account)
-    trajectories = tuple(sim.run(q) for q in queries)
-    tally: dict[str, int] = {}
-    for t in trajectories:
-        tally[t.disposition.kind] = tally.get(t.disposition.kind, 0) + 1
-    return TraceReport(trajectories, tuple(sorted(tally.items())))

@@ -26,7 +26,7 @@ from .account import (
     Rule,
     RuleTag,
 )
-from .builder import group_campaign_name
+from .builder import _check_limit, _check_routable, group_campaign_name
 from .erasers import (
     Eraser,
     ExactEraser,
@@ -34,13 +34,8 @@ from .erasers import (
     eraser_image,
     reduce_keywords,
 )
-from .errors import (
-    DuplicateKeywordError,
-    InputError,
-    LimitExceededError,
-    UnknownKeywordError,
-)
-from .keywords import Keyword, NegativeKeyword, exact, matches, phrase
+from .errors import DuplicateKeywordError, InputError
+from .keywords import Keyword, NegativeKeyword, blocks, exact, phrase
 
 
 # --- change log ----------------------------------------------------------
@@ -282,26 +277,6 @@ class UpdateOutcome:
     rules: tuple[Rule, ...] | None = None
 
 
-def _check_limit(limit: int, where: str, count: int) -> None:
-    if count > limit:
-        raise LimitExceededError(
-            f"{where} needs {count} negatives, over the limit of {limit}"
-        )
-
-
-def _group_campaigns_in_order(account: Account) -> tuple[Campaign, ...]:
-    out = tuple(
-        c for c in account.campaigns if isinstance(c.tag, GroupCampaignTag)
-    )
-    if len(out) != len(account.partition):
-        raise InputError("group campaigns and partition are out of step")
-    return out
-
-
-def _blocks(campaign: Campaign, query: Keyword) -> bool:
-    return any(matches(query, neg) for neg in campaign.negatives)
-
-
 def _log_campaign_negative(
     changes: list[Change], campaign: Campaign, negative: NegativeKeyword, add: bool
 ) -> None:
@@ -330,8 +305,11 @@ def add_rule(
     kw = rule.keyword
     if kw in account.keywords():
         raise DuplicateKeywordError(f"keyword already has a rule: {kw.text!r}")
+    _check_routable([kw], account.non_brands)
 
-    group_camps = _group_campaigns_in_order(account)
+    group_camps = account.group_campaigns()
+    if len(group_camps) != len(account.partition):
+        raise InputError("group campaigns and partition are out of step")
     changes: list[Change] = []
 
     general = account.general_campaign()
@@ -345,7 +323,7 @@ def add_rule(
         _log_campaign_negative(changes, brand_camp, exact(kw), add=True)
 
     admitting = [
-        pos for pos, camp in enumerate(group_camps) if not _blocks(camp, kw)
+        pos for pos, camp in enumerate(group_camps) if not blocks(camp.negatives, kw)
     ]
     if admitting:
         pos = min(admitting, key=lambda p: (len(account.partition[p]), p))
@@ -449,7 +427,7 @@ def _min_negatives_changes(account: Account, rule: Rule) -> list[Change]:
     recomputing every group's eraser cover against the grown catalogue; the
     placement with the fewest literal negatives account-wide wins."""
     kw = rule.keyword
-    group_camps = _group_campaigns_in_order(account)
+    group_camps = account.group_campaigns()
     if not group_camps:
         return _open_campaign_changes(account, rule)
     old_groups = list(account.partition)
@@ -535,7 +513,9 @@ def remove_rule(account: Account, keyword: Keyword) -> UpdateOutcome:
     that existed only on its behalf goes away, and a group left empty takes
     its campaign down with it."""
     pos = account.group_of(keyword)
-    group_camps = _group_campaigns_in_order(account)
+    group_camps = account.group_campaigns()
+    if len(group_camps) != len(account.partition):
+        raise InputError("group campaigns and partition are out of step")
     own = group_camps[pos]
     members = account.partition[pos]
     remaining_global = sorted(account.keywords() - {keyword})

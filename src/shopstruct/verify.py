@@ -19,16 +19,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .account import (
-    Account,
-    BrandTag,
-    CatchAllTag,
-    GroupCampaignTag,
-    RuleTag,
-)
+from .account import Account, BrandTag, CatchAllTag, RuleTag
 from .erasers import erases
-from .keywords import Keyword, phrase_matches, word_set
-from .simulate import Disposition, Landed, NegativeIndex, Simulator
+from .keywords import Keyword, NegativeIndex, subword_set, word_set
+from .simulate import Disposition, Landed, Simulator
 
 
 @dataclass(frozen=True)
@@ -83,10 +77,6 @@ def describe_disposition(d: Disposition) -> str:
     return "fell through every campaign"
 
 
-def _group_campaigns(account: Account):
-    return [c for c in account.campaigns if isinstance(c.tag, GroupCampaignTag)]
-
-
 def _landed_tag_matches(account: Account, d: Disposition, campaign: str, tag) -> bool:
     if not isinstance(d, Landed) or d.campaign != campaign:
         return False
@@ -102,7 +92,7 @@ def _landed_tag_matches(account: Account, d: Disposition, campaign: str, tag) ->
 def verify_property1(account: Account) -> PropertyResult:
     """Every catalogue keyword lands in its own ad group, exhaustively."""
     sim = Simulator(account)
-    group_camps = _group_campaigns(account)
+    group_camps = account.group_campaigns()
     failures = []
     checked = 0
     aligned = len(group_camps) == len(account.partition)
@@ -181,9 +171,10 @@ def verify_property2(
             q = Keyword(words)
             if q in catalogue:
                 continue
-            if sum(1 for b in account.brands if phrase_matches(q, b)) != 1:
+            runs = subword_set(q)
+            if sum(1 for b in account.brands if b.words in runs) != 1:
                 continue
-            if any(phrase_matches(q, b) for b in account.non_brands):
+            if any(b.words in runs for b in account.non_brands):
                 continue
             query = q
             break
@@ -229,9 +220,8 @@ def verify_property3(
             q = Keyword(words)
             if q in catalogue:
                 continue
-            if any(phrase_matches(q, b) for b in account.brands):
-                continue
-            if any(phrase_matches(q, b) for b in account.non_brands):
+            runs = subword_set(q)
+            if any(b.words in runs for b in account.brands + account.non_brands):
                 continue
             query = q
             break
@@ -299,7 +289,7 @@ def verify_structure(account: Account) -> tuple[Finding, ...]:
             else:
                 seen[kw] = pos
 
-    group_camps = _group_campaigns(account)
+    group_camps = account.group_campaigns()
     if len(group_camps) != len(account.partition):
         findings.append(
             Finding(

@@ -34,7 +34,6 @@ from shopstruct import (
     reference_table,
     render_account,
     select_color_class,
-    simulate,
     verify_account,
     welsh_powell,
 )
@@ -265,8 +264,9 @@ def test_criterion_7_update_walkthroughs(golden_account, capsys, tmp_path):
         for kw in sorted(golden_account.keywords()):
             assert index.first_match(kw) is not None
         assert index.first_match(big.keyword) is None
+        sim = Simulator(grown)
         for kw in sorted(grown.keywords()):
-            d = simulate(grown, kw).disposition
+            d = sim.run(kw).disposition
             assert d.kind == "landed" and d.adgroup == kw.text
         assert verify_account(grown, probes=1000, seed=0).passed
 

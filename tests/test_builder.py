@@ -22,6 +22,7 @@ from shopstruct import (
     phrase,
     plan_groups,
     reduction_stats,
+    verify_account,
     build_graph,
     enumerate_candidates,
     normalize,
@@ -187,6 +188,25 @@ def test_brand_overlap_rejected(four_rules):
             (normalize("nike"), normalize("reebok")),
             (normalize("reebok"),),
         )
+
+
+def _rules(*texts):
+    return tuple(
+        Rule(normalize(t), Money(100_000), frozenset({f"item-{i}"}))
+        for i, t in enumerate(texts)
+    )
+
+
+def test_rule_holding_a_blocked_brand_rejected():
+    rules = _rules("reebok shoes", "nike shoes")
+    with pytest.raises(InputError, match="'reebok shoes'.*'reebok'"):
+        build_account(rules, (normalize("nike"),), (normalize("reebok"),))
+
+
+def test_blocked_brand_words_out_of_order_still_build():
+    rules = _rules("armour under shoes", "nike shoes")
+    account = build_account(rules, (normalize("nike"),), (normalize("under armour"),))
+    assert verify_account(account, probes=50).passed
 
 
 def test_limit_enforced_during_build(golden_rules, golden_brands, golden_non_brands):

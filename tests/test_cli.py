@@ -195,6 +195,22 @@ def test_malformed_rules_exit_2_with_line_number(tmp_path, capsys):
     assert "missing fields" in err
 
 
+def test_rule_holding_a_blocked_brand_exits_2(tmp_path, capsys):
+    rules = tmp_path / "rules.jsonl"
+    rules.write_text(
+        '{"keyword": "reebok shoes", "cpc_micros": 5, "items": ["item-1"]}\n'
+        '{"keyword": "nike shoes", "cpc_micros": 5, "items": ["item-2"]}\n'
+    )
+    brands = tmp_path / "brands.txt"
+    brands.write_text("nike\n")
+    non_brands = tmp_path / "non-brands.txt"
+    non_brands.write_text("reebok\n")
+    args = ["build", "--rules", str(rules), "--brands", str(brands)]
+    assert main(args + ["--non-brands", str(non_brands), "--out", "-"]) == 2
+    err = capsys.readouterr().err
+    assert "'reebok shoes'" in err and "'reebok'" in err
+
+
 def test_missing_account_file_exits_2(capsys):
     assert main(["simulate", "--account", "/nonexistent.json", "--query", "x"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -311,6 +327,14 @@ def test_update_rm_item_rewrites_rules(workspace, capsys):
     assert all(solo.keyword != r.keyword for r in survivors)
     assert main(["verify", "--account", str(workspace / "account.json"), "--probes", "50"]) == 0
     capsys.readouterr()
+
+
+def test_add_rule_holding_a_blocked_brand_exits_2(workspace, capsys):
+    blocked = (workspace / "non-brands.txt").read_text().split()[0]
+    args = ["update", "add-rule", "--account", str(workspace / "account.json")]
+    args += ["--keyword", f"cheap {blocked} gear", "--cpc-micros", "100"]
+    assert main(args + ["--items", "item-0001"]) == 2
+    assert f"{blocked!r}" in capsys.readouterr().err
 
 
 def test_duplicate_keyword_update_exits_2(workspace, capsys):

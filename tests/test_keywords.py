@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shopstruct import (
@@ -9,15 +9,15 @@ from shopstruct import (
     EmptyKeywordError,
     Keyword,
     MatchType,
+    NegativeIndex,
+    NegativeKeyword,
+    blocks,
     distinct_keywords,
     exact,
-    exact_matches,
     large,
-    large_matches,
     matches,
     normalize,
     phrase,
-    phrase_matches,
     subword_set,
     word_set,
 )
@@ -52,23 +52,23 @@ def test_keyword_text_round_trip():
 
 
 def test_exact_requires_identical_word_sequence():
-    assert exact_matches(normalize("nike shoes"), normalize("nike shoes"))
-    assert not exact_matches(normalize("shoes nike"), normalize("nike shoes"))
-    assert not exact_matches(normalize("nike shoes red"), normalize("nike shoes"))
+    assert matches(normalize("nike shoes"), exact(normalize("nike shoes")))
+    assert not matches(normalize("shoes nike"), exact(normalize("nike shoes")))
+    assert not matches(normalize("nike shoes red"), exact(normalize("nike shoes")))
 
 
 def test_phrase_requires_contiguous_run():
     kw = normalize("nike shoes")
-    assert phrase_matches(normalize("red nike shoes sale"), kw)
-    assert phrase_matches(normalize("nike shoes"), kw)
-    assert not phrase_matches(normalize("nike red shoes"), kw)
-    assert not phrase_matches(normalize("shoes nike"), kw)
+    assert matches(normalize("red nike shoes sale"), phrase(kw))
+    assert matches(normalize("nike shoes"), phrase(kw))
+    assert not matches(normalize("nike red shoes"), phrase(kw))
+    assert not matches(normalize("shoes nike"), phrase(kw))
 
 
 def test_large_ignores_order_and_extra_words():
     kw = normalize("nike shoes")
-    assert large_matches(normalize("shoes red nike"), kw)
-    assert not large_matches(normalize("nike sandals"), kw)
+    assert matches(normalize("shoes red nike"), large(kw))
+    assert not matches(normalize("nike sandals"), large(kw))
 
 
 def test_word_set_and_subword_set():
@@ -81,22 +81,40 @@ def test_word_set_and_subword_set():
 
 @given(query=keywords, kw=keywords)
 def test_match_types_grow_strictly_more_permissive(query, kw):
-    if exact_matches(query, kw):
-        assert phrase_matches(query, kw)
-    if phrase_matches(query, kw):
-        assert large_matches(query, kw)
+    if matches(query, exact(kw)):
+        assert matches(query, phrase(kw))
+    if matches(query, phrase(kw)):
+        assert matches(query, large(kw))
 
 
 @given(query=keywords, kw=keywords, seed=st.randoms(use_true_random=False))
 def test_large_match_is_order_blind(query, kw, seed):
     shuffled = list(query.words)
     seed.shuffle(shuffled)
-    assert large_matches(query, kw) == large_matches(Keyword(tuple(shuffled)), kw)
+    assert matches(query, large(kw)) == matches(Keyword(tuple(shuffled)), large(kw))
 
 
 @given(query=keywords, kw=keywords)
 def test_phrase_match_agrees_with_subword_set(query, kw):
-    assert phrase_matches(query, kw) == (kw.words in subword_set(query))
+    assert matches(query, phrase(kw)) == (kw.words in subword_set(query))
+
+
+# A small vocabulary so negatives repeat words, overlap in runs and nest.
+negatives = st.frozensets(
+    st.builds(NegativeKeyword, keywords, st.sampled_from(list(MatchType))), max_size=12
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(negs=negatives, query=st.lists(words, min_size=1, max_size=6))
+def test_index_and_blocks_agree_with_reference_matches(negs, query):
+    q = Keyword(tuple(query))
+    first = NegativeIndex(negs).first_match(q)
+    reference = min(
+        (n for n in negs if matches(q, n)), key=NegativeKeyword.sort_key, default=None
+    )
+    assert first == reference
+    assert blocks(negs, q) == (first is not None)
 
 
 def test_match_type_ordering():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import types
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,13 +27,11 @@ from shopstruct import (
     large,
     normalize,
     phrase,
-    simulate,
-    trace_report,
 )
 
 
 def test_own_keyword_lands_in_its_own_adgroup(golden_account):
-    t = simulate(golden_account, normalize("nike shoes"))
+    t = Simulator(golden_account).run(normalize("nike shoes"))
     assert t.disposition == Landed(campaign="c3_1", adgroup="nike shoes")
     by_campaign = {s.campaign: s.outcome for s in t.steps}
     assert isinstance(by_campaign["c1"], Blocked)
@@ -43,7 +44,7 @@ def test_own_keyword_lands_in_its_own_adgroup(golden_account):
 
 
 def test_tiers_run_high_to_low(golden_account):
-    t = simulate(golden_account, normalize("nike shoes"))
+    t = Simulator(golden_account).run(normalize("nike shoes"))
     names = [s.campaign for s in t.steps]
     assert names[0] == "c1"
     assert names[1] == "c2"
@@ -51,25 +52,25 @@ def test_tiers_run_high_to_low(golden_account):
 
 
 def test_brand_query_lands_in_brand_adgroup(golden_account):
-    t = simulate(golden_account, normalize("nike"))
+    t = Simulator(golden_account).run(normalize("nike"))
     assert t.disposition == Landed(campaign="c2", adgroup="nike")
-    t = simulate(golden_account, normalize("cheap adidas gear"))
+    t = Simulator(golden_account).run(normalize("cheap adidas gear"))
     assert t.disposition == Landed(campaign="c2", adgroup="adidas")
 
 
 def test_generic_query_lands_in_catch_all(golden_account):
-    t = simulate(golden_account, normalize("running tights"))
+    t = Simulator(golden_account).run(normalize("running tights"))
     assert t.disposition == Landed(campaign="c1", adgroup="catch-all")
 
 
 def test_blocked_brand_falls_through(golden_account):
-    t = simulate(golden_account, normalize("reebok sale"))
+    t = Simulator(golden_account).run(normalize("reebok sale"))
     assert t.disposition.kind == "fell_through"
     assert all(isinstance(s.outcome, Blocked) for s in t.steps)
 
 
 def test_two_brand_query_dead_ends_in_brand_campaign(golden_account):
-    t = simulate(golden_account, normalize("nike adidas"))
+    t = Simulator(golden_account).run(normalize("nike adidas"))
     assert t.disposition.kind == "dead_end"
     assert t.disposition.campaign == "c2"
 
@@ -113,7 +114,7 @@ def _tiny_account(campaigns) -> Account:
 
 def test_two_admitting_campaigns_is_ambiguous():
     acc = _tiny_account([_low("c3_1", 1, "zz a"), _low("c3_2", 2, "zz b")])
-    t = simulate(acc, normalize("zz q"))
+    t = Simulator(acc).run(normalize("zz q"))
     assert t.disposition.kind == "ambiguous"
     assert t.disposition.campaigns == ("c3_1", "c3_2")
     assert t.disposition.adgroups == ()
@@ -130,7 +131,7 @@ def test_two_open_adgroups_is_ambiguous():
             AdGroup("b", RuleTag(normalize("b")), frozenset(), Leaf(Money(1))),
         ),
     )
-    t = simulate(_tiny_account([camp]), normalize("zz q"))
+    t = Simulator(_tiny_account([camp])).run(normalize("zz q"))
     assert t.disposition.kind == "ambiguous"
     assert t.disposition.campaigns == ("c3_1",)
     assert t.disposition.adgroups == ("a", "b")
@@ -156,21 +157,27 @@ def test_exact_beats_phrase_beats_large_as_reported_blocker():
     )
 )
 def test_every_query_gets_exactly_one_disposition(golden_account, words):
-    t = simulate(golden_account, Keyword(tuple(words)))
+    t = Simulator(golden_account).run(Keyword(tuple(words)))
     assert t.disposition.kind in {"landed", "dead_end", "ambiguous", "fell_through"}
     names = {c.name for c in golden_account.campaigns}
     assert all(s.campaign in names for s in t.steps)
 
 
-def test_trace_report_counts(golden_account, golden_rules):
+def test_disposition_counts_over_catalogue(golden_account, golden_rules):
+    sim = Simulator(golden_account)
     queries = [r.keyword for r in golden_rules] + [normalize("reebok x")]
-    report = trace_report(golden_account, queries)
-    assert report.count("landed") == 11
-    assert report.count("fell_through") == 1
-    assert len(report.trajectories) == 12
+    counts = Counter(sim.run(q).disposition.kind for q in queries)
+    assert counts == {"landed": 11, "fell_through": 1}
 
 
 def test_simulator_reuse_matches_one_off(golden_account, golden_rules):
     sim = Simulator(golden_account)
     for r in golden_rules[:4]:
-        assert sim.run(r.keyword) == simulate(golden_account, r.keyword)
+        assert sim.run(r.keyword) == Simulator(golden_account).run(r.keyword)
+
+
+def test_simulate_submodule_is_not_shadowed():
+    import shopstruct.simulate as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.Simulator is Simulator

@@ -13,6 +13,7 @@ from shopstruct import (
     LimitExceededError,
     Money,
     Rule,
+    Simulator,
     UnknownKeywordError,
     add_rule,
     apply_changes,
@@ -27,7 +28,6 @@ from shopstruct import (
     remove_item,
     remove_rule,
     render_account,
-    simulate,
     verify_account,
 )
 
@@ -38,6 +38,12 @@ def _ops(outcome) -> Counter:
 
 def _assert_replay(before, outcome):
     assert apply_changes(before, outcome.changes) == outcome.account
+
+
+def test_add_rule_holding_a_blocked_brand_rejected(golden_account):
+    rule = Rule(normalize("cheap reebok runners"), Money(1), frozenset({"item-20"}))
+    with pytest.raises(InputError, match="'cheap reebok runners'.*'reebok'"):
+        add_rule(golden_account, rule)
 
 
 def test_add_rule_into_admitting_group(golden_account):
@@ -74,7 +80,7 @@ def test_add_rule_into_admitting_group(golden_account):
     assert ExactEraser(rule.keyword) in acc.erasers[0]
     assert new_adgroup.tree.bid == rule.cpc
 
-    result = simulate(acc, rule.keyword)
+    result = Simulator(acc).run(rule.keyword)
     assert result.disposition.kind == "landed"
     assert result.disposition.adgroup == "nike jogging"
 
@@ -112,8 +118,9 @@ def test_add_rule_opens_new_campaign_when_blocked_everywhere(golden_account):
     assert acc.erasers[3] == (ExactEraser(rule.keyword),)
 
     # every catalogue keyword still routes to its own ad group
+    sim = Simulator(acc)
     for kw in sorted(acc.keywords()):
-        result = simulate(acc, kw)
+        result = sim.run(kw)
         assert result.disposition.kind == "landed"
         assert result.disposition.adgroup == kw.text
 
