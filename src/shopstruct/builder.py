@@ -161,17 +161,20 @@ def plan_groups(
     return plan.groups, plan.erasers
 
 
-def _group_negatives(
-    erasers: Sequence[Sequence[Eraser]],
-    own: int,
-    snb_phrases: frozenset[NegativeKeyword],
-) -> frozenset[NegativeKeyword]:
-    negs = set(snb_phrases)
-    for j, group in enumerate(erasers):
-        if j == own:
-            continue
-        negs.update(e.to_negative() for e in group)
-    return frozenset(negs)
+def group_campaign_negatives(
+    erasers: Sequence[Sequence[Eraser]], blocked: frozenset[NegativeKeyword]
+) -> list[frozenset[NegativeKeyword]]:
+    """Each group campaign's negatives: the eraser negatives of every other
+    group plus the blocked-brand phrases ``blocked``.
+
+    Each group's negatives are built once; the unions reuse their stored
+    hashes, so the k-fold repetition costs no per-negative hashing.
+    """
+    per_group = [frozenset(e.to_negative() for e in group) for group in erasers]
+    return [
+        blocked.union(*(negs for j, negs in enumerate(per_group) if j != own))
+        for own in range(len(per_group))
+    ]
 
 
 def build_account(
@@ -190,7 +193,8 @@ def build_account(
     rule_by_kw = {r.keyword: r for r in rules}
     position = {kw: i for i, kw in enumerate(keywords)}
 
-    sk_exact = frozenset(exact(kw) for kw in keywords)
+    exact_of = {kw: exact(kw) for kw in keywords}
+    sk_exact = frozenset(exact_of.values())
     sb_phrases = frozenset(phrase(b) for b in brands)
     snb_phrases = frozenset(phrase(b) for b in non_brands)
 
@@ -244,14 +248,18 @@ def build_account(
         )
 
     partition, erasers = plan_groups(keywords, config)
+    campaign_negatives = group_campaign_negatives(erasers, snb_phrases)
     for idx, group in enumerate(partition):
         index = idx + 1
         name = group_campaign_name(index)
-        negs = _group_negatives(erasers, idx, snb_phrases)
+        negs = campaign_negatives[idx]
         _check_limit(config.limit, f"campaign {name}", len(negs))
+        # Sibling lists are the group's exact set less the keyword's own,
+        # built from shared objects whose hashes the sets already hold.
+        group_exact = frozenset(exact_of[kw] for kw in group)
         adgroups = []
         for kw in sorted(group, key=lambda kw: position[kw]):
-            siblings = frozenset(exact(other) for other in group if other != kw)
+            siblings = group_exact - {exact_of[kw]}
             _check_limit(config.limit, f"ad group {kw.text}", len(siblings))
             adgroups.append(
                 AdGroup(

@@ -14,12 +14,14 @@ chosen erasers plus exact fillers into balanced keyword groups.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .errors import CandidateLimitError, InfeasibleTargetError, InputError
+from .errors import InfeasibleTargetError, InputError
 from .keywords import Keyword, MatchType, NegativeKeyword, word_set
 
 
@@ -242,9 +244,10 @@ def make_group_plan(
     k = ceil(n / target_size); each selected eraser carries its whole image
     into one group, placed into the currently lightest group that can take it
     without passing the target (unavoidable overflow is tolerated).  Keywords
-    no eraser covers become exact erasers, placed (in catalogue order) with
-    the group sharing the most vocabulary, falling back to the lightest group,
-    tie to the group least covered by large erasers.
+    no eraser covers become exact erasers, placed (in catalogue order) into
+    the open group sharing the most vocabulary, falling back to the lightest
+    open group, tie to the group least covered by large erasers.  Each
+    selected image must be its eraser's image over ``keywords``.
     """
     n = len(keywords)
     if target_size is None:
@@ -270,10 +273,11 @@ def make_group_plan(
     position = {kw: i for i, kw in enumerate(keywords)}
     group_kws: list[list[Keyword]] = [[] for _ in range(k)]
     group_erasers: list[list[Eraser]] = [[] for _ in range(k)]
+    sizes = [0] * k
 
-    def size(g: int) -> int:
-        return len(group_kws[g])
-
+    # The lightest group can take an image whenever any group can, so the
+    # lightest group (tie: lowest index) is always the pick.
+    lightest = [(0, g) for g in range(k)]
     ordered = sorted(
         selected,
         key=lambda c: (
@@ -283,40 +287,46 @@ def make_group_plan(
         ),
     )
     for cand in ordered:
-        fitting = [g for g in range(k) if size(g) + cand.weight <= target_size]
-        pool = fitting or list(range(k))
-        g = min(pool, key=lambda g: (size(g), g))
+        _, g = heapq.heappop(lightest)
         group_kws[g].extend(sorted(cand.image, key=lambda kw: position[kw]))
         group_erasers[g].append(cand.eraser)
+        sizes[g] += cand.weight
+        heapq.heappush(lightest, (sizes[g], g))
 
-    def vocabulary(g: int) -> set[str]:
-        vocab: set[str] = set()
+    # Every keyword so far lies in its group's large-eraser images and none
+    # placed from here on does, so the large-covered count is frozen.
+    large_covered = tuple(sizes)
+    open_groups = {g for g in range(k) if sizes[g] < target_size}
+    vocabulary: list[set[str]] = [set() for _ in range(k)]
+    holders: dict[str, set[int]] = {}  # word -> open groups whose vocabulary has it
+    for g in open_groups:
         for kw in group_kws[g]:
-            vocab.update(word_set(kw))
-        return vocab
+            vocabulary[g].update(kw.words)
+        for w in vocabulary[g]:
+            holders.setdefault(w, set()).add(g)
 
-    def large_covered(g: int) -> int:
-        covered: set[Keyword] = set()
-        for er in group_erasers[g]:
-            if isinstance(er, LargeEraser):
-                covered.update(kw for kw in group_kws[g] if erases(er, kw))
-        return len(covered)
-
-    uncovered = [kw for kw in keywords if kw not in seen]
-    for kw in uncovered:
+    for kw in keywords:
+        if kw in seen:
+            continue
         words = word_set(kw)
-        open_groups = [g for g in range(k) if size(g) < target_size]
-        affine = [
-            (len(words & vocabulary(g)), g) for g in open_groups
-        ]
-        affine = [(shared, g) for shared, g in affine if shared > 0]
-        if affine:
-            g = min(affine, key=lambda t: (-t[0], size(t[1]), t[1]))[1]
+        shared = Counter(g for w in words for g in holders.get(w, ()))
+        if shared:
+            g = min(shared, key=lambda g: (-shared[g], sizes[g], g))
         else:
-            pool = open_groups or list(range(k))
-            g = min(pool, key=lambda g: (size(g), large_covered(g), g))
+            # Some group is open: fewer than n <= k * target_size keywords
+            # are placed so far.
+            g = min(open_groups, key=lambda g: (sizes[g], large_covered[g], g))
         group_kws[g].append(kw)
         group_erasers[g].append(ExactEraser(kw))
+        sizes[g] += 1
+        if sizes[g] < target_size:
+            for w in words - vocabulary[g]:
+                holders.setdefault(w, set()).add(g)
+            vocabulary[g] |= words
+        else:
+            open_groups.discard(g)
+            for w in vocabulary[g]:
+                holders[w].discard(g)
 
     return GroupPlan(
         tuple(frozenset(g) for g in group_kws),
@@ -367,49 +377,3 @@ def reduce_keywords(
     for kw in sorted(member_set - covered):
         chosen.append(ExactEraser(kw))
     return tuple(chosen)
-
-
-def expand(erasers: Iterable[Eraser], universe: Iterable[Keyword]) -> frozenset[Keyword]:
-    """Union of the erasers' images over ``universe``; inverse of reduce."""
-    universe_list = list(universe)
-    out: set[Keyword] = set()
-    for er in erasers:
-        out.update(eraser_image(er, universe_list))
-    return frozenset(out)
-
-
-def exact_packing_oracle(
-    candidates: Sequence[Candidate], *, limit: int = 25
-) -> tuple[int, tuple[Candidate, ...]]:
-    """Exhaustive max-coverage disjoint sub-collection (branch and bound).
-
-    Only meant for small instances; refuses more than ``limit`` candidates.
-    Returns (coverage, chosen candidates).
-    """
-    if len(candidates) > limit:
-        raise CandidateLimitError(
-            f"{len(candidates)} candidates exceed the oracle limit of {limit}"
-        )
-    order = sorted(range(len(candidates)), key=lambda i: -candidates[i].weight)
-    weights = [candidates[i].weight for i in order]
-    images = [candidates[i].image for i in order]
-    suffix = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[i]
-
-    best_cov = 0
-    best_pick: tuple[int, ...] = ()
-
-    def walk(idx: int, used: frozenset[Keyword], cov: int, pick: tuple[int, ...]) -> None:
-        nonlocal best_cov, best_pick
-        if cov > best_cov:
-            best_cov = cov
-            best_pick = pick
-        if idx == len(order) or cov + suffix[idx] <= best_cov:
-            return
-        if not (images[idx] & used):
-            walk(idx + 1, used | images[idx], cov + weights[idx], pick + (idx,))
-        walk(idx + 1, used, cov, pick)
-
-    walk(0, frozenset(), 0, ())
-    return best_cov, tuple(candidates[order[i]] for i in best_pick)

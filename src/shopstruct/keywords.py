@@ -114,6 +114,18 @@ def matches(query: Keyword, negative: NegativeKeyword) -> bool:
     return set(needle) <= set(hay)
 
 
+class QueryWords:
+    """A query's token tuple, contiguous runs and word set, computed once so
+    that every negative list the query meets can share them."""
+
+    __slots__ = ("words", "runs", "distinct")
+
+    def __init__(self, query: Keyword) -> None:
+        self.words = query.words
+        self.runs = subword_set(query)
+        self.distinct = frozenset(query.words)
+
+
 def blocks(negatives: Iterable[NegativeKeyword], query: Keyword) -> bool:
     """Does any of ``negatives`` block ``query``?  One pass over the list."""
     words = query.words
@@ -159,15 +171,19 @@ class NegativeIndex:
                 self.larges.setdefault(min(words), []).append((frozenset(words), neg))
 
     def first_match(self, query: Keyword) -> NegativeKeyword | None:
+        return self.lookup(QueryWords(query))
+
+    def lookup(self, query: QueryWords) -> NegativeKeyword | None:
+        """``first_match`` for a query whose words are already split out."""
         hit = self.exact.get(query.words)
         if hit is not None:
             return hit
         if self.phrases:
-            hits = [self.phrases[r] for r in subword_set(query) if r in self.phrases]
+            hits = [self.phrases[r] for r in query.runs if r in self.phrases]
             if hits:
                 return min(hits, key=NegativeKeyword.sort_key)
         if self.larges:
-            distinct = frozenset(query.words)
+            distinct = query.distinct
             hits = [
                 neg
                 for word in distinct

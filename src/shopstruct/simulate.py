@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .account import Account, AdGroup, Campaign, Priority
-from .keywords import Keyword, NegativeIndex, NegativeKeyword
+from .keywords import Keyword, NegativeIndex, NegativeKeyword, QueryWords
 
 
 @dataclass(frozen=True)
@@ -98,20 +98,23 @@ class Simulator:
                 self._adgroup_index[(c.name, g.name)] = NegativeIndex(g.negatives)
 
     def open_adgroups(self, campaign: Campaign, query: Keyword) -> list[AdGroup]:
-        out = []
-        for g in campaign.adgroups:
-            idx = self._adgroup_index[(campaign.name, g.name)]
-            if idx.first_match(query) is None:
-                out.append(g)
-        return out
+        return self._open_adgroups(campaign, QueryWords(query))
+
+    def _open_adgroups(self, campaign: Campaign, words: QueryWords) -> list[AdGroup]:
+        return [
+            g
+            for g in campaign.adgroups
+            if self._adgroup_index[(campaign.name, g.name)].lookup(words) is None
+        ]
 
     def run(self, query: Keyword) -> Trajectory:
+        words = QueryWords(query)
         steps: list[Step] = []
         for tier in self._tiers:
             admitted: list[Campaign] = []
             blocked: list[Step] = []
             for c in tier:
-                hit = self._campaign_index[c.name].first_match(query)
+                hit = self._campaign_index[c.name].lookup(words)
                 if hit is None:
                     admitted.append(c)
                 else:
@@ -121,7 +124,7 @@ class Simulator:
                 continue
             if len(admitted) > 1:
                 for c in admitted:
-                    names = tuple(g.name for g in self.open_adgroups(c, query))
+                    names = tuple(g.name for g in self._open_adgroups(c, words))
                     steps.append(Step(c.name, Entered(names)))
                 steps.extend(blocked)
                 return Trajectory(
@@ -130,7 +133,7 @@ class Simulator:
                     Ambiguous(tuple(c.name for c in admitted), ()),
                 )
             campaign = admitted[0]
-            open_groups = self.open_adgroups(campaign, query)
+            open_groups = self._open_adgroups(campaign, words)
             steps.extend(blocked)
             steps.append(
                 Step(campaign.name, Entered(tuple(g.name for g in open_groups)))

@@ -4,12 +4,18 @@ The renderer is deterministic: negatives are sorted by (match type, keyword),
 keywords inside partition groups are sorted, and everything else keeps the
 account's own canonical order, so rendering the parse of a rendering is
 byte-identical.
+
+``account_document`` is the reference definition of the format: a snapshot is
+``json.dumps(account_document(account), indent=2) + "\\n"``.  ``render_account``
+writes those same bytes directly, without building the per-negative documents
+or going through json's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from json.encoder import encode_basestring_ascii as _encode
+from typing import Any, Callable
 
 from .account import (
     Account,
@@ -77,7 +83,9 @@ def _eraser_doc(eraser: Eraser) -> dict[str, Any]:
     return {"kind": "exact", "keyword": eraser.keyword.text}
 
 
-def account_document(account: Account) -> dict[str, Any]:
+def _document(
+    account: Account, negatives: Callable[[frozenset[NegativeKeyword]], Any]
+) -> dict[str, Any]:
     return {
         "limit": account.limit,
         "brands": [b.text for b in account.brands],
@@ -87,12 +95,12 @@ def account_document(account: Account) -> dict[str, Any]:
                 "name": c.name,
                 "priority": _PRIORITY_NAMES[c.priority],
                 "tag": _campaign_tag_doc(c.tag),
-                "negatives": _negatives_doc(c.negatives),
+                "negatives": negatives(c.negatives),
                 "adgroups": [
                     {
                         "name": g.name,
                         "tag": _adgroup_tag_doc(g.tag),
-                        "negatives": _negatives_doc(g.negatives),
+                        "negatives": negatives(g.negatives),
                         "tree": _tree_doc(g.tree),
                     }
                     for g in c.adgroups
@@ -107,8 +115,90 @@ def account_document(account: Account) -> dict[str, Any]:
     }
 
 
+def account_document(account: Account) -> dict[str, Any]:
+    """The snapshot's reference definition: the JSON value of ``account``."""
+    return _document(account, _negatives_doc)
+
+
 def render_account(account: Account) -> str:
-    return json.dumps(account_document(account), indent=2) + "\n"
+    """``json.dumps(account_document(account), indent=2) + "\\n"``, written directly."""
+    out: list[str] = []
+    _Writer(account).write(_document(account, lambda negatives: negatives), 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+class _Writer:
+    """``json.dumps(..., indent=2)`` for the snapshot's documents, in which
+    negative lists are left as the account's frozensets.
+
+    Strings go through the C string encoder.  Every distinct negative is
+    ranked once in canonical order and its entry rendered once per nesting
+    depth.  Negatives are looked up by identity (a built account shares one
+    object per negative), so a list costs an integer sort and a join and no
+    negative is hashed again.
+    """
+
+    def __init__(self, account: Account) -> None:
+        lists = [c.negatives for c in account.campaigns]
+        lists += [g.negatives for c in account.campaigns for g in c.adgroups]
+        objects: dict[int, NegativeKeyword] = {}
+        for negs in lists:
+            objects.update(zip(map(id, negs), negs))
+        self.ranked = sorted(frozenset().union(*lists), key=NegativeKeyword.sort_key)
+        value_rank = {neg: i for i, neg in enumerate(self.ranked)}
+        self.rank = {key: value_rank[neg] for key, neg in objects.items()}
+        self.entries: dict[int, list[str]] = {}
+
+    def write(self, value: Any, level: int, out: list[str]) -> None:
+        if isinstance(value, str):
+            out.append(_encode(value))
+        elif isinstance(value, int):
+            out.append(int.__repr__(value))
+        elif isinstance(value, frozenset):
+            self.negatives(value, level, out)
+        elif isinstance(value, dict):
+            if not value:
+                out.append("{}")
+                return
+            inner = "\n" + "  " * (level + 1)
+            sep = "{" + inner
+            for key, item in value.items():
+                out.append(sep + _encode(key) + ": ")
+                self.write(item, level + 1, out)
+                sep = "," + inner
+            out.append("\n" + "  " * level + "}")
+        else:
+            if not value:
+                out.append("[]")
+                return
+            inner = "\n" + "  " * (level + 1)
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                self.write(item, level + 1, out)
+                sep = "," + inner
+            out.append("\n" + "  " * level + "]")
+
+    def negatives(
+        self, negatives: frozenset[NegativeKeyword], level: int, out: list[str]
+    ) -> None:
+        if not negatives:
+            out.append("[]")
+            return
+        pad = "\n" + "  " * (level + 1)
+        entries = self.entries.get(level)
+        if entries is None:
+            inner = "\n" + "  " * (level + 2)
+            entries = self.entries[level] = [
+                "{" + inner + '"keyword": ' + _encode(n.keyword.text) + ","
+                + inner + '"match": ' + _encode(n.match.value) + pad + "}"
+                for n in self.ranked
+            ]
+        order = sorted(map(self.rank.__getitem__, map(id, negatives)))
+        out.append("[" + pad)
+        out.append(("," + pad).join(map(entries.__getitem__, order)))
+        out.append("\n" + "  " * level + "]")
 
 
 def _parse_negatives(doc: Any) -> frozenset[NegativeKeyword]:

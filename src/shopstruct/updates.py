@@ -26,7 +26,12 @@ from .account import (
     Rule,
     RuleTag,
 )
-from .builder import _check_limit, _check_routable, group_campaign_name
+from .builder import (
+    _check_limit,
+    _check_routable,
+    group_campaign_name,
+    group_campaign_negatives,
+)
 from .erasers import (
     Eraser,
     ExactEraser,
@@ -461,20 +466,11 @@ def _min_negatives_changes(account: Account, rule: Rule) -> list[Change]:
     for pos, erasers in enumerate(best_erasers):
         if erasers != account.erasers[pos]:
             changes.append(Change(op="set_group_erasers", group=pos, erasers=erasers))
-    for pos, camp in enumerate(group_camps):
-        negs = set(snb)
-        for other, erasers in enumerate(best_erasers):
-            if other != pos:
-                negs.update(e.to_negative() for e in erasers)
-        negs_frozen = frozenset(negs)
-        if negs_frozen != camp.negatives:
-            _check_limit(account.limit, f"campaign {camp.name}", len(negs_frozen))
+    for camp, negs in zip(group_camps, group_campaign_negatives(best_erasers, snb)):
+        if negs != camp.negatives:
+            _check_limit(account.limit, f"campaign {camp.name}", len(negs))
             changes.append(
-                Change(
-                    op="set_campaign_negatives",
-                    campaign=camp.name,
-                    negatives=negs_frozen,
-                )
+                Change(op="set_campaign_negatives", campaign=camp.name, negatives=negs)
             )
     chosen = group_camps[target]
     members = account.partition[target]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .account import Account, BrandTag, CatchAllTag, RuleTag
 from .erasers import erases
-from .keywords import Keyword, NegativeIndex, subword_set, word_set
+from .keywords import Keyword, NegativeIndex, QueryWords, subword_set, word_set
 from .simulate import Disposition, Landed, Simulator
 
 
@@ -335,7 +335,8 @@ def verify_structure(account: Account) -> tuple[Finding, ...]:
         indexes = [NegativeIndex(c.negatives) for c in group_camps]
         for pos, group in enumerate(account.partition):
             for kw in sorted(group):
-                hit = indexes[pos].first_match(kw)
+                words = QueryWords(kw)
+                hit = indexes[pos].lookup(words)
                 if hit is not None:
                     findings.append(
                         Finding(
@@ -349,7 +350,7 @@ def verify_structure(account: Account) -> tuple[Finding, ...]:
                 for other_pos in range(len(account.partition)):
                     if other_pos == pos:
                         continue
-                    if indexes[other_pos].first_match(kw) is None:
+                    if indexes[other_pos].lookup(words) is None:
                         findings.append(
                             Finding(
                                 kind="negatives",

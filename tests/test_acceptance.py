@@ -8,6 +8,7 @@ import random
 import time
 from contextlib import contextmanager
 
+from oracles import exact_packing_oracle
 from test_erasers import EXPECTED_CANDIDATES
 
 from shopstruct import (
@@ -21,7 +22,6 @@ from shopstruct import (
     build_graph,
     enumerate_candidates,
     exact,
-    exact_packing_oracle,
     generate,
     large,
     negative_count,

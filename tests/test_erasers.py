@@ -17,8 +17,6 @@ from shopstruct import (
     enumerate_candidates,
     eraser_image,
     erases,
-    exact_packing_oracle,
-    expand,
     make_group_plan,
     normalize,
     reduce_keywords,
@@ -26,6 +24,8 @@ from shopstruct import (
     welsh_powell,
 )
 from conftest import GOLDEN_KEYWORDS
+from oracles import exact_packing_oracle, expand
+from oracles import make_group_plan as reference_group_plan
 
 KW = [normalize(t) for t in GOLDEN_KEYWORDS]
 
@@ -281,3 +281,89 @@ def test_packing_oracle_limit():
     cands = enumerate_candidates(KW)
     with pytest.raises(CandidateLimitError):
         exact_packing_oracle(cands, limit=5)
+
+
+# --- the packing against the original quadratic reference -----------------
+
+_VOCAB = ["nike", "adidas", "shoes", "air", "max", "large", "red", "white"]
+
+
+@st.composite
+def _packing_inputs(draw):
+    """A catalogue, disjoint selected candidates and a target size.
+
+    Some keywords use words of their own ("solo0", ...), so they share no word
+    with any group; the selection is empty, the color class, or a random
+    disjoint pick among the candidates."""
+    texts = draw(
+        st.lists(
+            st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=3).map(" ".join),
+            min_size=1,
+            max_size=30,
+            unique_by=lambda t: normalize(t),
+        )
+    )
+    keywords = list(dict.fromkeys(normalize(t) for t in texts))
+    solos = draw(st.integers(0, 4))
+    for i in range(solos):
+        at = draw(st.integers(0, len(keywords)))
+        keywords.insert(at, normalize(f"solo{i}"))
+    candidates = enumerate_candidates(keywords, max_image=len(keywords))
+    how = draw(st.sampled_from(["none", "color", "random"]))
+    if how == "none":
+        selected: tuple[Candidate, ...] = ()
+    elif how == "color":
+        graph = build_graph(candidates)
+        selected = select_color_class(graph, welsh_powell(graph))
+    else:
+        picks = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
+        taken: set = set()
+        chosen = []
+        for cand in picks:
+            if not cand.image & taken:
+                chosen.append(cand)
+                taken |= cand.image
+        selected = tuple(chosen)
+    heaviest = max((c.weight for c in selected), default=1)
+    target = draw(st.one_of(st.none(), st.integers(heaviest, len(keywords) + 1)))
+    return keywords, selected, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packing_inputs())
+def test_group_plan_matches_reference(inputs):
+    keywords, selected, target = inputs
+
+    def outcome(plan_fn):
+        try:
+            return plan_fn(keywords, selected, target_size=target)
+        except InfeasibleTargetError as exc:  # the default target can be too small
+            return type(exc)
+
+    assert outcome(make_group_plan) == outcome(reference_group_plan)
+
+
+def test_group_plan_matches_reference_when_nothing_is_shared():
+    # No selected erasers and no shared words: every keyword takes the
+    # lightest-group fallback.
+    keywords = [normalize(f"w{i} v{i}") for i in range(17)]
+    for target in (1, 3, 4, 17):
+        assert make_group_plan(keywords, (), target_size=target) == reference_group_plan(
+            keywords, (), target_size=target
+        )
+
+
+def test_group_plan_matches_reference_with_full_groups_after_the_erasers():
+    # Three images of two over target 3 overflow one group and fill the
+    # other, so the uncovered keywords meet full groups first.  (Every group
+    # full while a keyword is left cannot happen: fewer than n <= k * target
+    # keywords are placed before each one.)
+    texts = ["a x", "a y", "b x", "b y", "c x", "c y", "d", "e z", "f z"]
+    keywords = [normalize(t) for t in texts]
+    selected = [
+        Candidate(LargeEraser(frozenset({w})), eraser_image(LargeEraser(frozenset({w})), keywords))
+        for w in ("a", "b", "c")
+    ]
+    plan = make_group_plan(keywords, selected, target_size=3)
+    assert sorted(len(g) for g in plan.groups) == [3, 3, 3]
+    assert plan == reference_group_plan(keywords, selected, target_size=3)

@@ -1,16 +1,24 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shopstruct import (
     BuildConfig,
     InputError,
+    Leaf,
     Money,
     Rule,
+    Split,
+    SyntheticSpec,
+    account_document,
     add_rule,
     build_account,
+    generate,
     normalize,
     parse_account,
     render_account,
@@ -123,3 +131,76 @@ def test_unknown_tree_and_tag_kinds_raise(golden_account):
     doc["campaigns"][0]["negatives"] = [{"keyword": "x", "match": "broad"}]
     with pytest.raises(InputError):
         parse_account(json.dumps(doc))
+
+
+# --- the direct writer against json.dumps ----------------------------------
+
+# Characters json escapes, or writes as \uXXXX escapes (one as a surrogate pair).
+_text = st.text(
+    alphabet=st.sampled_from(["a", "b", "é", "ß", "Ω", "€", "😀", '"', "\\", "/", "'", "\x01"]),
+    min_size=1,
+    max_size=3,
+)
+_phrase = st.lists(_text, min_size=1, max_size=3).map(" ".join)
+_money = st.integers(0, 10**12).map(Money)
+_trees = st.recursive(
+    _money.map(Leaf),
+    lambda sub: st.builds(
+        Split,
+        _text,
+        st.lists(st.tuples(_text, sub), max_size=2, unique_by=lambda b: b[0]).map(tuple),
+        sub,
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _accounts(draw):
+    texts = draw(st.lists(_phrase, min_size=1, max_size=10, unique_by=normalize))
+    rules = [
+        Rule(normalize(t), draw(_money), frozenset({f"item-{i}"}))
+        for i, t in enumerate(texts)
+    ]
+    terms = draw(st.lists(_phrase, max_size=4, unique_by=normalize))
+    cut = draw(st.integers(0, len(terms)))
+    brands = tuple(normalize(t) for t in terms[:cut])
+    non_brands = tuple(normalize(t) for t in terms[cut:])
+    blocked = {b.words for b in non_brands}
+    assume(
+        not any(
+            r.keyword.words[i:j] in blocked
+            for r in rules
+            for i in range(len(r.keyword.words))
+            for j in range(i + 1, len(r.keyword.words) + 1)
+        )
+    )
+    trees = {b: draw(_trees) for b in brands if draw(st.booleans())}
+    config = BuildConfig(mode=draw(st.sampled_from(["naive", "reduced"])))
+    return build_account(rules, brands, non_brands, config=config, brand_trees=trees)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_accounts())
+def test_render_writes_the_json_dumps_bytes(account):
+    text = render_account(account)
+    assert text == json.dumps(account_document(account), indent=2) + "\n"
+    # A parsed account holds a separate object per occurrence of a negative.
+    assert render_account(parse_account(text)) == text
+
+
+# sha256 of the rendered synth catalogues at n=300, as the quadratic packing,
+# per-sibling emission and json.dumps renderer produced them.
+PINNED_DIGESTS = {
+    0: "617140a88c24d498558f4d67a0ab6467a20cc6a4a1609cda39729d4dd9de8ba2",
+    1: "4319407069f6c2d10acc82073c51ef364d737357288769432a215461363bace3",
+    2: "80c55a1638851bbaba01853dd16baf33afd96dcdd7cf230df1c505fca437aa6a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_DIGESTS))
+def test_synth_snapshot_digest_is_pinned(seed):
+    cat = generate(SyntheticSpec(n=300, seed=seed))
+    account = build_account(cat.rules, cat.brands, cat.non_brands)
+    digest = hashlib.sha256(render_account(account).encode()).hexdigest()
+    assert digest == PINNED_DIGESTS[seed]
