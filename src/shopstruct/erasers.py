@@ -80,6 +80,34 @@ class Candidate:
         return len(self.image)
 
 
+def _subset_images(
+    sources: Iterable[Keyword], universe: Iterable[Keyword], max_words: int
+) -> dict[frozenset[str], frozenset[Keyword]]:
+    """Image over ``universe`` of every word subset (size <= max_words) of each
+    source keyword, in first-seen order.  Sources must lie in the universe.
+
+    An inverted index (word -> keywords holding it) is built once; a subset's
+    image is its prefix's image intersected with one more word's keywords.
+    """
+    index: dict[str, set[Keyword]] = {}
+    for kw in universe:
+        for w in kw.words:
+            index.setdefault(w, set()).add(kw)
+    images: dict[frozenset[str], frozenset[Keyword]] = {}
+    for kw in sources:
+        toks = sorted(word_set(kw))
+        for r in range(1, min(max_words, len(toks)) + 1):
+            for combo in itertools.combinations(toks, r):
+                ws = frozenset(combo)
+                if ws not in images:
+                    images[ws] = (
+                        images[frozenset(combo[:-1])] & index[combo[-1]]
+                        if r > 1
+                        else frozenset(index[combo[0]])
+                    )
+    return images
+
+
 def enumerate_candidates(
     keywords: Sequence[Keyword],
     *,
@@ -98,26 +126,7 @@ def enumerate_candidates(
     n = len(keywords)
     if max_image is None:
         max_image = max(1, math.ceil(math.sqrt(n)))
-    by_word: dict[str, set[Keyword]] = {}
-    for kw in keywords:
-        for w in word_set(kw):
-            by_word.setdefault(w, set()).add(kw)
-
-    images: dict[frozenset[str], frozenset[Keyword]] = {}
-    for kw in keywords:
-        toks = sorted(word_set(kw))
-        for r in range(1, min(max_words, len(toks)) + 1):
-            for combo in itertools.combinations(toks, r):
-                ws = frozenset(combo)
-                if ws in images:
-                    continue
-                img: set[Keyword] | None = None
-                for w in combo:
-                    hits = by_word.get(w, set())
-                    img = set(hits) if img is None else (img & hits)
-                    if not img:
-                        break
-                images[ws] = frozenset(img or ())
+    images = _subset_images(keywords, keywords, max_words)
 
     kept = {
         ws: img for ws, img in images.items() if 2 <= len(img) <= max_image
@@ -345,26 +354,21 @@ def reduce_keywords(
 
     Greedy cover: strict large candidates (image inside ``members``) taken
     largest-image-first while they erase at least two uncovered keywords, then
-    exact erasers for the rest.  Never longer than ``members`` itself.
+    exact erasers for the rest.  Never longer than ``members`` itself.  The
+    candidates are the members' word subsets, imaged through one word index
+    of ``universe`` (see ``_subset_images``): one pass over the universe plus
+    one set intersection per subset, not one universe scan per subset.
     """
     member_set = frozenset(members)
     universe_list = list(universe)
     if not member_set <= set(universe_list):
         raise InputError("reduce: members must lie inside the universe")
 
-    seen_sets: set[frozenset[str]] = set()
-    strict: list[tuple[frozenset[str], frozenset[Keyword]]] = []
-    for kw in sorted(member_set):
-        toks = sorted(word_set(kw))
-        for r in range(1, min(max_words, len(toks)) + 1):
-            for combo in itertools.combinations(toks, r):
-                ws = frozenset(combo)
-                if ws in seen_sets:
-                    continue
-                seen_sets.add(ws)
-                img = frozenset(k for k in universe_list if ws <= word_set(k))
-                if len(img) >= 2 and img <= member_set:
-                    strict.append((ws, img))
+    strict = [
+        (ws, img)
+        for ws, img in _subset_images(member_set, universe_list, max_words).items()
+        if len(img) >= 2 and img <= member_set
+    ]
     strict.sort(key=lambda t: (-len(t[1]), tuple(sorted(t[0]))))
 
     chosen: list[Eraser] = []

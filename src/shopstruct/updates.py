@@ -399,8 +399,8 @@ def _open_campaign_changes(account: Account, rule: Rule) -> list[Change]:
     """Case: every group campaign blocks the keyword; open a fresh one whose
     negatives are a recomputed minimal cover of the existing catalogue."""
     kw = rule.keyword
-    existing = sorted(account.keywords())
-    cover = reduce_keywords(existing, existing + [kw])
+    existing = account.keywords()
+    cover = reduce_keywords(existing, existing | {kw})
     negs = frozenset(e.to_negative() for e in cover) | frozenset(
         phrase(b) for b in account.non_brands
     )
@@ -429,38 +429,33 @@ def _open_campaign_changes(account: Account, rule: Rule) -> list[Change]:
 def _min_negatives_changes(account: Account, rule: Rule) -> list[Change]:
     """Case: every group campaign blocks the keyword and the caller prefers
     re-covering groups over opening a campaign.  Each placement is costed by
-    recomputing every group's eraser cover against the grown catalogue; the
-    placement with the fewest literal negatives account-wide wins."""
+    the literal negatives it leaves account-wide; the cheapest wins (tie: the
+    lowest group).  Covers are taken against the grown catalogue, which is the
+    same for every placement, and a group that does not take the keyword has
+    the same cover wherever it goes, so each group's cover is computed once
+    without and once with the keyword: 2k covers for k groups, not k²."""
     kw = rule.keyword
     group_camps = account.group_campaigns()
     if not group_camps:
         return _open_campaign_changes(account, rule)
-    old_groups = list(account.partition)
-    universe = sorted(account.keywords()) + [kw]
+    old_groups = account.partition
+    k = len(old_groups)
+    universe = account.keywords() | {kw}
     snb = frozenset(phrase(b) for b in account.non_brands)
+    without = [reduce_keywords(group, universe) for group in old_groups]
+    with_kw = [reduce_keywords(group | {kw}, universe) for group in old_groups]
+    total = sum(len(e) for e in without)
+    sibling_pairs = sum(len(g) * (len(g) - 1) for g in old_groups)
 
-    best: tuple[int, int] | None = None
-    best_erasers: list[tuple[Eraser, ...]] | None = None
-    for target in range(len(old_groups)):
-        new_erasers = []
-        for pos, group in enumerate(old_groups):
-            members = set(group) | ({kw} if pos == target else set())
-            new_erasers.append(reduce_keywords(sorted(members), universe))
-        total_erasers = sum(len(e) for e in new_erasers)
-        campaign_negs = total_erasers * (len(old_groups) - 1) + len(snb) * len(
-            old_groups
-        )
-        adgroup_negs = sum(
-            (len(g) + (1 if pos == target else 0))
-            * (len(g) + (1 if pos == target else 0) - 1)
-            for pos, g in enumerate(old_groups)
-        )
-        cost = campaign_negs + adgroup_negs
-        if best is None or (cost, target) < (best[0], best[1]):
-            best = (cost, target)
-            best_erasers = new_erasers
-    assert best is not None and best_erasers is not None
-    target = best[1]
+    def cost(t: int) -> int:
+        erasers = total - len(without[t]) + len(with_kw[t])
+        # The target group grows by one: (s + 1)s - s(s - 1) = 2s more
+        # sibling exacts.
+        adgroup_negs = sibling_pairs + 2 * len(old_groups[t])
+        return erasers * (k - 1) + len(snb) * k + adgroup_negs
+
+    target = min(range(k), key=lambda t: (cost(t), t))
+    best_erasers = without[:target] + [with_kw[target]] + without[target + 1 :]
 
     changes: list[Change] = []
     for pos, erasers in enumerate(best_erasers):
@@ -514,7 +509,7 @@ def remove_rule(account: Account, keyword: Keyword) -> UpdateOutcome:
         raise InputError("group campaigns and partition are out of step")
     own = group_camps[pos]
     members = account.partition[pos]
-    remaining_global = sorted(account.keywords() - {keyword})
+    remaining_global = account.keywords() - {keyword}
 
     changes: list[Change] = []
 

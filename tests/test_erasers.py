@@ -24,6 +24,7 @@ from shopstruct import (
     welsh_powell,
 )
 from conftest import GOLDEN_KEYWORDS
+import oracles
 from oracles import exact_packing_oracle, expand
 from oracles import make_group_plan as reference_group_plan
 
@@ -367,3 +368,59 @@ def test_group_plan_matches_reference_with_full_groups_after_the_erasers():
     plan = make_group_plan(keywords, selected, target_size=3)
     assert sorted(len(g) for g in plan.groups) == [3, 3, 3]
     assert plan == reference_group_plan(keywords, selected, target_size=3)
+
+
+# --- indexed enumeration and covers against the scanning originals ---------
+
+
+@st.composite
+def _texts(draw, max_size):
+    return draw(
+        st.lists(
+            st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=4).map(" ".join),
+            max_size=max_size,
+        )
+    )
+
+
+@st.composite
+def _cover_inputs(draw):
+    """A catalogue with shared words and lone-word keywords, a member subset
+    of it, a universe holding the catalogue plus extra keywords, and the
+    enumeration limits."""
+    catalogue = list(dict.fromkeys(normalize(t) for t in draw(_texts(25))))
+    for i in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(catalogue)))
+        catalogue.insert(at, normalize(f"solo{i}"))
+    members = draw(st.lists(st.sampled_from(catalogue), unique=True)) if catalogue else []
+    extras = [normalize(t) for t in draw(_texts(8))]
+    if draw(st.booleans()):
+        extras.append(normalize("solo9"))
+    universe = draw(st.permutations(list(dict.fromkeys(catalogue + extras))))
+    max_words = draw(st.integers(1, 3))
+    max_image = draw(st.one_of(st.none(), st.integers(1, len(catalogue) + 1)))
+    return catalogue, members, universe, max_words, max_image
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cover_inputs())
+def test_enumerate_candidates_matches_reference(inputs):
+    catalogue, _, _, max_words, max_image = inputs
+    got = enumerate_candidates(catalogue, max_words=max_words, max_image=max_image)
+    want = oracles.enumerate_candidates(
+        catalogue, max_words=max_words, max_image=max_image
+    )
+    assert got == want  # ordered candidates, each with its image
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cover_inputs())
+def test_reduce_keywords_matches_reference(inputs):
+    _, members, universe, max_words, _ = inputs
+
+    def cover(reduce_fn):
+        erasers = reduce_fn(members, universe, max_words=max_words)
+        return [(e, eraser_image(e, universe)) for e in erasers]
+
+    assert cover(reduce_keywords) == cover(oracles.reduce_keywords)
+

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
 from shopstruct import (
     BuildConfig,
@@ -10,17 +14,21 @@ from shopstruct import (
     DuplicateKeywordError,
     ExactEraser,
     InputError,
+    LargeEraser,
     LimitExceededError,
     Money,
     Rule,
     Simulator,
+    SyntheticSpec,
     UnknownKeywordError,
     add_rule,
     apply_changes,
+    blocks,
     build_account,
     check_balance,
     describe,
     exact,
+    generate,
     large,
     negative_count,
     normalize,
@@ -30,6 +38,7 @@ from shopstruct import (
     render_account,
     verify_account,
 )
+import oracles
 
 
 def _ops(outcome) -> Counter:
@@ -334,3 +343,120 @@ def test_apply_changes_rejects_missing_targets(golden_account):
             golden_account,
             [Change(op="remove_campaign", campaign="c9")],
         )
+
+
+# --- min-negatives against the k² reference, and random update sequences ---
+
+
+def _blocked_everywhere(account, rng):
+    """A new keyword holding the words of two large erasers of different
+    groups, so every group campaign blocks it; None when there is none."""
+    larges = [
+        (pos, sorted(e.words))
+        for pos, group in enumerate(account.erasers)
+        for e in group
+        if isinstance(e, LargeEraser)
+    ]
+    if len({pos for pos, _ in larges}) < 2:
+        return None
+    present = account.keywords()
+    camps = account.group_campaigns()
+    for _ in range(200):
+        (g1, w1), (g2, w2) = rng.sample(larges, 2)
+        if g1 == g2:
+            continue
+        kw = normalize(" ".join(w1 + [w for w in w2 if w not in w1]))
+        if kw not in present and all(blocks(c.negatives, kw) for c in camps):
+            return kw
+    return None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_min_negatives_matches_the_quadratic_reference(seed):
+    cat = generate(SyntheticSpec(n=200, seed=seed))
+    acc = build_account(cat.rules, cat.brands, cat.non_brands)
+    kw = _blocked_everywhere(acc, random.Random(seed))
+    assert kw is not None
+    rule = Rule(kw, Money(120_000), frozenset({"item-new"}))
+
+    out = add_rule(acc, rule, strategy="min-negatives")
+    reference = tuple(oracles._min_negatives_changes(acc, rule))
+    # The general and brand campaigns' exact negatives come first.
+    head = out.changes[: len(out.changes) - len(reference)]
+    assert out.changes[len(head) :] == reference
+    assert {(c.op, c.negative) for c in head} == {("add_campaign_negative", exact(kw))}
+    _assert_replay(acc, out)
+    assert verify_account(out.account).passed
+    result = Simulator(out.account).run(kw)
+    assert result.disposition.kind == "landed"
+    assert result.disposition.adgroup == kw.text
+
+
+_SMALL = generate(SyntheticSpec(n=60, seed=4))
+_SPECIAL = {w for b in _SMALL.brands + _SMALL.non_brands for w in b.words}
+_PLAIN_WORDS = sorted({w for r in _SMALL.rules for w in r.keyword.words} - _SPECIAL)
+_ITEMS = sorted({i for r in _SMALL.rules for i in r.items})
+
+
+class UpdateSequence(RuleBasedStateMachine):
+    """Random add_rule / remove_rule / remove_item sequences on a small
+    account: every step must leave a verified account that the step's change
+    log reproduces from the one before."""
+
+    @initialize()
+    def build(self):
+        self.rules = list(_SMALL.rules)
+        self.account = build_account(self.rules, _SMALL.brands, _SMALL.non_brands)
+
+    def _step(self, outcome):
+        assert apply_changes(self.account, outcome.changes) == outcome.account
+        assert verify_account(outcome.account, probes=200).passed
+        self.account = outcome.account
+
+    def _add(self, kw, strategy, items):
+        new_rule = Rule(kw, Money(90_000), frozenset(items))
+        self._step(add_rule(self.account, new_rule, strategy=strategy))
+        self.rules.append(new_rule)
+
+    @rule(
+        words=st.lists(st.sampled_from(_PLAIN_WORDS), min_size=1, max_size=3, unique=True),
+        strategy=st.sampled_from(["new-campaign", "min-negatives"]),
+        items=st.lists(st.sampled_from(_ITEMS), min_size=1, max_size=2),
+    )
+    def add_plain(self, words, strategy, items):
+        kw = normalize(" ".join(words))
+        if kw not in self.account.keywords():
+            self._add(kw, strategy, items)
+
+    @rule(
+        seed=st.integers(0, 2**16),
+        strategy=st.sampled_from(["new-campaign", "min-negatives"]),
+        items=st.lists(st.sampled_from(_ITEMS), min_size=1, max_size=2),
+    )
+    def add_blocked(self, seed, strategy, items):
+        kw = _blocked_everywhere(self.account, random.Random(seed))
+        if kw is not None:
+            self._add(kw, strategy, items)
+
+    @precondition(lambda self: len(self.rules) > 1)
+    @rule(data=st.data())
+    def drop_rule(self, data):
+        kw = data.draw(st.sampled_from(sorted(r.keyword for r in self.rules)))
+        self._step(remove_rule(self.account, kw))
+        self.rules = [r for r in self.rules if r.keyword != kw]
+
+    @precondition(lambda self: len(self.rules) > 1)
+    @rule(data=st.data())
+    def retire_item(self, data):
+        item = data.draw(st.sampled_from(sorted({i for r in self.rules for i in r.items})))
+        outcome = remove_item(self.account, self.rules, item)
+        if outcome.rules:
+            self._step(outcome)
+            self.rules = list(outcome.rules)
+
+
+UpdateSequence.TestCase.settings = settings(
+    max_examples=15, stateful_step_count=8, deadline=None
+)
+test_update_sequences = UpdateSequence.TestCase
+
