@@ -20,7 +20,7 @@ or the reduced pipeline (shared large erasers packed into balanced groups).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from .account import (
@@ -318,16 +318,8 @@ def reduction_stats(
 ) -> ReductionStats:
     """Build both ways and report how much the eraser pipeline saves."""
     config = config or BuildConfig()
-    base = {
-        "max_words": config.max_words,
-        "max_image": config.max_image,
-        "target_size": config.target_size,
-        "limit": config.limit,
-        "default_bid": config.default_bid,
-        "coloring_order": config.coloring_order,
-    }
-    reduced_cfg = BuildConfig(mode="reduced", **base)
-    naive_cfg = BuildConfig(mode="naive", **base)
+    reduced_cfg = replace(config, mode="reduced")
+    naive_cfg = replace(config, mode="naive")
 
     keywords = [r.keyword for r in rules]
     candidates = enumerate_candidates(

@@ -26,7 +26,7 @@ from .rules_io import load_keywords, load_rules, save_keywords, save_rules
 from .simulate import Blocked, Simulator, Trajectory
 from .snapshot import parse_account, render_account
 from .synth import SyntheticCatalogue, SyntheticSpec, generate
-from .updates import UpdateOutcome, add_rule, describe, remove_item, remove_rule
+from .updates import UpdateOutcome, add_rule, remove_item, remove_rule
 from .verify import VerificationReport, verify_account
 
 
@@ -272,7 +272,7 @@ def _print_outcome(outcome: UpdateOutcome, as_json: bool) -> None:
         print(
             json.dumps(
                 {
-                    "changes": [describe(c) for c in outcome.changes],
+                    "changes": [c.describe() for c in outcome.changes],
                     "balance": {
                         "keywords": outcome.balance.keyword_count,
                         "groups": outcome.balance.group_count,
@@ -289,7 +289,7 @@ def _print_outcome(outcome: UpdateOutcome, as_json: bool) -> None:
     if not outcome.changes:
         print("no changes")
     for c in outcome.changes:
-        print(describe(c))
+        print(c.describe())
     if outcome.balance.recommended:
         print("rebalance recommended:")
         for reason in outcome.balance.reasons:

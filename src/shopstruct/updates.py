@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .account import (
     Account,
@@ -46,185 +46,261 @@ from .keywords import Keyword, NegativeKeyword, blocks, exact, phrase
 # --- change log ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+class _Draft:
+    """A copy-on-write account that one batch of changes edits in place.
+
+    Campaigns sit in an insertion-ordered dict by name and a change swaps in
+    a new value only for what it touches, so untouched campaigns and ad
+    groups keep their identity.  ``freeze`` builds the ``Account`` once."""
+
+    def __init__(self, account: Account) -> None:
+        self.account = account
+        self.campaigns = {c.name: c for c in account.campaigns}
+        self.partition = list(account.partition)
+        self.erasers = list(account.erasers)
+
+    def campaign(self, name: str) -> Campaign:
+        if name not in self.campaigns:
+            raise InputError(f"no campaign named {name!r}")
+        return self.campaigns[name]
+
+    def adgroup_index(self, campaign: Campaign, name: str) -> int:
+        for i, g in enumerate(campaign.adgroups):
+            if g.name == name:
+                return i
+        raise InputError(f"no ad group named {name!r} in {campaign.name}")
+
+    def edit_negatives(self, campaign: str, adgroup: str | None, edit: Callable) -> None:
+        """Replace the negatives of a campaign, or of one of its ad groups,
+        by ``edit`` of the current ones."""
+        camp = self.campaign(campaign)
+        if adgroup is None:
+            self.campaigns[campaign] = replace(camp, negatives=edit(camp.negatives))
+            return
+        i = self.adgroup_index(camp, adgroup)
+        new = replace(camp.adgroups[i], negatives=edit(camp.adgroups[i].negatives))
+        adgroups = camp.adgroups[:i] + (new,) + camp.adgroups[i + 1 :]
+        self.campaigns[campaign] = replace(camp, adgroups=adgroups)
+
+    def group(self, pos: int) -> int:
+        """``pos`` itself, once it is known to name an existing group."""
+        if not 0 <= pos < len(self.partition):
+            raise InputError(f"no keyword group {pos + 1}")
+        return pos
+
+    def freeze(self) -> Account:
+        return replace(
+            self.account,
+            campaigns=tuple(self.campaigns.values()),
+            partition=tuple(self.partition),
+            erasers=tuple(self.erasers),
+        )
+
+
 class Change:
-    """One account mutation.  ``op`` selects which optional fields apply.
+    """One account mutation, a frozen dataclass per op kind.  ``describe()``
+    gives its change-log line; ``apply(draft)`` performs it, raising
+    InputError when its target is missing.  ``group`` fields are 0-based
+    partition positions; ``Set*`` ops replace a whole field."""
 
-    ``group`` is a 0-based partition position.  Bulk ops (``set_*``) replace a
-    whole field; the granular ops add or remove one element.
-    """
 
-    op: str
-    campaign: str | None = None
+@dataclass(frozen=True)
+class AddCampaign(Change):
+    campaign: Campaign
+
+    def describe(self) -> str:
+        return f"add campaign {self.campaign.name}"
+
+    def apply(self, draft: _Draft) -> None:
+        if self.campaign.name in draft.campaigns:
+            raise InputError(f"account repeats campaign name {self.campaign.name!r}")
+        draft.campaigns[self.campaign.name] = self.campaign
+
+
+@dataclass(frozen=True)
+class RemoveCampaign(Change):
+    campaign: str
+
+    def describe(self) -> str:
+        return f"remove campaign {self.campaign}"
+
+    def apply(self, draft: _Draft) -> None:
+        draft.campaign(self.campaign)
+        del draft.campaigns[self.campaign]
+
+
+@dataclass(frozen=True)
+class AddAdGroup(Change):
+    campaign: str
+    adgroup: AdGroup
+
+    def describe(self) -> str:
+        return f"add ad group {self.adgroup.name!r} to campaign {self.campaign}"
+
+    def apply(self, draft: _Draft) -> None:
+        camp = draft.campaign(self.campaign)
+        adgroups = camp.adgroups + (self.adgroup,)
+        draft.campaigns[self.campaign] = replace(camp, adgroups=adgroups)
+
+
+@dataclass(frozen=True)
+class RemoveAdGroup(Change):
+    campaign: str
+    adgroup: str
+
+    def describe(self) -> str:
+        return f"remove ad group {self.adgroup!r} from campaign {self.campaign}"
+
+    def apply(self, draft: _Draft) -> None:
+        camp = draft.campaign(self.campaign)
+        i = draft.adgroup_index(camp, self.adgroup)
+        adgroups = camp.adgroups[:i] + camp.adgroups[i + 1 :]
+        draft.campaigns[self.campaign] = replace(camp, adgroups=adgroups)
+
+
+@dataclass(frozen=True)
+class _NegativeChange(Change):
+    """One negative on a campaign, or on one of its ad groups."""
+
+    campaign: str
+    negative: NegativeKeyword
     adgroup: str | None = None
-    negative: NegativeKeyword | None = None
-    keyword: Keyword | None = None
-    group: int | None = None
-    eraser: Eraser | None = None
-    erasers: tuple[Eraser, ...] | None = None
-    negatives: frozenset[NegativeKeyword] | None = None
-    keywords: frozenset[Keyword] | None = None
-    new_campaign: Campaign | None = None
-    new_adgroup: AdGroup | None = None
+
+    def target(self) -> str:
+        if self.adgroup is None:
+            return f"campaign {self.campaign}"
+        return f"ad group {self.adgroup!r} of campaign {self.campaign}"
 
 
-def describe(change: Change) -> str:
-    """One human-readable line per change, for logs and the command line."""
-    c = change
-    if c.op == "add_campaign":
-        return f"add campaign {c.new_campaign.name}"
-    if c.op == "remove_campaign":
-        return f"remove campaign {c.campaign}"
-    if c.op == "add_adgroup":
-        return f"add ad group {c.new_adgroup.name!r} to campaign {c.campaign}"
-    if c.op == "remove_adgroup":
-        return f"remove ad group {c.adgroup!r} from campaign {c.campaign}"
-    if c.op == "add_campaign_negative":
-        return f"add negative {c.negative.describe()} to campaign {c.campaign}"
-    if c.op == "remove_campaign_negative":
-        return f"remove negative {c.negative.describe()} from campaign {c.campaign}"
-    if c.op == "add_adgroup_negative":
-        return (
-            f"add negative {c.negative.describe()} to ad group {c.adgroup!r}"
-            f" of campaign {c.campaign}"
-        )
-    if c.op == "remove_adgroup_negative":
-        return (
-            f"remove negative {c.negative.describe()} from ad group {c.adgroup!r}"
-            f" of campaign {c.campaign}"
-        )
-    if c.op == "set_campaign_negatives":
-        return f"replace the negatives of campaign {c.campaign} ({len(c.negatives)})"
-    if c.op == "assign_keyword":
-        return f"assign keyword {c.keyword.text!r} to group {c.group + 1}"
-    if c.op == "unassign_keyword":
-        return f"unassign keyword {c.keyword.text!r} from group {c.group + 1}"
-    if c.op == "add_group":
-        return f"add keyword group of {len(c.keywords)}"
-    if c.op == "remove_group":
-        return f"remove keyword group {c.group + 1}"
-    if c.op == "add_eraser":
-        return f"record eraser {c.eraser.to_negative().describe()} for group {c.group + 1}"
-    if c.op == "remove_eraser":
-        return f"drop eraser {c.eraser.to_negative().describe()} from group {c.group + 1}"
-    if c.op == "set_group_erasers":
-        return f"replace the erasers of group {c.group + 1} ({len(c.erasers)})"
-    raise InputError(f"unknown change op: {c.op!r}")
+@dataclass(frozen=True)
+class AddNegative(_NegativeChange):
+    def describe(self) -> str:
+        return f"add negative {self.negative.describe()} to {self.target()}"
+
+    def apply(self, draft: _Draft) -> None:
+        draft.edit_negatives(self.campaign, self.adgroup, lambda n: n | {self.negative})
 
 
-def _with_campaign(account: Account, name: str, campaign: Campaign) -> Account:
-    out = tuple(campaign if c.name == name else c for c in account.campaigns)
-    if all(c.name != name for c in account.campaigns):
-        raise InputError(f"no campaign named {name!r}")
-    return replace(account, campaigns=out)
+@dataclass(frozen=True)
+class RemoveNegative(_NegativeChange):
+    def describe(self) -> str:
+        return f"remove negative {self.negative.describe()} from {self.target()}"
+
+    def apply(self, draft: _Draft) -> None:
+        draft.edit_negatives(self.campaign, self.adgroup, lambda n: n - {self.negative})
 
 
-def _find_campaign(account: Account, name: str) -> Campaign:
-    for c in account.campaigns:
-        if c.name == name:
-            return c
-    raise InputError(f"no campaign named {name!r}")
+@dataclass(frozen=True)
+class SetCampaignNegatives(Change):
+    campaign: str
+    negatives: frozenset[NegativeKeyword]
+
+    def describe(self) -> str:
+        return f"replace the negatives of campaign {self.campaign} ({len(self.negatives)})"
+
+    def apply(self, draft: _Draft) -> None:
+        draft.edit_negatives(self.campaign, None, lambda _: self.negatives)
 
 
-def _with_adgroup(campaign: Campaign, name: str, adgroup: AdGroup) -> Campaign:
-    if all(g.name != name for g in campaign.adgroups):
-        raise InputError(f"no ad group named {name!r} in campaign {campaign.name}")
-    groups = tuple(adgroup if g.name == name else g for g in campaign.adgroups)
-    return replace(campaign, adgroups=groups)
+@dataclass(frozen=True)
+class AssignKeyword(Change):
+    group: int
+    keyword: Keyword
+
+    def describe(self) -> str:
+        return f"assign keyword {self.keyword.text!r} to group {self.group + 1}"
+
+    def apply(self, draft: _Draft) -> None:
+        draft.partition[draft.group(self.group)] |= {self.keyword}
 
 
-def apply_change(account: Account, change: Change) -> Account:
-    """Apply one change; raises InputError when the target does not exist."""
-    c = change
-    if c.op == "add_campaign":
-        return replace(account, campaigns=account.campaigns + (c.new_campaign,))
-    if c.op == "remove_campaign":
-        _find_campaign(account, c.campaign)
-        return replace(
-            account,
-            campaigns=tuple(x for x in account.campaigns if x.name != c.campaign),
-        )
-    if c.op == "add_adgroup":
-        camp = _find_campaign(account, c.campaign)
-        camp = replace(camp, adgroups=camp.adgroups + (c.new_adgroup,))
-        return _with_campaign(account, c.campaign, camp)
-    if c.op == "remove_adgroup":
-        camp = _find_campaign(account, c.campaign)
-        if all(g.name != c.adgroup for g in camp.adgroups):
-            raise InputError(f"no ad group named {c.adgroup!r} in {c.campaign}")
-        camp = replace(
-            camp, adgroups=tuple(g for g in camp.adgroups if g.name != c.adgroup)
-        )
-        return _with_campaign(account, c.campaign, camp)
-    if c.op == "add_campaign_negative":
-        camp = _find_campaign(account, c.campaign)
-        camp = replace(camp, negatives=camp.negatives | {c.negative})
-        return _with_campaign(account, c.campaign, camp)
-    if c.op == "remove_campaign_negative":
-        camp = _find_campaign(account, c.campaign)
-        camp = replace(camp, negatives=camp.negatives - {c.negative})
-        return _with_campaign(account, c.campaign, camp)
-    if c.op == "add_adgroup_negative":
-        camp = _find_campaign(account, c.campaign)
-        for g in camp.adgroups:
-            if g.name == c.adgroup:
-                new = replace(g, negatives=g.negatives | {c.negative})
-                return _with_campaign(account, c.campaign, _with_adgroup(camp, g.name, new))
-        raise InputError(f"no ad group named {c.adgroup!r} in {c.campaign}")
-    if c.op == "remove_adgroup_negative":
-        camp = _find_campaign(account, c.campaign)
-        for g in camp.adgroups:
-            if g.name == c.adgroup:
-                new = replace(g, negatives=g.negatives - {c.negative})
-                return _with_campaign(account, c.campaign, _with_adgroup(camp, g.name, new))
-        raise InputError(f"no ad group named {c.adgroup!r} in {c.campaign}")
-    if c.op == "set_campaign_negatives":
-        camp = _find_campaign(account, c.campaign)
-        camp = replace(camp, negatives=c.negatives)
-        return _with_campaign(account, c.campaign, camp)
-    if c.op == "assign_keyword":
-        groups = list(account.partition)
-        groups[c.group] = groups[c.group] | {c.keyword}
-        return replace(account, partition=tuple(groups))
-    if c.op == "unassign_keyword":
-        groups = list(account.partition)
-        groups[c.group] = groups[c.group] - {c.keyword}
-        return replace(account, partition=tuple(groups))
-    if c.op == "add_group":
-        return replace(
-            account,
-            partition=account.partition + (c.keywords,),
-            erasers=account.erasers + (c.erasers,),
-        )
-    if c.op == "remove_group":
-        groups = list(account.partition)
-        erasers = list(account.erasers)
-        del groups[c.group]
-        del erasers[c.group]
-        return replace(account, partition=tuple(groups), erasers=tuple(erasers))
-    if c.op == "add_eraser":
-        erasers = list(account.erasers)
-        erasers[c.group] = erasers[c.group] + (c.eraser,)
-        return replace(account, erasers=tuple(erasers))
-    if c.op == "remove_eraser":
-        erasers = list(account.erasers)
-        current = list(erasers[c.group])
-        if c.eraser not in current:
-            raise InputError(f"group {c.group + 1} has no such eraser")
-        current.remove(c.eraser)
-        erasers[c.group] = tuple(current)
-        return replace(account, erasers=tuple(erasers))
-    if c.op == "set_group_erasers":
-        erasers = list(account.erasers)
-        erasers[c.group] = c.erasers
-        return replace(account, erasers=tuple(erasers))
-    raise InputError(f"unknown change op: {c.op!r}")
+@dataclass(frozen=True)
+class UnassignKeyword(Change):
+    group: int
+    keyword: Keyword
+
+    def describe(self) -> str:
+        return f"unassign keyword {self.keyword.text!r} from group {self.group + 1}"
+
+    def apply(self, draft: _Draft) -> None:
+        draft.partition[draft.group(self.group)] -= {self.keyword}
+
+
+@dataclass(frozen=True)
+class AddGroup(Change):
+    keywords: frozenset[Keyword]
+    erasers: tuple[Eraser, ...]
+
+    def describe(self) -> str:
+        return f"add keyword group of {len(self.keywords)}"
+
+    def apply(self, draft: _Draft) -> None:
+        draft.partition.append(self.keywords)
+        draft.erasers.append(self.erasers)
+
+
+@dataclass(frozen=True)
+class RemoveGroup(Change):
+    group: int
+
+    def describe(self) -> str:
+        return f"remove keyword group {self.group + 1}"
+
+    def apply(self, draft: _Draft) -> None:
+        del draft.partition[draft.group(self.group)]
+        del draft.erasers[self.group]
+
+
+@dataclass(frozen=True)
+class AddEraser(Change):
+    group: int
+    eraser: Eraser
+
+    def describe(self) -> str:
+        return f"record eraser {self.eraser.to_negative().describe()} for group {self.group + 1}"
+
+    def apply(self, draft: _Draft) -> None:
+        draft.erasers[draft.group(self.group)] += (self.eraser,)
+
+
+@dataclass(frozen=True)
+class RemoveEraser(Change):
+    group: int
+    eraser: Eraser
+
+    def describe(self) -> str:
+        return f"drop eraser {self.eraser.to_negative().describe()} from group {self.group + 1}"
+
+    def apply(self, draft: _Draft) -> None:
+        current = list(draft.erasers[draft.group(self.group)])
+        if self.eraser not in current:
+            raise InputError(f"group {self.group + 1} has no such eraser")
+        current.remove(self.eraser)
+        draft.erasers[self.group] = tuple(current)
+
+
+@dataclass(frozen=True)
+class SetGroupErasers(Change):
+    group: int
+    erasers: tuple[Eraser, ...]
+
+    def describe(self) -> str:
+        return f"replace the erasers of group {self.group + 1} ({len(self.erasers)})"
+
+    def apply(self, draft: _Draft) -> None:
+        draft.erasers[draft.group(self.group)] = self.erasers
 
 
 def apply_changes(account: Account, changes: Iterable[Change]) -> Account:
+    """Replay a change log over ``account`` and build the result once.
+
+    Raises InputError at the first change whose target is missing, that
+    repeats a campaign or ad group name, or that empties a campaign; the
+    built account then checks its tiers."""
+    draft = _Draft(account)
     for change in changes:
-        account = apply_change(account, change)
-    return account
+        change.apply(draft)
+    return draft.freeze()
 
 
 # --- balance -------------------------------------------------------------
@@ -282,11 +358,46 @@ class UpdateOutcome:
     rules: tuple[Rule, ...] | None = None
 
 
-def _log_campaign_negative(
-    changes: list[Change], campaign: Campaign, negative: NegativeKeyword, add: bool
-) -> None:
-    op = "add_campaign_negative" if add else "remove_campaign_negative"
-    changes.append(Change(op=op, campaign=campaign.name, negative=negative))
+def _group_campaigns(account: Account) -> tuple[Campaign, ...]:
+    group_camps = account.group_campaigns()
+    if len(group_camps) != len(account.partition):
+        raise InputError("group campaigns and partition are out of step")
+    return group_camps
+
+
+def _tier_campaigns(account: Account) -> list[Campaign]:
+    """The High-tier campaign, then the Medium-tier one if there is one."""
+    brand_camp = account.brand_campaign()
+    return [account.general_campaign()] + ([brand_camp] if brand_camp is not None else [])
+
+
+def _outcome(account: Account, changes: list[Change]) -> UpdateOutcome:
+    new_account = apply_changes(account, changes)
+    return UpdateOutcome(new_account, tuple(changes), check_balance(new_account))
+
+
+def _rule_adgroup(rule: Rule, negatives: frozenset[NegativeKeyword]) -> AdGroup:
+    kw = rule.keyword
+    return AdGroup(name=kw.text, tag=RuleTag(kw), negatives=negatives, tree=Leaf(rule.cpc))
+
+
+def _place_changes(
+    account: Account, chosen: Campaign, pos: int, rule: Rule
+) -> list[Change]:
+    """Put ``rule``'s keyword into group ``pos`` (campaign ``chosen``): every
+    sibling ad group blocks it, and its own new ad group blocks the siblings."""
+    kw = rule.keyword
+    changes: list[Change] = []
+    for adgroup in chosen.adgroups:
+        _check_limit(
+            account.limit, f"ad group {adgroup.name!r}", len(adgroup.negatives) + 1
+        )
+        changes.append(AddNegative(chosen.name, exact(kw), adgroup.name))
+    siblings = frozenset(exact(other) for other in account.partition[pos])
+    _check_limit(account.limit, f"ad group {kw.text!r}", len(siblings))
+    changes.append(AddAdGroup(chosen.name, _rule_adgroup(rule, siblings)))
+    changes.append(AssignKeyword(pos, kw))
+    return changes
 
 
 # --- add_rule ------------------------------------------------------------
@@ -311,77 +422,28 @@ def add_rule(
     if kw in account.keywords():
         raise DuplicateKeywordError(f"keyword already has a rule: {kw.text!r}")
     _check_routable([kw], account.non_brands)
+    group_camps = _group_campaigns(account)
 
-    group_camps = account.group_campaigns()
-    if len(group_camps) != len(account.partition):
-        raise InputError("group campaigns and partition are out of step")
-    changes: list[Change] = []
-
-    general = account.general_campaign()
-    _check_limit(account.limit, f"campaign {general.name}", len(general.negatives) + 1)
-    _log_campaign_negative(changes, general, exact(kw), add=True)
-    brand_camp = account.brand_campaign()
-    if brand_camp is not None:
-        _check_limit(
-            account.limit, f"campaign {brand_camp.name}", len(brand_camp.negatives) + 1
-        )
-        _log_campaign_negative(changes, brand_camp, exact(kw), add=True)
-
+    blocking = _tier_campaigns(account)
     admitting = [
         pos for pos, camp in enumerate(group_camps) if not blocks(camp.negatives, kw)
     ]
     if admitting:
         pos = min(admitting, key=lambda p: (len(account.partition[p]), p))
-        chosen = group_camps[pos]
-        members = account.partition[pos]
-        for other_pos, camp in enumerate(group_camps):
-            if other_pos == pos:
-                continue
-            _check_limit(
-                account.limit, f"campaign {camp.name}", len(camp.negatives) + 1
-            )
-            _log_campaign_negative(changes, camp, exact(kw), add=True)
-        for adgroup in chosen.adgroups:
-            _check_limit(
-                account.limit,
-                f"ad group {adgroup.name!r}",
-                len(adgroup.negatives) + 1,
-            )
-            changes.append(
-                Change(
-                    op="add_adgroup_negative",
-                    campaign=chosen.name,
-                    adgroup=adgroup.name,
-                    negative=exact(kw),
-                )
-            )
-        siblings = frozenset(exact(other) for other in members)
-        _check_limit(account.limit, f"ad group {kw.text!r}", len(siblings))
-        changes.append(
-            Change(
-                op="add_adgroup",
-                campaign=chosen.name,
-                new_adgroup=AdGroup(
-                    name=kw.text,
-                    tag=RuleTag(kw),
-                    negatives=siblings,
-                    tree=Leaf(rule.cpc),
-                ),
-            )
-        )
-        changes.append(Change(op="assign_keyword", group=pos, keyword=kw))
-        changes.append(Change(op="add_eraser", group=pos, eraser=ExactEraser(kw)))
-    elif strategy == "new-campaign":
-        changes.extend(_open_campaign_changes(account, rule))
-    else:
-        changes.extend(_min_negatives_changes(account, rule))
+        blocking += [camp for p, camp in enumerate(group_camps) if p != pos]
+    changes: list[Change] = []
+    for camp in blocking:
+        _check_limit(account.limit, f"campaign {camp.name}", len(camp.negatives) + 1)
+        changes.append(AddNegative(camp.name, exact(kw)))
 
-    new_account = apply_changes(account, changes)
-    return UpdateOutcome(
-        account=new_account,
-        changes=tuple(changes),
-        balance=check_balance(new_account),
-    )
+    if admitting:
+        changes += _place_changes(account, group_camps[pos], pos, rule)
+        changes.append(AddEraser(pos, ExactEraser(kw)))
+    elif strategy == "new-campaign":
+        changes += _open_campaign_changes(account, rule)
+    else:
+        changes += _min_negatives_changes(account, rule)
+    return _outcome(account, changes)
 
 
 def _next_group_identity(account: Account) -> tuple[int, str]:
@@ -411,19 +473,9 @@ def _open_campaign_changes(account: Account, rule: Rule) -> list[Change]:
         priority=Priority.LOW,
         tag=GroupCampaignTag(index),
         negatives=negs,
-        adgroups=(
-            AdGroup(
-                name=kw.text,
-                tag=RuleTag(kw),
-                negatives=frozenset(),
-                tree=Leaf(rule.cpc),
-            ),
-        ),
+        adgroups=(_rule_adgroup(rule, frozenset()),),
     )
-    return [
-        Change(op="add_group", keywords=frozenset({kw}), erasers=(ExactEraser(kw),)),
-        Change(op="add_campaign", new_campaign=campaign),
-    ]
+    return [AddGroup(frozenset({kw}), (ExactEraser(kw),)), AddCampaign(campaign)]
 
 
 def _min_negatives_changes(account: Account, rule: Rule) -> list[Change]:
@@ -460,40 +512,12 @@ def _min_negatives_changes(account: Account, rule: Rule) -> list[Change]:
     changes: list[Change] = []
     for pos, erasers in enumerate(best_erasers):
         if erasers != account.erasers[pos]:
-            changes.append(Change(op="set_group_erasers", group=pos, erasers=erasers))
+            changes.append(SetGroupErasers(pos, erasers))
     for camp, negs in zip(group_camps, group_campaign_negatives(best_erasers, snb)):
         if negs != camp.negatives:
             _check_limit(account.limit, f"campaign {camp.name}", len(negs))
-            changes.append(
-                Change(op="set_campaign_negatives", campaign=camp.name, negatives=negs)
-            )
-    chosen = group_camps[target]
-    members = account.partition[target]
-    for adgroup in chosen.adgroups:
-        _check_limit(
-            account.limit, f"ad group {adgroup.name!r}", len(adgroup.negatives) + 1
-        )
-        changes.append(
-            Change(
-                op="add_adgroup_negative",
-                campaign=chosen.name,
-                adgroup=adgroup.name,
-                negative=exact(kw),
-            )
-        )
-    siblings = frozenset(exact(other) for other in members)
-    _check_limit(account.limit, f"ad group {kw.text!r}", len(siblings))
-    changes.append(
-        Change(
-            op="add_adgroup",
-            campaign=chosen.name,
-            new_adgroup=AdGroup(
-                name=kw.text, tag=RuleTag(kw), negatives=siblings, tree=Leaf(rule.cpc)
-            ),
-        )
-    )
-    changes.append(Change(op="assign_keyword", group=target, keyword=kw))
-    return changes
+            changes.append(SetCampaignNegatives(camp.name, negs))
+    return changes + _place_changes(account, group_camps[target], target, rule)
 
 
 # --- remove_rule ---------------------------------------------------------
@@ -504,9 +528,7 @@ def remove_rule(account: Account, keyword: Keyword) -> UpdateOutcome:
     that existed only on its behalf goes away, and a group left empty takes
     its campaign down with it."""
     pos = account.group_of(keyword)
-    group_camps = account.group_campaigns()
-    if len(group_camps) != len(account.partition):
-        raise InputError("group campaigns and partition are out of step")
+    group_camps = _group_campaigns(account)
     own = group_camps[pos]
     members = account.partition[pos]
     remaining_global = account.keywords() - {keyword}
@@ -515,58 +537,35 @@ def remove_rule(account: Account, keyword: Keyword) -> UpdateOutcome:
 
     def drop_if_present(campaign: Campaign, negative: NegativeKeyword) -> None:
         if negative in campaign.negatives:
-            _log_campaign_negative(changes, campaign, negative, add=False)
+            changes.append(RemoveNegative(campaign.name, negative))
 
-    drop_if_present(account.general_campaign(), exact(keyword))
-    brand_camp = account.brand_campaign()
-    if brand_camp is not None:
-        drop_if_present(brand_camp, exact(keyword))
-    for other_pos, camp in enumerate(group_camps):
-        if other_pos != pos:
-            drop_if_present(camp, exact(keyword))
+    others = [camp for p, camp in enumerate(group_camps) if p != pos]
+    for camp in _tier_campaigns(account) + others:
+        drop_if_present(camp, exact(keyword))
 
     for eraser in account.erasers[pos]:
         if isinstance(eraser, ExactEraser):
             if eraser.keyword == keyword:
-                changes.append(Change(op="remove_eraser", group=pos, eraser=eraser))
+                changes.append(RemoveEraser(pos, eraser))
             continue
         if keyword in eraser_image(eraser, members) and not eraser_image(
             eraser, remaining_global
         ):
-            changes.append(Change(op="remove_eraser", group=pos, eraser=eraser))
-            negative = eraser.to_negative()
-            for other_pos, camp in enumerate(group_camps):
-                if other_pos != pos:
-                    drop_if_present(camp, negative)
+            changes.append(RemoveEraser(pos, eraser))
+            for camp in others:
+                drop_if_present(camp, eraser.to_negative())
 
     survivors = members - {keyword}
     if survivors:
         for adgroup in own.adgroups:
-            if adgroup.name == keyword.text:
-                continue
-            if exact(keyword) in adgroup.negatives:
-                changes.append(
-                    Change(
-                        op="remove_adgroup_negative",
-                        campaign=own.name,
-                        adgroup=adgroup.name,
-                        negative=exact(keyword),
-                    )
-                )
-        changes.append(
-            Change(op="remove_adgroup", campaign=own.name, adgroup=keyword.text)
-        )
-        changes.append(Change(op="unassign_keyword", group=pos, keyword=keyword))
+            if adgroup.name != keyword.text and exact(keyword) in adgroup.negatives:
+                changes.append(RemoveNegative(own.name, exact(keyword), adgroup.name))
+        changes.append(RemoveAdGroup(own.name, keyword.text))
+        changes.append(UnassignKeyword(pos, keyword))
     else:
-        changes.append(Change(op="remove_campaign", campaign=own.name))
-        changes.append(Change(op="remove_group", group=pos))
-
-    new_account = apply_changes(account, changes)
-    return UpdateOutcome(
-        account=new_account,
-        changes=tuple(changes),
-        balance=check_balance(new_account),
-    )
+        changes.append(RemoveCampaign(own.name))
+        changes.append(RemoveGroup(pos))
+    return _outcome(account, changes)
 
 
 # --- remove_item ---------------------------------------------------------

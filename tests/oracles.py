@@ -29,7 +29,15 @@ from shopstruct.erasers import (
 )
 from shopstruct.errors import CandidateLimitError, InfeasibleTargetError, InputError
 from shopstruct.keywords import Keyword, exact, phrase, word_set
-from shopstruct.updates import Change, _open_campaign_changes
+from shopstruct.updates import (
+    AddAdGroup,
+    AddNegative,
+    AssignKeyword,
+    Change,
+    SetCampaignNegatives,
+    SetGroupErasers,
+    _open_campaign_changes,
+)
 
 
 def make_group_plan(
@@ -316,37 +324,27 @@ def _min_negatives_changes(account: Account, rule: Rule) -> list[Change]:
     changes: list[Change] = []
     for pos, erasers in enumerate(best_erasers):
         if erasers != account.erasers[pos]:
-            changes.append(Change(op="set_group_erasers", group=pos, erasers=erasers))
+            changes.append(SetGroupErasers(pos, erasers))
     for camp, negs in zip(group_camps, group_campaign_negatives(best_erasers, snb)):
         if negs != camp.negatives:
             _check_limit(account.limit, f"campaign {camp.name}", len(negs))
-            changes.append(
-                Change(op="set_campaign_negatives", campaign=camp.name, negatives=negs)
-            )
+            changes.append(SetCampaignNegatives(camp.name, negs))
     chosen = group_camps[target]
     members = account.partition[target]
     for adgroup in chosen.adgroups:
         _check_limit(
             account.limit, f"ad group {adgroup.name!r}", len(adgroup.negatives) + 1
         )
-        changes.append(
-            Change(
-                op="add_adgroup_negative",
-                campaign=chosen.name,
-                adgroup=adgroup.name,
-                negative=exact(kw),
-            )
-        )
+        changes.append(AddNegative(chosen.name, exact(kw), adgroup.name))
     siblings = frozenset(exact(other) for other in members)
     _check_limit(account.limit, f"ad group {kw.text!r}", len(siblings))
     changes.append(
-        Change(
-            op="add_adgroup",
-            campaign=chosen.name,
-            new_adgroup=AdGroup(
+        AddAdGroup(
+            chosen.name,
+            AdGroup(
                 name=kw.text, tag=RuleTag(kw), negatives=siblings, tree=Leaf(rule.cpc)
             ),
         )
     )
-    changes.append(Change(op="assign_keyword", group=target, keyword=kw))
+    changes.append(AssignKeyword(target, kw))
     return changes

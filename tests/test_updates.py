@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 
@@ -10,7 +11,6 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition,
 
 from shopstruct import (
     BuildConfig,
-    Change,
     DuplicateKeywordError,
     ExactEraser,
     InputError,
@@ -26,7 +26,6 @@ from shopstruct import (
     blocks,
     build_account,
     check_balance,
-    describe,
     exact,
     generate,
     large,
@@ -38,11 +37,34 @@ from shopstruct import (
     render_account,
     verify_account,
 )
+from shopstruct.updates import (
+    AddAdGroup,
+    AddCampaign,
+    AddEraser,
+    AddNegative,
+    AssignKeyword,
+    RemoveAdGroup,
+    RemoveCampaign,
+    RemoveEraser,
+    RemoveGroup,
+    RemoveNegative,
+    SetGroupErasers,
+    UnassignKeyword,
+)
 import oracles
 
 
+def _op(change) -> str:
+    """The op kind: the class name, with negatives on an ad group counted
+    apart from negatives on a campaign."""
+    name = type(change).__name__
+    if isinstance(change, (AddNegative, RemoveNegative)) and change.adgroup is not None:
+        return f"{name} (ad group)"
+    return name
+
+
 def _ops(outcome) -> Counter:
-    return Counter(c.op for c in outcome.changes)
+    return Counter(_op(c) for c in outcome.changes)
 
 
 def _assert_replay(before, outcome):
@@ -63,11 +85,11 @@ def test_add_rule_into_admitting_group(golden_account):
     assert len(out.changes) == 11
     assert _ops(out) == Counter(
         {
-            "add_campaign_negative": 4,
-            "add_adgroup_negative": 4,
-            "add_adgroup": 1,
-            "assign_keyword": 1,
-            "add_eraser": 1,
+            "AddNegative": 4,
+            "AddNegative (ad group)": 4,
+            "AddAdGroup": 1,
+            "AssignKeyword": 1,
+            "AddEraser": 1,
         }
     )
 
@@ -102,9 +124,9 @@ def test_add_rule_opens_new_campaign_when_blocked_everywhere(golden_account):
     assert len(out.changes) == 4
     assert _ops(out) == Counter(
         {
-            "add_campaign_negative": 2,
-            "add_campaign": 1,
-            "add_group": 1,
+            "AddNegative": 2,
+            "AddCampaign": 1,
+            "AddGroup": 1,
         }
     )
 
@@ -203,11 +225,11 @@ def test_remove_rule_walkthrough(golden_account):
     assert len(out.changes) == 10
     assert _ops(out) == Counter(
         {
-            "remove_campaign_negative": 4,
-            "remove_adgroup_negative": 3,
-            "remove_adgroup": 1,
-            "unassign_keyword": 1,
-            "remove_eraser": 1,
+            "RemoveNegative": 4,
+            "RemoveNegative (ad group)": 3,
+            "RemoveAdGroup": 1,
+            "UnassignKeyword": 1,
+            "RemoveEraser": 1,
         }
     )
 
@@ -244,8 +266,8 @@ def test_remove_last_keyword_removes_campaign(golden_account):
     grown = add_rule(golden_account, rule).account
     out = remove_rule(grown, rule.keyword)
     _assert_replay(grown, out)
-    assert _ops(out)["remove_campaign"] == 1
-    assert _ops(out)["remove_group"] == 1
+    assert _ops(out)["RemoveCampaign"] == 1
+    assert _ops(out)["RemoveGroup"] == 1
     assert render_account(out.account) == render_account(golden_account)
 
 
@@ -320,9 +342,75 @@ def test_update_outcomes_carry_balance(golden_account):
     assert not out.balance.recommended
 
 
+# The change log of the five walkthroughs below, one line per change, as the
+# command line prints it.
+WALKTHROUGH_LOG = (
+    "add negative [exact] nike large shoes to campaign c1",
+    "add negative [exact] nike large shoes to campaign c2",
+    "add keyword group of 1",
+    "add campaign c3_4",
+    "add negative [exact] nike large shoes to campaign c1",
+    "add negative [exact] nike large shoes to campaign c2",
+    "replace the erasers of group 3 (4)",
+    "replace the negatives of campaign c3_1 (6)",
+    "replace the negatives of campaign c3_2 (7)",
+    "add negative [exact] nike large shoes to ad group 'nike shoes' of campaign c3_1",
+    "add negative [exact] nike large shoes to ad group 'nike soccer white' of campaign c3_1",
+    "add negative [exact] nike large shoes to ad group 'nike air max' of campaign c3_1",
+    "add negative [exact] nike large shoes to ad group 'soccer colored mens' of campaign c3_1",
+    "add ad group 'nike large shoes' to campaign c3_1",
+    "assign keyword 'nike large shoes' to group 1",
+    "add negative [exact] nike jogging to campaign c1",
+    "add negative [exact] nike jogging to campaign c2",
+    "add negative [exact] nike jogging to campaign c3_2",
+    "add negative [exact] nike jogging to campaign c3_3",
+    "add negative [exact] nike jogging to ad group 'nike shoes' of campaign c3_1",
+    "add negative [exact] nike jogging to ad group 'nike soccer white' of campaign c3_1",
+    "add negative [exact] nike jogging to ad group 'nike air max' of campaign c3_1",
+    "add negative [exact] nike jogging to ad group 'soccer colored mens' of campaign c3_1",
+    "add ad group 'nike jogging' to campaign c3_1",
+    "assign keyword 'nike jogging' to group 1",
+    "record eraser [exact] nike jogging for group 1",
+    "remove negative [exact] air max from campaign c1",
+    "remove negative [exact] air max from campaign c2",
+    "remove negative [exact] air max from campaign c3_1",
+    "remove negative [exact] air max from campaign c3_2",
+    "drop eraser [exact] air max from group 3",
+    "remove negative [exact] air max from ad group 'garmin chronometer' of campaign c3_3",
+    "remove negative [exact] air max from ad group 'large superstar shoes' of campaign c3_3",
+    "remove negative [exact] air max from ad group 'large tee-shirt' of campaign c3_3",
+    "remove ad group 'air max' from campaign c3_3",
+    "unassign keyword 'air max' from group 3",
+    "remove negative [exact] nike large shoes from campaign c1",
+    "remove negative [exact] nike large shoes from campaign c2",
+    "drop eraser [exact] nike large shoes from group 4",
+    "remove campaign c3_4",
+    "remove keyword group 4",
+)
+
+OP_KINDS = {
+    "AddCampaign",
+    "RemoveCampaign",
+    "AddAdGroup",
+    "RemoveAdGroup",
+    "AddNegative",
+    "RemoveNegative",
+    "AddNegative (ad group)",
+    "RemoveNegative (ad group)",
+    "SetCampaignNegatives",
+    "AssignKeyword",
+    "UnassignKeyword",
+    "AddGroup",
+    "RemoveGroup",
+    "AddEraser",
+    "RemoveEraser",
+    "SetGroupErasers",
+}
+
+
 def test_describe_covers_every_op(golden_account):
     rule = Rule(normalize("nike large shoes"), Money(90_000), frozenset({"item-21"}))
-    seen: list[Change] = []
+    seen = []
     seen += add_rule(golden_account, rule).changes
     seen += add_rule(golden_account, rule, strategy="min-negatives").changes
     seen += add_rule(
@@ -332,17 +420,77 @@ def test_describe_covers_every_op(golden_account):
     seen += remove_rule(golden_account, normalize("air max")).changes
     grown = add_rule(golden_account, rule).account
     seen += remove_rule(grown, rule.keyword).changes
-    for change in seen:
-        line = describe(change)
-        assert isinstance(line, str) and line
+    assert {_op(c) for c in seen} == OP_KINDS
+    assert tuple(c.describe() for c in seen) == WALKTHROUGH_LOG
 
 
 def test_apply_changes_rejects_missing_targets(golden_account):
     with pytest.raises(InputError):
-        apply_changes(
-            golden_account,
-            [Change(op="remove_campaign", campaign="c9")],
-        )
+        apply_changes(golden_account, [RemoveCampaign("c9")])
+
+
+# Each log's second change would undo the fault of its first, so only a check
+# at the faulty change itself rejects it.
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda acc: [
+                AddNegative("c3_1", exact(normalize("x")), "no such ad group"),
+                AddAdGroup("c3_1", acc.campaign_for_group(1).adgroups[0]),
+            ],
+            "no ad group named 'no such ad group'",
+        ),
+        (
+            lambda acc: [
+                RemoveEraser(0, ExactEraser(normalize("brand new"))),
+                AddEraser(0, ExactEraser(normalize("brand new"))),
+            ],
+            "group 1 has no such eraser",
+        ),
+        (
+            lambda acc: [AddCampaign(acc.general_campaign()), RemoveCampaign("c1")],
+            "repeats campaign name 'c1'",
+        ),
+        (
+            lambda acc: [
+                AddAdGroup("c2", acc.brand_campaign().adgroups[0]),
+                RemoveAdGroup("c2", "nike"),
+            ],
+            "'c2' repeats an ad group name",
+        ),
+        (
+            lambda acc: [
+                RemoveAdGroup("c1", "catch-all"),
+                AddAdGroup("c1", acc.general_campaign().adgroups[0]),
+            ],
+            "'c1' has no ad groups",
+        ),
+    ],
+    ids=["missing-adgroup", "missing-eraser", "repeated-campaign", "repeated-adgroup", "empty-campaign"],
+)
+def test_apply_changes_rejects_a_bad_change_where_it_occurs(golden_account, make, message):
+    with pytest.raises(InputError, match=message):
+        apply_changes(golden_account, make(golden_account))
+
+
+@pytest.mark.parametrize("pos", [-1, 3, 6])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda pos: AssignKeyword(pos, normalize("brand new")),
+        lambda pos: UnassignKeyword(pos, normalize("air max")),
+        RemoveGroup,
+        lambda pos: AddEraser(pos, ExactEraser(normalize("brand new"))),
+        lambda pos: RemoveEraser(pos, ExactEraser(normalize("air max"))),
+        lambda pos: SetGroupErasers(pos, ()),
+    ],
+    ids=["assign", "unassign", "remove-group", "add-eraser", "remove-eraser", "set-erasers"],
+)
+def test_group_ops_reject_positions_outside_the_partition(golden_account, make, pos):
+    assert len(golden_account.partition) == 3
+    with pytest.raises(InputError, match=f"no keyword group {pos + 1}$"):
+        apply_changes(golden_account, [make(pos)])
 
 
 # --- min-negatives against the k² reference, and random update sequences ---
@@ -384,12 +532,80 @@ def test_min_negatives_matches_the_quadratic_reference(seed):
     # The general and brand campaigns' exact negatives come first.
     head = out.changes[: len(out.changes) - len(reference)]
     assert out.changes[len(head) :] == reference
-    assert {(c.op, c.negative) for c in head} == {("add_campaign_negative", exact(kw))}
+    assert {(_op(c), c.negative) for c in head} == {("AddNegative", exact(kw))}
     _assert_replay(acc, out)
     assert verify_account(out.account).passed
     result = Simulator(out.account).run(kw)
     assert result.disposition.kind == "landed"
     assert result.disposition.adgroup == kw.text
+
+
+# sha256 of the final snapshot and of the joined change-log lines of
+# ``_seeded_updates``; both are fixed by the update algorithms, so a change to
+# either shows here.
+UPDATE_SEQUENCE_DIGESTS = {
+    "account": "99b16003a55ad35d209b9a9f7576d47e9b877029c138844a0998b8c4dae95d51",
+    "log": "71078575a0aa686785ad167ad0130bb618d35370e3fb4904549e0dfc2341bde4",
+}
+
+
+def _seeded_updates():
+    """40 seeded adds on synth n=300 seed 0, alternating strategies, half of
+    them blocked everywhere; a remove_rule after every fifth add, and of the
+    keyword of every second blocked new-campaign add right after it; two
+    remove_items per eight adds.  Returns the final account and every
+    change-log line."""
+    cat = generate(SyntheticSpec(n=300, seed=0))
+    rules = list(cat.rules)
+    account = build_account(rules, cat.brands, cat.non_brands)
+    special = {w for b in cat.brands + cat.non_brands for w in b.words}
+    plain = sorted({w for r in rules for w in r.keyword.words} - special)
+    items = sorted({i for r in rules for i in r.items})
+    rng = random.Random(0)
+    lines = []
+
+    def step(outcome):
+        nonlocal account
+        _assert_replay(account, outcome)
+        lines.extend(c.describe() for c in outcome.changes)
+        account = outcome.account
+
+    previous = None
+    for i in range(40):
+        strategy = ("new-campaign", "min-negatives")[i % 2]
+        kw = _blocked_everywhere(account, rng) if i % 4 >= 2 else None
+        while kw is None or kw in account.keywords():
+            kw = normalize(" ".join(rng.sample(plain, rng.randint(1, 3))))
+        own = {f"item-new-{i}"} if i % 2 else {f"item-new-{i}", rng.choice(items)}
+        new = Rule(kw, Money(50_000 + 1_000 * i), frozenset(own))
+        step(add_rule(account, new, strategy=strategy))
+        rules.append(new)
+        if i % 8 == 3:
+            gone = previous
+        elif i % 5 == 4:
+            gone = rng.choice(sorted(r.keyword for r in rules))
+        else:
+            gone = None
+        if gone is not None and gone in account.keywords():
+            step(remove_rule(account, gone))
+            rules = [r for r in rules if r.keyword != gone]
+        if i % 8 in (5, 7):
+            item = f"item-new-{i - 2}" if i % 8 == 7 else rng.choice(items)
+            outcome = remove_item(account, rules, item)
+            step(outcome)
+            rules = list(outcome.rules)
+        previous = kw
+    return account, lines
+
+
+def test_seeded_update_sequence_is_pinned():
+    account, lines = _seeded_updates()
+    assert verify_account(account).passed
+    digests = {
+        "account": hashlib.sha256(render_account(account).encode()).hexdigest(),
+        "log": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+    }
+    assert digests == UPDATE_SEQUENCE_DIGESTS
 
 
 _SMALL = generate(SyntheticSpec(n=60, seed=4))
