@@ -97,6 +97,10 @@ class Simulator:
             for g in c.adgroups:
                 self._adgroup_index[(c.name, g.name)] = NegativeIndex(g.negatives)
 
+    def campaign_blocker(self, campaign: str, query: Keyword) -> NegativeKeyword | None:
+        """The negative of ``campaign`` that refuses ``query``, or None."""
+        return self._campaign_index[campaign].lookup(QueryWords(query))
+
     def open_adgroups(self, campaign: Campaign, query: Keyword) -> list[AdGroup]:
         return self._open_adgroups(campaign, QueryWords(query))
 

@@ -10,19 +10,23 @@ Three routing properties are checked by simulation:
    blocked brand lands in the catch-all ad group (seeded probes).
 
 Static structure checks (limits, partition discipline, eraser strictness and
-coverage) run alongside.  Verification never mutates the account and is
-deterministic for a given seed.
+coverage) run alongside.  The negatives audit (each group campaign admits its
+own group's keywords and blocks every other group's) is read off property 1's
+routes, so the catalogue is routed once, and one ``Simulator`` serves every
+check.  Verification never mutates the account and is deterministic for a
+given seed.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
-from .account import Account, BrandTag, CatchAllTag, RuleTag
+from .account import Account, AdGroupTag, BrandTag, CatchAllTag, RuleTag
 from .erasers import erases
-from .keywords import Keyword, NegativeIndex, QueryWords, subword_set, word_set
-from .simulate import Disposition, Landed, Simulator
+from .keywords import Keyword, subword_set, word_set
+from .simulate import Blocked, Disposition, Landed, Simulator, Trajectory
 
 
 @dataclass(frozen=True)
@@ -80,51 +84,57 @@ def describe_disposition(d: Disposition) -> str:
 def _landed_tag_matches(account: Account, d: Disposition, campaign: str, tag) -> bool:
     if not isinstance(d, Landed) or d.campaign != campaign:
         return False
-    for c in account.campaigns:
-        if c.name != campaign:
-            continue
-        for g in c.adgroups:
-            if g.name == d.adgroup:
-                return g.tag == tag
-    return False
+    camp = next(c for c in account.campaigns if c.name == campaign)
+    return any(g.name == d.adgroup and g.tag == tag for g in camp.adgroups)
 
 
-def verify_property1(account: Account) -> PropertyResult:
-    """Every catalogue keyword lands in its own ad group, exhaustively."""
-    sim = Simulator(account)
-    group_camps = account.group_campaigns()
+def _check_routes(
+    sim: Simulator,
+    name: str,
+    cases: Sequence[tuple[Keyword, str, AdGroupTag | None, str]],
+    note: str | None,
+) -> tuple[PropertyResult, tuple[Trajectory, ...]]:
+    """Route each (query, campaign, ad-group tag, ad-group description) case.
+
+    A case passes when its query lands in the ad group with that tag in that
+    campaign; a None tag matches no ad group.
+    """
     failures = []
-    checked = 0
-    aligned = len(group_camps) == len(account.partition)
-    for pos, group in enumerate(account.partition):
-        for kw in sorted(group):
-            checked += 1
-            expected_campaign = group_camps[pos].name if aligned else "?"
-            expected = (
-                f"landed in campaign {expected_campaign},"
-                f" ad group for {kw.text!r}"
-            )
-            t = sim.run(kw)
-            if aligned and _landed_tag_matches(
-                account, t.disposition, expected_campaign, RuleTag(kw)
-            ):
-                continue
+    routes = []
+    for query, campaign, tag, what in cases:
+        t = sim.run(query)
+        routes.append(t)
+        if not _landed_tag_matches(sim.account, t.disposition, campaign, tag):
             failures.append(
                 Failure(
-                    query=kw,
-                    expected=expected,
+                    query=query,
+                    expected=f"landed in campaign {campaign}, {what}",
                     actual=describe_disposition(t.disposition),
                 )
             )
-    note = None
-    if checked == 0:
-        note = "no catalogue keywords; own-keyword routing is vacuous"
-    return PropertyResult(
-        name="own-keyword routing",
-        checked=checked,
-        failures=tuple(failures),
-        note=note,
+    result = PropertyResult(
+        name=name, checked=len(cases), failures=tuple(failures), note=note
     )
+    return result, tuple(routes)
+
+
+def verify_property1(sim: Simulator) -> tuple[PropertyResult, tuple[Trajectory, ...]]:
+    """Every catalogue keyword lands in its own ad group, exhaustively.
+
+    Also returns each keyword's route, in partition order (keywords sorted
+    within their group), for ``verify_structure`` to audit.
+    """
+    account = sim.account
+    group_camps = account.group_campaigns()
+    aligned = len(group_camps) == len(account.partition)
+    camps = [c.name for c in group_camps] if aligned else ["?"] * len(account.partition)
+    cases = [
+        (kw, camp, RuleTag(kw) if aligned else None, f"ad group for {kw.text!r}")
+        for group, camp in zip(account.partition, camps)
+        for kw in sorted(group)
+    ]
+    note = None if cases else "no catalogue keywords; own-keyword routing is vacuous"
+    return _check_routes(sim, "own-keyword routing", cases, note)
 
 
 def _filler_pool(account: Account) -> list[str]:
@@ -141,10 +151,35 @@ def _filler_pool(account: Account) -> list[str]:
     return sorted(pool)
 
 
+def _probe_routing(
+    sim: Simulator,
+    name: str,
+    campaign: str,
+    targets: Sequence[tuple[AdGroupTag, str]],
+    draw: Callable[[AdGroupTag], Keyword | None],
+) -> PropertyResult:
+    """Route one seeded probe per (ad-group tag, description) target.
+
+    ``draw(tag)`` makes one attempt at a probe query, None if inadmissible.  A
+    probe gets 50 attempts, never uses a catalogue keyword, else is skipped.
+    """
+    catalogue = sim.account.keywords()
+    cases = []
+    for tag, what in targets:
+        attempts = (draw(tag) for _ in range(50))
+        query = next((q for q in attempts if q is not None and q not in catalogue), None)
+        if query is not None:
+            cases.append((query, campaign, tag, what))
+    skipped = len(targets) - len(cases)
+    note = f"{skipped} probes skipped (no admissible query found)" if skipped else None
+    return _check_routes(sim, name, cases, note)[0]
+
+
 def verify_property2(
-    account: Account, *, probes: int = 1000, seed: int = 0
+    sim: Simulator, *, probes: int = 1000, seed: int = 0
 ) -> PropertyResult:
     """Seeded brand probes: one brand phrase, nothing else special."""
+    account = sim.account
     if not account.brands:
         return PropertyResult(
             name="brand routing",
@@ -152,101 +187,55 @@ def verify_property2(
             failures=(),
             note="no brands configured; brand routing is vacuous",
         )
-    sim = Simulator(account)
     rng = random.Random(seed)
     pool = _filler_pool(account)
-    catalogue = account.keywords()
     brand_campaign = account.brand_campaign()
-    brand_name = brand_campaign.name if brand_campaign else "?"
-    failures = []
-    checked = 0
-    skipped = 0
-    for i in range(probes):
-        brand = account.brands[i % len(account.brands)]
-        query = None
-        for _ in range(50):
-            fillers = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
-            cut = rng.randint(0, len(fillers))
-            words = tuple(fillers[:cut]) + brand.words + tuple(fillers[cut:])
-            q = Keyword(words)
-            if q in catalogue:
-                continue
-            runs = subword_set(q)
-            if sum(1 for b in account.brands if b.words in runs) != 1:
-                continue
-            if any(b.words in runs for b in account.non_brands):
-                continue
-            query = q
-            break
-        if query is None:
-            skipped += 1
-            continue
-        checked += 1
-        t = sim.run(query)
-        if _landed_tag_matches(account, t.disposition, brand_name, BrandTag(brand)):
-            continue
-        failures.append(
-            Failure(
-                query=query,
-                expected=(
-                    f"landed in campaign {brand_name},"
-                    f" ad group for brand {brand.text!r}"
-                ),
-                actual=describe_disposition(t.disposition),
-            )
-        )
-    note = f"{skipped} probes skipped (no admissible query found)" if skipped else None
-    return PropertyResult(
-        name="brand routing", checked=checked, failures=tuple(failures), note=note
-    )
+
+    def draw(tag: BrandTag) -> Keyword | None:
+        fillers = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+        cut = rng.randint(0, len(fillers))
+        q = Keyword(tuple(fillers[:cut]) + tag.brand.words + tuple(fillers[cut:]))
+        runs = subword_set(q)
+        if sum(1 for b in account.brands if b.words in runs) != 1:
+            return None
+        if any(b.words in runs for b in account.non_brands):
+            return None
+        return q
+
+    brands = [account.brands[i % len(account.brands)] for i in range(probes)]
+    targets = [(BrandTag(b), f"ad group for brand {b.text!r}") for b in brands]
+    campaign = brand_campaign.name if brand_campaign else "?"
+    return _probe_routing(sim, "brand routing", campaign, targets, draw)
 
 
 def verify_property3(
-    account: Account, *, probes: int = 1000, seed: int = 0
+    sim: Simulator, *, probes: int = 1000, seed: int = 0
 ) -> PropertyResult:
     """Seeded generic probes: no catalogue keyword, no brand, no blocked brand."""
-    sim = Simulator(account)
+    account = sim.account
     rng = random.Random(seed)
     pool = _filler_pool(account)
-    catalogue = account.keywords()
+    special = account.brands + account.non_brands
+
+    def draw(tag: CatchAllTag) -> Keyword | None:
+        q = Keyword(tuple(rng.choice(pool) for _ in range(rng.randint(1, 4))))
+        runs = subword_set(q)
+        return None if any(b.words in runs for b in special) else q
+
+    targets = [(CatchAllTag(), "the catch-all ad group")] * probes
     general = account.general_campaign().name
-    failures = []
-    checked = 0
-    skipped = 0
-    for _ in range(probes):
-        query = None
-        for _ in range(50):
-            words = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
-            q = Keyword(words)
-            if q in catalogue:
-                continue
-            runs = subword_set(q)
-            if any(b.words in runs for b in account.brands + account.non_brands):
-                continue
-            query = q
-            break
-        if query is None:
-            skipped += 1
-            continue
-        checked += 1
-        t = sim.run(query)
-        if _landed_tag_matches(account, t.disposition, general, CatchAllTag()):
-            continue
-        failures.append(
-            Failure(
-                query=query,
-                expected=f"landed in campaign {general}, the catch-all ad group",
-                actual=describe_disposition(t.disposition),
-            )
-        )
-    note = f"{skipped} probes skipped (no admissible query found)" if skipped else None
-    return PropertyResult(
-        name="generic routing", checked=checked, failures=tuple(failures), note=note
-    )
+    return _probe_routing(sim, "generic routing", general, targets, draw)
 
 
-def verify_structure(account: Account) -> tuple[Finding, ...]:
-    """Static checks: limits, partition discipline, eraser strictness/coverage."""
+def verify_structure(
+    sim: Simulator, routes: Sequence[Trajectory]
+) -> tuple[Finding, ...]:
+    """Static checks: limits, partition discipline, negatives, eraser coverage.
+
+    ``routes`` are property 1's trajectories, one per catalogue keyword in
+    partition order; the negatives audit reads its verdicts off them.
+    """
+    account = sim.account
     findings: list[Finding] = []
 
     for c in account.campaigns:
@@ -328,42 +317,46 @@ def verify_structure(account: Account) -> tuple[Finding, ...]:
                     )
                 )
 
-    # The load-bearing negative invariant, checked statically: each group
-    # campaign admits every keyword of its own group and blocks every keyword
-    # of every other group.
-    if len(group_camps) == len(account.partition):
-        indexes = [NegativeIndex(c.negatives) for c in group_camps]
-        for pos, group in enumerate(account.partition):
-            for kw in sorted(group):
-                words = QueryWords(kw)
-                hit = indexes[pos].lookup(words)
-                if hit is not None:
+        # The load-bearing negative invariant: each group campaign admits every
+        # keyword of its own group and blocks every keyword of every other
+        # group.  A route holds a step for every campaign of each tier it
+        # reached; a campaign it never reached (the query stopped at a higher
+        # tier) is looked up directly.
+        owners = (pos for pos, group in enumerate(account.partition) for _ in group)
+        for pos, route in zip(owners, routes):
+            kw = route.query
+            seen_hits = {
+                s.campaign: s.outcome.by if isinstance(s.outcome, Blocked) else None
+                for s in route.steps
+            }
+            hits = [
+                seen_hits[c.name] if c.name in seen_hits
+                else sim.campaign_blocker(c.name, kw)
+                for c in group_camps
+            ]
+            if hits[pos] is not None:
+                findings.append(
+                    Finding(
+                        kind="negatives",
+                        detail=(
+                            f"campaign {group_camps[pos].name} blocks its own"
+                            f" keyword {kw.text!r} via {hits[pos].describe()}"
+                        ),
+                    )
+                )
+            for other_pos, hit in enumerate(hits):
+                if other_pos != pos and hit is None:
                     findings.append(
                         Finding(
                             kind="negatives",
                             detail=(
-                                f"campaign {group_camps[pos].name} blocks its own"
-                                f" keyword {kw.text!r} via {hit.describe()}"
+                                f"campaign {group_camps[other_pos].name} fails"
+                                f" to block {kw.text!r} from group {pos + 1}"
                             ),
                         )
                     )
-                for other_pos in range(len(account.partition)):
-                    if other_pos == pos:
-                        continue
-                    if indexes[other_pos].lookup(words) is None:
-                        findings.append(
-                            Finding(
-                                kind="negatives",
-                                detail=(
-                                    f"campaign {group_camps[other_pos].name} fails"
-                                    f" to block {kw.text!r} from group {pos + 1}"
-                                ),
-                            )
-                        )
 
     for pos, erasers in enumerate(account.erasers):
-        if pos >= len(account.partition):
-            break
         own = account.partition[pos]
         uncovered = [kw for kw in sorted(own) if not any(erases(e, kw) for e in erasers)]
         for kw in uncovered:
@@ -414,12 +407,14 @@ def verify_structure(account: Account) -> tuple[Finding, ...]:
 def verify_account(
     account: Account, *, probes: int = 1000, seed: int = 0
 ) -> VerificationReport:
-    """Run all routing properties plus the structural checks."""
+    """Run all routing properties plus the structural checks on one simulator."""
+    sim = Simulator(account)
+    own_keyword, routes = verify_property1(sim)
     return VerificationReport(
         properties=(
-            verify_property1(account),
-            verify_property2(account, probes=probes, seed=seed),
-            verify_property3(account, probes=probes, seed=seed),
+            own_keyword,
+            verify_property2(sim, probes=probes, seed=seed),
+            verify_property3(sim, probes=probes, seed=seed),
         ),
-        findings=verify_structure(account),
+        findings=verify_structure(sim, routes),
     )

@@ -4,9 +4,16 @@ from dataclasses import replace
 
 import pytest
 
+import oracles
 from shopstruct import (
+    MatchType,
+    Priority,
+    RuleTag,
+    Simulator,
+    SyntheticSpec,
     build_account,
     exact,
+    generate,
     large,
     normalize,
     render_account,
@@ -128,7 +135,8 @@ def test_partition_tampering_is_caught(golden_account):
     partition[0] = partition[0] - {moved}
     partition[1] = partition[1] | {moved}
     broken = replace(golden_account, partition=tuple(partition))
-    findings = verify_structure(broken)
+    sim = Simulator(broken)
+    findings = verify_structure(sim, verify_property1(sim)[1])
     assert findings
     assert any("nike shoes" in f.detail for f in findings)
 
@@ -143,23 +151,129 @@ def test_limit_findings(golden_account):
 
 def test_no_brand_catalogue_notes_vacuous_brand_property(four_rules):
     account = build_account(four_rules, (), (normalize("reebok"),))
-    p2 = verify_property2(account, probes=50, seed=0)
+    p2 = verify_property2(Simulator(account), probes=50, seed=0)
     assert p2.passed
     assert p2.checked == 0
     assert p2.note is not None
 
 
 def test_property3_probes_avoid_catalogue_collisions(golden_account):
-    p3 = verify_property3(golden_account, probes=300, seed=11)
+    p3 = verify_property3(Simulator(golden_account), probes=300, seed=11)
     assert p3.passed
     assert p3.checked > 100
 
 
 def test_describe_disposition_strings(golden_account):
-    from shopstruct import Simulator
-
     sim = Simulator(golden_account)
     landed = sim.run(normalize("nike shoes")).disposition
     assert "landed" in describe_disposition(landed)
     fell = sim.run(normalize("reebok")).disposition
     assert "fell through" in describe_disposition(fell)
+
+
+def _with_campaign(account, name, **fields):
+    campaigns = tuple(
+        replace(c, **fields) if c.name == name else c for c in account.campaigns
+    )
+    return replace(account, campaigns=campaigns)
+
+
+def _first_negative(campaign, match):
+    return min(
+        (n for n in campaign.negatives if n.match is match),
+        key=lambda n: n.sort_key(),
+    )
+
+
+def _mutants(account):
+    """The account plus one tampered copy per kind of structural fault."""
+    camps = account.group_campaigns()
+    first, second = camps[0], camps[1]
+    with_large = next(
+        c for c in camps if any(n.match is MatchType.LARGE for n in c.negatives)
+    )
+    with_exact = next(
+        c for c in camps if any(n.match is MatchType.EXACT for n in c.negatives)
+    )
+    with_rules = next(c for c in camps if len(c.adgroups) > 1)
+    rule_group = next(g for g in with_rules.adgroups if isinstance(g.tag, RuleTag))
+    general = account.general_campaign()
+    kept = sorted(general.negatives, key=lambda n: n.sort_key())
+    kept = frozenset(kept[: len(kept) // 2])
+    return {
+        "as built": account,
+        "large negative dropped": _with_campaign(
+            account,
+            with_large.name,
+            negatives=with_large.negatives
+            - {_first_negative(with_large, MatchType.LARGE)},
+        ),
+        "exact negative dropped": _with_campaign(
+            account,
+            with_exact.name,
+            negatives=with_exact.negatives
+            - {_first_negative(with_exact, MatchType.EXACT)},
+        ),
+        "another group's negatives added": _with_campaign(
+            account, first.name, negatives=first.negatives | second.negatives
+        ),
+        "rule ad group removed": _with_campaign(
+            account,
+            with_rules.name,
+            adgroups=tuple(g for g in with_rules.adgroups if g is not rule_group),
+        ),
+        "group campaign removed": replace(
+            account,
+            campaigns=tuple(c for c in account.campaigns if c is not camps[-1]),
+        ),
+        "group campaign in Medium": _with_campaign(
+            account, first.name, priority=Priority.MEDIUM
+        ),
+        "group campaign in High": _with_campaign(
+            account, second.name, priority=Priority.HIGH
+        ),
+        "High campaign half its negatives": _with_campaign(
+            account, general.name, negatives=kept
+        ),
+    }
+
+
+@pytest.fixture(scope="module")
+def equivalence_accounts(golden_account):
+    bases = {"golden": golden_account}
+    for seed in (0, 1):
+        cat = generate(SyntheticSpec(n=300, seed=seed))
+        bases[f"synth-300-{seed}"] = build_account(
+            cat.rules, cat.brands, cat.non_brands
+        )
+    return {
+        (base, mutant): tampered
+        for base, account in bases.items()
+        for mutant, tampered in _mutants(account).items()
+    }
+
+
+@pytest.mark.parametrize("base", ["golden", "synth-300-0", "synth-300-1"])
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        "as built",
+        "large negative dropped",
+        "exact negative dropped",
+        "another group's negatives added",
+        "rule ad group removed",
+        "group campaign removed",
+        "group campaign in Medium",
+        "group campaign in High",
+        "High campaign half its negatives",
+    ],
+)
+def test_report_equals_reference_verifier(equivalence_accounts, base, mutant):
+    # The reference routes each property on its own simulator and audits
+    # negatives with its own n x k lookups; reports must match it whole.
+    account = equivalence_accounts[(base, mutant)]
+    for seed in (0, 1):
+        expected = oracles.verify_account(account, probes=200, seed=seed)
+        assert verify_account(account, probes=200, seed=seed) == expected
+    if mutant != "as built":
+        assert not expected.passed
