@@ -14,9 +14,12 @@ whitespace-separated tokens; hyphens are kept inside a token ("tee-shirt" stays
 one word).
 
 This module is the one place that decides whether a negative blocks a query.
-``NegativeIndex`` answers for a fixed negative list by hash lookups keyed by
-the query's own words (an inverted-file lookup); ``blocks`` answers a one-off
-question in a single pass; ``matches`` is the plain reference definition.
+``NegativeIndex`` answers for fixed negative lists by hash lookups keyed by
+the query's own words (an inverted-file lookup).  It can hold several lists
+at once, storing each distinct negative once with the set of lists that hold
+it, so one lookup per query gives every list's first match; ``blocks``
+answers a one-off question in a single pass; ``matches`` is the plain
+reference definition.
 """
 
 from __future__ import annotations
@@ -144,55 +147,94 @@ def blocks(negatives: Iterable[NegativeKeyword], query: Keyword) -> bool:
     return False
 
 
-class NegativeIndex:
-    """The negatives of one campaign or ad group, keyed by query words.
+_Posting = tuple[tuple[int, tuple[str, ...]], NegativeKeyword, int]
 
-    Exact negatives are keyed by their token tuple and phrase negatives by
-    theirs, looked up once per contiguous run of the query.  Large negatives
-    are bucketed under their smallest word and confirmed by word-set
-    inclusion.  ``first_match`` reports the hit with the smallest
-    ``sort_key``: exact before phrase before large, canonical order within a
-    type.
+
+class NegativeIndex:
+    """One or more negative lists, keyed by query words.
+
+    ``NegativeIndex(a, b, ...)`` indexes the lists ``a, b, ...`` together.
+    Each distinct negative is stored once, in a posting that carries a
+    bitmask of the lists holding it (bit ``i`` for the ``i``-th list), so a
+    negative shared by many campaigns or ad groups costs one entry and one
+    probe.  Exact negatives are keyed by their token tuple and phrase
+    negatives by theirs, looked up once per contiguous run of the query.
+    Large negatives are bucketed under their smallest word and confirmed by
+    word-set inclusion.
+
+    A list's first match is its hit with the smallest ``sort_key``: exact
+    before phrase before large, canonical order within a type.
     """
 
-    __slots__ = ("exact", "phrases", "larges")
+    __slots__ = ("size", "exact", "phrases", "larges")
 
-    def __init__(self, negatives: Iterable[NegativeKeyword]) -> None:
-        self.exact: dict[tuple[str, ...], NegativeKeyword] = {}
-        self.phrases: dict[tuple[str, ...], NegativeKeyword] = {}
-        self.larges: dict[str, list[tuple[frozenset[str], NegativeKeyword]]] = {}
-        for neg in negatives:
+    def __init__(self, *lists: Iterable[NegativeKeyword]) -> None:
+        self.size = len(lists)
+        # Lists built or parsed by this package share one object per negative,
+        # so occurrences are merged by identity and only distinct objects are
+        # hashed by value.
+        by_id: dict[int, list] = {}
+        for i, negatives in enumerate(lists):
+            for neg in negatives:
+                by_id.setdefault(id(neg), [neg, 0])[1] |= 1 << i
+        masks: dict[NegativeKeyword, int] = {}
+        for neg, mask in by_id.values():
+            masks[neg] = masks.get(neg, 0) | mask
+        self.exact: dict[tuple[str, ...], _Posting] = {}
+        self.phrases: dict[tuple[str, ...], _Posting] = {}
+        self.larges: dict[str, list[tuple[frozenset[str], _Posting]]] = {}
+        for neg, mask in masks.items():
             words = neg.keyword.words
+            posting = (neg.sort_key(), neg, mask)
             if neg.match is MatchType.EXACT:
-                self.exact[words] = neg
+                self.exact[words] = posting
             elif neg.match is MatchType.PHRASE:
-                self.phrases[words] = neg
+                self.phrases[words] = posting
             else:
-                self.larges.setdefault(min(words), []).append((frozenset(words), neg))
+                self.larges.setdefault(min(words), []).append((frozenset(words), posting))
+
+    def hits(self, query: QueryWords) -> list[tuple[NegativeKeyword, int]]:
+        """Every indexed negative that blocks ``query``, with the bitmask of
+        the lists holding it, smallest ``sort_key`` first."""
+        hit = self.exact.get(query.words)
+        postings = [] if hit is None else [hit]
+        if self.phrases:
+            postings += [self.phrases[r] for r in query.runs if r in self.phrases]
+        if self.larges:
+            distinct = query.distinct
+            postings += [
+                posting
+                for word in distinct
+                for needed, posting in self.larges.get(word, ())
+                if needed <= distinct
+            ]
+        postings.sort()
+        return [(neg, mask) for _, neg, mask in postings]
+
+    def first_matches(self, query: QueryWords) -> list[NegativeKeyword | None]:
+        """Each indexed list's first match, None where none blocks, in list order."""
+        out: list[NegativeKeyword | None] = [None] * self.size
+        unmatched = (1 << self.size) - 1
+        for neg, mask in self.hits(query):
+            mask &= unmatched
+            unmatched ^= mask
+            while mask:
+                low = mask & -mask
+                out[low.bit_length() - 1] = neg
+                mask ^= low
+            if not unmatched:
+                break
+        return out
 
     def first_match(self, query: Keyword) -> NegativeKeyword | None:
         return self.lookup(QueryWords(query))
 
     def lookup(self, query: QueryWords) -> NegativeKeyword | None:
-        """``first_match`` for a query whose words are already split out."""
-        hit = self.exact.get(query.words)
-        if hit is not None:
-            return hit
-        if self.phrases:
-            hits = [self.phrases[r] for r in query.runs if r in self.phrases]
-            if hits:
-                return min(hits, key=NegativeKeyword.sort_key)
-        if self.larges:
-            distinct = query.distinct
-            hits = [
-                neg
-                for word in distinct
-                for needed, neg in self.larges.get(word, ())
-                if needed <= distinct
-            ]
-            if hits:
-                return min(hits, key=NegativeKeyword.sort_key)
-        return None
+        """``first_match`` for a query whose words are already split out.
+
+        Over several lists, the first match of their union."""
+        hits = self.hits(query)
+        return hits[0][0] if hits else None
 
 
 def exact(keyword: Keyword) -> NegativeKeyword:

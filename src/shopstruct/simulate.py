@@ -8,6 +8,12 @@ the structure is supposed to rule out).  Inside a campaign, the open ad groups
 are those whose negatives all miss; exactly one open ad group is a clean
 landing, none is a dead end (the query is absorbed, not passed on), several is
 again ambiguous.
+
+A ``Simulator`` indexes each tier's campaign negatives together, and each
+campaign's ad-group negatives together, in one shared ``NegativeIndex``: the
+structure repeats a negative across many lists (a group's erasers sit in
+every other group campaign, a keyword's exact in every sibling ad group), and
+the shared index matches each distinct negative once per query.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .account import Account, AdGroup, Campaign, Priority
+from .account import Account, AdGroup, AdGroupTag, Campaign, Priority
 from .keywords import Keyword, NegativeIndex, NegativeKeyword, QueryWords
 
 
@@ -81,44 +87,55 @@ class Trajectory:
 
 
 class Simulator:
-    """Reusable query router for one account; build once, run many queries."""
+    """Reusable query router for one account; build once, run many queries.
+
+    Each tier's campaign negatives share one ``NegativeIndex``, as do the ad
+    group negatives of each campaign, so routing a query costs one lookup per
+    tier and one per campaign it enters, and a negative held by many lists is
+    matched once.
+    """
 
     def __init__(self, account: Account) -> None:
         self.account = account
-        self._campaign_index: dict[str, NegativeIndex] = {}
-        self._adgroup_index: dict[tuple[str, str], NegativeIndex] = {}
-        self._tiers: list[list[Campaign]] = []
+        self._tiers: list[tuple[list[Campaign], NegativeIndex]] = []
+        self._campaign_slot: dict[str, tuple[NegativeIndex, int]] = {}
+        self._adgroup_index: dict[str, NegativeIndex] = {}
+        # Each (campaign, ad group) name pair's tag, to read a Landed disposition.
+        self.adgroup_tags: dict[tuple[str, str], AdGroupTag] = {}
         for priority in (Priority.HIGH, Priority.MEDIUM, Priority.LOW):
             tier = [c for c in account.campaigns if c.priority is priority]
             if tier:
-                self._tiers.append(tier)
+                index = NegativeIndex(*(c.negatives for c in tier))
+                self._tiers.append((tier, index))
+                for pos, c in enumerate(tier):
+                    self._campaign_slot[c.name] = (index, 1 << pos)
         for c in account.campaigns:
-            self._campaign_index[c.name] = NegativeIndex(c.negatives)
+            self._adgroup_index[c.name] = NegativeIndex(*(g.negatives for g in c.adgroups))
             for g in c.adgroups:
-                self._adgroup_index[(c.name, g.name)] = NegativeIndex(g.negatives)
+                self.adgroup_tags[(c.name, g.name)] = g.tag
 
     def campaign_blocker(self, campaign: str, query: Keyword) -> NegativeKeyword | None:
         """The negative of ``campaign`` that refuses ``query``, or None."""
-        return self._campaign_index[campaign].lookup(QueryWords(query))
+        index, bit = self._campaign_slot[campaign]
+        hits = index.hits(QueryWords(query))
+        return next((neg for neg, mask in hits if mask & bit), None)
 
     def open_adgroups(self, campaign: Campaign, query: Keyword) -> list[AdGroup]:
         return self._open_adgroups(campaign, QueryWords(query))
 
     def _open_adgroups(self, campaign: Campaign, words: QueryWords) -> list[AdGroup]:
-        return [
-            g
-            for g in campaign.adgroups
-            if self._adgroup_index[(campaign.name, g.name)].lookup(words) is None
-        ]
+        blocked = 0
+        for _, mask in self._adgroup_index[campaign.name].hits(words):
+            blocked |= mask
+        return [g for i, g in enumerate(campaign.adgroups) if not blocked >> i & 1]
 
     def run(self, query: Keyword) -> Trajectory:
         words = QueryWords(query)
         steps: list[Step] = []
-        for tier in self._tiers:
+        for tier, index in self._tiers:
             admitted: list[Campaign] = []
             blocked: list[Step] = []
-            for c in tier:
-                hit = self._campaign_index[c.name].lookup(words)
+            for c, hit in zip(tier, index.first_matches(words)):
                 if hit is None:
                     admitted.append(c)
                 else:

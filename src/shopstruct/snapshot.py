@@ -9,6 +9,12 @@ byte-identical.
 ``json.dumps(account_document(account), indent=2) + "\\n"``.  ``render_account``
 writes those same bytes directly, without building the per-negative documents
 or going through json's pure-Python indenting encoder.
+
+Parsing interns negatives: the first entry with a given raw (keyword, match)
+pair is normalized and validated, and every later entry with that pair reuses
+its object.  A snapshot repeats each negative across many lists, so a parsed
+account, like a built one, holds one object per negative, which the renderer
+and ``simulate.Simulator`` rely on to handle each negative once.
 """
 
 from __future__ import annotations
@@ -134,9 +140,9 @@ class _Writer:
 
     Strings go through the C string encoder.  Every distinct negative is
     ranked once in canonical order and its entry rendered once per nesting
-    depth.  Negatives are looked up by identity (a built account shares one
-    object per negative), so a list costs an integer sort and a join and no
-    negative is hashed again.
+    depth.  Negatives are looked up by identity (a built or parsed account
+    shares one object per negative), so a list costs an integer sort and a
+    join and no negative is hashed again.
     """
 
     def __init__(self, account: Account) -> None:
@@ -201,17 +207,32 @@ class _Writer:
         out.append("\n" + "  " * level + "]")
 
 
-def _parse_negatives(doc: Any) -> frozenset[NegativeKeyword]:
+def _keyword(text: Any, what: str) -> Keyword:
+    if not isinstance(text, str):
+        raise InputError(f"{what} must be a string: {text!r}")
+    return normalize(text)
+
+
+def _parse_negatives(
+    doc: Any, interned: dict[tuple[str, str], NegativeKeyword]
+) -> frozenset[NegativeKeyword]:
+    """Parse one negative list, reusing the object ``interned`` holds for an
+    entry's raw (keyword, match) pair; the first occurrence is validated and
+    stored there."""
     if not isinstance(doc, list):
         raise InputError("negatives must be a list")
     out = []
     for item in doc:
         try:
-            kw = normalize(item["keyword"])
-            match = MatchType(item["match"])
+            key = (item["keyword"], item["match"])
+            neg = interned.get(key)
+            if neg is None:
+                if not isinstance(key[0], str):
+                    raise TypeError("keyword is not a string")
+                neg = interned[key] = NegativeKeyword(normalize(key[0]), MatchType(key[1]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad negative entry: {item!r}") from exc
-        out.append(NegativeKeyword(kw, match))
+        out.append(neg)
     return frozenset(out)
 
 
@@ -247,9 +268,9 @@ def _parse_adgroup_tag(doc: Any) -> AdGroupTag:
     if kind == "catch_all":
         return CatchAllTag()
     if kind == "brand":
-        return BrandTag(normalize(doc["brand"]))
+        return BrandTag(_keyword(doc["brand"], "brand tag"))
     if kind == "rule":
-        return RuleTag(normalize(doc["keyword"]))
+        return RuleTag(_keyword(doc["keyword"], "rule tag keyword"))
     raise InputError(f"unknown ad group tag: {doc!r}")
 
 
@@ -258,13 +279,14 @@ def _parse_eraser(doc: Any) -> Eraser:
     if kind == "large":
         return LargeEraser(frozenset(str(w) for w in doc["words"]))
     if kind == "exact":
-        return ExactEraser(normalize(doc["keyword"]))
+        return ExactEraser(_keyword(doc["keyword"], "exact eraser keyword"))
     raise InputError(f"unknown eraser kind: {doc!r}")
 
 
 def parse_account_document(doc: Any) -> Account:
     if not isinstance(doc, dict):
         raise InputError("account snapshot must be a JSON object")
+    interned: dict[tuple[str, str], NegativeKeyword] = {}
     try:
         campaigns = []
         for cdoc in doc["campaigns"]:
@@ -272,7 +294,7 @@ def parse_account_document(doc: Any) -> Account:
                 AdGroup(
                     name=str(g["name"]),
                     tag=_parse_adgroup_tag(g["tag"]),
-                    negatives=_parse_negatives(g["negatives"]),
+                    negatives=_parse_negatives(g["negatives"], interned),
                     tree=_parse_tree(g["tree"]),
                 )
                 for g in cdoc["adgroups"]
@@ -282,17 +304,18 @@ def parse_account_document(doc: Any) -> Account:
                     name=str(cdoc["name"]),
                     priority=_PRIORITY_VALUES[cdoc["priority"]],
                     tag=_parse_campaign_tag(cdoc["tag"]),
-                    negatives=_parse_negatives(cdoc["negatives"]),
+                    negatives=_parse_negatives(cdoc["negatives"], interned),
                     adgroups=adgroups,
                 )
             )
         return Account(
             limit=int(doc["limit"]),
-            brands=tuple(normalize(b) for b in doc["brands"]),
-            non_brands=tuple(normalize(b) for b in doc["non_brands"]),
+            brands=tuple(_keyword(b, "brand") for b in doc["brands"]),
+            non_brands=tuple(_keyword(b, "blocked brand") for b in doc["non_brands"]),
             campaigns=tuple(campaigns),
             partition=tuple(
-                frozenset(normalize(kw) for kw in group) for group in doc["partition"]
+                frozenset(_keyword(kw, "partition keyword") for kw in group)
+                for group in doc["partition"]
             ),
             erasers=tuple(
                 tuple(_parse_eraser(e) for e in group) for group in doc["erasers"]

@@ -81,11 +81,10 @@ def describe_disposition(d: Disposition) -> str:
     return "fell through every campaign"
 
 
-def _landed_tag_matches(account: Account, d: Disposition, campaign: str, tag) -> bool:
+def _landed_tag_matches(sim: Simulator, d: Disposition, campaign: str, tag) -> bool:
     if not isinstance(d, Landed) or d.campaign != campaign:
         return False
-    camp = next(c for c in account.campaigns if c.name == campaign)
-    return any(g.name == d.adgroup and g.tag == tag for g in camp.adgroups)
+    return sim.adgroup_tags[(d.campaign, d.adgroup)] == tag
 
 
 def _check_routes(
@@ -104,7 +103,7 @@ def _check_routes(
     for query, campaign, tag, what in cases:
         t = sim.run(query)
         routes.append(t)
-        if not _landed_tag_matches(sim.account, t.disposition, campaign, tag):
+        if not _landed_tag_matches(sim, t.disposition, campaign, tag):
             failures.append(
                 Failure(
                     query=query,

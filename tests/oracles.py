@@ -7,10 +7,13 @@ scanning the universe, ``exact_packing_oracle`` searches every disjoint
 sub-collection of candidates, ``enumerate_candidates`` copies every word's
 keyword set before intersecting, ``reduce_keywords`` scans the whole universe
 once per candidate word set, ``_min_negatives_changes`` recomputes every
-group's cover for every placement (k² covers for k groups), and
+group's cover for every placement (k² covers for k groups),
 ``verify_account`` is the verifier that builds a simulator per property and
 audits group-campaign negatives with a second n×k lookup pass instead of
-reading property 1's routes.
+reading property 1's routes, ``Simulator`` is the router that keeps one
+``NegativeIndex`` per campaign and per ad group and looks each up separately,
+and ``_parse_negatives`` parses every snapshot negative entry afresh, with no
+interning.
 """
 
 from __future__ import annotations
@@ -20,12 +23,16 @@ import math
 import random
 from typing import Iterable, Sequence
 
+from typing import Any
+
 from shopstruct.account import (
     Account,
     AdGroup,
     BrandTag,
+    Campaign,
     CatchAllTag,
     Leaf,
+    Priority,
     Rule,
     RuleTag,
 )
@@ -42,14 +49,27 @@ from shopstruct.erasers import (
 from shopstruct.errors import CandidateLimitError, InfeasibleTargetError, InputError
 from shopstruct.keywords import (
     Keyword,
+    MatchType,
     NegativeIndex,
+    NegativeKeyword,
     QueryWords,
     exact,
+    normalize,
     phrase,
     subword_set,
     word_set,
 )
-from shopstruct.simulate import Disposition, Landed, Simulator
+from shopstruct.simulate import (
+    Ambiguous,
+    Blocked,
+    DeadEnd,
+    Disposition,
+    Entered,
+    FellThrough,
+    Landed,
+    Step,
+    Trajectory,
+)
 from shopstruct.updates import (
     AddAdGroup,
     AddNegative,
@@ -738,3 +758,93 @@ def verify_account(
         ),
         findings=verify_structure(account),
     )
+
+
+class Simulator:
+    """Reusable query router for one account; build once, run many queries."""
+
+    def __init__(self, account: Account) -> None:
+        self.account = account
+        self._campaign_index: dict[str, NegativeIndex] = {}
+        self._adgroup_index: dict[tuple[str, str], NegativeIndex] = {}
+        self._tiers: list[list[Campaign]] = []
+        for priority in (Priority.HIGH, Priority.MEDIUM, Priority.LOW):
+            tier = [c for c in account.campaigns if c.priority is priority]
+            if tier:
+                self._tiers.append(tier)
+        for c in account.campaigns:
+            self._campaign_index[c.name] = NegativeIndex(c.negatives)
+            for g in c.adgroups:
+                self._adgroup_index[(c.name, g.name)] = NegativeIndex(g.negatives)
+
+    def campaign_blocker(self, campaign: str, query: Keyword) -> NegativeKeyword | None:
+        """The negative of ``campaign`` that refuses ``query``, or None."""
+        return self._campaign_index[campaign].lookup(QueryWords(query))
+
+    def open_adgroups(self, campaign: Campaign, query: Keyword) -> list[AdGroup]:
+        return self._open_adgroups(campaign, QueryWords(query))
+
+    def _open_adgroups(self, campaign: Campaign, words: QueryWords) -> list[AdGroup]:
+        return [
+            g
+            for g in campaign.adgroups
+            if self._adgroup_index[(campaign.name, g.name)].lookup(words) is None
+        ]
+
+    def run(self, query: Keyword) -> Trajectory:
+        words = QueryWords(query)
+        steps: list[Step] = []
+        for tier in self._tiers:
+            admitted: list[Campaign] = []
+            blocked: list[Step] = []
+            for c in tier:
+                hit = self._campaign_index[c.name].lookup(words)
+                if hit is None:
+                    admitted.append(c)
+                else:
+                    blocked.append(Step(c.name, Blocked(hit)))
+            if not admitted:
+                steps.extend(blocked)
+                continue
+            if len(admitted) > 1:
+                for c in admitted:
+                    names = tuple(g.name for g in self._open_adgroups(c, words))
+                    steps.append(Step(c.name, Entered(names)))
+                steps.extend(blocked)
+                return Trajectory(
+                    query,
+                    tuple(steps),
+                    Ambiguous(tuple(c.name for c in admitted), ()),
+                )
+            campaign = admitted[0]
+            open_groups = self._open_adgroups(campaign, words)
+            steps.extend(blocked)
+            steps.append(
+                Step(campaign.name, Entered(tuple(g.name for g in open_groups)))
+            )
+            if len(open_groups) == 1:
+                return Trajectory(
+                    query, tuple(steps), Landed(campaign.name, open_groups[0].name)
+                )
+            if not open_groups:
+                return Trajectory(query, tuple(steps), DeadEnd(campaign.name))
+            return Trajectory(
+                query,
+                tuple(steps),
+                Ambiguous((campaign.name,), tuple(g.name for g in open_groups)),
+            )
+        return Trajectory(query, tuple(steps), FellThrough())
+
+
+def _parse_negatives(doc: Any) -> frozenset[NegativeKeyword]:
+    if not isinstance(doc, list):
+        raise InputError("negatives must be a list")
+    out = []
+    for item in doc:
+        try:
+            kw = normalize(item["keyword"])
+            match = MatchType(item["match"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad negative entry: {item!r}") from exc
+        out.append(NegativeKeyword(kw, match))
+    return frozenset(out)

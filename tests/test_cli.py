@@ -146,6 +146,15 @@ def test_verify_fails_on_tampered_account(workspace, capsys):
     assert "FAIL" in out
 
 
+def test_verify_non_string_keyword_exits_2(workspace, capsys):
+    account_path = workspace / "account.json"
+    doc = json.loads(account_path.read_text())
+    doc["brands"] = [5]
+    account_path.write_text(json.dumps(doc))
+    assert main(["verify", "--account", str(account_path)]) == 2
+    assert capsys.readouterr().err == "error: brand must be a string: 5\n"
+
+
 def test_bounds_values_and_sites(capsys):
     assert main(["bounds", "4", "3", "1", "--groups", "2,2"]) == 0
     out = capsys.readouterr().out

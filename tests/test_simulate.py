@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import functools
 import types
 from collections import Counter
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from conftest import GOLDEN_BRANDS, GOLDEN_NON_BRANDS, make_golden_rules
 from shopstruct import (
     Account,
     AdGroup,
@@ -18,16 +23,22 @@ from shopstruct import (
     Keyword,
     Landed,
     Leaf,
+    MatchType,
     Money,
     NegativeIndex,
+    NegativeKeyword,
     Priority,
     RuleTag,
     Simulator,
+    SyntheticSpec,
+    build_account,
     exact,
+    generate,
     large,
     normalize,
     phrase,
 )
+from shopstruct.keywords import QueryWords, matches
 
 
 def test_own_keyword_lands_in_its_own_adgroup(golden_account):
@@ -181,3 +192,161 @@ def test_simulate_submodule_is_not_shadowed():
 
     assert isinstance(m, types.ModuleType)
     assert m.Simulator is Simulator
+
+
+# --- the shared indexes against the per-list reference router ---------------
+
+_TIE_WORDS = ("a", "b", "c")
+_tie_keywords = st.lists(st.sampled_from(_TIE_WORDS), min_size=1, max_size=3).map(
+    lambda words: Keyword(tuple(words))
+)
+_tie_negatives = st.builds(
+    NegativeKeyword, _tie_keywords, st.sampled_from(list(MatchType))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lists=st.lists(st.frozensets(_tie_negatives, max_size=6), min_size=1, max_size=5),
+    query=st.lists(st.sampled_from(_TIE_WORDS), min_size=1, max_size=4),
+)
+def test_shared_index_gives_each_lists_first_match(lists, query):
+    q = Keyword(tuple(query))
+    expected = [
+        min((n for n in negs if matches(q, n)), key=NegativeKeyword.sort_key, default=None)
+        for negs in lists
+    ]
+    index = NegativeIndex(*lists)
+    assert index.first_matches(QueryWords(q)) == expected
+    assert [NegativeIndex(negs).first_match(q) for negs in lists] == expected
+    hit = sorted({n for negs in lists for n in negs if matches(q, n)}, key=NegativeKeyword.sort_key)
+    holders = [sum(1 << i for i, negs in enumerate(lists) if n in negs) for n in hit]
+    assert index.hits(QueryWords(q)) == list(zip(hit, holders))
+
+
+def test_blocker_ties_across_match_types_follow_the_reference():
+    a_b, a, b = normalize("a b"), normalize("a"), normalize("b")
+    tiers = [
+        frozenset({exact(a_b), phrase(a), large(b)}),
+        frozenset({phrase(a), large(b)}),
+        frozenset({large(b), large(a_b)}),
+        frozenset({exact(a_b)}),
+    ]
+    camps = [_low(f"c3_{i + 1}", i + 1, f"zz w{i}", negs) for i, negs in enumerate(tiers)]
+    camps.append(
+        Campaign(
+            name="c3_9",
+            priority=Priority.LOW,
+            tag=GroupCampaignTag(9),
+            negatives=frozenset(),
+            adgroups=tuple(
+                AdGroup(f"g{i}", RuleTag(normalize(f"g{i}")), negs, Leaf(Money(1)))
+                for i, negs in enumerate(tiers)
+            ),
+        )
+    )
+    acc = _tiny_account(camps)
+    sim, ref = Simulator(acc), oracles.Simulator(acc)
+    for text in ("a b", "b a", "a c", "c b", "a", "b", "c", "a b c", "zz a b"):
+        q = normalize(text)
+        assert sim.run(q) == ref.run(q)
+        for c in acc.campaigns:
+            assert sim.campaign_blocker(c.name, q) == ref.campaign_blocker(c.name, q)
+            assert sim.open_adgroups(c, q) == ref.open_adgroups(c, q)
+    blockers = [sim.campaign_blocker(f"c3_{i}", normalize("a b")) for i in range(1, 5)]
+    assert blockers == [exact(a_b), phrase(a), large(a_b), exact(a_b)]
+
+
+def _tamper(account: Account, kind: str) -> Account:
+    """``account`` changed so that some catalogue keyword routes as ``kind``."""
+    first = account.group_campaigns()[0]
+
+    def swap(old: Campaign, new: Campaign | None) -> Account:
+        camps = tuple(new if c is old else c for c in account.campaigns)
+        return replace(account, campaigns=tuple(c for c in camps if c is not None))
+
+    if kind == "ambiguous campaigns":
+        return swap(first, replace(first, negatives=frozenset()))
+    if kind == "ambiguous ad groups":
+        cleared = (replace(first.adgroups[0], negatives=frozenset()),) + first.adgroups[1:]
+        return swap(first, replace(first, adgroups=cleared))
+    if kind == "dead ends":
+        shut = tuple(
+            replace(g, negatives=g.negatives | {exact(g.tag.keyword)}) for g in first.adgroups
+        )
+        return swap(first, replace(first, adgroups=shut))
+    assert kind == "fall-through"
+    return swap(first, None)
+
+
+_KIND_OF = {
+    "ambiguous campaigns": "ambiguous",
+    "ambiguous ad groups": "ambiguous",
+    "dead ends": "dead_end",
+    "fall-through": "fell_through",
+}
+
+
+@functools.cache
+def _routers(name: str) -> tuple[Simulator, oracles.Simulator]:
+    account = _routed_accounts()[name]
+    return Simulator(account), oracles.Simulator(account)
+
+
+@functools.cache
+def _routed_accounts() -> dict[str, Account]:
+    cat = generate(SyntheticSpec(n=300, seed=0))
+    synth = build_account(cat.rules, cat.brands, cat.non_brands)
+    golden = build_account(
+        make_golden_rules(),
+        tuple(normalize(b) for b in GOLDEN_BRANDS),
+        tuple(normalize(b) for b in GOLDEN_NON_BRANDS),
+    )
+    out = {"golden": golden, "synth-300": synth}
+    for base_name, base in (("golden", golden), ("synth-300", synth)):
+        for kind in _KIND_OF:
+            out[f"{base_name} {kind}"] = _tamper(base, kind)
+    return out
+
+
+def _assert_same_routing(sim: Simulator, ref, query: Keyword) -> None:
+    assert sim.run(query) == ref.run(query)
+    for c in sim.account.campaigns:
+        assert sim.campaign_blocker(c.name, query) == ref.campaign_blocker(c.name, query)
+        assert sim.open_adgroups(c, query) == ref.open_adgroups(c, query)
+
+
+@pytest.mark.parametrize("name", sorted(_routed_accounts()))
+def test_catalogue_routes_equal_the_reference(name):
+    sim, ref = _routers(name)
+    account = sim.account
+    kinds = Counter()
+    for kw in sorted(account.keywords()):
+        t = sim.run(kw)
+        assert t == ref.run(kw)
+        kinds[t.disposition.kind] += 1
+    kind = next((k for tamper, k in _KIND_OF.items() if name.endswith(tamper)), "landed")
+    assert kinds[kind] > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", sorted(_routed_accounts()))
+def test_random_queries_route_as_the_reference(name, data):
+    sim, ref = _routers(name)
+    account = sim.account
+    catalogue = sorted(account.keywords())
+    vocabulary = sorted(
+        {w for kw in catalogue + list(account.brands + account.non_brands) for w in kw.words}
+        | {"zz"}
+    )
+    words = data.draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=5))
+    seed = data.draw(st.sampled_from(catalogue))
+    cut = data.draw(st.integers(0, len(seed.words)))
+    extra = data.draw(st.lists(st.sampled_from(vocabulary), max_size=2))
+    for query in (
+        Keyword(tuple(words)),
+        seed,
+        Keyword(seed.words[:cut] + tuple(extra) + seed.words[cut:]),
+    ):
+        _assert_same_routing(sim, ref, query)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +13,7 @@ from shopstruct import (
     InputError,
     Leaf,
     Money,
+    NegativeKeyword,
     Rule,
     Split,
     SyntheticSpec,
@@ -104,6 +106,67 @@ def test_split_trees_round_trip(four_rules):
     assert back.brand_campaign().adgroups[0].tree == tree
 
 
+def _minimal_doc() -> dict:
+    """A valid snapshot with a keyword text at every place one can sit."""
+    tree = {"kind": "leaf", "bid_micros": 1}
+    return {
+        "limit": 10,
+        "brands": ["nike"],
+        "non_brands": ["reebok"],
+        "campaigns": [
+            {
+                "name": "c1",
+                "priority": "high",
+                "tag": {"kind": "general"},
+                "negatives": [{"keyword": "a b", "match": "exact"}],
+                "adgroups": [
+                    {"name": "catch-all", "tag": {"kind": "catch_all"}, "negatives": [], "tree": tree}
+                ],
+            },
+            {
+                "name": "c2",
+                "priority": "medium",
+                "tag": {"kind": "brands"},
+                "negatives": [],
+                "adgroups": [
+                    {"name": "nike", "tag": {"kind": "brand", "brand": "nike"}, "negatives": [], "tree": tree}
+                ],
+            },
+            {
+                "name": "c3_1",
+                "priority": "low",
+                "tag": {"kind": "group", "index": 1},
+                "negatives": [],
+                "adgroups": [
+                    {"name": "a b", "tag": {"kind": "rule", "keyword": "a b"}, "negatives": [], "tree": tree}
+                ],
+            },
+        ],
+        "partition": [["a b"]],
+        "erasers": [[{"kind": "exact", "keyword": "a b"}]],
+    }
+
+
+def _with(edit) -> str:
+    doc = _minimal_doc()
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _set(path, value):
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+def test_minimal_snapshot_parses():
+    assert parse_account(json.dumps(_minimal_doc())).partition == (frozenset({normalize("a b")}),)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -111,6 +174,29 @@ def test_split_trees_round_trip(four_rules):
         "[]",
         '{"limit": 1}',
         '{"limit": 1, "brands": [], "non_brands": [], "campaigns": [{"name": "c", "priority": "urgent", "tag": {"kind": "general"}, "negatives": [], "adgroups": []}], "partition": [], "erasers": []}',
+        # A keyword text that is not a string, wherever one sits.
+        pytest.param(_with(_set(["brands", 0], 5)), id="int brand"),
+        pytest.param(_with(_set(["non_brands", 0], 5)), id="int blocked brand"),
+        pytest.param(_with(_set(["partition", 0, 0], 5)), id="int partition keyword"),
+        pytest.param(
+            _with(_set(["campaigns", 0, "negatives", 0, "keyword"], 5)), id="int negative"
+        ),
+        pytest.param(
+            _with(_set(["campaigns", 0, "negatives", 0, "keyword"], ["a", "b"])),
+            id="list negative",
+        ),
+        pytest.param(
+            _with(_set(["campaigns", 0, "negatives", 0, "match"], ["exact"])),
+            id="list match type",
+        ),
+        pytest.param(
+            _with(_set(["campaigns", 2, "adgroups", 0, "tag", "keyword"], 5)),
+            id="int rule tag",
+        ),
+        pytest.param(
+            _with(_set(["campaigns", 1, "adgroups", 0, "tag", "brand"], 5)), id="int brand tag"
+        ),
+        pytest.param(_with(_set(["erasers", 0, 0, "keyword"], 5)), id="int exact eraser"),
     ],
 )
 def test_malformed_snapshots_raise_input_error(text):
@@ -185,8 +271,21 @@ def _accounts(draw):
 def test_render_writes_the_json_dumps_bytes(account):
     text = render_account(account)
     assert text == json.dumps(account_document(account), indent=2) + "\n"
-    # A parsed account holds a separate object per occurrence of a negative.
     assert render_account(parse_account(text)) == text
+    # The same account with a separate object per occurrence of a negative.
+    fresh = lambda negs: frozenset(NegativeKeyword(n.keyword, n.match) for n in negs)
+    unshared = replace(
+        account,
+        campaigns=tuple(
+            replace(
+                c,
+                negatives=fresh(c.negatives),
+                adgroups=tuple(replace(g, negatives=fresh(g.negatives)) for g in c.adgroups),
+            )
+            for c in account.campaigns
+        ),
+    )
+    assert render_account(unshared) == text
 
 
 # sha256 of the rendered synth catalogues at n=300, as the quadratic packing,
@@ -202,5 +301,27 @@ PINNED_DIGESTS = {
 def test_synth_snapshot_digest_is_pinned(seed):
     cat = generate(SyntheticSpec(n=300, seed=seed))
     account = build_account(cat.rules, cat.brands, cat.non_brands)
-    digest = hashlib.sha256(render_account(account).encode()).hexdigest()
-    assert digest == PINNED_DIGESTS[seed]
+    text = render_account(account)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[seed]
+    assert render_account(parse_account(text)) == text
+
+
+def test_parsing_shares_one_object_per_negative():
+    import oracles
+
+    cat = generate(SyntheticSpec(n=300, seed=0))
+    account = build_account(cat.rules, cat.brands, cat.non_brands)
+    text = render_account(account)
+    parsed = parse_account(text)
+    assert parsed == account
+    doc = json.loads(text)
+    lists = []
+    for camp, cdoc in zip(parsed.campaigns, doc["campaigns"]):
+        assert camp.negatives == oracles._parse_negatives(cdoc["negatives"])
+        lists.append(camp.negatives)
+        for group, gdoc in zip(camp.adgroups, cdoc["adgroups"]):
+            assert group.negatives == oracles._parse_negatives(gdoc["negatives"])
+            lists.append(group.negatives)
+    distinct = frozenset().union(*lists)
+    assert len({id(neg) for negs in lists for neg in negs}) == len(distinct)
+    assert sum(map(len, lists)) > 4 * len(distinct)

@@ -197,6 +197,11 @@ def _mutants(account):
     )
     with_rules = next(c for c in camps if len(c.adgroups) > 1)
     rule_group = next(g for g in with_rules.adgroups if isinstance(g.tag, RuleTag))
+    a, b = with_rules.adgroups[:2]
+    swapped = (
+        replace(a, negatives=b.negatives),
+        replace(b, negatives=a.negatives),
+    ) + with_rules.adgroups[2:]
     general = account.general_campaign()
     kept = sorted(general.negatives, key=lambda n: n.sort_key())
     kept = frozenset(kept[: len(kept) // 2])
@@ -221,6 +226,9 @@ def _mutants(account):
             account,
             with_rules.name,
             adgroups=tuple(g for g in with_rules.adgroups if g is not rule_group),
+        ),
+        "sibling ad groups swap negatives": _with_campaign(
+            account, with_rules.name, adgroups=swapped
         ),
         "group campaign removed": replace(
             account,
@@ -262,6 +270,7 @@ def equivalence_accounts(golden_account):
         "exact negative dropped",
         "another group's negatives added",
         "rule ad group removed",
+        "sibling ad groups swap negatives",
         "group campaign removed",
         "group campaign in Medium",
         "group campaign in High",
