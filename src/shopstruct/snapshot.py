@@ -10,16 +10,24 @@ byte-identical.
 writes those same bytes directly, without building the per-negative documents
 or going through json's pure-Python indenting encoder.
 
+The structure repeats a few negatives across many lists: each ad group of a
+group campaign holds its siblings' exact negatives, and each group campaign
+the other groups' erasers.  So the renderer works by *family*, the ad-group
+lists of one campaign or the campaign lists of one tier.  A family's union is
+ranked and rendered once as one text, and each list is cut out of that text
+as the runs between the entries it lacks.
+
 Parsing interns negatives: the first entry with a given raw (keyword, match)
 pair is normalized and validated, and every later entry with that pair reuses
 its object.  A snapshot repeats each negative across many lists, so a parsed
-account, like a built one, holds one object per negative, which the renderer
-and ``simulate.Simulator`` rely on to handle each negative once.
+account holds one object per negative, which ``simulate.Simulator`` relies on
+to handle each negative once.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Any, Callable
 
@@ -128,89 +136,145 @@ def account_document(account: Account) -> dict[str, Any]:
 
 def render_account(account: Account) -> str:
     """``json.dumps(account_document(account), indent=2) + "\\n"``, written directly."""
-    out: list[str] = []
+    out = bytearray()
     _Writer(account).write(_document(account, lambda negatives: negatives), 0, out)
-    out.append("\n")
-    return "".join(out)
+    out += b"\n"
+    return out.decode("ascii")
 
 
-class _Writer:
-    """``json.dumps(..., indent=2)`` for the snapshot's documents, in which
-    negative lists are left as the account's frozensets.
+class _Family:
+    """The negative lists of one family, as cuts of one shared text.
 
-    Strings go through the C string encoder.  Every distinct negative is
-    ranked once in canonical order and its entry rendered once per nesting
-    depth.  Negatives are looked up by identity (a built or parsed account
-    shares one object per negative), so a list costs an integer sort and a
-    join and no negative is hashed again.
+    ``ranked`` is the union of the lists in canonical order and ``rank`` maps
+    the id of each of its objects to its position.  ``text(level)`` is the
+    union's entries rendered at one nesting depth and joined as one list
+    body, with the offset at which each entry starts.
     """
 
-    def __init__(self, account: Account) -> None:
-        lists = [c.negatives for c in account.campaigns]
-        lists += [g.negatives for c in account.campaigns for g in c.adgroups]
-        objects: dict[int, NegativeKeyword] = {}
-        for negs in lists:
-            objects.update(zip(map(id, negs), negs))
-        self.ranked = sorted(frozenset().union(*lists), key=NegativeKeyword.sort_key)
-        value_rank = {neg: i for i, neg in enumerate(self.ranked)}
-        self.rank = {key: value_rank[neg] for key, neg in objects.items()}
-        self.entries: dict[int, list[str]] = {}
+    def __init__(self, lists: list[frozenset[NegativeKeyword]]) -> None:
+        self.union = frozenset().union(*lists)
+        self.ranked = sorted(self.union, key=NegativeKeyword.sort_key)
+        self.rank = {id(neg): i for i, neg in enumerate(self.ranked)}
+        self.texts: dict[int, tuple[memoryview, list[int]]] = {}
 
-    def write(self, value: Any, level: int, out: list[str]) -> None:
-        if isinstance(value, str):
-            out.append(_encode(value))
-        elif isinstance(value, int):
-            out.append(int.__repr__(value))
-        elif isinstance(value, frozenset):
-            self.negatives(value, level, out)
-        elif isinstance(value, dict):
-            if not value:
-                out.append("{}")
-                return
-            inner = "\n" + "  " * (level + 1)
-            sep = "{" + inner
-            for key, item in value.items():
-                out.append(sep + _encode(key) + ": ")
-                self.write(item, level + 1, out)
-                sep = "," + inner
-            out.append("\n" + "  " * level + "}")
-        else:
-            if not value:
-                out.append("[]")
-                return
-            inner = "\n" + "  " * (level + 1)
-            sep = "[" + inner
-            for item in value:
-                out.append(sep)
-                self.write(item, level + 1, out)
-                sep = "," + inner
-            out.append("\n" + "  " * level + "]")
-
-    def negatives(
-        self, negatives: frozenset[NegativeKeyword], level: int, out: list[str]
-    ) -> None:
-        if not negatives:
-            out.append("[]")
-            return
-        pad = "\n" + "  " * (level + 1)
-        entries = self.entries.get(level)
-        if entries is None:
-            inner = "\n" + "  " * (level + 2)
-            entries = self.entries[level] = [
+    def text(self, level: int) -> tuple[memoryview, list[int]]:
+        found = self.texts.get(level)
+        if found is None:
+            pad = "\n" + "  " * (level + 1)
+            inner = pad + "  "
+            entries = [
                 "{" + inner + '"keyword": ' + _encode(n.keyword.text) + ","
                 + inner + '"match": ' + _encode(n.match.value) + pad + "}"
                 for n in self.ranked
             ]
-        order = sorted(map(self.rank.__getitem__, map(id, negatives)))
-        out.append("[" + pad)
-        out.append(("," + pad).join(map(entries.__getitem__, order)))
-        out.append("\n" + "  " * level + "]")
+            gap = len(pad) + 1
+            starts = list(accumulate((len(e) + gap for e in entries), initial=0))
+            found = (memoryview(("," + pad).join(entries).encode()), starts)
+            self.texts[level] = found
+        return found
+
+
+class _Writer:
+    """``json.dumps(..., indent=2)`` for the snapshot's documents, in which
+    negative lists are left as the account's frozensets, written as ASCII
+    into one ``bytearray``.
+
+    Strings go through the C string encoder, which escapes every non-ASCII
+    character as json.dumps does.  Negative lists are written by family (see
+    the module docstring): each list as the runs of its family's text
+    between the entries it lacks.  Those are found by a set difference,
+    which compares stored hashes (and the values of separate but equal
+    objects) and yields the union's own objects, so they rank by id even
+    where the list holds its own copies.  In a built account a
+    list lacks few of its family's entries, so it costs a sort of those few
+    and one copy per run.
+
+    Runs are copied from the family text through a memoryview straight into
+    the one output buffer, which is decoded once.  A string per list or per
+    run would do: but such short-lived strings of every size fragment the C
+    heap, and at n=10000 a renderer that made them kept 30 to 140 MB of freed
+    heap it could not return, raising peak memory by up to a third.
+    """
+
+    def __init__(self, account: Account) -> None:
+        tiers: dict[Priority, list[frozenset[NegativeKeyword]]] = {}
+        for c in account.campaigns:
+            tiers.setdefault(c.priority, []).append(c.negatives)
+        families = list(tiers.values())
+        families += [[g.negatives for g in c.adgroups] for c in account.campaigns]
+        self.family: dict[int, _Family] = {}
+        for lists in families:
+            family = _Family(lists)
+            self.family.update((id(negs), family) for negs in lists)
+
+    def write(self, value: Any, level: int, out: bytearray) -> None:
+        if isinstance(value, str):
+            out += _encode(value).encode()
+        elif isinstance(value, int):
+            out += int.__repr__(value).encode()
+        elif isinstance(value, frozenset):
+            self.negatives(value, level, out)
+        elif isinstance(value, dict):
+            if not value:
+                out += b"{}"
+                return
+            inner = "\n" + "  " * (level + 1)
+            sep = "{" + inner
+            for key, item in value.items():
+                out += (sep + _encode(key) + ": ").encode()
+                self.write(item, level + 1, out)
+                sep = "," + inner
+            out += ("\n" + "  " * level + "}").encode()
+        else:
+            if not value:
+                out += b"[]"
+                return
+            inner = ("\n" + "  " * (level + 1)).encode()
+            sep = b"[" + inner
+            for item in value:
+                out += sep
+                self.write(item, level + 1, out)
+                sep = b"," + inner
+            out += ("\n" + "  " * level + "]").encode()
+
+    def negatives(
+        self, negatives: frozenset[NegativeKeyword], level: int, out: bytearray
+    ) -> None:
+        if not negatives:
+            out += b"[]"
+            return
+        family = self.family[id(negatives)]
+        text, starts = family.text(level)
+        lacked = sorted(map(family.rank.__getitem__, map(id, family.union - negatives)))
+        begins = [0] + [p + 1 for p in lacked]
+        ends = lacked + [len(family.ranked)]
+        # A run copied up to the next entry's start brings the separator the
+        # next run needs; only the last run stops short of its own.
+        pad = "\n" + "  " * (level + 1)
+        runs = [(b, e) for b, e in zip(begins, ends) if b < e]
+        last, stop = runs.pop()
+        out += ("[" + pad).encode()
+        for b, e in runs:
+            out += text[starts[b] : starts[e]]
+        out += text[starts[last] : starts[stop] - len("," + pad)]
+        out += ("\n" + "  " * level + "]").encode()
+
+
+def _string(value: Any, what: str) -> str:
+    if not isinstance(value, str):
+        raise InputError(f"{what} must be a string: {value!r}")
+    return value
+
+
+def _integer(value: Any, what: str) -> int:
+    # bool is an int subclass; floats and numeric strings are not integers.
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer: {value!r}")
+    return value
 
 
 def _keyword(text: Any, what: str) -> Keyword:
-    if not isinstance(text, str):
-        raise InputError(f"{what} must be a string: {text!r}")
-    return normalize(text)
+    return normalize(_string(text, what))
 
 
 def _parse_negatives(
@@ -240,12 +304,13 @@ def _parse_tree(doc: Any) -> ProductTree:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InputError(f"bad product tree: {doc!r}")
     if doc["kind"] == "leaf":
-        return Leaf(Money(int(doc["bid_micros"])))
+        return Leaf(Money(_integer(doc["bid_micros"], "bid_micros")))
     if doc["kind"] == "split":
         return Split(
-            attribute=str(doc["attribute"]),
+            attribute=_string(doc["attribute"], "tree attribute"),
             branches=tuple(
-                (str(b["value"]), _parse_tree(b["tree"])) for b in doc["branches"]
+                (_string(b["value"], "branch value"), _parse_tree(b["tree"]))
+                for b in doc["branches"]
             ),
             others=_parse_tree(doc["others"]),
         )
@@ -259,7 +324,7 @@ def _parse_campaign_tag(doc: Any) -> CampaignTag:
     if kind == "brands":
         return BrandCampaignTag()
     if kind == "group":
-        return GroupCampaignTag(int(doc["index"]))
+        return GroupCampaignTag(_integer(doc["index"], "group index"))
     raise InputError(f"unknown campaign tag: {doc!r}")
 
 
@@ -277,7 +342,7 @@ def _parse_adgroup_tag(doc: Any) -> AdGroupTag:
 def _parse_eraser(doc: Any) -> Eraser:
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind == "large":
-        return LargeEraser(frozenset(str(w) for w in doc["words"]))
+        return LargeEraser(frozenset(_string(w, "large eraser word") for w in doc["words"]))
     if kind == "exact":
         return ExactEraser(_keyword(doc["keyword"], "exact eraser keyword"))
     raise InputError(f"unknown eraser kind: {doc!r}")
@@ -292,7 +357,7 @@ def parse_account_document(doc: Any) -> Account:
         for cdoc in doc["campaigns"]:
             adgroups = tuple(
                 AdGroup(
-                    name=str(g["name"]),
+                    name=_string(g["name"], "ad group name"),
                     tag=_parse_adgroup_tag(g["tag"]),
                     negatives=_parse_negatives(g["negatives"], interned),
                     tree=_parse_tree(g["tree"]),
@@ -301,7 +366,7 @@ def parse_account_document(doc: Any) -> Account:
             )
             campaigns.append(
                 Campaign(
-                    name=str(cdoc["name"]),
+                    name=_string(cdoc["name"], "campaign name"),
                     priority=_PRIORITY_VALUES[cdoc["priority"]],
                     tag=_parse_campaign_tag(cdoc["tag"]),
                     negatives=_parse_negatives(cdoc["negatives"], interned),
@@ -309,7 +374,7 @@ def parse_account_document(doc: Any) -> Account:
                 )
             )
         return Account(
-            limit=int(doc["limit"]),
+            limit=_integer(doc["limit"], "limit"),
             brands=tuple(_keyword(b, "brand") for b in doc["brands"]),
             non_brands=tuple(_keyword(b, "blocked brand") for b in doc["non_brands"]),
             campaigns=tuple(campaigns),

@@ -155,6 +155,21 @@ def test_verify_non_string_keyword_exits_2(workspace, capsys):
     assert capsys.readouterr().err == "error: brand must be a string: 5\n"
 
 
+def test_verify_coerced_values_exit_2(workspace, capsys):
+    account_path = workspace / "account.json"
+    good = account_path.read_text()
+    for edit, message in [
+        (lambda doc: doc["campaigns"][0].update(name=None), "campaign name must be a string: None"),
+        (lambda doc: doc.update(limit=1.9), "limit must be an integer: 1.9"),
+        (lambda doc: doc.update(limit=True), "limit must be an integer: True"),
+    ]:
+        doc = json.loads(good)
+        edit(doc)
+        account_path.write_text(json.dumps(doc))
+        assert main(["verify", "--account", str(account_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_bounds_values_and_sites(capsys):
     assert main(["bounds", "4", "3", "1", "--groups", "2,2"]) == 0
     out = capsys.readouterr().out

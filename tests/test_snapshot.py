@@ -12,6 +12,7 @@ from shopstruct import (
     BuildConfig,
     InputError,
     Leaf,
+    MatchType,
     Money,
     NegativeKeyword,
     Rule,
@@ -147,6 +148,19 @@ def _minimal_doc() -> dict:
     }
 
 
+_TREE = ["campaigns", 0, "adgroups", 0, "tree"]
+
+
+def _split(attribute="brand", value="nike") -> dict:
+    leaf = {"kind": "leaf", "bid_micros": 1}
+    return {
+        "kind": "split",
+        "attribute": attribute,
+        "branches": [{"value": value, "tree": leaf}],
+        "others": leaf,
+    }
+
+
 def _with(edit) -> str:
     doc = _minimal_doc()
     edit(doc)
@@ -165,6 +179,10 @@ def _set(path, value):
 
 def test_minimal_snapshot_parses():
     assert parse_account(json.dumps(_minimal_doc())).partition == (frozenset({normalize("a b")}),)
+    account = parse_account(_with(_set(_TREE, _split())))
+    assert account.campaigns[0].adgroups[0].tree == Split(
+        "brand", (("nike", Leaf(Money(1))),), Leaf(Money(1))
+    )
 
 
 @pytest.mark.parametrize(
@@ -197,6 +215,32 @@ def test_minimal_snapshot_parses():
             _with(_set(["campaigns", 1, "adgroups", 0, "tag", "brand"], 5)), id="int brand tag"
         ),
         pytest.param(_with(_set(["erasers", 0, 0, "keyword"], 5)), id="int exact eraser"),
+        pytest.param(
+            _with(_set(["erasers", 0, 0], {"kind": "large", "words": ["a", 5]})),
+            id="int large eraser word",
+        ),
+        # Names, tree attributes and branch values are strings, not coerced.
+        pytest.param(_with(_set(["campaigns", 0, "name"], None)), id="null campaign name"),
+        pytest.param(_with(_set(["campaigns", 0, "name"], 5)), id="int campaign name"),
+        pytest.param(
+            _with(_set(["campaigns", 1, "adgroups", 0, "name"], None)), id="null ad group name"
+        ),
+        pytest.param(
+            _with(_set(["campaigns", 1, "adgroups", 0, "name"], 5)), id="int ad group name"
+        ),
+        pytest.param(_with(_set(_TREE, _split(attribute=5))), id="int tree attribute"),
+        pytest.param(_with(_set(_TREE, _split(value=None))), id="null branch value"),
+        pytest.param(_with(_set(_TREE, _split(value=5))), id="int branch value"),
+        # Integer fields take integers only: no float, bool or string.
+        *(
+            pytest.param(_with(_set(path, bad)), id=f"{name} {bad!r}")
+            for name, path in [
+                ("limit", ["limit"]),
+                ("bid_micros", _TREE + ["bid_micros"]),
+                ("group index", ["campaigns", 2, "tag", "index"]),
+            ]
+            for bad in (1.9, 1.0, True, "1", None)
+        ),
     ],
 )
 def test_malformed_snapshots_raise_input_error(text):
@@ -288,6 +332,78 @@ def test_render_writes_the_json_dumps_bytes(account):
     assert render_account(unshared) == text
 
 
+_negatives = st.builds(
+    NegativeKeyword, _phrase.map(normalize), st.sampled_from(list(MatchType))
+)
+
+
+@st.composite
+def _cut(draw, pool: list[NegativeKeyword]) -> list[NegativeKeyword]:
+    """One list of a family: ``pool`` (in canonical order) less some entries."""
+    kind = draw(st.sampled_from(["empty", "all", "first", "last", "adjacent", "sparse", "any"]))
+    if kind == "empty":
+        return []
+    if kind == "all":
+        return pool
+    if kind == "first":
+        return pool[1:]
+    if kind == "last":
+        return pool[:-1]
+    if kind == "adjacent":
+        i = draw(st.integers(0, max(0, len(pool) - 2)))
+        return pool[:i] + pool[i + 2 :]
+    keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    held = [n for n, k in zip(pool, keep) if k]
+    if kind == "sparse":
+        # Lacks more than it holds.
+        held = held[: (len(pool) - 1) // 2]
+    return held
+
+
+@st.composite
+def _cut_accounts(draw):
+    """A built account whose negative lists are replaced, family by family,
+    with cuts of a random pool: lists no build produces.  Unshared lists
+    hold a separate but equal object per occurrence."""
+    account = draw(_accounts())
+    shared = draw(st.booleans())
+
+    def family(count: int) -> list[frozenset[NegativeKeyword]]:
+        pool = draw(st.lists(_negatives, min_size=1, max_size=8, unique=True))
+        pool.sort(key=NegativeKeyword.sort_key)
+        lists = [draw(_cut(pool)) for _ in range(count)]
+        if not shared:
+            lists = [[NegativeKeyword(n.keyword, n.match) for n in negs] for negs in lists]
+        return [frozenset(negs) for negs in lists]
+
+    tiers: dict = {}
+    for c in account.campaigns:
+        tiers.setdefault(c.priority, []).append(c.name)
+    campaign_negatives = {}
+    for names in tiers.values():
+        campaign_negatives.update(zip(names, family(len(names))))
+    return replace(
+        account,
+        campaigns=tuple(
+            replace(
+                c,
+                negatives=campaign_negatives[c.name],
+                adgroups=tuple(
+                    replace(g, negatives=negs)
+                    for g, negs in zip(c.adgroups, family(len(c.adgroups)))
+                ),
+            )
+            for c in account.campaigns
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cut_accounts())
+def test_render_cuts_any_subset_of_a_family(account):
+    assert render_account(account) == json.dumps(account_document(account), indent=2) + "\n"
+
+
 # sha256 of the rendered synth catalogues at n=300, as the quadratic packing,
 # per-sibling emission and json.dumps renderer produced them.
 PINNED_DIGESTS = {
@@ -297,13 +413,32 @@ PINNED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(PINNED_DIGESTS))
-def test_synth_snapshot_digest_is_pinned(seed):
-    cat = generate(SyntheticSpec(n=300, seed=seed))
+# sha256 of the rendered synth catalogues at n=1000, as the renderer that
+# ranked every negative globally and joined one entry per stored negative
+# produced them.
+PINNED_DIGESTS_1000 = {
+    0: "afe5c6741a92dc70117b2fea1ea8f10e7e393a1857be22fbcbd392967f22da16",
+    1: "17d3e3530377443aa06af3e15234ab061cf17b67fc351c993a94e378152f1cc3",
+    2: "d8f27b59b53774e3d17fe8a9fdc192fd70f2de7a83d5d2ebf9a6c5485e43542c",
+}
+
+
+def _pinned_snapshot(n: int, seed: int, digest: str) -> None:
+    cat = generate(SyntheticSpec(n=n, seed=seed))
     account = build_account(cat.rules, cat.brands, cat.non_brands)
     text = render_account(account)
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[seed]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert render_account(parse_account(text)) == text
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_DIGESTS))
+def test_synth_snapshot_digest_is_pinned(seed):
+    _pinned_snapshot(300, seed, PINNED_DIGESTS[seed])
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_DIGESTS_1000))
+def test_synth_1000_snapshot_digest_is_pinned(seed):
+    _pinned_snapshot(1000, seed, PINNED_DIGESTS_1000[seed])
 
 
 def test_parsing_shares_one_object_per_negative():
