@@ -162,15 +162,25 @@ def plan_groups(
 
 
 def group_campaign_negatives(
-    erasers: Sequence[Sequence[Eraser]], blocked: frozenset[NegativeKeyword]
+    erasers: Sequence[Sequence[Eraser]],
+    blocked: frozenset[NegativeKeyword],
+    interned: dict[NegativeKeyword, NegativeKeyword] | None = None,
 ) -> list[frozenset[NegativeKeyword]]:
     """Each group campaign's negatives: the eraser negatives of every other
     group plus the blocked-brand phrases ``blocked``.
 
     Each group's negatives are built once; the unions reuse their stored
-    hashes, so the k-fold repetition costs no per-negative hashing.
+    hashes, so the k-fold repetition costs no per-negative hashing.  An
+    eraser's negative is taken from ``interned`` (the account's table of one
+    object per negative) when it holds an equal one, and added to it if not.
     """
-    per_group = [frozenset(e.to_negative() for e in group) for group in erasers]
+    interned = {} if interned is None else interned
+    per_group = [
+        frozenset(
+            interned.setdefault(neg, neg) for neg in (e.to_negative() for e in group)
+        )
+        for group in erasers
+    ]
     return [
         blocked.union(*(negs for j, negs in enumerate(per_group) if j != own))
         for own in range(len(per_group))
@@ -193,10 +203,17 @@ def build_account(
     rule_by_kw = {r.keyword: r for r in rules}
     position = {kw: i for i, kw in enumerate(keywords)}
 
-    exact_of = {kw: exact(kw) for kw in keywords}
+    # One object per distinct negative, shared by every list that holds it.
+    interned: dict[NegativeKeyword, NegativeKeyword] = {}
+
+    def shared(neg: NegativeKeyword) -> NegativeKeyword:
+        return interned.setdefault(neg, neg)
+
+    exact_of = {kw: shared(exact(kw)) for kw in keywords}
+    phrase_of = {b: shared(phrase(b)) for b in brands}
     sk_exact = frozenset(exact_of.values())
-    sb_phrases = frozenset(phrase(b) for b in brands)
-    snb_phrases = frozenset(phrase(b) for b in non_brands)
+    sb_phrases = frozenset(phrase_of.values())
+    snb_phrases = frozenset(shared(phrase(b)) for b in non_brands)
 
     campaigns: list[Campaign] = []
 
@@ -224,7 +241,7 @@ def build_account(
         _check_limit(config.limit, f"campaign {BRAND_CAMPAIGN}", len(brand_negs))
         adgroups = []
         for brand in brands:
-            others = frozenset(phrase(b) for b in brands if b != brand)
+            others = frozenset(phrase_of[b] for b in brands if b != brand)
             _check_limit(config.limit, f"ad group {brand.text}", len(others))
             tree: ProductTree = Leaf(config.default_bid)
             if brand_trees and brand in brand_trees:
@@ -248,7 +265,7 @@ def build_account(
         )
 
     partition, erasers = plan_groups(keywords, config)
-    campaign_negatives = group_campaign_negatives(erasers, snb_phrases)
+    campaign_negatives = group_campaign_negatives(erasers, snb_phrases, interned)
     for idx, group in enumerate(partition):
         index = idx + 1
         name = group_campaign_name(index)

@@ -17,9 +17,9 @@ This module is the one place that decides whether a negative blocks a query.
 ``NegativeIndex`` answers for fixed negative lists by hash lookups keyed by
 the query's own words (an inverted-file lookup).  It can hold several lists
 at once, storing each distinct negative once with the set of lists that hold
-it, so one lookup per query gives every list's first match; ``blocks``
-answers a one-off question in a single pass; ``matches`` is the plain
-reference definition.
+it, so one lookup per query gives every list's first match, or just the
+bitmask of the lists that block the query; ``blocks`` answers a one-off
+question in a single pass; ``matches`` is the plain reference definition.
 """
 
 from __future__ import annotations
@@ -93,13 +93,31 @@ _MATCH_RANK = {MatchType.EXACT: 0, MatchType.PHRASE: 1, MatchType.LARGE: 2}
 
 @dataclass(frozen=True)
 class NegativeKeyword:
-    """A keyword paired with the match type under which it blocks queries."""
+    """A keyword paired with the match type under which it blocks queries.
+
+    The hash and the sort key are computed once, at construction: sets and
+    dicts of negatives then pay one Python call per hash instead of three
+    (this class, ``Keyword`` and ``MatchType``).  The cached hash is the value
+    the generated dataclass hash gives, ``hash((keyword, match))``, so set
+    layouts and iteration orders are those of an uncached negative.
+    """
 
     keyword: Keyword
     match: MatchType
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.keyword, self.match)))
+        object.__setattr__(self, "_sort_key", (_MATCH_RANK[self.match], self.keyword.words))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__, so an unpickled copy hashes by this process.
+        return (NegativeKeyword, (self.keyword, self.match))
+
     def sort_key(self) -> tuple[int, tuple[str, ...]]:
-        return (self.match.rank, self.keyword.words)
+        return self._sort_key
 
     def describe(self) -> str:
         return f"[{self.match.value}] {self.keyword.text}"
@@ -172,7 +190,8 @@ class NegativeIndex:
         self.size = len(lists)
         # Lists built or parsed by this package share one object per negative,
         # so occurrences are merged by identity and only distinct objects are
-        # hashed by value.
+        # hashed by value; that second merge also joins the equal copies that
+        # an update or a hand-made list may hold.
         by_id: dict[int, list] = {}
         for i, negatives in enumerate(lists):
             for neg in negatives:
@@ -193,9 +212,8 @@ class NegativeIndex:
             else:
                 self.larges.setdefault(min(words), []).append((frozenset(words), posting))
 
-    def hits(self, query: QueryWords) -> list[tuple[NegativeKeyword, int]]:
-        """Every indexed negative that blocks ``query``, with the bitmask of
-        the lists holding it, smallest ``sort_key`` first."""
+    def _postings(self, query: QueryWords) -> list[_Posting]:
+        """The posting of every indexed negative that blocks ``query``, unsorted."""
         hit = self.exact.get(query.words)
         postings = [] if hit is None else [hit]
         if self.phrases:
@@ -208,8 +226,21 @@ class NegativeIndex:
                 for needed, posting in self.larges.get(word, ())
                 if needed <= distinct
             ]
+        return postings
+
+    def hits(self, query: QueryWords) -> list[tuple[NegativeKeyword, int]]:
+        """Every indexed negative that blocks ``query``, with the bitmask of
+        the lists holding it, smallest ``sort_key`` first."""
+        postings = self._postings(query)
         postings.sort()
         return [(neg, mask) for _, neg, mask in postings]
+
+    def blocked(self, query: QueryWords) -> int:
+        """The bitmask of the indexed lists that block ``query``."""
+        mask = 0
+        for _, _, holders in self._postings(query):
+            mask |= holders
+        return mask
 
     def first_matches(self, query: QueryWords) -> list[NegativeKeyword | None]:
         """Each indexed list's first match, None where none blocks, in list order."""

@@ -14,6 +14,12 @@ campaign's ad-group negatives together, in one shared ``NegativeIndex``: the
 structure repeats a negative across many lists (a group's erasers sit in
 every other group campaign, a keyword's exact in every sibling ad group), and
 the shared index matches each distinct negative once per query.
+
+``Simulator.run`` returns the full ``Trajectory``: one ``Step`` per campaign
+the query met.  ``Simulator.disposition`` returns only the verdict.  It reads a
+clean landing straight off the indexes' bitmasks, without building any step,
+and hands every other outcome (ambiguous, dead end, fell through) to ``run``,
+so ``run`` stays the one path that explains a route.
 """
 
 from __future__ import annotations
@@ -120,14 +126,44 @@ class Simulator:
         hits = index.hits(QueryWords(query))
         return next((neg for neg, mask in hits if mask & bit), None)
 
+    def blocking_campaigns(self, query: Keyword) -> set[str]:
+        """The names of every campaign, in every tier, that refuses ``query``."""
+        words = QueryWords(query)
+        names: set[str] = set()
+        for tier, index in self._tiers:
+            blocked = index.blocked(words)
+            names.update(c.name for pos, c in enumerate(tier) if blocked >> pos & 1)
+        return names
+
     def open_adgroups(self, campaign: Campaign, query: Keyword) -> list[AdGroup]:
         return self._open_adgroups(campaign, QueryWords(query))
 
     def _open_adgroups(self, campaign: Campaign, words: QueryWords) -> list[AdGroup]:
-        blocked = 0
-        for _, mask in self._adgroup_index[campaign.name].hits(words):
-            blocked |= mask
+        blocked = self._adgroup_index[campaign.name].blocked(words)
         return [g for i, g in enumerate(campaign.adgroups) if not blocked >> i & 1]
+
+    def disposition(self, query: Keyword) -> Disposition:
+        """``run(query).disposition``, read off the index bitmasks when the
+        query lands; any other outcome is left to ``run``.
+
+        The first tier that admits the query must admit it in exactly one
+        campaign, which must leave exactly one ad group open.  No ``Step`` is
+        built on that path.
+        """
+        words = QueryWords(query)
+        for tier, index in self._tiers:
+            admitted = ~index.blocked(words) & ((1 << len(tier)) - 1)
+            if not admitted:
+                continue
+            if admitted & (admitted - 1) == 0:
+                campaign = tier[admitted.bit_length() - 1]
+                groups = campaign.adgroups
+                blocked = self._adgroup_index[campaign.name].blocked(words)
+                open_groups = ~blocked & ((1 << len(groups)) - 1)
+                if open_groups and open_groups & (open_groups - 1) == 0:
+                    return Landed(campaign.name, groups[open_groups.bit_length() - 1].name)
+            break
+        return self.run(query).disposition
 
     def run(self, query: Keyword) -> Trajectory:
         words = QueryWords(query)

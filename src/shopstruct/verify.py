@@ -9,12 +9,17 @@ Three routing properties are checked by simulation:
 3. generic routing: a query matching no catalogue keyword, no brand and no
    blocked brand lands in the catch-all ad group (seeded probes).
 
+Each query's verdict comes from ``Simulator.disposition``, which reads a
+landing off the index bitmasks and builds a full trajectory only for a query
+that does not land, so a passing case costs a few mask lookups.
+
 Static structure checks (limits, partition discipline, eraser strictness and
 coverage) run alongside.  The negatives audit (each group campaign admits its
-own group's keywords and blocks every other group's) is read off property 1's
-routes, so the catalogue is routed once, and one ``Simulator`` serves every
-check.  Verification never mutates the account and is deterministic for a
-given seed.
+own group's keywords and blocks every other group's) starts from property 1's
+failures: a keyword that landed in its own campaign, with no group campaign in
+a lower tier, already proves the audit's claim for it.  The audit reads its
+verdicts from the same bitmasks, and one ``Simulator`` serves every check.
+Verification never mutates the account and is deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Callable, Sequence
 from .account import Account, AdGroupTag, BrandTag, CatchAllTag, RuleTag
 from .erasers import erases
 from .keywords import Keyword, subword_set, word_set
-from .simulate import Blocked, Disposition, Landed, Simulator, Trajectory
+from .simulate import Disposition, Landed, Simulator
 
 
 @dataclass(frozen=True)
@@ -92,48 +97,56 @@ def _check_routes(
     name: str,
     cases: Sequence[tuple[Keyword, str, AdGroupTag | None, str]],
     note: str | None,
-) -> tuple[PropertyResult, tuple[Trajectory, ...]]:
+) -> tuple[PropertyResult, tuple[int, ...]]:
     """Route each (query, campaign, ad-group tag, ad-group description) case.
 
     A case passes when its query lands in the ad group with that tag in that
-    campaign; a None tag matches no ad group.
+    campaign; a None tag matches no ad group.  Also returns the indexes in
+    ``cases`` of the failing cases.
     """
     failures = []
-    routes = []
-    for query, campaign, tag, what in cases:
-        t = sim.run(query)
-        routes.append(t)
-        if not _landed_tag_matches(sim, t.disposition, campaign, tag):
+    failed = []
+    for i, (query, campaign, tag, what) in enumerate(cases):
+        d = sim.disposition(query)
+        if not _landed_tag_matches(sim, d, campaign, tag):
+            failed.append(i)
             failures.append(
                 Failure(
                     query=query,
                     expected=f"landed in campaign {campaign}, {what}",
-                    actual=describe_disposition(t.disposition),
+                    actual=describe_disposition(d),
                 )
             )
     result = PropertyResult(
         name=name, checked=len(cases), failures=tuple(failures), note=note
     )
-    return result, tuple(routes)
+    return result, tuple(failed)
 
 
-def verify_property1(sim: Simulator) -> tuple[PropertyResult, tuple[Trajectory, ...]]:
+def verify_property1(
+    sim: Simulator,
+) -> tuple[PropertyResult, tuple[tuple[int, Keyword], ...]]:
     """Every catalogue keyword lands in its own ad group, exhaustively.
 
-    Also returns each keyword's route, in partition order (keywords sorted
-    within their group), for ``verify_structure`` to audit.
+    Also returns each failing case as its keyword's (partition position,
+    keyword), in partition order (keywords sorted within their group), for
+    ``verify_structure`` to audit.  A keyword the partition repeats is a
+    case at each of its positions.
     """
     account = sim.account
     group_camps = account.group_campaigns()
     aligned = len(group_camps) == len(account.partition)
     camps = [c.name for c in group_camps] if aligned else ["?"] * len(account.partition)
+    placed = [
+        (pos, kw) for pos, group in enumerate(account.partition) for kw in sorted(group)
+    ]
     cases = [
-        (kw, camp, RuleTag(kw) if aligned else None, f"ad group for {kw.text!r}")
-        for group, camp in zip(account.partition, camps)
-        for kw in sorted(group)
+        (kw, camps[pos], RuleTag(kw) if aligned else None, f"ad group for {kw.text!r}")
+        for pos, kw in placed
     ]
     note = None if cases else "no catalogue keywords; own-keyword routing is vacuous"
-    return _check_routes(sim, "own-keyword routing", cases, note)
+    result, failed = _check_routes(sim, "own-keyword routing", cases, note)
+    return result, tuple(placed[i] for i in failed)
 
 
 def _filler_pool(account: Account) -> list[str]:
@@ -227,12 +240,12 @@ def verify_property3(
 
 
 def verify_structure(
-    sim: Simulator, routes: Sequence[Trajectory]
+    sim: Simulator, failures: Sequence[tuple[int, Keyword]]
 ) -> tuple[Finding, ...]:
     """Static checks: limits, partition discipline, negatives, eraser coverage.
 
-    ``routes`` are property 1's trajectories, one per catalogue keyword in
-    partition order; the negatives audit reads its verdicts off them.
+    ``failures`` are property 1's failing cases, as (partition position,
+    keyword) in partition order; the negatives audit starts from them.
     """
     account = sim.account
     findings: list[Finding] = []
@@ -318,38 +331,39 @@ def verify_structure(
 
         # The load-bearing negative invariant: each group campaign admits every
         # keyword of its own group and blocks every keyword of every other
-        # group.  A route holds a step for every campaign of each tier it
-        # reached; a campaign it never reached (the query stopped at a higher
-        # tier) is looked up directly.
-        owners = (pos for pos, group in enumerate(account.partition) for _ in group)
-        for pos, route in zip(owners, routes):
-            kw = route.query
-            seen_hits = {
-                s.campaign: s.outcome.by if isinstance(s.outcome, Blocked) else None
-                for s in route.steps
-            }
-            hits = [
-                seen_hits[c.name] if c.name in seen_hits
-                else sim.campaign_blocker(c.name, kw)
-                for c in group_camps
-            ]
-            if hits[pos] is not None:
-                findings.append(
-                    Finding(
-                        kind="negatives",
-                        detail=(
-                            f"campaign {group_camps[pos].name} blocks its own"
-                            f" keyword {kw.text!r} via {hits[pos].describe()}"
-                        ),
-                    )
-                )
-            for other_pos, hit in enumerate(hits):
-                if other_pos != pos and hit is None:
+        # group.  A keyword that passed property 1 landed in its own campaign:
+        # every campaign of a higher tier and every other campaign of that
+        # tier refused it.  When no group campaign sits in a lower tier, that
+        # is the whole invariant for the keyword, so only failing cases are
+        # audited; a group campaign above that lowest tier has every keyword
+        # audited.
+        lowest = min((c.priority for c in group_camps), default=None)
+        failing: dict[int, list[Keyword]] = {}
+        for pos, kw in failures:
+            failing.setdefault(pos, []).append(kw)
+        for pos, (camp, group) in enumerate(zip(group_camps, account.partition)):
+            audited = failing.get(pos, []) if camp.priority == lowest else sorted(group)
+            for kw in audited:
+                blocking = sim.blocking_campaigns(kw)
+                if camp.name in blocking:
+                    hit = sim.campaign_blocker(camp.name, kw)
                     findings.append(
                         Finding(
                             kind="negatives",
                             detail=(
-                                f"campaign {group_camps[other_pos].name} fails"
+                                f"campaign {camp.name} blocks its own"
+                                f" keyword {kw.text!r} via {hit.describe()}"
+                            ),
+                        )
+                    )
+                for other_pos, other in enumerate(group_camps):
+                    if other_pos == pos or other.name in blocking:
+                        continue
+                    findings.append(
+                        Finding(
+                            kind="negatives",
+                            detail=(
+                                f"campaign {other.name} fails"
                                 f" to block {kw.text!r} from group {pos + 1}"
                             ),
                         )
@@ -408,12 +422,12 @@ def verify_account(
 ) -> VerificationReport:
     """Run all routing properties plus the structural checks on one simulator."""
     sim = Simulator(account)
-    own_keyword, routes = verify_property1(sim)
+    own_keyword, failures = verify_property1(sim)
     return VerificationReport(
         properties=(
             own_keyword,
             verify_property2(sim, probes=probes, seed=seed),
             verify_property3(sim, probes=probes, seed=seed),
         ),
-        findings=verify_structure(sim, routes),
+        findings=verify_structure(sim, failures),
     )

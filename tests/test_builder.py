@@ -13,8 +13,10 @@ from shopstruct import (
     Money,
     Priority,
     Rule,
+    SyntheticSpec,
     build_account,
     exact,
+    generate,
     large,
     naive_partition,
     negative_count,
@@ -271,3 +273,15 @@ def test_candidate_pipeline_agrees_with_build(golden_rules):
     graph = build_graph(candidates)
     assert graph.node_count == 9
     assert graph.edge_count == 12
+
+
+def test_built_account_holds_one_object_per_negative():
+    cat = generate(SyntheticSpec(n=300, seed=0))
+    account = build_account(cat.rules, cat.brands, cat.non_brands)
+    held = [
+        neg
+        for c in account.campaigns
+        for negatives in (c.negatives, *(g.negatives for g in c.adgroups))
+        for neg in negatives
+    ]
+    assert len({id(neg) for neg in held}) == len(set(held))

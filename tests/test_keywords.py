@@ -149,3 +149,16 @@ def test_distinct_keywords_rejects_duplicates():
     with pytest.raises(DuplicateKeywordError):
         distinct_keywords(kws)
     distinct_keywords([normalize("a b"), normalize("b a")])
+
+
+@settings(max_examples=100, deadline=None)
+@given(kw=keywords, match=st.sampled_from(list(MatchType)))
+def test_negative_caches_the_dataclass_hash_and_sort_key(kw, match):
+    import pickle
+
+    neg = NegativeKeyword(kw, match)
+    assert hash(neg) == hash((kw, match))
+    assert neg.sort_key() == (match.rank, kw.words)
+    copy = pickle.loads(pickle.dumps(neg))
+    assert copy == neg and hash(copy) == hash(neg)
+    assert {neg: 1}[NegativeKeyword(Keyword(kw.words), match)] == 1

@@ -28,17 +28,21 @@ from shopstruct import (
     NegativeIndex,
     NegativeKeyword,
     Priority,
+    Rule,
     RuleTag,
     Simulator,
     SyntheticSpec,
+    add_rule,
     build_account,
     exact,
     generate,
     large,
     normalize,
     phrase,
+    remove_rule,
 )
 from shopstruct.keywords import QueryWords, matches
+from test_verifier import _mutants
 
 
 def test_own_keyword_lands_in_its_own_adgroup(golden_account):
@@ -222,6 +226,7 @@ def test_shared_index_gives_each_lists_first_match(lists, query):
     hit = sorted({n for negs in lists for n in negs if matches(q, n)}, key=NegativeKeyword.sort_key)
     holders = [sum(1 << i for i, negs in enumerate(lists) if n in negs) for n in hit]
     assert index.hits(QueryWords(q)) == list(zip(hit, holders))
+    assert index.blocked(QueryWords(q)) == functools.reduce(int.__or__, holders, 0)
 
 
 def test_blocker_ties_across_match_types_follow_the_reference():
@@ -314,6 +319,9 @@ def _assert_same_routing(sim: Simulator, ref, query: Keyword) -> None:
     for c in sim.account.campaigns:
         assert sim.campaign_blocker(c.name, query) == ref.campaign_blocker(c.name, query)
         assert sim.open_adgroups(c, query) == ref.open_adgroups(c, query)
+    assert sim.blocking_campaigns(query) == {
+        c.name for c in sim.account.campaigns if ref.campaign_blocker(c.name, query)
+    }
 
 
 @pytest.mark.parametrize("name", sorted(_routed_accounts()))
@@ -350,3 +358,78 @@ def test_random_queries_route_as_the_reference(name, data):
         Keyword(seed.words[:cut] + tuple(extra) + seed.words[cut:]),
     ):
         _assert_same_routing(sim, ref, query)
+
+
+# --- the verdict-only path against the full route ---------------------------
+
+
+@functools.cache
+def _verdict_accounts() -> dict[str, Account]:
+    """The routed accounts, an updated synth-300 account and every verifier
+    mutant of the golden and synth-300 accounts."""
+    routed = _routed_accounts()
+    synth = routed["synth-300"]
+    # "bo ka bobe" holds large erasers of two groups, so min-negatives
+    # re-covers the groups; removing a rule then leaves stale erasers.
+    grown = add_rule(
+        synth,
+        Rule(normalize("bo ka bobe"), Money(120_000), frozenset({"item-new"})),
+        strategy="min-negatives",
+    ).account
+    out = dict(routed)
+    out["synth-300 updated"] = remove_rule(grown, min(synth.keywords())).account
+    for base in ("golden", "synth-300"):
+        for mutant, account in _mutants(routed[base]).items():
+            if mutant != "as built":
+                out[f"{base} {mutant}"] = account
+    return out
+
+
+@functools.cache
+def _verdict_simulator(name: str) -> Simulator:
+    return Simulator(_verdict_accounts()[name])
+
+
+def _vocabulary(account: Account) -> list[str]:
+    special = account.brands + account.non_brands
+    return sorted({w for kw in [*account.keywords(), *special] for w in kw.words} | {"zz"})
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", sorted(_verdict_accounts()))
+def test_disposition_equals_the_full_route(name, data):
+    sim = _verdict_simulator(name)
+    account = sim.account
+    vocabulary = _vocabulary(account)
+    words = data.draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=5))
+    seed = data.draw(
+        st.sampled_from(sorted(account.keywords()) + list(account.brands + account.non_brands))
+    )
+    cut = data.draw(st.integers(0, len(seed.words)))
+    extra = data.draw(st.lists(st.sampled_from(vocabulary), max_size=2))
+    for query in (
+        Keyword(tuple(words)),
+        seed,
+        Keyword(seed.words[:cut] + tuple(extra) + seed.words[cut:]),
+    ):
+        assert sim.disposition(query) == sim.run(query).disposition
+
+
+def test_disposition_meets_every_kind_of_verdict():
+    kinds = Counter()
+    for name in _verdict_accounts():
+        sim = _verdict_simulator(name)
+        account = sim.account
+        brands = account.brands
+        queries = [
+            *sorted(account.keywords()),
+            *brands,
+            *account.non_brands,
+            *(Keyword(a.words + b.words) for a, b in zip(brands, brands[1:])),
+        ]
+        for query in queries:
+            verdict = sim.disposition(query)
+            assert verdict == sim.run(query).disposition
+            kinds[verdict.kind] += 1
+    assert set(kinds) == {"landed", "dead_end", "ambiguous", "fell_through"}

@@ -205,6 +205,9 @@ def _mutants(account):
     general = account.general_campaign()
     kept = sorted(general.negatives, key=lambda n: n.sort_key())
     kept = frozenset(kept[: len(kept) // 2])
+    # The partition may repeat a keyword; each copy is its own property 1 case,
+    # and its audit findings must name that copy's group.
+    parts = account.partition
     return {
         "as built": account,
         "large negative dropped": _with_campaign(
@@ -240,8 +243,22 @@ def _mutants(account):
         "group campaign in High": _with_campaign(
             account, second.name, priority=Priority.HIGH
         ),
+        # Group 1's keywords land in Medium and never meet the Low tier, where
+        # the second campaign no longer blocks them: only the audit sees it.
+        "group campaign in Medium over a leaky one": _with_campaign(
+            _with_campaign(account, first.name, priority=Priority.MEDIUM),
+            second.name,
+            negatives=second.negatives
+            - {e.to_negative() for e in account.erasers[0]},
+        ),
         "High campaign half its negatives": _with_campaign(
             account, general.name, negatives=kept
+        ),
+        "keyword also in a later group": replace(
+            account, partition=(parts[0], parts[1] | {min(parts[0])}) + parts[2:]
+        ),
+        "keyword also in an earlier group": replace(
+            account, partition=(parts[0] | {min(parts[-1])},) + parts[1:]
         ),
     }
 
@@ -274,7 +291,10 @@ def equivalence_accounts(golden_account):
         "group campaign removed",
         "group campaign in Medium",
         "group campaign in High",
+        "group campaign in Medium over a leaky one",
         "High campaign half its negatives",
+        "keyword also in a later group",
+        "keyword also in an earlier group",
     ],
 )
 def test_report_equals_reference_verifier(equivalence_accounts, base, mutant):
