@@ -19,6 +19,13 @@ def _check_counts(n: int, m: int, mprime: int) -> None:
         raise InputError("counts must be non-negative")
 
 
+def _absent_medium(n: int, m: int, mprime: int) -> int:
+    """The formulas below count a medium campaign whose own list holds the n
+    keyword exacts and the m' blocked-brand phrases.  The builder emits that
+    campaign only when there are brands, so for m = 0 these are subtracted."""
+    return 0 if m else n + mprime
+
+
 def nk_exact(n: int, m: int, mprime: int, group_sizes: Sequence[int]) -> int:
     """Exact negative total for a build over a concrete keyword partition.
 
@@ -34,13 +41,14 @@ def nk_exact(n: int, m: int, mprime: int, group_sizes: Sequence[int]) -> int:
     if sum(sizes) != n:
         raise InputError(f"group sizes sum to {sum(sizes)}, expected {n}")
     k = len(sizes)
-    return m * m + (k + 2) * mprime + k * n + sum(s * s for s in sizes)
+    total = m * m + (k + 2) * mprime + k * n + sum(s * s for s in sizes)
+    return total - _absent_medium(n, m, mprime)
 
 
 def high_medium_count(n: int, m: int, mprime: int) -> int:
     """Negative total of the high and medium priority campaigns alone."""
     _check_counts(n, m, mprime)
-    return 2 * n + 2 * mprime + m * m
+    return 2 * n + 2 * mprime + m * m - _absent_medium(n, m, mprime)
 
 
 def nk_worst_case_optimal(n: int, m: int, mprime: int) -> float:
@@ -51,7 +59,7 @@ def nk_worst_case_optimal(n: int, m: int, mprime: int) -> float:
     """
     _check_counts(n, m, mprime)
     root = math.sqrt(n)
-    return m * m + (root + 2) * mprime + 2 * n * root
+    return m * m + (root + 2) * mprime + 2 * n * root - _absent_medium(n, m, mprime)
 
 
 def nk_worst_case_optimal_rounded(n: int, m: int, mprime: int) -> int:

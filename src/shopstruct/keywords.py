@@ -17,9 +17,10 @@ This module is the one place that decides whether a negative blocks a query.
 ``NegativeIndex`` answers for fixed negative lists by hash lookups keyed by
 the query's own words (an inverted-file lookup).  It can hold several lists
 at once, storing each distinct negative once with the set of lists that hold
-it, so one lookup per query gives every list's first match, or just the
-bitmask of the lists that block the query; ``blocks`` answers a one-off
-question in a single pass; ``matches`` is the plain reference definition.
+it, so one lookup per query gives every blocking negative with the bitmask of
+its lists, or just the bitmask of the lists that block the query; a list's
+first match is the first of those hits that it holds.  ``matches`` is the
+plain reference definition.
 """
 
 from __future__ import annotations
@@ -147,24 +148,6 @@ class QueryWords:
         self.distinct = frozenset(query.words)
 
 
-def blocks(negatives: Iterable[NegativeKeyword], query: Keyword) -> bool:
-    """Does any of ``negatives`` block ``query``?  One pass over the list."""
-    words = query.words
-    runs = subword_set(query)
-    distinct = frozenset(words)
-    for neg in negatives:
-        needle = neg.keyword.words
-        if neg.match is MatchType.EXACT:
-            if needle == words:
-                return True
-        elif neg.match is MatchType.PHRASE:
-            if needle in runs:
-                return True
-        elif distinct.issuperset(needle):
-            return True
-    return False
-
-
 _Posting = tuple[tuple[int, tuple[str, ...]], NegativeKeyword, int]
 
 
@@ -184,10 +167,9 @@ class NegativeIndex:
     before phrase before large, canonical order within a type.
     """
 
-    __slots__ = ("size", "exact", "phrases", "larges")
+    __slots__ = ("exact", "phrases", "larges")
 
     def __init__(self, *lists: Iterable[NegativeKeyword]) -> None:
-        self.size = len(lists)
         # Lists built or parsed by this package share one object per negative,
         # so occurrences are merged by identity and only distinct objects are
         # hashed by value; that second merge also joins the equal copies that
@@ -241,21 +223,6 @@ class NegativeIndex:
         for _, _, holders in self._postings(query):
             mask |= holders
         return mask
-
-    def first_matches(self, query: QueryWords) -> list[NegativeKeyword | None]:
-        """Each indexed list's first match, None where none blocks, in list order."""
-        out: list[NegativeKeyword | None] = [None] * self.size
-        unmatched = (1 << self.size) - 1
-        for neg, mask in self.hits(query):
-            mask &= unmatched
-            unmatched ^= mask
-            while mask:
-                low = mask & -mask
-                out[low.bit_length() - 1] = neg
-                mask ^= low
-            if not unmatched:
-                break
-        return out
 
     def first_match(self, query: Keyword) -> NegativeKeyword | None:
         return self.lookup(QueryWords(query))

@@ -15,17 +15,18 @@ structure repeats a negative across many lists (a group's erasers sit in
 every other group campaign, a keyword's exact in every sibling ad group), and
 the shared index matches each distinct negative once per query.
 
-``Simulator.run`` returns the full ``Trajectory``: one ``Step`` per campaign
-the query met.  ``Simulator.disposition`` returns only the verdict.  It reads a
-clean landing straight off the indexes' bitmasks, without building any step,
-and hands every other outcome (ambiguous, dead end, fell through) to ``run``,
-so ``run`` stays the one path that explains a route.
+Every verdict is decided in one place, from the indexes' bitmasks: OR the
+masks of the lists that block the query, tier by tier, then the masks of the
+admitting campaign's ad groups.  ``Simulator.disposition`` returns that
+verdict alone.  ``Simulator.run`` takes the same verdict and only explains it:
+one ``Step`` per campaign of each tier the query met, naming each blocked
+campaign's first matching negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 from .account import Account, AdGroup, AdGroupTag, Campaign, Priority
 from .keywords import Keyword, NegativeIndex, NegativeKeyword, QueryWords
@@ -92,6 +93,11 @@ class Trajectory:
     disposition: Disposition
 
 
+def _names(items: Sequence[Campaign | AdGroup], mask: int) -> tuple[str, ...]:
+    """The names of the items whose bits are set in ``mask``, in order."""
+    return tuple(x.name for i, x in enumerate(items) if mask >> i & 1)
+
+
 class Simulator:
     """Reusable query router for one account; build once, run many queries.
 
@@ -131,8 +137,7 @@ class Simulator:
         words = QueryWords(query)
         names: set[str] = set()
         for tier, index in self._tiers:
-            blocked = index.blocked(words)
-            names.update(c.name for pos, c in enumerate(tier) if blocked >> pos & 1)
+            names.update(_names(tier, index.blocked(words)))
         return names
 
     def open_adgroups(self, campaign: Campaign, query: Keyword) -> list[AdGroup]:
@@ -143,68 +148,51 @@ class Simulator:
         return [g for i, g in enumerate(campaign.adgroups) if not blocked >> i & 1]
 
     def disposition(self, query: Keyword) -> Disposition:
-        """``run(query).disposition``, read off the index bitmasks when the
-        query lands; any other outcome is left to ``run``.
+        """``run(query).disposition``, without building any ``Step``."""
+        return self._verdict(QueryWords(query))[0]
 
-        The first tier that admits the query must admit it in exactly one
-        campaign, which must leave exactly one ad group open.  No ``Step`` is
-        built on that path.
+    def _verdict(self, words: QueryWords) -> tuple[Disposition, int]:
+        """The query's verdict and the number of tiers it met.
+
+        The first tier with an admitting campaign decides: several admitting
+        campaigns are ambiguous; one is entered, and its open ad groups give a
+        landing, a dead end or an ambiguity.  No admitting campaign in any
+        tier means the query fell through.
         """
-        words = QueryWords(query)
-        for tier, index in self._tiers:
+        for met, (tier, index) in enumerate(self._tiers, 1):
             admitted = ~index.blocked(words) & ((1 << len(tier)) - 1)
             if not admitted:
                 continue
-            if admitted & (admitted - 1) == 0:
-                campaign = tier[admitted.bit_length() - 1]
-                groups = campaign.adgroups
-                blocked = self._adgroup_index[campaign.name].blocked(words)
-                open_groups = ~blocked & ((1 << len(groups)) - 1)
-                if open_groups and open_groups & (open_groups - 1) == 0:
-                    return Landed(campaign.name, groups[open_groups.bit_length() - 1].name)
-            break
-        return self.run(query).disposition
+            if admitted & (admitted - 1):
+                return Ambiguous(_names(tier, admitted), ()), met
+            campaign = tier[admitted.bit_length() - 1]
+            groups = campaign.adgroups
+            blocked = self._adgroup_index[campaign.name].blocked(words)
+            open_groups = ~blocked & ((1 << len(groups)) - 1)
+            if not open_groups:
+                return DeadEnd(campaign.name), met
+            if open_groups & (open_groups - 1):
+                return Ambiguous((campaign.name,), _names(groups, open_groups)), met
+            return Landed(campaign.name, groups[open_groups.bit_length() - 1].name), met
+        return FellThrough(), len(self._tiers)
 
     def run(self, query: Keyword) -> Trajectory:
+        """The verdict with one ``Step`` per campaign of each tier met: in the
+        deciding tier, one entered campaign comes after the blocked ones and
+        several come before them."""
         words = QueryWords(query)
+        verdict, met = self._verdict(words)
         steps: list[Step] = []
-        for tier, index in self._tiers:
-            admitted: list[Campaign] = []
+        for tier, index in self._tiers[:met]:
+            hits = index.hits(words)
+            entered: list[Step] = []
             blocked: list[Step] = []
-            for c, hit in zip(tier, index.first_matches(words)):
-                if hit is None:
-                    admitted.append(c)
-                else:
-                    blocked.append(Step(c.name, Blocked(hit)))
-            if not admitted:
-                steps.extend(blocked)
-                continue
-            if len(admitted) > 1:
-                for c in admitted:
+            for pos, c in enumerate(tier):
+                by = next((neg for neg, mask in hits if mask >> pos & 1), None)
+                if by is None:
                     names = tuple(g.name for g in self._open_adgroups(c, words))
-                    steps.append(Step(c.name, Entered(names)))
-                steps.extend(blocked)
-                return Trajectory(
-                    query,
-                    tuple(steps),
-                    Ambiguous(tuple(c.name for c in admitted), ()),
-                )
-            campaign = admitted[0]
-            open_groups = self._open_adgroups(campaign, words)
-            steps.extend(blocked)
-            steps.append(
-                Step(campaign.name, Entered(tuple(g.name for g in open_groups)))
-            )
-            if len(open_groups) == 1:
-                return Trajectory(
-                    query, tuple(steps), Landed(campaign.name, open_groups[0].name)
-                )
-            if not open_groups:
-                return Trajectory(query, tuple(steps), DeadEnd(campaign.name))
-            return Trajectory(
-                query,
-                tuple(steps),
-                Ambiguous((campaign.name,), tuple(g.name for g in open_groups)),
-            )
-        return Trajectory(query, tuple(steps), FellThrough())
-
+                    entered.append(Step(c.name, Entered(names)))
+                else:
+                    blocked.append(Step(c.name, Blocked(by)))
+            steps += entered + blocked if len(entered) > 1 else blocked + entered
+        return Trajectory(query, tuple(steps), verdict)

@@ -40,7 +40,7 @@ from .erasers import (
     reduce_keywords,
 )
 from .errors import DuplicateKeywordError, InputError
-from .keywords import Keyword, NegativeKeyword, blocks, exact, phrase
+from .keywords import Keyword, NegativeIndex, NegativeKeyword, QueryWords, exact, phrase
 
 
 # --- change log ----------------------------------------------------------
@@ -424,9 +424,14 @@ def add_rule(
     _check_routable([kw], account.non_brands)
     group_camps = _group_campaigns(account)
 
+    # One index over the union of the group campaigns' lists finds the
+    # negatives that block the keyword; a campaign admits it when its list
+    # holds none of them (compared by value, so equal copies agree).
+    held = frozenset().union(*(camp.negatives for camp in group_camps))
+    hits = {neg for neg, _ in NegativeIndex(held).hits(QueryWords(kw))}
     blocking = _tier_campaigns(account)
     admitting = [
-        pos for pos, camp in enumerate(group_camps) if not blocks(camp.negatives, kw)
+        pos for pos, camp in enumerate(group_camps) if hits.isdisjoint(camp.negatives)
     ]
     if admitting:
         pos = min(admitting, key=lambda p: (len(account.partition[p]), p))

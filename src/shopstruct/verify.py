@@ -9,9 +9,9 @@ Three routing properties are checked by simulation:
 3. generic routing: a query matching no catalogue keyword, no brand and no
    blocked brand lands in the catch-all ad group (seeded probes).
 
-Each query's verdict comes from ``Simulator.disposition``, which reads a
-landing off the index bitmasks and builds a full trajectory only for a query
-that does not land, so a passing case costs a few mask lookups.
+Each query's verdict comes from ``Simulator.disposition``, which reads every
+verdict, failing ones included, off the index bitmasks and builds no
+trajectory, so a case costs a few mask lookups.
 
 Static structure checks (limits, partition discipline, eraser strictness and
 coverage) run alongside.  The negatives audit (each group campaign admits its

@@ -24,6 +24,17 @@ def test_exact_count_small_example():
 
 def test_high_medium_count_small_example():
     assert high_medium_count(4, 3, 1) == 19
+    # No brands: the high campaign alone, n exacts and m' phrases.
+    assert high_medium_count(4, 0, 1) == 5
+
+
+def test_counts_without_brands_drop_the_medium_campaign():
+    assert nk_exact(4, 0, 1, [2, 2]) == nk_exact(4, 1, 1, [2, 2]) - 1 - (4 + 1)
+    assert nk_exact(300, 0, 0, [300]) == 300 + 300 * 299
+    root = math.sqrt(10000)
+    assert nk_worst_case_optimal(10000, 0, 2) == pytest.approx(
+        (root + 2) * 2 + 2 * 10000 * root - (10000 + 2)
+    )
 
 
 def test_exact_count_formula_terms():
@@ -75,15 +86,31 @@ def test_invalid_counts_raise(call):
 
 
 def test_exact_count_matches_built_account(four_rules):
-    from shopstruct import normalize
+    from shopstruct import Priority, SyntheticSpec, generate, normalize
 
     brands = tuple(normalize(b) for b in ("nike", "adidas", "garmin"))
     non_brands = (normalize("reebok"),)
-    account = build_account(
-        four_rules, brands, non_brands, config=BuildConfig(mode="naive")
-    )
-    sizes = [len(g) for g in account.partition]
-    assert negative_count(account) == nk_exact(4, 3, 1, sizes)
+    cases = [
+        (four_rules, brands, non_brands),
+        # Without brands the builder emits no medium campaign.
+        (four_rules, (), non_brands),
+        (four_rules, (), ()),
+    ]
+    for spec in (
+        SyntheticSpec(n=300, seed=0, brand_count=0),
+        SyntheticSpec(n=300, seed=0, brand_count=0, non_brand_count=0),
+    ):
+        cat = generate(spec)
+        cases.append((cat.rules, cat.brands, cat.non_brands))
+    for rules, brands, non_brands in cases:
+        account = build_account(rules, brands, non_brands, config=BuildConfig(mode="naive"))
+        n, m, mprime = len(rules), len(brands), len(non_brands)
+        sizes = [len(g) for g in account.partition]
+        assert negative_count(account) == nk_exact(n, m, mprime, sizes)
+        upper = [c for c in account.campaigns if c.priority is not Priority.LOW]
+        assert sum(
+            len(c.negatives) + sum(len(g.negatives) for g in c.adgroups) for c in upper
+        ) == high_medium_count(n, m, mprime)
 
 
 def test_exact_count_matches_golden_naive(golden_naive_account):

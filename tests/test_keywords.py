@@ -11,7 +11,6 @@ from shopstruct import (
     MatchType,
     NegativeIndex,
     NegativeKeyword,
-    blocks,
     distinct_keywords,
     exact,
     large,
@@ -21,6 +20,7 @@ from shopstruct import (
     subword_set,
     word_set,
 )
+from shopstruct.keywords import QueryWords
 
 words = st.sampled_from(["nike", "adidas", "shoes", "air", "max", "large", "red"])
 keywords = st.lists(words, min_size=1, max_size=5).map(lambda ws: Keyword(tuple(ws)))
@@ -109,12 +109,13 @@ negatives = st.frozensets(
 @given(negs=negatives, query=st.lists(words, min_size=1, max_size=6))
 def test_index_and_blocks_agree_with_reference_matches(negs, query):
     q = Keyword(tuple(query))
-    first = NegativeIndex(negs).first_match(q)
+    index = NegativeIndex(negs)
+    first = index.first_match(q)
     reference = min(
         (n for n in negs if matches(q, n)), key=NegativeKeyword.sort_key, default=None
     )
     assert first == reference
-    assert blocks(negs, q) == (first is not None)
+    assert index.blocked(QueryWords(q)) == (first is not None)
 
 
 def test_match_type_ordering():

@@ -221,11 +221,13 @@ def test_shared_index_gives_each_lists_first_match(lists, query):
         for negs in lists
     ]
     index = NegativeIndex(*lists)
-    assert index.first_matches(QueryWords(q)) == expected
+    hits = index.hits(QueryWords(q))
+    first = [next((n for n, mask in hits if mask >> i & 1), None) for i in range(len(lists))]
+    assert first == expected
     assert [NegativeIndex(negs).first_match(q) for negs in lists] == expected
     hit = sorted({n for negs in lists for n in negs if matches(q, n)}, key=NegativeKeyword.sort_key)
     holders = [sum(1 << i for i, negs in enumerate(lists) if n in negs) for n in hit]
-    assert index.hits(QueryWords(q)) == list(zip(hit, holders))
+    assert hits == list(zip(hit, holders))
     assert index.blocked(QueryWords(q)) == functools.reduce(int.__or__, holders, 0)
 
 
@@ -360,7 +362,7 @@ def test_random_queries_route_as_the_reference(name, data):
         _assert_same_routing(sim, ref, query)
 
 
-# --- the verdict-only path against the full route ---------------------------
+# --- the verdict-only path against the reference route ----------------------
 
 
 @functools.cache
@@ -386,8 +388,9 @@ def _verdict_accounts() -> dict[str, Account]:
 
 
 @functools.cache
-def _verdict_simulator(name: str) -> Simulator:
-    return Simulator(_verdict_accounts()[name])
+def _verdict_routers(name: str) -> tuple[Simulator, oracles.Simulator]:
+    account = _verdict_accounts()[name]
+    return Simulator(account), oracles.Simulator(account)
 
 
 def _vocabulary(account: Account) -> list[str]:
@@ -399,7 +402,7 @@ def _vocabulary(account: Account) -> list[str]:
 @given(data=st.data())
 @pytest.mark.parametrize("name", sorted(_verdict_accounts()))
 def test_disposition_equals_the_full_route(name, data):
-    sim = _verdict_simulator(name)
+    sim, ref = _verdict_routers(name)
     account = sim.account
     vocabulary = _vocabulary(account)
     words = data.draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=5))
@@ -413,13 +416,15 @@ def test_disposition_equals_the_full_route(name, data):
         seed,
         Keyword(seed.words[:cut] + tuple(extra) + seed.words[cut:]),
     ):
-        assert sim.disposition(query) == sim.run(query).disposition
+        expected = ref.run(query)
+        assert sim.disposition(query) == expected.disposition
+        assert sim.run(query) == expected
 
 
 def test_disposition_meets_every_kind_of_verdict():
     kinds = Counter()
     for name in _verdict_accounts():
-        sim = _verdict_simulator(name)
+        sim, ref = _verdict_routers(name)
         account = sim.account
         brands = account.brands
         queries = [
@@ -430,6 +435,6 @@ def test_disposition_meets_every_kind_of_verdict():
         ]
         for query in queries:
             verdict = sim.disposition(query)
-            assert verdict == sim.run(query).disposition
+            assert verdict == ref.run(query).disposition
             kinds[verdict.kind] += 1
     assert set(kinds) == {"landed", "dead_end", "ambiguous", "fell_through"}

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
@@ -17,7 +19,11 @@ from shopstruct import (
     InputError,
     LargeEraser,
     LimitExceededError,
+    Keyword,
     Money,
+    NegativeIndex,
+    NegativeKeyword,
+    Priority,
     Rule,
     Simulator,
     SyntheticSpec,
@@ -25,7 +31,6 @@ from shopstruct import (
     account_document,
     add_rule,
     apply_changes,
-    blocks,
     build_account,
     check_balance,
     exact,
@@ -39,6 +44,7 @@ from shopstruct import (
     render_account,
     verify_account,
 )
+from shopstruct.keywords import QueryWords, matches
 from shopstruct.updates import (
     AddAdGroup,
     AddCampaign,
@@ -54,6 +60,7 @@ from shopstruct.updates import (
     UnassignKeyword,
 )
 import oracles
+from conftest import GOLDEN_BRANDS, GOLDEN_NON_BRANDS, make_golden_rules
 
 
 def _op(change) -> str:
@@ -511,12 +518,13 @@ def _blocked_everywhere(account, rng):
         return None
     present = account.keywords()
     camps = account.group_campaigns()
+    index = NegativeIndex(*(c.negatives for c in camps))
     for _ in range(200):
         (g1, w1), (g2, w2) = rng.sample(larges, 2)
         if g1 == g2:
             continue
         kw = normalize(" ".join(w1 + [w for w in w2 if w not in w1]))
-        if kw not in present and all(blocks(c.negatives, kw) for c in camps):
+        if kw not in present and index.blocked(QueryWords(kw)) == (1 << len(camps)) - 1:
             return kw
     return None
 
@@ -540,6 +548,100 @@ def test_min_negatives_matches_the_quadratic_reference(seed):
     result = Simulator(out.account).run(kw)
     assert result.disposition.kind == "landed"
     assert result.disposition.adgroup == kw.text
+
+
+# --- add_rule admission against the per-negative reference -----------------
+
+
+def _unshared(account):
+    """``account`` with each group campaign holding its own copies of its
+    negatives: equal to the other campaigns' by value, never the same object."""
+    return replace(
+        account,
+        campaigns=tuple(
+            replace(c, negatives=frozenset(NegativeKeyword(n.keyword, n.match) for n in c.negatives))
+            if c.priority is Priority.LOW
+            else c
+            for c in account.campaigns
+        ),
+    )
+
+
+@functools.cache
+def _admission_accounts():
+    cat = generate(SyntheticSpec(n=300, seed=0))
+    synth = build_account(cat.rules, cat.brands, cat.non_brands)
+    golden = build_account(
+        make_golden_rules(),
+        tuple(normalize(b) for b in GOLDEN_BRANDS),
+        tuple(normalize(b) for b in GOLDEN_NON_BRANDS),
+    )
+    return {"golden": golden, "synth-300": synth, "synth-300 unshared": _unshared(synth)}
+
+
+def _admission_vocabulary(account):
+    blocked = {w for b in account.non_brands for w in b.words}
+    return sorted({w for kw in account.keywords() for w in kw.words} - blocked)
+
+
+def _assert_admits_as_reference(account, kw) -> str:
+    """Add ``kw`` and check where it went: to the smallest group whose
+    campaign no negative of which ``matches`` it, else to a new campaign."""
+    out = add_rule(account, Rule(kw, Money(90_000), frozenset({"item-new"})))
+    admitting = [
+        pos
+        for pos, camp in enumerate(account.group_campaigns())
+        if not any(matches(kw, neg) for neg in camp.negatives)
+    ]
+    k = len(account.partition)
+    if admitting:
+        pos = min(admitting, key=lambda p: (len(account.partition[p]), p))
+        assert out.account.group_of(kw) == pos
+        assert len(out.account.partition) == k
+        return "admitted"
+    assert out.account.group_of(kw) == k
+    assert len(out.account.group_campaigns()) == k + 1
+    return "opened"
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", ["golden", "synth-300", "synth-300 unshared"])
+def test_add_rule_admits_as_the_reference(name, data):
+    account = _admission_accounts()[name]
+    vocabulary = _admission_vocabulary(account)
+    catalogue = sorted(account.keywords())
+    seed, other = data.draw(st.sampled_from(catalogue)), data.draw(st.sampled_from(catalogue))
+    cut = data.draw(st.integers(0, len(seed.words)))
+    extra = data.draw(st.lists(st.sampled_from(vocabulary), max_size=2))
+    words = data.draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=4))
+    # Random words mostly find an admitting group; the words of two catalogue
+    # keywords often hold erasers of two groups and are blocked everywhere.
+    for kw in (
+        Keyword(tuple(words)),
+        Keyword(seed.words[:cut] + tuple(extra) + seed.words[cut:]),
+        Keyword(seed.words + tuple(w for w in other.words if w not in seed.words)),
+    ):
+        if kw not in account.keywords():
+            _assert_admits_as_reference(account, kw)
+
+
+def test_add_rule_admission_meets_both_outcomes():
+    accounts = _admission_accounts()
+    unshared = accounts["synth-300 unshared"].group_campaigns()
+    assert unshared[0].negatives == accounts["synth-300"].group_campaigns()[0].negatives
+    shared = set.intersection(*({id(n) for n in c.negatives} for c in unshared[:2]))
+    assert not shared
+    rng = random.Random(0)
+    seen = Counter()
+    for account in accounts.values():
+        catalogue = sorted(account.keywords())
+        for _ in range(20):
+            a, b = rng.sample(catalogue, 2)
+            kw = Keyword(a.words + tuple(w for w in b.words if w not in a.words))
+            if kw not in account.keywords():
+                seen[_assert_admits_as_reference(account, kw)] += 1
+    assert seen["admitted"] and seen["opened"]
 
 
 # sha256 of the final snapshot and of the joined change-log lines of
