@@ -40,6 +40,7 @@ from .account import (
     RuleTag,
     negative_count,
 )
+from .bounds import nk_exact
 from .erasers import (
     Eraser,
     ExactEraser,
@@ -54,6 +55,7 @@ from .keywords import (
     Keyword,
     NegativeIndex,
     NegativeKeyword,
+    QueryWords,
     distinct_keywords,
     exact,
     phrase,
@@ -101,11 +103,11 @@ def _check_routable(keywords: Iterable[Keyword], non_brands: Sequence[Keyword]) 
     blocks such a keyword, so its traffic could never land anywhere."""
     blocked = NegativeIndex(phrase(b) for b in non_brands)
     for kw in keywords:
-        hit = blocked.first_match(kw)
-        if hit is not None:
+        hits = blocked.hits(QueryWords(kw))
+        if hits:
             raise InputError(
                 f"keyword {kw.text!r} contains the blocked brand"
-                f" {hit.keyword.text!r}, so no campaign can route it"
+                f" {hits[0][0].keyword.text!r}, so no campaign can route it"
             )
 
 
@@ -333,28 +335,25 @@ def reduction_stats(
     *,
     config: BuildConfig | None = None,
 ) -> ReductionStats:
-    """Build both ways and report how much the eraser pipeline saves."""
-    config = config or BuildConfig()
-    reduced_cfg = replace(config, mode="reduced")
-    naive_cfg = replace(config, mode="naive")
-
+    """Build the reduced account once and report how much it saves.  The naive
+    count is ``nk_exact`` over the naive partition, with no naive build: its
+    largest list, the High campaign, is in the reduced build too."""
+    config = replace(config or BuildConfig(), mode="reduced")
     keywords = [r.keyword for r in rules]
-    candidates = enumerate_candidates(
-        keywords, max_words=config.max_words, max_image=config.max_image
+    graph = build_graph(
+        enumerate_candidates(keywords, max_words=config.max_words, max_image=config.max_image)
     )
-    graph = build_graph(candidates)
-    colors = welsh_powell(graph, order=config.coloring_order)
-    selected = select_color_class(graph, colors)
-
-    reduced = build_account(rules, brands, non_brands, config=reduced_cfg)
-    naive = build_account(rules, brands, non_brands, config=naive_cfg)
+    reduced = build_account(rules, brands, non_brands, config=config)
+    exact_erasers = sum(isinstance(e, ExactEraser) for g in reduced.erasers for e in g)
+    naive_groups = naive_partition(keywords, target_size=config.target_size)[0]
+    naive_sizes = [len(g) for g in naive_groups]
     return ReductionStats(
         n=len(keywords),
         candidate_count=graph.node_count,
         conflict_edges=graph.edge_count,
-        covered=sum(c.weight for c in selected),
+        covered=len(keywords) - exact_erasers,
         group_count=len(reduced.partition),
         group_sizes=tuple(len(g) for g in reduced.partition),
-        naive_negatives=negative_count(naive),
+        naive_negatives=nk_exact(len(keywords), len(brands), len(non_brands), naive_sizes),
         reduced_negatives=negative_count(reduced),
     )

@@ -51,21 +51,21 @@ def _load_catalogue(args) -> tuple[tuple[Rule, ...], tuple[Keyword, ...], tuple[
     return rules, brands, non_brands
 
 
-def _build_config(args) -> BuildConfig:
+def _build_config(args, **build_only) -> BuildConfig:
     return BuildConfig(
-        mode=args.mode,
         max_words=args.max_words,
         max_image=args.max_image,
         target_size=args.target_size,
         limit=args.limit,
-        default_bid=Money(args.default_bid_micros),
         coloring_order=args.coloring_order,
+        **build_only,
     )
 
 
 def _cmd_build(args) -> int:
     rules, brands, non_brands = _load_catalogue(args)
-    account = build_account(rules, brands, non_brands, config=_build_config(args))
+    config = _build_config(args, mode=args.mode, default_bid=Money(args.default_bid_micros))
+    account = build_account(rules, brands, non_brands, config=config)
     _write_account(args.out, account)
     if args.out != "-":
         print(
@@ -336,13 +336,11 @@ def _cmd_rm_item(args) -> int:
     return 0
 
 
-def _add_build_options(p: argparse.ArgumentParser, *, mode_default: str = "reduced") -> None:
-    p.add_argument("--mode", choices=["naive", "reduced"], default=mode_default)
+def _add_build_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-words", type=int, default=3)
     p.add_argument("--max-image", type=int, default=None)
     p.add_argument("--target-size", type=int, default=None)
     p.add_argument("--limit", type=int, default=20000)
-    p.add_argument("--default-bid-micros", type=int, default=10_000)
     p.add_argument("--coloring-order", choices=["weight", "degree"], default="weight")
 
 
@@ -365,6 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="compile rules into an account snapshot")
     _add_catalogue_options(p)
     _add_build_options(p)
+    p.add_argument("--mode", choices=["naive", "reduced"], default="reduced")
+    p.add_argument("--default-bid-micros", type=int, default=10_000)
     p.add_argument("--out", default="-", help="snapshot path ('-' for stdout)")
     p.set_defaults(func=_cmd_build)
 

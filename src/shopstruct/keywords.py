@@ -224,16 +224,6 @@ class NegativeIndex:
             mask |= holders
         return mask
 
-    def first_match(self, query: Keyword) -> NegativeKeyword | None:
-        return self.lookup(QueryWords(query))
-
-    def lookup(self, query: QueryWords) -> NegativeKeyword | None:
-        """``first_match`` for a query whose words are already split out.
-
-        Over several lists, the first match of their union."""
-        hits = self.hits(query)
-        return hits[0][0] if hits else None
-
 
 def exact(keyword: Keyword) -> NegativeKeyword:
     return NegativeKeyword(keyword, MatchType.EXACT)

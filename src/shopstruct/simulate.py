@@ -20,7 +20,8 @@ masks of the lists that block the query, tier by tier, then the masks of the
 admitting campaign's ad groups.  ``Simulator.disposition`` returns that
 verdict alone.  ``Simulator.run`` takes the same verdict and only explains it:
 one ``Step`` per campaign of each tier the query met, naming each blocked
-campaign's first matching negative.
+campaign's first matching negative.  ``Simulator.blockers`` names those same
+negatives for every campaign of every tier.
 """
 
 from __future__ import annotations
@@ -110,42 +111,34 @@ class Simulator:
     def __init__(self, account: Account) -> None:
         self.account = account
         self._tiers: list[tuple[list[Campaign], NegativeIndex]] = []
-        self._campaign_slot: dict[str, tuple[NegativeIndex, int]] = {}
         self._adgroup_index: dict[str, NegativeIndex] = {}
         # Each (campaign, ad group) name pair's tag, to read a Landed disposition.
         self.adgroup_tags: dict[tuple[str, str], AdGroupTag] = {}
         for priority in (Priority.HIGH, Priority.MEDIUM, Priority.LOW):
             tier = [c for c in account.campaigns if c.priority is priority]
             if tier:
-                index = NegativeIndex(*(c.negatives for c in tier))
-                self._tiers.append((tier, index))
-                for pos, c in enumerate(tier):
-                    self._campaign_slot[c.name] = (index, 1 << pos)
+                self._tiers.append((tier, NegativeIndex(*(c.negatives for c in tier))))
         for c in account.campaigns:
             self._adgroup_index[c.name] = NegativeIndex(*(g.negatives for g in c.adgroups))
             for g in c.adgroups:
                 self.adgroup_tags[(c.name, g.name)] = g.tag
 
-    def campaign_blocker(self, campaign: str, query: Keyword) -> NegativeKeyword | None:
-        """The negative of ``campaign`` that refuses ``query``, or None."""
-        index, bit = self._campaign_slot[campaign]
-        hits = index.hits(QueryWords(query))
-        return next((neg for neg, mask in hits if mask & bit), None)
+    def blockers(self, query: Keyword) -> dict[str, NegativeKeyword]:
+        """Each campaign, in every tier, that refuses ``query``, with the
+        negative ``run`` names for it."""
+        return self._blockers(QueryWords(query), len(self._tiers))
 
-    def blocking_campaigns(self, query: Keyword) -> set[str]:
-        """The names of every campaign, in every tier, that refuses ``query``."""
-        words = QueryWords(query)
-        names: set[str] = set()
-        for tier, index in self._tiers:
-            names.update(_names(tier, index.blocked(words)))
-        return names
-
-    def open_adgroups(self, campaign: Campaign, query: Keyword) -> list[AdGroup]:
-        return self._open_adgroups(campaign, QueryWords(query))
-
-    def _open_adgroups(self, campaign: Campaign, words: QueryWords) -> list[AdGroup]:
-        blocked = self._adgroup_index[campaign.name].blocked(words)
-        return [g for i, g in enumerate(campaign.adgroups) if not blocked >> i & 1]
+    def _blockers(self, words: QueryWords, met: int) -> dict[str, NegativeKeyword]:
+        """Each campaign of the first ``met`` tiers that refuses the query, with
+        its first matching negative: the first of its tier's hits it holds."""
+        found: dict[str, NegativeKeyword] = {}
+        for tier, index in self._tiers[:met]:
+            hits = index.hits(words)
+            for pos, c in enumerate(tier):
+                by = next((neg for neg, mask in hits if mask >> pos & 1), None)
+                if by is not None:
+                    found[c.name] = by
+        return found
 
     def disposition(self, query: Keyword) -> Disposition:
         """``run(query).disposition``, without building any ``Step``."""
@@ -182,17 +175,16 @@ class Simulator:
         several come before them."""
         words = QueryWords(query)
         verdict, met = self._verdict(words)
+        blockers = self._blockers(words, met)
         steps: list[Step] = []
-        for tier, index in self._tiers[:met]:
-            hits = index.hits(words)
+        for tier, _ in self._tiers[:met]:
             entered: list[Step] = []
             blocked: list[Step] = []
-            for pos, c in enumerate(tier):
-                by = next((neg for neg, mask in hits if mask >> pos & 1), None)
-                if by is None:
-                    names = tuple(g.name for g in self._open_adgroups(c, words))
-                    entered.append(Step(c.name, Entered(names)))
+            for c in tier:
+                if c.name in blockers:
+                    blocked.append(Step(c.name, Blocked(blockers[c.name])))
                 else:
-                    blocked.append(Step(c.name, Blocked(by)))
+                    shut = self._adgroup_index[c.name].blocked(words)
+                    entered.append(Step(c.name, Entered(_names(c.adgroups, ~shut))))
             steps += entered + blocked if len(entered) > 1 else blocked + entered
         return Trajectory(query, tuple(steps), verdict)

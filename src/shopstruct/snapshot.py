@@ -266,6 +266,12 @@ def _string(value: Any, what: str) -> str:
     return value
 
 
+def _list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
 def _integer(value: Any, what: str) -> int:
     # bool is an int subclass; floats and numeric strings are not integers.
     if type(value) is not int:
@@ -277,16 +283,18 @@ def _keyword(text: Any, what: str) -> Keyword:
     return normalize(_string(text, what))
 
 
+def _keywords(value: Any, what: str, each: str) -> tuple[Keyword, ...]:
+    return tuple(_keyword(text, each) for text in _list(value, what))
+
+
 def _parse_negatives(
     doc: Any, interned: dict[tuple[str, str], NegativeKeyword]
 ) -> frozenset[NegativeKeyword]:
     """Parse one negative list, reusing the object ``interned`` holds for an
     entry's raw (keyword, match) pair; the first occurrence is validated and
     stored there."""
-    if not isinstance(doc, list):
-        raise InputError("negatives must be a list")
     out = []
-    for item in doc:
+    for item in _list(doc, "negatives"):
         try:
             key = (item["keyword"], item["match"])
             neg = interned.get(key)
@@ -310,7 +318,7 @@ def _parse_tree(doc: Any) -> ProductTree:
             attribute=_string(doc["attribute"], "tree attribute"),
             branches=tuple(
                 (_string(b["value"], "branch value"), _parse_tree(b["tree"]))
-                for b in doc["branches"]
+                for b in _list(doc["branches"], "tree branches")
             ),
             others=_parse_tree(doc["others"]),
         )
@@ -342,7 +350,8 @@ def _parse_adgroup_tag(doc: Any) -> AdGroupTag:
 def _parse_eraser(doc: Any) -> Eraser:
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind == "large":
-        return LargeEraser(frozenset(_string(w, "large eraser word") for w in doc["words"]))
+        words = _list(doc["words"], "large eraser words")
+        return LargeEraser(frozenset(_string(w, "large eraser word") for w in words))
     if kind == "exact":
         return ExactEraser(_keyword(doc["keyword"], "exact eraser keyword"))
     raise InputError(f"unknown eraser kind: {doc!r}")
@@ -354,7 +363,7 @@ def parse_account_document(doc: Any) -> Account:
     interned: dict[tuple[str, str], NegativeKeyword] = {}
     try:
         campaigns = []
-        for cdoc in doc["campaigns"]:
+        for cdoc in _list(doc["campaigns"], "campaigns"):
             adgroups = tuple(
                 AdGroup(
                     name=_string(g["name"], "ad group name"),
@@ -362,7 +371,7 @@ def parse_account_document(doc: Any) -> Account:
                     negatives=_parse_negatives(g["negatives"], interned),
                     tree=_parse_tree(g["tree"]),
                 )
-                for g in cdoc["adgroups"]
+                for g in _list(cdoc["adgroups"], "ad groups")
             )
             campaigns.append(
                 Campaign(
@@ -375,15 +384,16 @@ def parse_account_document(doc: Any) -> Account:
             )
         return Account(
             limit=_integer(doc["limit"], "limit"),
-            brands=tuple(_keyword(b, "brand") for b in doc["brands"]),
-            non_brands=tuple(_keyword(b, "blocked brand") for b in doc["non_brands"]),
+            brands=_keywords(doc["brands"], "brands", "brand"),
+            non_brands=_keywords(doc["non_brands"], "blocked brands", "blocked brand"),
             campaigns=tuple(campaigns),
             partition=tuple(
-                frozenset(_keyword(kw, "partition keyword") for kw in group)
-                for group in doc["partition"]
+                frozenset(_keywords(group, "partition group", "partition keyword"))
+                for group in _list(doc["partition"], "partition")
             ),
             erasers=tuple(
-                tuple(_parse_eraser(e) for e in group) for group in doc["erasers"]
+                tuple(_parse_eraser(e) for e in _list(group, "eraser group"))
+                for group in _list(doc["erasers"], "erasers")
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -36,7 +36,7 @@ from .erasers import (
     Eraser,
     ExactEraser,
     LargeEraser,
-    eraser_image,
+    erases,
     reduce_keywords,
 )
 from .errors import DuplicateKeywordError, InputError
@@ -318,22 +318,25 @@ class BalanceReport:
     reasons: tuple[str, ...]
 
 
-def check_balance(account: Account, *, factor: float = 2.0) -> BalanceReport:
+BALANCE_FACTOR = 2.0
+
+
+def check_balance(account: Account) -> BalanceReport:
     """Recommend a rebuild when group count or the biggest group passes
-    ``factor * sqrt(n)``; balanced shapes keep both near sqrt(n)."""
+    ``BALANCE_FACTOR * sqrt(n)``; balanced shapes keep both near sqrt(n)."""
     n = sum(len(g) for g in account.partition)
     group_count = len(account.partition)
     max_size = max((len(g) for g in account.partition), default=0)
-    threshold = factor * math.sqrt(n) if n else float(factor)
+    threshold = BALANCE_FACTOR * math.sqrt(n) if n else BALANCE_FACTOR
     reasons = []
     if group_count > threshold:
         reasons.append(
-            f"{group_count} groups exceed {threshold:.1f} (factor {factor} of sqrt({n}))"
+            f"{group_count} groups exceed {threshold:.1f} (factor {BALANCE_FACTOR} of sqrt({n}))"
         )
     if max_size > threshold:
         reasons.append(
             f"largest group has {max_size} keywords, over {threshold:.1f}"
-            f" (factor {factor} of sqrt({n}))"
+            f" (factor {BALANCE_FACTOR} of sqrt({n}))"
         )
     return BalanceReport(
         keyword_count=n,
@@ -553,8 +556,8 @@ def remove_rule(account: Account, keyword: Keyword) -> UpdateOutcome:
             if eraser.keyword == keyword:
                 changes.append(RemoveEraser(pos, eraser))
             continue
-        if keyword in eraser_image(eraser, members) and not eraser_image(
-            eraser, remaining_global
+        if erases(eraser, keyword) and not any(
+            erases(eraser, kw) for kw in remaining_global
         ):
             changes.append(RemoveEraser(pos, eraser))
             for camp in others:

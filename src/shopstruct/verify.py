@@ -17,8 +17,9 @@ Static structure checks (limits, partition discipline, eraser strictness and
 coverage) run alongside.  The negatives audit (each group campaign admits its
 own group's keywords and blocks every other group's) starts from property 1's
 failures: a keyword that landed in its own campaign, with no group campaign in
-a lower tier, already proves the audit's claim for it.  The audit reads its
-verdicts from the same bitmasks, and one ``Simulator`` serves every check.
+a lower tier, already proves the audit's claim for it.  The audit reads the
+campaigns that refuse a keyword, and the negative each refuses it by, from
+``Simulator.blockers``, and one ``Simulator`` serves every check.
 Verification never mutates the account and is deterministic for a given seed.
 """
 
@@ -344,20 +345,19 @@ def verify_structure(
         for pos, (camp, group) in enumerate(zip(group_camps, account.partition)):
             audited = failing.get(pos, []) if camp.priority == lowest else sorted(group)
             for kw in audited:
-                blocking = sim.blocking_campaigns(kw)
-                if camp.name in blocking:
-                    hit = sim.campaign_blocker(camp.name, kw)
+                blockers = sim.blockers(kw)
+                if camp.name in blockers:
                     findings.append(
                         Finding(
                             kind="negatives",
                             detail=(
-                                f"campaign {camp.name} blocks its own"
-                                f" keyword {kw.text!r} via {hit.describe()}"
+                                f"campaign {camp.name} blocks its own keyword"
+                                f" {kw.text!r} via {blockers[camp.name].describe()}"
                             ),
                         )
                     )
                 for other_pos, other in enumerate(group_camps):
-                    if other_pos == pos or other.name in blocking:
+                    if other_pos == pos or other.name in blockers:
                         continue
                     findings.append(
                         Finding(

@@ -580,6 +580,12 @@ def verify_property3(
     )
 
 
+def _first(index: NegativeIndex, words: QueryWords) -> NegativeKeyword | None:
+    """The index's first match for the query: its first hit, or None."""
+    hits = index.hits(words)
+    return hits[0][0] if hits else None
+
+
 def verify_structure(account: Account) -> tuple[Finding, ...]:
     """Static checks: limits, partition discipline, eraser strictness/coverage."""
     findings: list[Finding] = []
@@ -671,7 +677,7 @@ def verify_structure(account: Account) -> tuple[Finding, ...]:
         for pos, group in enumerate(account.partition):
             for kw in sorted(group):
                 words = QueryWords(kw)
-                hit = indexes[pos].lookup(words)
+                hit = _first(indexes[pos], words)
                 if hit is not None:
                     findings.append(
                         Finding(
@@ -685,7 +691,7 @@ def verify_structure(account: Account) -> tuple[Finding, ...]:
                 for other_pos in range(len(account.partition)):
                     if other_pos == pos:
                         continue
-                    if indexes[other_pos].lookup(words) is None:
+                    if _first(indexes[other_pos], words) is None:
                         findings.append(
                             Finding(
                                 kind="negatives",
@@ -779,7 +785,7 @@ class Simulator:
 
     def campaign_blocker(self, campaign: str, query: Keyword) -> NegativeKeyword | None:
         """The negative of ``campaign`` that refuses ``query``, or None."""
-        return self._campaign_index[campaign].lookup(QueryWords(query))
+        return _first(self._campaign_index[campaign], QueryWords(query))
 
     def open_adgroups(self, campaign: Campaign, query: Keyword) -> list[AdGroup]:
         return self._open_adgroups(campaign, QueryWords(query))
@@ -788,7 +794,7 @@ class Simulator:
         return [
             g
             for g in campaign.adgroups
-            if self._adgroup_index[(campaign.name, g.name)].lookup(words) is None
+            if _first(self._adgroup_index[(campaign.name, g.name)], words) is None
         ]
 
     def run(self, query: Keyword) -> Trajectory:
@@ -798,7 +804,7 @@ class Simulator:
             admitted: list[Campaign] = []
             blocked: list[Step] = []
             for c in tier:
-                hit = self._campaign_index[c.name].lookup(words)
+                hit = _first(self._campaign_index[c.name], words)
                 if hit is None:
                     admitted.append(c)
                 else:

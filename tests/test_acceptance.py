@@ -38,6 +38,7 @@ from shopstruct import (
     welsh_powell,
 )
 from shopstruct.cli import main as cli_main
+from shopstruct.keywords import QueryWords
 
 
 @contextmanager
@@ -262,8 +263,8 @@ def test_criterion_7_update_walkthroughs(golden_account, capsys, tmp_path):
         fresh = grown.campaign_for_group(4)
         index = NegativeIndex(fresh.negatives)
         for kw in sorted(golden_account.keywords()):
-            assert index.first_match(kw) is not None
-        assert index.first_match(big.keyword) is None
+            assert index.blocked(QueryWords(kw))
+        assert not index.blocked(QueryWords(big.keyword))
         sim = Simulator(grown)
         for kw in sorted(grown.keywords()):
             d = sim.run(kw).disposition

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from conftest import FOUR_KEYWORDS, make_golden_rules
+from conftest import FOUR_KEYWORDS, GOLDEN_BRANDS, GOLDEN_NON_BRANDS, make_golden_rules
 
 from shopstruct import (
     BuildConfig,
@@ -12,6 +14,7 @@ from shopstruct import (
     LimitExceededError,
     Money,
     Priority,
+    ReductionStats,
     Rule,
     SyntheticSpec,
     build_account,
@@ -24,7 +27,9 @@ from shopstruct import (
     phrase,
     plan_groups,
     reduction_stats,
+    select_color_class,
     verify_account,
+    welsh_powell,
     build_graph,
     enumerate_candidates,
     normalize,
@@ -258,6 +263,62 @@ def test_reduction_stats_golden(golden_rules, golden_brands, golden_non_brands):
     assert stats.naive_negatives == 88
     assert stats.reduced_negatives == 78
     assert stats.ratio == pytest.approx(78 / 88)
+
+
+def _stats_catalogue(name: str):
+    golden = (
+        make_golden_rules(),
+        tuple(normalize(b) for b in GOLDEN_BRANDS),
+        tuple(normalize(b) for b in GOLDEN_NON_BRANDS),
+    )
+    if name == "golden":
+        return golden
+    if name == "empty":
+        return (), (), ()
+    if name == "empty with brands":
+        return ((),) + golden[1:]
+    n, seed, brands = (int(part) for part in name.split("-")[1:])
+    cat = generate(SyntheticSpec(n=n, seed=seed, brand_count=brands))
+    return cat.rules, cat.brands, cat.non_brands
+
+
+_STATS_CATALOGUES = ["golden", "empty", "empty with brands"] + [
+    f"synth-{n}-{seed}-{brands}" for n in (300, 1000) for seed in range(4) for brands in (3, 0)
+]
+_TWO_WORDS = BuildConfig(max_words=2, coloring_order="degree")
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [pytest.param(name, BuildConfig(), id=name) for name in _STATS_CATALOGUES]
+    + [
+        pytest.param(name, _TWO_WORDS, id=f"{name} two words by degree")
+        for name in _STATS_CATALOGUES
+        if name.startswith(("golden", "synth-300"))
+    ],
+)
+def test_reduction_stats_equals_the_stages_and_the_naive_build(name, config):
+    rules, brands, non_brands = _stats_catalogue(name)
+    keywords = [r.keyword for r in rules]
+    candidates = enumerate_candidates(keywords, max_words=config.max_words)
+    graph = build_graph(candidates)
+    selected = select_color_class(graph, welsh_powell(graph, order=config.coloring_order))
+    reduced = build_account(rules, brands, non_brands, config=config)
+    naive = build_account(rules, brands, non_brands, config=replace(config, mode="naive"))
+    expected = ReductionStats(
+        n=len(rules),
+        candidate_count=len(candidates),
+        conflict_edges=graph.edge_count,
+        covered=sum(c.weight for c in selected),
+        group_count=len(reduced.partition),
+        group_sizes=tuple(len(g) for g in reduced.partition),
+        naive_negatives=negative_count(naive),
+        reduced_negatives=negative_count(reduced),
+    )
+    # The configured mode plays no part: both builds are always compared.
+    for mode in ("reduced", "naive"):
+        stats = reduction_stats(rules, brands, non_brands, config=replace(config, mode=mode))
+        assert stats == expected
 
 
 def test_reduced_never_worse_than_naive_on_golden(golden_rules):

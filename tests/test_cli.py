@@ -155,6 +155,15 @@ def test_verify_non_string_keyword_exits_2(workspace, capsys):
     assert capsys.readouterr().err == "error: brand must be a string: 5\n"
 
 
+def test_verify_string_in_place_of_a_list_exits_2(workspace, capsys):
+    account_path = workspace / "account.json"
+    doc = json.loads(account_path.read_text())
+    doc["brands"] = "nike"
+    account_path.write_text(json.dumps(doc))
+    assert main(["verify", "--account", str(account_path)]) == 2
+    assert capsys.readouterr().err == "error: brands must be a list, not str\n"
+
+
 def test_verify_coerced_values_exit_2(workspace, capsys):
     account_path = workspace / "account.json"
     good = account_path.read_text()
@@ -208,6 +217,15 @@ def test_reduce_stats_json(workspace, capsys):
     assert doc["keywords"] == 30
     assert doc["reduced_negatives"] < doc["naive_negatives"]
     assert 0 < doc["ratio"] < 1
+
+
+def test_reduce_stats_takes_no_build_only_options(workspace, capsys):
+    rules = str(workspace / "rules.jsonl")
+    for option in (["--mode", "naive"], ["--default-bid-micros", "5"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["reduce-stats", "--rules", rules] + option)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_malformed_rules_exit_2_with_line_number(tmp_path, capsys):

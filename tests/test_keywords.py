@@ -110,7 +110,8 @@ negatives = st.frozensets(
 def test_index_and_blocks_agree_with_reference_matches(negs, query):
     q = Keyword(tuple(query))
     index = NegativeIndex(negs)
-    first = index.first_match(q)
+    hits = index.hits(QueryWords(q))
+    first = hits[0][0] if hits else None
     reference = min(
         (n for n in negs if matches(q, n)), key=NegativeKeyword.sort_key, default=None
     )

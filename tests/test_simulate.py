@@ -157,10 +157,15 @@ def test_exact_beats_phrase_beats_large_as_reported_blocker():
         {exact(normalize("a b")), phrase(normalize("a")), large(normalize("b"))}
     )
     idx = NegativeIndex(negatives)
-    assert idx.first_match(normalize("a b")) == exact(normalize("a b"))
-    assert idx.first_match(normalize("a c")) == phrase(normalize("a"))
-    assert idx.first_match(normalize("c b")) == large(normalize("b"))
-    assert idx.first_match(normalize("c d")) is None
+
+    def first(text):
+        hits = idx.hits(QueryWords(normalize(text)))
+        return hits[0][0] if hits else None
+
+    assert first("a b") == exact(normalize("a b"))
+    assert first("a c") == phrase(normalize("a"))
+    assert first("c b") == large(normalize("b"))
+    assert first("c d") is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,7 +229,8 @@ def test_shared_index_gives_each_lists_first_match(lists, query):
     hits = index.hits(QueryWords(q))
     first = [next((n for n, mask in hits if mask >> i & 1), None) for i in range(len(lists))]
     assert first == expected
-    assert [NegativeIndex(negs).first_match(q) for negs in lists] == expected
+    alone = [NegativeIndex(negs).hits(QueryWords(q)) for negs in lists]
+    assert [h[0][0] if h else None for h in alone] == expected
     hit = sorted({n for negs in lists for n in negs if matches(q, n)}, key=NegativeKeyword.sort_key)
     holders = [sum(1 << i for i, negs in enumerate(lists) if n in negs) for n in hit]
     assert hits == list(zip(hit, holders))
@@ -256,12 +262,11 @@ def test_blocker_ties_across_match_types_follow_the_reference():
     sim, ref = Simulator(acc), oracles.Simulator(acc)
     for text in ("a b", "b a", "a c", "c b", "a", "b", "c", "a b c", "zz a b"):
         q = normalize(text)
-        assert sim.run(q) == ref.run(q)
-        for c in acc.campaigns:
-            assert sim.campaign_blocker(c.name, q) == ref.campaign_blocker(c.name, q)
-            assert sim.open_adgroups(c, q) == ref.open_adgroups(c, q)
-    blockers = [sim.campaign_blocker(f"c3_{i}", normalize("a b")) for i in range(1, 5)]
-    assert blockers == [exact(a_b), phrase(a), large(a_b), exact(a_b)]
+        _assert_same_routing(sim, ref, q)
+    blockers = sim.blockers(normalize("a b"))
+    assert [blockers[f"c3_{i}"] for i in range(1, 5)] == [
+        exact(a_b), phrase(a), large(a_b), exact(a_b)
+    ]
 
 
 def _tamper(account: Account, kind: str) -> Account:
@@ -317,13 +322,11 @@ def _routed_accounts() -> dict[str, Account]:
 
 
 def _assert_same_routing(sim: Simulator, ref, query: Keyword) -> None:
+    """Equal trajectories, and ``blockers`` names each refusing campaign's
+    first matching negative, in every tier."""
     assert sim.run(query) == ref.run(query)
-    for c in sim.account.campaigns:
-        assert sim.campaign_blocker(c.name, query) == ref.campaign_blocker(c.name, query)
-        assert sim.open_adgroups(c, query) == ref.open_adgroups(c, query)
-    assert sim.blocking_campaigns(query) == {
-        c.name for c in sim.account.campaigns if ref.campaign_blocker(c.name, query)
-    }
+    expected = {c.name: ref.campaign_blocker(c.name, query) for c in sim.account.campaigns}
+    assert sim.blockers(query) == {name: by for name, by in expected.items() if by is not None}
 
 
 @pytest.mark.parametrize("name", sorted(_routed_accounts()))

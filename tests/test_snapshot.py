@@ -248,6 +248,43 @@ def test_malformed_snapshots_raise_input_error(text):
         parse_account(text)
 
 
+_LIST_PATHS = {
+    "brands": ["brands"],
+    "blocked brands": ["non_brands"],
+    "partition": ["partition"],
+    "partition group": ["partition", 0],
+    "erasers": ["erasers"],
+    "eraser group": ["erasers", 0],
+    "campaigns": ["campaigns"],
+    "campaign negatives": ["campaigns", 0, "negatives"],
+    "ad groups": ["campaigns", 0, "adgroups"],
+    "ad group negatives": ["campaigns", 1, "adgroups", 0, "negatives"],
+}
+
+
+def _large_words(value):
+    return _set(["erasers", 0, 0], {"kind": "large", "words": value})
+
+
+def _branches(value):
+    return _set(_TREE, {**_split(), "branches": value})
+
+
+@pytest.mark.parametrize("value", ["ab", {"ab": "cd"}], ids=["string", "object"])
+@pytest.mark.parametrize(
+    "edit",
+    [pytest.param(lambda v, p=path: _set(p, v), id=name) for name, path in _LIST_PATHS.items()]
+    + [
+        pytest.param(_large_words, id="large eraser words"),
+        pytest.param(_branches, id="tree branches"),
+    ],
+)
+def test_a_string_or_object_where_a_list_belongs_is_bad_input(edit, value):
+    # Read item by item, "ab" would be the keywords or words "a" and "b".
+    with pytest.raises(InputError, match="must be a list"):
+        parse_account(_with(edit(value)))
+
+
 def test_unknown_tree_and_tag_kinds_raise(golden_account):
     doc = json.loads(render_account(golden_account))
     doc["campaigns"][0]["adgroups"][0]["tree"] = {"kind": "bush"}
