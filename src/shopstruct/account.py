@@ -18,7 +18,7 @@ from enum import IntEnum
 from typing import Iterator, Union
 
 from .erasers import Eraser
-from .errors import InputError
+from .errors import InputError, LimitExceededError
 from .keywords import Keyword, NegativeKeyword
 
 
@@ -162,7 +162,8 @@ class Account:
 
     ``partition`` holds the keyword groups backing the Low-priority campaigns,
     aligned with ``erasers`` (the per-group eraser lists whose images cover the
-    group exactly).  ``limit`` is the per-campaign negative keyword cap.
+    group exactly).  ``limit`` is the cap on every negative list, campaign or
+    ad group.
     """
 
     limit: int
@@ -173,6 +174,8 @@ class Account:
     erasers: tuple[tuple[Eraser, ...], ...]
 
     def __post_init__(self) -> None:
+        if self.limit < 1:
+            raise InputError("limit must be positive")
         names = [c.name for c in self.campaigns]
         if len(names) != len(set(names)):
             raise InputError("account repeats a campaign name")
@@ -208,17 +211,6 @@ class Account:
             c for c in self.campaigns if isinstance(c.tag, GroupCampaignTag)
         )
 
-    def campaign_for_group(self, index: int) -> Campaign:
-        for c in self.campaigns:
-            if isinstance(c.tag, GroupCampaignTag) and c.tag.index == index:
-                return c
-        raise InputError(f"no campaign for group {index}")
-
-    def group_indices(self) -> tuple[int, ...]:
-        return tuple(
-            c.tag.index for c in self.campaigns if isinstance(c.tag, GroupCampaignTag)
-        )
-
     def group_of(self, keyword: Keyword) -> int:
         """Position (0-based) in ``partition`` of the group holding ``keyword``."""
         for pos, group in enumerate(self.partition):
@@ -227,6 +219,34 @@ class Account:
         from .errors import UnknownKeywordError
 
         raise UnknownKeywordError(f"keyword not in account: {keyword.text!r}")
+
+    # --- the negative limit ----------------------------------------------
+
+    def over_limit(self) -> dict[str, int]:
+        """The size of every negative list over ``limit``, keyed by where it
+        sits: campaign by campaign, each campaign's own list first."""
+        over: dict[str, int] = {}
+        for c in self.campaigns:
+            if len(c.negatives) > self.limit:
+                over[f"campaign {c.name}"] = len(c.negatives)
+            for g in c.adgroups:
+                if len(g.negatives) > self.limit:
+                    over[f"ad group {g.name!r} of campaign {c.name}"] = len(g.negatives)
+        return over
+
+    def limit_message(self, where: str, count: int) -> str:
+        """The one text for a list over the limit, in errors and findings."""
+        return f"{where} holds {count} negatives, over the limit of {self.limit}"
+
+    def check_limit(self, before: Account | None = None) -> None:
+        """Raise LimitExceededError at the first list over ``limit``.  With
+        ``before``, only a list also longer than it was there counts, so an
+        update may still shrink an account that is already over its cap."""
+        over = self.over_limit()
+        was = before.over_limit() if before is not None and over else {}
+        for where, count in over.items():
+            if count > was.get(where, 0):
+                raise LimitExceededError(self.limit_message(where, count))
 
 
 def negative_count(account: Account) -> int:

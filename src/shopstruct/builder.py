@@ -50,7 +50,7 @@ from .erasers import (
     select_color_class,
     welsh_powell,
 )
-from .errors import InputError, LimitExceededError
+from .errors import InputError
 from .keywords import (
     Keyword,
     NegativeIndex,
@@ -91,13 +91,6 @@ class BuildConfig:
             raise InputError("max_words must be positive")
 
 
-def _check_limit(limit: int, where: str, count: int) -> None:
-    if count > limit:
-        raise LimitExceededError(
-            f"{where} needs {count} negatives, over the limit of {limit}"
-        )
-
-
 def _check_routable(keywords: Iterable[Keyword], non_brands: Sequence[Keyword]) -> None:
     """Reject keywords holding a blocked brand as a phrase: every campaign
     blocks such a keyword, so its traffic could never land anywhere."""
@@ -109,6 +102,12 @@ def _check_routable(keywords: Iterable[Keyword], non_brands: Sequence[Keyword]) 
                 f"keyword {kw.text!r} contains the blocked brand"
                 f" {hits[0][0].keyword.text!r}, so no campaign can route it"
             )
+
+
+def rule_adgroup(rule: Rule, negatives: frozenset[NegativeKeyword]) -> AdGroup:
+    """The ad group that bids ``rule``'s keyword, blocking ``negatives``."""
+    kw = rule.keyword
+    return AdGroup(name=kw.text, tag=RuleTag(kw), negatives=negatives, tree=Leaf(rule.cpc))
 
 
 def _validate_inputs(
@@ -198,7 +197,8 @@ def build_account(
     brand_trees: Mapping[Keyword, ProductTree] | None = None,
 ) -> Account:
     """Compile rules into an account; campaigns come out in canonical order
-    (general, brands, then groups by index)."""
+    (general, brands, then groups by index).  Raises LimitExceededError when
+    a negative list of the built account is over ``config.limit``."""
     config = config or BuildConfig()
     _validate_inputs(rules, brands, non_brands)
     keywords = [r.keyword for r in rules]
@@ -220,7 +220,6 @@ def build_account(
     campaigns: list[Campaign] = []
 
     general_negs = sk_exact | sb_phrases | snb_phrases
-    _check_limit(config.limit, f"campaign {GENERAL_CAMPAIGN}", len(general_negs))
     campaigns.append(
         Campaign(
             name=GENERAL_CAMPAIGN,
@@ -240,11 +239,9 @@ def build_account(
 
     if brands:
         brand_negs = sk_exact | snb_phrases
-        _check_limit(config.limit, f"campaign {BRAND_CAMPAIGN}", len(brand_negs))
         adgroups = []
         for brand in brands:
             others = frozenset(phrase_of[b] for b in brands if b != brand)
-            _check_limit(config.limit, f"ad group {brand.text}", len(others))
             tree: ProductTree = Leaf(config.default_bid)
             if brand_trees and brand in brand_trees:
                 tree = brand_trees[brand]
@@ -268,37 +265,25 @@ def build_account(
 
     partition, erasers = plan_groups(keywords, config)
     campaign_negatives = group_campaign_negatives(erasers, snb_phrases, interned)
-    for idx, group in enumerate(partition):
-        index = idx + 1
-        name = group_campaign_name(index)
-        negs = campaign_negatives[idx]
-        _check_limit(config.limit, f"campaign {name}", len(negs))
+    for index, (group, negs) in enumerate(zip(partition, campaign_negatives), 1):
         # Sibling lists are the group's exact set less the keyword's own,
         # built from shared objects whose hashes the sets already hold.
         group_exact = frozenset(exact_of[kw] for kw in group)
-        adgroups = []
-        for kw in sorted(group, key=lambda kw: position[kw]):
-            siblings = group_exact - {exact_of[kw]}
-            _check_limit(config.limit, f"ad group {kw.text}", len(siblings))
-            adgroups.append(
-                AdGroup(
-                    name=kw.text,
-                    tag=RuleTag(kw),
-                    negatives=siblings,
-                    tree=Leaf(rule_by_kw[kw].cpc),
-                )
-            )
+        adgroups = tuple(
+            rule_adgroup(rule_by_kw[kw], group_exact - {exact_of[kw]})
+            for kw in sorted(group, key=lambda kw: position[kw])
+        )
         campaigns.append(
             Campaign(
-                name=name,
+                name=group_campaign_name(index),
                 priority=Priority.LOW,
                 tag=GroupCampaignTag(index),
                 negatives=negs,
-                adgroups=tuple(adgroups),
+                adgroups=adgroups,
             )
         )
 
-    return Account(
+    account = Account(
         limit=config.limit,
         brands=tuple(brands),
         non_brands=tuple(non_brands),
@@ -306,6 +291,8 @@ def build_account(
         partition=partition,
         erasers=erasers,
     )
+    account.check_limit()
+    return account
 
 
 @dataclass(frozen=True)

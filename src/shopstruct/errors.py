@@ -24,12 +24,8 @@ class UnknownKeywordError(InputError):
 
 
 class LimitExceededError(ShopstructError):
-    """A negative keyword list would exceed the per-campaign platform limit."""
+    """A negative keyword list, campaign or ad group, is over the account's limit."""
 
 
 class InfeasibleTargetError(ShopstructError):
     """A group-size target is smaller than the largest selected eraser image."""
-
-
-class CandidateLimitError(ShopstructError):
-    """The exhaustive packing oracle was given more candidates than it accepts."""

@@ -347,11 +347,19 @@ def _parse_adgroup_tag(doc: Any) -> AdGroupTag:
     raise InputError(f"unknown ad group tag: {doc!r}")
 
 
+def _eraser_word(value: Any) -> str:
+    """One normalized word, as every keyword is normalized on parse."""
+    words = _keyword(value, "large eraser word").words
+    if len(words) != 1:
+        raise InputError(f"large eraser word must be a single word: {value!r}")
+    return words[0]
+
+
 def _parse_eraser(doc: Any) -> Eraser:
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind == "large":
         words = _list(doc["words"], "large eraser words")
-        return LargeEraser(frozenset(_string(w, "large eraser word") for w in words))
+        return LargeEraser(frozenset(_eraser_word(w) for w in words))
     if kind == "exact":
         return ExactEraser(_keyword(doc["keyword"], "exact eraser keyword"))
     raise InputError(f"unknown eraser kind: {doc!r}")

@@ -21,24 +21,16 @@ from .account import (
     AdGroup,
     Campaign,
     GroupCampaignTag,
-    Leaf,
     Priority,
     Rule,
-    RuleTag,
 )
 from .builder import (
-    _check_limit,
     _check_routable,
     group_campaign_name,
     group_campaign_negatives,
+    rule_adgroup,
 )
-from .erasers import (
-    Eraser,
-    ExactEraser,
-    LargeEraser,
-    erases,
-    reduce_keywords,
-)
+from .erasers import Eraser, ExactEraser, erases, reduce_keywords
 from .errors import DuplicateKeywordError, InputError
 from .keywords import Keyword, NegativeIndex, NegativeKeyword, QueryWords, exact, phrase
 
@@ -375,13 +367,11 @@ def _tier_campaigns(account: Account) -> list[Campaign]:
 
 
 def _outcome(account: Account, changes: list[Change]) -> UpdateOutcome:
+    """Apply ``changes``; raise LimitExceededError if they lengthen a list
+    past the limit."""
     new_account = apply_changes(account, changes)
+    new_account.check_limit(account)
     return UpdateOutcome(new_account, tuple(changes), check_balance(new_account))
-
-
-def _rule_adgroup(rule: Rule, negatives: frozenset[NegativeKeyword]) -> AdGroup:
-    kw = rule.keyword
-    return AdGroup(name=kw.text, tag=RuleTag(kw), negatives=negatives, tree=Leaf(rule.cpc))
 
 
 def _place_changes(
@@ -390,17 +380,12 @@ def _place_changes(
     """Put ``rule``'s keyword into group ``pos`` (campaign ``chosen``): every
     sibling ad group blocks it, and its own new ad group blocks the siblings."""
     kw = rule.keyword
-    changes: list[Change] = []
-    for adgroup in chosen.adgroups:
-        _check_limit(
-            account.limit, f"ad group {adgroup.name!r}", len(adgroup.negatives) + 1
-        )
-        changes.append(AddNegative(chosen.name, exact(kw), adgroup.name))
     siblings = frozenset(exact(other) for other in account.partition[pos])
-    _check_limit(account.limit, f"ad group {kw.text!r}", len(siblings))
-    changes.append(AddAdGroup(chosen.name, _rule_adgroup(rule, siblings)))
-    changes.append(AssignKeyword(pos, kw))
-    return changes
+    return [
+        *(AddNegative(chosen.name, exact(kw), adgroup.name) for adgroup in chosen.adgroups),
+        AddAdGroup(chosen.name, rule_adgroup(rule, siblings)),
+        AssignKeyword(pos, kw),
+    ]
 
 
 # --- add_rule ------------------------------------------------------------
@@ -417,7 +402,8 @@ def add_rule(
     other campaign.  When every campaign blocks it, a fresh campaign is opened
     (``strategy="new-campaign"``), or with ``strategy="min-negatives"`` every
     group placement is costed by recomputing eraser covers and the cheapest
-    account wins.
+    account wins.  Raises LimitExceededError when the rule would lengthen a
+    negative list past the account's limit.
     """
     if strategy not in ("new-campaign", "min-negatives"):
         raise InputError(f"unknown add strategy: {strategy!r}")
@@ -439,10 +425,7 @@ def add_rule(
     if admitting:
         pos = min(admitting, key=lambda p: (len(account.partition[p]), p))
         blocking += [camp for p, camp in enumerate(group_camps) if p != pos]
-    changes: list[Change] = []
-    for camp in blocking:
-        _check_limit(account.limit, f"campaign {camp.name}", len(camp.negatives) + 1)
-        changes.append(AddNegative(camp.name, exact(kw)))
+    changes: list[Change] = [AddNegative(camp.name, exact(kw)) for camp in blocking]
 
     if admitting:
         changes += _place_changes(account, group_camps[pos], pos, rule)
@@ -474,14 +457,13 @@ def _open_campaign_changes(account: Account, rule: Rule) -> list[Change]:
     negs = frozenset(e.to_negative() for e in cover) | frozenset(
         phrase(b) for b in account.non_brands
     )
-    _check_limit(account.limit, "new campaign", len(negs))
     index, name = _next_group_identity(account)
     campaign = Campaign(
         name=name,
         priority=Priority.LOW,
         tag=GroupCampaignTag(index),
         negatives=negs,
-        adgroups=(_rule_adgroup(rule, frozenset()),),
+        adgroups=(rule_adgroup(rule, frozenset()),),
     )
     return [AddGroup(frozenset({kw}), (ExactEraser(kw),)), AddCampaign(campaign)]
 
@@ -523,7 +505,6 @@ def _min_negatives_changes(account: Account, rule: Rule) -> list[Change]:
             changes.append(SetGroupErasers(pos, erasers))
     for camp, negs in zip(group_camps, group_campaign_negatives(best_erasers, snb)):
         if negs != camp.negatives:
-            _check_limit(account.limit, f"campaign {camp.name}", len(negs))
             changes.append(SetCampaignNegatives(camp.name, negs))
     return changes + _place_changes(account, group_camps[target], target, rule)
 

@@ -249,31 +249,10 @@ def verify_structure(
     keyword) in partition order; the negatives audit starts from them.
     """
     account = sim.account
-    findings: list[Finding] = []
-
-    for c in account.campaigns:
-        if len(c.negatives) > account.limit:
-            findings.append(
-                Finding(
-                    kind="limit",
-                    detail=(
-                        f"campaign {c.name} holds {len(c.negatives)} negatives,"
-                        f" over the limit of {account.limit}"
-                    ),
-                )
-            )
-        for g in c.adgroups:
-            if len(g.negatives) > account.limit:
-                findings.append(
-                    Finding(
-                        kind="limit",
-                        detail=(
-                            f"ad group {g.name!r} of campaign {c.name} holds"
-                            f" {len(g.negatives)} negatives, over the limit"
-                            f" of {account.limit}"
-                        ),
-                    )
-                )
+    findings = [
+        Finding(kind="limit", detail=account.limit_message(where, count))
+        for where, count in account.over_limit().items()
+    ]
 
     seen: dict[Keyword, int] = {}
     for pos, group in enumerate(account.partition):

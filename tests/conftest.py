@@ -114,3 +114,35 @@ def matrix_accounts(matrix_catalogues):
                 config=BuildConfig(mode=mode),
             )
     return out
+
+
+LIMIT_CATALOGUES = (
+    "golden",
+    "golden-no-brands",
+    "synth-300-0",
+    "synth-300-0-no-brands",
+    "synth-300-1",
+    "synth-300-1-no-brands",
+)
+
+
+@pytest.fixture(scope="session")
+def limit_catalogues(golden_rules, golden_brands, golden_non_brands):
+    """(rules, brands, blocked brands) for the negative-limit suites: the
+    golden catalogue and synth n=300 seeds 0-1, each with and without brands."""
+    out = {"golden": (golden_rules, golden_brands, golden_non_brands)}
+    for seed in (0, 1):
+        cat = generate(SyntheticSpec(n=300, seed=seed))
+        out[f"synth-300-{seed}"] = (cat.rules, cat.brands, cat.non_brands)
+    for name, (rules, _, non_brands) in list(out.items()):
+        out[f"{name}-no-brands"] = (rules, (), non_brands)
+    return out
+
+
+@pytest.fixture(scope="session")
+def unlimited_accounts(limit_catalogues):
+    """Each limit catalogue built with a limit no list reaches."""
+    return {
+        name: build_account(*catalogue, config=BuildConfig(limit=10**9))
+        for name, catalogue in limit_catalogues.items()
+    }

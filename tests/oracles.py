@@ -7,7 +7,8 @@ scanning the universe, ``exact_packing_oracle`` searches every disjoint
 sub-collection of candidates, ``enumerate_candidates`` copies every word's
 keyword set before intersecting, ``reduce_keywords`` scans the whole universe
 once per candidate word set, ``_min_negatives_changes`` recomputes every
-group's cover for every placement (k² covers for k groups),
+group's cover for every placement (k² covers for k groups) and checks the
+limit predictively on each list it lengthens or replaces,
 ``verify_account`` is the verifier that builds a simulator per property and
 audits group-campaign negatives with a second n×k lookup pass instead of
 reading property 1's routes, ``Simulator`` is the router that keeps one
@@ -36,7 +37,7 @@ from shopstruct.account import (
     Rule,
     RuleTag,
 )
-from shopstruct.builder import _check_limit, group_campaign_negatives
+from shopstruct.builder import group_campaign_negatives
 from shopstruct.erasers import (
     Candidate,
     Eraser,
@@ -46,7 +47,12 @@ from shopstruct.erasers import (
     eraser_image,
     erases,
 )
-from shopstruct.errors import CandidateLimitError, InfeasibleTargetError, InputError
+from shopstruct.errors import (
+    InfeasibleTargetError,
+    InputError,
+    LimitExceededError,
+    ShopstructError,
+)
 from shopstruct.keywords import (
     Keyword,
     MatchType,
@@ -191,6 +197,10 @@ def expand(erasers: Iterable[Eraser], universe: Iterable[Keyword]) -> frozenset[
     return frozenset(out)
 
 
+class CandidateLimitError(ShopstructError):
+    """The exhaustive packing oracle was given more candidates than it accepts."""
+
+
 def exact_packing_oracle(
     candidates: Sequence[Candidate], *, limit: int = 25
 ) -> tuple[int, tuple[Candidate, ...]]:
@@ -330,6 +340,25 @@ def reduce_keywords(
     for kw in sorted(member_set - covered):
         chosen.append(ExactEraser(kw))
     return tuple(chosen)
+
+
+def list_sizes(account: Account) -> dict[str, int]:
+    """The size of every negative list, keyed and ordered as
+    ``Account.over_limit`` keys and orders the lists over the limit."""
+    sizes = {}
+    for c in account.campaigns:
+        sizes[f"campaign {c.name}"] = len(c.negatives)
+        for g in c.adgroups:
+            sizes[f"ad group {g.name!r} of campaign {c.name}"] = len(g.negatives)
+    return sizes
+
+
+def _check_limit(limit: int, where: str, count: int) -> None:
+    """The predictive limit check: ``where`` would hold ``count`` negatives."""
+    if count > limit:
+        raise LimitExceededError(
+            f"{where} needs {count} negatives, over the limit of {limit}"
+        )
 
 
 def _min_negatives_changes(account: Account, rule: Rule) -> list[Change]:

@@ -116,7 +116,7 @@ def test_criterion_2_golden_pipeline(golden_rules, golden_brands, golden_non_bra
                 {"air max", "garmin chronometer", "large superstar shoes", "large tee-shirt"}
             ),
         )
-        blockers = account.campaign_for_group(1).negatives - {
+        blockers = account.group_campaigns()[0].negatives - {
             phrase(normalize("reebok"))
         }
         assert blockers == frozenset(
@@ -252,7 +252,7 @@ def test_criterion_7_update_walkthroughs(golden_account, capsys, tmp_path):
         jog = Rule(normalize("nike jogging"), Money(130_000), frozenset({"item-12"}))
         joined = add_rule(golden_account, jog).account
         assert joined.group_of(jog.keyword) == 0
-        own = joined.campaign_for_group(1)
+        own = joined.group_campaigns()[0]
         assert [g.name for g in own.adgroups][-1] == "nike jogging"
         for sibling in own.adgroups[:-1]:
             assert exact(jog.keyword) in sibling.negatives
@@ -260,7 +260,7 @@ def test_criterion_7_update_walkthroughs(golden_account, capsys, tmp_path):
 
         big = Rule(normalize("nike large shoes"), Money(140_000), frozenset({"item-13"}))
         grown = add_rule(golden_account, big, strategy="new-campaign").account
-        fresh = grown.campaign_for_group(4)
+        fresh = grown.group_campaigns()[3]
         index = NegativeIndex(fresh.negatives)
         for kw in sorted(golden_account.keywords()):
             assert index.blocked(QueryWords(kw))

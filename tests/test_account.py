@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from shopstruct import (
@@ -11,15 +13,20 @@ from shopstruct import (
     GroupCampaignTag,
     InputError,
     Leaf,
+    LimitExceededError,
     Money,
     Priority,
     Rule,
     Split,
     UnknownKeywordError,
+    apply_changes,
+    exact,
     negative_count,
     normalize,
     tree_leaves,
 )
+from shopstruct.updates import AddNegative, RemoveNegative
+import oracles
 
 
 def _leaf() -> Leaf:
@@ -87,6 +94,9 @@ def test_account_validation():
         Account(10, (), (), (_general(),), (frozenset(),), ())
     with pytest.raises(InputError):
         Account(10, (), (), (), (), ())
+    for limit in (0, -5):
+        with pytest.raises(InputError, match="limit must be positive"):
+            Account(limit, (), (), (_general(),), (), ())
 
 
 def test_accessors_on_golden_account(golden_account):
@@ -94,10 +104,7 @@ def test_accessors_on_golden_account(golden_account):
     assert acc.general_campaign().name == "c1"
     assert acc.brand_campaign().name == "c2"
     assert [c.name for c in acc.group_campaigns()] == ["c3_1", "c3_2", "c3_3"]
-    assert acc.group_indices() == (1, 2, 3)
-    assert acc.campaign_for_group(2).tag == GroupCampaignTag(2)
-    with pytest.raises(InputError):
-        acc.campaign_for_group(9)
+    assert [c.tag for c in acc.group_campaigns()] == [GroupCampaignTag(i) for i in (1, 2, 3)]
     assert acc.group_of(normalize("adidas superstar")) == 1
     with pytest.raises(UnknownKeywordError):
         acc.group_of(normalize("no such keyword"))
@@ -111,3 +118,46 @@ def test_negative_count_is_the_literal_total(golden_account):
         for g in c.adgroups:
             manual += len(g.negatives)
     assert negative_count(golden_account) == manual
+
+
+def _limit_message(where: str, count: int, limit: int) -> str:
+    return f"{where} holds {count} negatives, over the limit of {limit}"
+
+
+@pytest.mark.parametrize("name", ["golden", "golden-no-brands", "synth-300-0"])
+def test_over_limit_names_every_list_over_it_in_account_order(unlimited_accounts, name):
+    sizes = oracles.list_sizes(unlimited_accounts[name])
+    for limit in sorted(set(sizes.values()) - {0}):
+        account = replace(unlimited_accounts[name], limit=limit)
+        over = {where: count for where, count in sizes.items() if count > limit}
+        assert list(account.over_limit().items()) == list(over.items())
+        if not over:
+            account.check_limit()
+            continue
+        where, count = next(iter(over.items()))
+        with pytest.raises(LimitExceededError) as err:
+            account.check_limit()
+        assert str(err.value) == _limit_message(where, count, limit)
+
+
+def test_check_limit_against_before_counts_only_lengthened_lists(golden_account):
+    # At limit 2 the golden account is over it in many lists; none is longer
+    # than in itself, so it passes against itself.
+    before = replace(golden_account, limit=2)
+    before.check_limit(before)
+    camp = before.group_campaigns()[0]
+    adgroup = camp.adgroups[0]
+    assert len(adgroup.negatives) > 2
+    extra = exact(normalize("zz yy"))
+    shrunk = apply_changes(
+        before, [RemoveNegative(camp.name, next(iter(adgroup.negatives)), adgroup.name)]
+    )
+    shrunk.check_limit(before)
+    grown = apply_changes(before, [AddNegative(camp.name, extra, adgroup.name)])
+    where = f"ad group {adgroup.name!r} of campaign {camp.name}"
+    with pytest.raises(LimitExceededError) as err:
+        grown.check_limit(before)
+    assert str(err.value) == _limit_message(where, len(adgroup.negatives) + 1, 2)
+    # A list that only reaches the limit is not over it.
+    at_limit = replace(golden_account, limit=len(adgroup.negatives) + 1)
+    apply_changes(at_limit, [AddNegative(camp.name, extra, adgroup.name)]).check_limit(at_limit)

@@ -4,7 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import FOUR_KEYWORDS, GOLDEN_BRANDS, GOLDEN_NON_BRANDS, make_golden_rules
+from conftest import (
+    FOUR_KEYWORDS,
+    GOLDEN_BRANDS,
+    GOLDEN_NON_BRANDS,
+    LIMIT_CATALOGUES,
+    make_golden_rules,
+)
+import oracles
 
 from shopstruct import (
     BuildConfig,
@@ -131,7 +138,7 @@ def test_golden_reduced_partition_and_erasers(golden_account):
 
 
 def test_golden_group_campaign_negatives(golden_account):
-    c3_1 = golden_account.campaign_for_group(1)
+    c3_1 = golden_account.group_campaigns()[0]
     assert c3_1.negatives == frozenset(
         {
             large(normalize("adidas")),
@@ -144,7 +151,7 @@ def test_golden_group_campaign_negatives(golden_account):
 
 
 def test_golden_adgroups_follow_catalogue_order(golden_account):
-    c3_1 = golden_account.campaign_for_group(1)
+    c3_1 = golden_account.group_campaigns()[0]
     assert [g.name for g in c3_1.adgroups] == [
         "nike shoes",
         "nike soccer white",
@@ -224,6 +231,23 @@ def test_limit_enforced_during_build(golden_rules, golden_brands, golden_non_bra
             golden_non_brands,
             config=BuildConfig(limit=5),
         )
+
+
+@pytest.mark.parametrize("name", LIMIT_CATALOGUES)
+def test_build_limit_is_the_largest_list(limit_catalogues, unlimited_accounts, name):
+    # M is the largest list of an unlimited build: a limit of M builds the
+    # same account, and M - 1 names the first list that holds M.
+    unlimited = unlimited_accounts[name]
+    sizes = oracles.list_sizes(unlimited)
+    largest = max(sizes.values())
+    where = next(where for where, count in sizes.items() if count == largest)
+    with pytest.raises(LimitExceededError) as err:
+        build_account(*limit_catalogues[name], config=BuildConfig(limit=largest - 1))
+    assert str(err.value) == (
+        f"{where} holds {largest} negatives, over the limit of {largest - 1}"
+    )
+    at_limit = build_account(*limit_catalogues[name], config=BuildConfig(limit=largest))
+    assert at_limit == replace(unlimited, limit=largest)
 
 
 @pytest.mark.parametrize(

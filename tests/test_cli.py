@@ -179,6 +179,15 @@ def test_verify_coerced_values_exit_2(workspace, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_verify_non_positive_limit_exits_2(workspace, capsys):
+    account_path = workspace / "account.json"
+    doc = json.loads(account_path.read_text())
+    doc["limit"] = -5
+    account_path.write_text(json.dumps(doc))
+    assert main(["verify", "--account", str(account_path)]) == 2
+    assert capsys.readouterr().err == "error: limit must be positive\n"
+
+
 def test_bounds_values_and_sites(capsys):
     assert main(["bounds", "4", "3", "1", "--groups", "2,2"]) == 0
     out = capsys.readouterr().out

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from shopstruct import (
     Candidate,
-    CandidateLimitError,
     EraserGraph,
     ExactEraser,
     InfeasibleTargetError,
@@ -25,7 +24,7 @@ from shopstruct import (
 )
 from conftest import GOLDEN_KEYWORDS
 import oracles
-from oracles import exact_packing_oracle, expand
+from oracles import CandidateLimitError, exact_packing_oracle, expand
 from oracles import make_group_plan as reference_group_plan
 
 KW = [normalize(t) for t in GOLDEN_KEYWORDS]

@@ -25,7 +25,9 @@ from shopstruct import (
     normalize,
     parse_account,
     render_account,
+    verify_account,
 )
+from shopstruct.cli import main
 
 
 def test_round_trip_preserves_value(golden_account):
@@ -497,3 +499,43 @@ def test_parsing_shares_one_object_per_negative():
     distinct = frozenset().union(*lists)
     assert len({id(neg) for negs in lists for neg in negs}) == len(distinct)
     assert sum(map(len, lists)) > 4 * len(distinct)
+
+
+def _synth_30_doc() -> dict:
+    cat = generate(SyntheticSpec(n=30, seed=0))
+    return account_document(build_account(cat.rules, cat.brands, cat.non_brands))
+
+
+def _first_large_eraser(doc: dict) -> dict:
+    return next(e for group in doc["erasers"] for e in group if e["kind"] == "large")
+
+
+def test_large_eraser_words_are_normalized():
+    doc = _synth_30_doc()
+    account = parse_account(json.dumps(doc))
+    eraser = _first_large_eraser(doc)
+    eraser["words"] = [eraser["words"][0].upper(), *eraser["words"][1:]]
+    assert eraser["words"][0] != eraser["words"][0].lower()
+    parsed = parse_account(json.dumps(doc))
+    assert parsed == account
+    assert verify_account(parsed, probes=50).passed
+
+
+@pytest.mark.parametrize("word", ["be zz", "", "  "], ids=["two words", "empty", "blank"])
+def test_a_large_eraser_word_that_is_not_one_word_exits_2(tmp_path, capsys, word):
+    doc = _synth_30_doc()
+    _first_large_eraser(doc)["words"][0] = word
+    path = tmp_path / "account.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError):
+        parse_account(path.read_text())
+    assert main(["verify", "--account", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("limit", [0, -5])
+def test_a_non_positive_limit_is_bad_input(golden_account, limit):
+    with pytest.raises(InputError, match="limit must be positive"):
+        parse_account(_with(_set(["limit"], limit)))
+    with pytest.raises(InputError, match="limit must be positive"):
+        replace(golden_account, limit=limit)

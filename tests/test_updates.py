@@ -60,7 +60,7 @@ from shopstruct.updates import (
     UnassignKeyword,
 )
 import oracles
-from conftest import GOLDEN_BRANDS, GOLDEN_NON_BRANDS, make_golden_rules
+from conftest import GOLDEN_BRANDS, GOLDEN_NON_BRANDS, LIMIT_CATALOGUES, make_golden_rules
 
 
 def _op(change) -> str:
@@ -110,7 +110,7 @@ def test_add_rule_into_admitting_group(golden_account):
 
     # the keyword joined group 1 with a fresh ad group and sibling blocking
     assert acc.group_of(rule.keyword) == 0
-    own = acc.campaign_for_group(1)
+    own = acc.group_campaigns()[0]
     assert exact(rule.keyword) not in own.negatives
     new_adgroup = next(g for g in own.adgroups if g.name == "nike jogging")
     assert len(new_adgroup.negatives) == 4
@@ -140,7 +140,7 @@ def test_add_rule_opens_new_campaign_when_blocked_everywhere(golden_account):
     )
 
     acc = out.account
-    fresh = acc.campaign_for_group(4)
+    fresh = acc.group_campaigns()[3]
     assert fresh.name == "c3_4"
     assert fresh.negatives == frozenset(
         {
@@ -227,6 +227,76 @@ def test_add_rule_respects_the_limit(golden_rules, golden_brands, golden_non_bra
         )
 
 
+def _limit_rule(account, path: str) -> tuple[Rule, str]:
+    """A rule and strategy that take ``path`` through ``add_rule``.  Every
+    group campaign admits two unknown words; the words of large erasers of
+    two groups are blocked by both groups' erasers, so by every campaign."""
+    if path == "admitted":
+        return Rule(normalize("zzlimit yylimit"), Money(1_000), frozenset({"i"})), "new-campaign"
+    larges = [
+        next(e for e in group if isinstance(e, LargeEraser))
+        for group in account.erasers
+        if any(isinstance(e, LargeEraser) for e in group)
+    ]
+    words = tuple(sorted(larges[0].words | larges[1].words)) + ("zzlimit",)
+    return Rule(Keyword(words), Money(1_000), frozenset({"i"})), path
+
+
+@pytest.mark.parametrize("path", ["admitted", "new-campaign", "min-negatives"])
+@pytest.mark.parametrize("name", LIMIT_CATALOGUES)
+def test_add_rule_refuses_to_lengthen_a_list_past_the_limit(unlimited_accounts, name, path):
+    base = unlimited_accounts[name]
+    rule, strategy = _limit_rule(base, path)
+    grown = add_rule(base, rule, strategy=strategy)
+    ops = _ops(grown)
+    assert ("AddCampaign" in ops) == (path == "new-campaign")
+    assert ("AddEraser" in ops) == (path == "admitted")
+    before = oracles.list_sizes(base)
+    after = oracles.list_sizes(grown.account)
+    lengthened = {w: n for w, n in after.items() if n > before.get(w, 0)}
+    # The largest list before (the account is within its limit), the largest
+    # after (the update fits), and one below each lengthened list's new size,
+    # most of them on an account already over its limit.
+    limits = {max(before.values()), max(after.values())}
+    limits |= {n - 1 for n in lengthened.values() if n > 1}
+    for limit in sorted(limits):
+        account = replace(base, limit=limit)
+        over = [(w, n) for w, n in lengthened.items() if n > limit]
+        if not over:
+            out = add_rule(account, rule, strategy=strategy)
+            assert out.account == replace(grown.account, limit=limit)
+            assert out.changes == grown.changes
+            continue
+        where, count = over[0]
+        with pytest.raises(LimitExceededError) as err:
+            add_rule(account, rule, strategy=strategy)
+        assert str(err.value) == f"{where} holds {count} negatives, over the limit of {limit}"
+    assert max(after.values()) > max(before.values())
+
+
+@pytest.mark.parametrize("name", LIMIT_CATALOGUES)
+def test_removals_succeed_on_an_account_over_its_limit(
+    limit_catalogues, unlimited_accounts, name
+):
+    # Removals lengthen no list, so they pass on an account already over
+    # its limit; checking every list of the result would refuse them.
+    base = unlimited_accounts[name]
+    rules = limit_catalogues[name][0]
+    over = replace(base, limit=1)
+    assert over.over_limit()
+    smallest = min(base.partition, key=len)
+    for kw in (rules[0].keyword, min(smallest)):
+        expected = remove_rule(base, kw)
+        out = remove_rule(over, kw)
+        assert out.account == replace(expected.account, limit=1)
+        assert out.changes == expected.changes
+    for item in sorted(rules[0].items | rules[-1].items):
+        expected = remove_item(base, rules, item)
+        out = remove_item(over, rules, item)
+        assert out.account == replace(expected.account, limit=1)
+        assert (out.changes, out.rules) == (expected.changes, expected.rules)
+
+
 def test_remove_rule_walkthrough(golden_account):
     out = remove_rule(golden_account, normalize("air max"))
     _assert_replay(golden_account, out)
@@ -252,7 +322,7 @@ def test_remove_rule_walkthrough(golden_account):
     assert normalize("air max") not in acc.keywords()
     assert ExactEraser(normalize("air max")) not in acc.erasers[2]
     # the shared 'large' eraser still serves the two remaining large keywords
-    assert large(normalize("large")) in acc.campaign_for_group(1).negatives
+    assert large(normalize("large")) in acc.group_campaigns()[0].negatives
     assert verify_account(acc).passed
 
 
@@ -446,7 +516,7 @@ def test_apply_changes_rejects_missing_targets(golden_account):
         (
             lambda acc: [
                 AddNegative("c3_1", exact(normalize("x")), "no such ad group"),
-                AddAdGroup("c3_1", acc.campaign_for_group(1).adgroups[0]),
+                AddAdGroup("c3_1", acc.group_campaigns()[0].adgroups[0]),
             ],
             "no ad group named 'no such ad group'",
         ),

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 import oracles
+from conftest import LIMIT_CATALOGUES
 from shopstruct import (
     MatchType,
     Priority,
@@ -306,3 +307,19 @@ def test_report_equals_reference_verifier(equivalence_accounts, base, mutant):
         assert verify_account(account, probes=200, seed=seed) == expected
     if mutant != "as built":
         assert not expected.passed
+
+
+@pytest.mark.parametrize("name", LIMIT_CATALOGUES)
+def test_limit_findings_equal_the_reference(unlimited_accounts, name):
+    unlimited = unlimited_accounts[name]
+    sizes = sorted(set(oracles.list_sizes(unlimited).values()) - {0})
+    # Every list over 1, about half of them, only the largest, none.
+    for limit in {1, sizes[len(sizes) // 2], sizes[-1] - 1, sizes[-1]} - {0}:
+        account = replace(unlimited, limit=limit)
+        report = verify_account(account, probes=20)
+        assert report == oracles.verify_account(account, probes=20)
+        limits = [f.detail for f in report.findings if f.kind == "limit"]
+        over = {w: n for w, n in oracles.list_sizes(account).items() if n > limit}
+        assert limits == [
+            f"{w} holds {n} negatives, over the limit of {limit}" for w, n in over.items()
+        ]
