@@ -19,7 +19,6 @@ or the reduced pipeline (shared large erasers packed into balanced groups).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -44,8 +43,10 @@ from .bounds import nk_exact
 from .erasers import (
     Eraser,
     ExactEraser,
+    GroupPlan,
     build_graph,
     enumerate_candidates,
+    group_target,
     make_group_plan,
     select_color_class,
     welsh_powell,
@@ -127,39 +128,27 @@ def _validate_inputs(
 
 def naive_partition(
     keywords: Sequence[Keyword], *, target_size: int | None = None
-) -> tuple[tuple[frozenset[Keyword], ...], tuple[tuple[Eraser, ...], ...]]:
-    """Sorted keywords chunked into groups of the target size, one exact
-    eraser per keyword."""
-    n = len(keywords)
-    if n == 0:
-        return (), ()
-    if target_size is None:
-        target_size = max(1, math.ceil(math.sqrt(n)))
+) -> GroupPlan:
+    """Sorted keywords in chunks of ``group_target`` size, one exact eraser each."""
+    target_size = group_target(len(keywords), target_size)
     ordered = sorted(keywords)
-    chunks = [
-        ordered[i : i + target_size] for i in range(0, n, target_size)
-    ]
-    groups = tuple(frozenset(chunk) for chunk in chunks)
-    erasers = tuple(
-        tuple(ExactEraser(kw) for kw in chunk) for chunk in chunks
+    chunks = [ordered[i : i + target_size] for i in range(0, len(ordered), target_size)]
+    return GroupPlan(
+        tuple(frozenset(chunk) for chunk in chunks),
+        tuple(tuple(ExactEraser(kw) for kw in chunk) for chunk in chunks),
+        target_size,
     )
-    return groups, erasers
 
 
-def plan_groups(
-    keywords: Sequence[Keyword], config: BuildConfig
-) -> tuple[tuple[frozenset[Keyword], ...], tuple[tuple[Eraser, ...], ...]]:
+def plan_groups(keywords: Sequence[Keyword], config: BuildConfig) -> GroupPlan:
     """Partition plus per-group erasers under the configured mode."""
     if config.mode == "naive":
         return naive_partition(keywords, target_size=config.target_size)
-    candidates = enumerate_candidates(
-        keywords, max_words=config.max_words, max_image=config.max_image
+    graph = build_graph(
+        enumerate_candidates(keywords, max_words=config.max_words, max_image=config.max_image)
     )
-    graph = build_graph(candidates)
-    colors = welsh_powell(graph, order=config.coloring_order)
-    selected = select_color_class(graph, colors)
-    plan = make_group_plan(keywords, selected, target_size=config.target_size)
-    return plan.groups, plan.erasers
+    selected = select_color_class(graph, welsh_powell(graph, order=config.coloring_order))
+    return make_group_plan(keywords, selected, target_size=config.target_size)
 
 
 def group_campaign_negatives(
@@ -263,9 +252,9 @@ def build_account(
             )
         )
 
-    partition, erasers = plan_groups(keywords, config)
-    campaign_negatives = group_campaign_negatives(erasers, snb_phrases, interned)
-    for index, (group, negs) in enumerate(zip(partition, campaign_negatives), 1):
+    plan = plan_groups(keywords, config)
+    campaign_negatives = group_campaign_negatives(plan.erasers, snb_phrases, interned)
+    for index, (group, negs) in enumerate(zip(plan.groups, campaign_negatives), 1):
         # Sibling lists are the group's exact set less the keyword's own,
         # built from shared objects whose hashes the sets already hold.
         group_exact = frozenset(exact_of[kw] for kw in group)
@@ -288,8 +277,8 @@ def build_account(
         brands=tuple(brands),
         non_brands=tuple(non_brands),
         campaigns=tuple(campaigns),
-        partition=partition,
-        erasers=erasers,
+        partition=plan.groups,
+        erasers=plan.erasers,
     )
     account.check_limit()
     return account
@@ -332,7 +321,7 @@ def reduction_stats(
     )
     reduced = build_account(rules, brands, non_brands, config=config)
     exact_erasers = sum(isinstance(e, ExactEraser) for g in reduced.erasers for e in g)
-    naive_groups = naive_partition(keywords, target_size=config.target_size)[0]
+    naive_groups = naive_partition(keywords, target_size=config.target_size).groups
     naive_sizes = [len(g) for g in naive_groups]
     return ReductionStats(
         n=len(keywords),

@@ -59,6 +59,8 @@ Eraser = Union[LargeEraser, ExactEraser]
 
 
 def erases(eraser: Eraser, keyword: Keyword) -> bool:
+    """``keywords.matches(keyword, eraser.to_negative())`` seen from the catalogue
+    side: the same rule, held equal by a property test in tests/test_erasers.py."""
     if isinstance(eraser, LargeEraser):
         return eraser.words <= word_set(keyword)
     return eraser.keyword == keyword
@@ -66,6 +68,16 @@ def erases(eraser: Eraser, keyword: Keyword) -> bool:
 
 def eraser_image(eraser: Eraser, keywords: Iterable[Keyword]) -> frozenset[Keyword]:
     return frozenset(kw for kw in keywords if erases(eraser, kw))
+
+
+def group_target(n: int, target_size: int | None = None) -> int:
+    """The keyword-group size target for n keywords: ``target_size`` when
+    given, else ceil(sqrt(n)) and at least 1.  Raises InputError below 1."""
+    if target_size is None:
+        return max(1, math.ceil(math.sqrt(n)))
+    if target_size < 1:
+        raise InputError(f"target size must be positive: {target_size}")
+    return target_size
 
 
 @dataclass(frozen=True)
@@ -120,31 +132,21 @@ def enumerate_candidates(
     image size in [2, max_image]; a candidate is dropped when a strict subset of
     its words has the identical image (the smaller word set blocks everything
     the bigger one does and more besides, so the bigger one is redundant).
-    Default max_image is ceil(sqrt(n)).  Deterministic order: image size
-    descending, then lexicographic word set.
+    Default max_image is ``group_target(n)``.  Deterministic order: image
+    size descending, then lexicographic word set.
     """
-    n = len(keywords)
     if max_image is None:
-        max_image = max(1, math.ceil(math.sqrt(n)))
+        max_image = group_target(len(keywords))
     images = _subset_images(keywords, keywords, max_words)
 
-    kept = {
-        ws: img for ws, img in images.items() if 2 <= len(img) <= max_image
-    }
-    # Redundancy: same image reachable from a strict word subset.
-    minimal: list[Candidate] = []
-    for ws, img in kept.items():
-        redundant = False
-        if len(ws) > 1:
-            for r in range(1, len(ws)):
-                for sub in itertools.combinations(sorted(ws), r):
-                    if kept.get(frozenset(sub)) == img:
-                        redundant = True
-                        break
-                if redundant:
-                    break
-        if not redundant:
-            minimal.append(Candidate(LargeEraser(ws), img))
+    kept = {ws: img for ws, img in images.items() if 2 <= len(img) <= max_image}
+    # Images only shrink as words are added, so some strict subset has the
+    # same image exactly when some one-word-smaller subset does.
+    minimal = [
+        Candidate(LargeEraser(ws), img)
+        for ws, img in kept.items()
+        if not any(kept.get(ws - {w}) == img for w in ws)
+    ]
     minimal.sort(key=lambda c: (-c.weight, tuple(sorted(c.eraser.words))))
     return tuple(minimal)
 
@@ -237,9 +239,6 @@ class GroupPlan:
         if len(self.groups) != len(self.erasers):
             raise InputError("groups and eraser lists are misaligned")
 
-    def keyword_count(self) -> int:
-        return sum(len(g) for g in self.groups)
-
 
 def make_group_plan(
     keywords: Sequence[Keyword],
@@ -259,10 +258,7 @@ def make_group_plan(
     selected image must be its eraser's image over ``keywords``.
     """
     n = len(keywords)
-    if target_size is None:
-        target_size = max(1, math.ceil(math.sqrt(n)))
-    if target_size < 1:
-        raise InputError(f"target size must be positive: {target_size}")
+    target_size = group_target(n, target_size)
     oversize = [c for c in selected if c.weight > target_size]
     if oversize:
         worst = max(c.weight for c in oversize)
@@ -275,7 +271,7 @@ def make_group_plan(
             raise InputError("selected eraser images overlap")
         seen.update(cand.image)
 
-    k = max(1, math.ceil(n / target_size)) if n else 0
+    k = math.ceil(n / target_size)
     if k == 0:
         return GroupPlan((), (), target_size)
 

@@ -23,6 +23,7 @@ from .account import (
     GroupCampaignTag,
     Priority,
     Rule,
+    RuleTag,
 )
 from .builder import (
     _check_routable,
@@ -375,16 +376,15 @@ def _outcome(account: Account, changes: list[Change]) -> UpdateOutcome:
 
 
 def _place_changes(
-    account: Account, chosen: Campaign, pos: int, rule: Rule
+    account: Account, chosen: Campaign, pos: int, rule: Rule, neg: NegativeKeyword
 ) -> list[Change]:
     """Put ``rule``'s keyword into group ``pos`` (campaign ``chosen``): every
-    sibling ad group blocks it, and its own new ad group blocks the siblings."""
-    kw = rule.keyword
+    sibling ad group blocks it by ``neg``, and its new ad group blocks the siblings."""
     siblings = frozenset(exact(other) for other in account.partition[pos])
     return [
-        *(AddNegative(chosen.name, exact(kw), adgroup.name) for adgroup in chosen.adgroups),
+        *(AddNegative(chosen.name, neg, adgroup.name) for adgroup in chosen.adgroups),
         AddAdGroup(chosen.name, rule_adgroup(rule, siblings)),
-        AssignKeyword(pos, kw),
+        AssignKeyword(pos, rule.keyword),
     ]
 
 
@@ -425,15 +425,17 @@ def add_rule(
     if admitting:
         pos = min(admitting, key=lambda p: (len(account.partition[p]), p))
         blocking += [camp for p, camp in enumerate(group_camps) if p != pos]
-    changes: list[Change] = [AddNegative(camp.name, exact(kw)) for camp in blocking]
+    # One exact-negative object, shared by every list that gains it.
+    neg = exact(kw)
+    changes: list[Change] = [AddNegative(camp.name, neg) for camp in blocking]
 
     if admitting:
-        changes += _place_changes(account, group_camps[pos], pos, rule)
+        changes += _place_changes(account, group_camps[pos], pos, rule, neg)
         changes.append(AddEraser(pos, ExactEraser(kw)))
     elif strategy == "new-campaign":
         changes += _open_campaign_changes(account, rule)
     else:
-        changes += _min_negatives_changes(account, rule)
+        changes += _min_negatives_changes(account, rule, neg)
     return _outcome(account, changes)
 
 
@@ -468,7 +470,7 @@ def _open_campaign_changes(account: Account, rule: Rule) -> list[Change]:
     return [AddGroup(frozenset({kw}), (ExactEraser(kw),)), AddCampaign(campaign)]
 
 
-def _min_negatives_changes(account: Account, rule: Rule) -> list[Change]:
+def _min_negatives_changes(account: Account, rule: Rule, neg: NegativeKeyword) -> list[Change]:
     """Case: every group campaign blocks the keyword and the caller prefers
     re-covering groups over opening a campaign.  Each placement is costed by
     the literal negatives it leaves account-wide; the cheapest wins (tie: the
@@ -506,7 +508,7 @@ def _min_negatives_changes(account: Account, rule: Rule) -> list[Change]:
     for camp, negs in zip(group_camps, group_campaign_negatives(best_erasers, snb)):
         if negs != camp.negatives:
             changes.append(SetCampaignNegatives(camp.name, negs))
-    return changes + _place_changes(account, group_camps[target], target, rule)
+    return changes + _place_changes(account, group_camps[target], target, rule, neg)
 
 
 # --- remove_rule ---------------------------------------------------------
@@ -546,10 +548,13 @@ def remove_rule(account: Account, keyword: Keyword) -> UpdateOutcome:
 
     survivors = members - {keyword}
     if survivors:
+        own_adgroup = next((g for g in own.adgroups if g.tag == RuleTag(keyword)), None)
+        if own_adgroup is None:
+            raise InputError(f"no ad group for {keyword.text!r} in {own.name}")
         for adgroup in own.adgroups:
-            if adgroup.name != keyword.text and exact(keyword) in adgroup.negatives:
+            if adgroup is not own_adgroup and exact(keyword) in adgroup.negatives:
                 changes.append(RemoveNegative(own.name, exact(keyword), adgroup.name))
-        changes.append(RemoveAdGroup(own.name, keyword.text))
+        changes.append(RemoveAdGroup(own.name, own_adgroup.name))
         changes.append(UnassignKeyword(pos, keyword))
     else:
         changes.append(RemoveCampaign(own.name))

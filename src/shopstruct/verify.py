@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 
 from .account import Account, AdGroupTag, BrandTag, CatchAllTag, RuleTag
 from .erasers import erases
+from .errors import InputError
 from .keywords import Keyword, subword_set, word_set
 from .simulate import Disposition, Landed, Simulator
 
@@ -188,10 +189,16 @@ def _probe_routing(
     return _check_routes(sim, name, cases, note)[0]
 
 
+def _check_probes(probes: int) -> None:
+    if probes < 0:
+        raise InputError(f"probes must not be negative: {probes}")
+
+
 def verify_property2(
     sim: Simulator, *, probes: int = 1000, seed: int = 0
 ) -> PropertyResult:
     """Seeded brand probes: one brand phrase, nothing else special."""
+    _check_probes(probes)
     account = sim.account
     if not account.brands:
         return PropertyResult(
@@ -225,6 +232,7 @@ def verify_property3(
     sim: Simulator, *, probes: int = 1000, seed: int = 0
 ) -> PropertyResult:
     """Seeded generic probes: no catalogue keyword, no brand, no blocked brand."""
+    _check_probes(probes)
     account = sim.account
     rng = random.Random(seed)
     pool = _filler_pool(account)
@@ -400,6 +408,7 @@ def verify_account(
     account: Account, *, probes: int = 1000, seed: int = 0
 ) -> VerificationReport:
     """Run all routing properties plus the structural checks on one simulator."""
+    _check_probes(probes)
     sim = Simulator(account)
     own_keyword, failures = verify_property1(sim)
     return VerificationReport(

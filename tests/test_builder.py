@@ -16,6 +16,7 @@ import oracles
 from shopstruct import (
     BuildConfig,
     ExactEraser,
+    GroupPlan,
     InputError,
     LargeEraser,
     LimitExceededError,
@@ -41,6 +42,7 @@ from shopstruct import (
     enumerate_candidates,
     normalize,
 )
+from shopstruct.erasers import group_target
 
 
 def _texts(group):
@@ -49,7 +51,9 @@ def _texts(group):
 
 def test_naive_partition_chunks_sorted_keywords():
     kws = [normalize(t) for t in FOUR_KEYWORDS]
-    groups, erasers = naive_partition(kws)
+    plan = naive_partition(kws)
+    groups, erasers = plan.groups, plan.erasers
+    assert plan.target_size == 2
     assert [_texts(g) for g in groups] == [
         ["adidas shoes", "garmin chronometer"],
         ["large tee-shirt", "nike shoes"],
@@ -62,16 +66,31 @@ def test_naive_partition_chunks_sorted_keywords():
 
 def test_naive_partition_explicit_target_and_empty():
     kws = [normalize(t) for t in FOUR_KEYWORDS]
-    groups, _ = naive_partition(kws, target_size=3)
+    groups = naive_partition(kws, target_size=3).groups
     assert [len(g) for g in groups] == [3, 1]
-    assert naive_partition([]) == ((), ())
+    assert naive_partition([]) == GroupPlan((), (), 1)
 
 
 def test_plan_groups_naive_mode_uses_exact_erasers():
     kws = [normalize(t) for t in FOUR_KEYWORDS]
-    groups, erasers = plan_groups(kws, BuildConfig(mode="naive"))
-    assert groups == naive_partition(kws)[0]
-    assert all(isinstance(e, ExactEraser) for g in erasers for e in g)
+    plan = plan_groups(kws, BuildConfig(mode="naive"))
+    assert plan == naive_partition(kws)
+    assert all(isinstance(e, ExactEraser) for g in plan.erasers for e in g)
+
+
+@pytest.mark.parametrize("mode", ["naive", "reduced"])
+@pytest.mark.parametrize("target", [0, -3])
+def test_target_size_below_one_is_an_input_error_in_either_mode(four_rules, mode, target):
+    config = BuildConfig(mode=mode, target_size=target)
+    with pytest.raises(InputError, match=f"^target size must be positive: {target}$"):
+        build_account(four_rules, config=config)
+
+
+def test_group_target_defaults_to_ceil_sqrt_n():
+    assert [group_target(n) for n in (0, 1, 2, 4, 5, 300, 10000)] == [1, 1, 2, 2, 3, 18, 100]
+    assert group_target(300, 7) == 7
+    with pytest.raises(InputError, match="target size must be positive: 0"):
+        group_target(300, 0)
 
 
 def test_small_naive_build_negative_layout(four_rules):

@@ -188,6 +188,43 @@ def test_verify_non_positive_limit_exits_2(workspace, capsys):
     assert capsys.readouterr().err == "error: limit must be positive\n"
 
 
+def test_verify_negative_probes_exit_2(workspace, capsys):
+    account = str(workspace / "account.json")
+    assert main(["verify", "--account", account, "--probes", "-5"]) == 2
+    assert capsys.readouterr().err == "error: probes must not be negative: -5\n"
+    assert main(["verify", "--account", account, "--probes", "0"]) == 0
+    assert "verification passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["naive", "reduced"])
+@pytest.mark.parametrize("target", ["0", "-3"])
+def test_build_target_size_below_one_exits_2(workspace, capsys, mode, target):
+    out = workspace / "bad.json"
+    args = ["build", "--rules", str(workspace / "rules.jsonl"), "--mode", mode]
+    assert main(args + ["--target-size", target, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: target size must be positive: {target}\n"
+    assert not out.exists()
+
+
+def test_rm_rule_finds_a_renamed_rule_adgroup_by_its_tag(workspace, capsys):
+    path = workspace / "account.json"
+    doc = json.loads(path.read_text())
+    camp = next(c for c in doc["campaigns"] if c["priority"] == "low" and len(c["adgroups"]) > 1)
+    adgroup = camp["adgroups"][0]
+    keyword = adgroup["name"]
+    adgroup["name"] = "renamed"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--account", str(path), "--probes", "50"]) == 0
+    capsys.readouterr()
+
+    out = workspace / "trimmed.json"
+    args = ["update", "rm-rule", "--account", str(path), "--keyword", keyword]
+    assert main(args + ["--out", str(out), "--json"]) == 0
+    changes = json.loads(capsys.readouterr().out)["changes"]
+    assert f"remove ad group 'renamed' from campaign {camp['name']}" in changes
+    assert main(["verify", "--account", str(out), "--probes", "50"]) == 0
+
+
 def test_bounds_values_and_sites(capsys):
     assert main(["bounds", "4", "3", "1", "--groups", "2,2"]) == 0
     out = capsys.readouterr().out

@@ -17,6 +17,7 @@ from shopstruct import (
     eraser_image,
     erases,
     make_group_plan,
+    matches,
     normalize,
     reduce_keywords,
     select_color_class,
@@ -50,6 +51,21 @@ def test_eraser_semantics():
     assert not erases(LargeEraser(frozenset({"adidas", "shoes"})), kw)
     assert erases(ExactEraser(kw), kw)
     assert not erases(ExactEraser(normalize("adidas superstar")), kw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_erases_is_the_reference_matcher(data):
+    words = st.sampled_from(["nike", "air", "max", "shoes"])
+    keywords = st.lists(words, min_size=1, max_size=4).map(lambda ws: Keyword(tuple(ws)))
+    kw = data.draw(keywords)
+    eraser = data.draw(
+        st.one_of(
+            st.frozensets(words, min_size=1, max_size=3).map(LargeEraser),
+            st.one_of(st.just(kw), keywords).map(ExactEraser),
+        )
+    )
+    assert erases(eraser, kw) == matches(kw, eraser.to_negative())
 
 
 def test_large_eraser_rejects_empty_word_set():
@@ -178,7 +194,7 @@ def test_group_plan_golden():
         ["[large] adidas"],
         ["[large] large", "[exact] air max", "[exact] garmin chronometer"],
     ]
-    assert plan.keyword_count() == 11
+    assert sum(len(g) for g in plan.groups) == 11
 
 
 def test_group_plan_covers_every_keyword_exactly_once():
@@ -208,7 +224,7 @@ def test_group_plan_rejects_overlapping_images():
 
 def test_group_plan_without_selected_erasers():
     plan = make_group_plan(KW, (), target_size=4)
-    assert plan.keyword_count() == 11
+    assert sum(len(g) for g in plan.groups) == 11
     assert all(isinstance(e, ExactEraser) for ers in plan.erasers for e in ers)
 
 

@@ -125,6 +125,19 @@ def test_add_rule_into_admitting_group(golden_account):
     assert result.disposition.adgroup == "nike jogging"
 
 
+def test_admitted_add_shares_one_exact_negative_object(golden_account):
+    rule = Rule(normalize("nike jogging"), Money(77_000), frozenset({"item-20"}))
+    out = add_rule(golden_account, rule)
+    neg = exact(rule.keyword)
+    lists = [c.negatives for c in out.account.campaigns]
+    lists += [g.negatives for c in out.account.campaigns for g in c.adgroups]
+    held = [next(n for n in negs if n == neg) for negs in lists if neg in negs]
+    added = [c.negative for c in out.changes if isinstance(c, AddNegative)]
+    # c1, c2, c3_2 and c3_3, plus group 1's four sibling ad groups.
+    assert len(held) == len(added) == 8
+    assert all(n is added[0] for n in held + added)
+
+
 def test_add_rule_opens_new_campaign_when_blocked_everywhere(golden_account):
     rule = Rule(normalize("nike large shoes"), Money(90_000), frozenset({"item-21"}))
     out = add_rule(golden_account, rule)

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from conftest import LIMIT_CATALOGUES
 from shopstruct import (
+    InputError,
     MatchType,
     Priority,
     RuleTag,
@@ -156,6 +157,17 @@ def test_no_brand_catalogue_notes_vacuous_brand_property(four_rules):
     assert p2.passed
     assert p2.checked == 0
     assert p2.note is not None
+
+
+def test_negative_probe_counts_are_input_errors(golden_account, four_rules):
+    no_brands = build_account(four_rules, (), (normalize("reebok"),))
+    for account in (golden_account, no_brands):
+        for check in (verify_property2, verify_property3):
+            with pytest.raises(InputError, match="^probes must not be negative: -5$"):
+                check(Simulator(account), probes=-5)
+    with pytest.raises(InputError, match="^probes must not be negative: -1$"):
+        verify_account(golden_account, probes=-1)
+    assert verify_account(golden_account, probes=0).passed
 
 
 def test_property3_probes_avoid_catalogue_collisions(golden_account):
