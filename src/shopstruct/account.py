@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .erasers import Eraser
 from .errors import InputError, LimitExceededError
@@ -225,8 +225,11 @@ class Account:
     def over_limit(self) -> dict[str, int]:
         """The size of every negative list over ``limit``, keyed by where it
         sits: campaign by campaign, each campaign's own list first."""
+        return self._lists_over(self.campaigns)
+
+    def _lists_over(self, campaigns: Iterable[Campaign]) -> dict[str, int]:
         over: dict[str, int] = {}
-        for c in self.campaigns:
+        for c in campaigns:
             if len(c.negatives) > self.limit:
                 over[f"campaign {c.name}"] = len(c.negatives)
             for g in c.adgroups:
@@ -241,8 +244,11 @@ class Account:
     def check_limit(self, before: Account | None = None) -> None:
         """Raise LimitExceededError at the first list over ``limit``.  With
         ``before``, only a list also longer than it was there counts, so an
-        update may still shrink an account that is already over its cap."""
-        over = self.over_limit()
+        update may still shrink an account that is already over its cap.
+        A campaign that ``before`` holds as the same object is not walked:
+        none of its lists got longer."""
+        kept = {id(c) for c in before.campaigns} if before is not None else set()
+        over = self._lists_over(c for c in self.campaigns if id(c) not in kept)
         was = before.over_limit() if before is not None and over else {}
         for where, count in over.items():
             if count > was.get(where, 0):

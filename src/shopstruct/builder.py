@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
+from ._gcpause import gc_paused
 from .account import (
     Account,
     AdGroup,
@@ -90,6 +91,9 @@ class BuildConfig:
             raise InputError("limit must be positive")
         if self.max_words < 1:
             raise InputError("max_words must be positive")
+        # Candidates keep images of 2 to max_image keywords: below 2, none.
+        if self.max_image is not None and self.max_image < 2:
+            raise InputError(f"max_image must be at least 2: {self.max_image}")
 
 
 def _check_routable(keywords: Iterable[Keyword], non_brands: Sequence[Keyword]) -> None:
@@ -177,6 +181,7 @@ def group_campaign_negatives(
     ]
 
 
+@gc_paused
 def build_account(
     rules: Sequence[Rule],
     brands: Sequence[Keyword] = (),
@@ -304,6 +309,7 @@ class ReductionStats:
         return self.reduced_negatives / self.naive_negatives
 
 
+@gc_paused
 def reduction_stats(
     rules: Sequence[Rule],
     brands: Sequence[Keyword] = (),

@@ -15,6 +15,7 @@ import json
 import os
 from typing import Sequence
 
+from ._gcpause import gc_paused
 from .account import Money, Rule
 from .errors import InputError
 from .keywords import Keyword, distinct_keywords, normalize
@@ -51,6 +52,7 @@ def parse_rule_line(line: str, *, where: str = "rule") -> Rule:
         raise InputError(f"{where}: {exc}") from exc
 
 
+@gc_paused
 def loads_rules(text: str, *, source: str = "<rules>") -> tuple[Rule, ...]:
     rules = []
     for lineno, line in enumerate(text.splitlines(), start=1):

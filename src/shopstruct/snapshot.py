@@ -31,6 +31,7 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Any, Callable
 
+from ._gcpause import gc_paused
 from .account import (
     Account,
     AdGroup,
@@ -134,6 +135,7 @@ def account_document(account: Account) -> dict[str, Any]:
     return _document(account, _negatives_doc)
 
 
+@gc_paused
 def render_account(account: Account) -> str:
     """``json.dumps(account_document(account), indent=2) + "\\n"``, written directly."""
     out = bytearray()
@@ -365,6 +367,7 @@ def _parse_eraser(doc: Any) -> Eraser:
     raise InputError(f"unknown eraser kind: {doc!r}")
 
 
+@gc_paused
 def parse_account_document(doc: Any) -> Account:
     if not isinstance(doc, dict):
         raise InputError("account snapshot must be a JSON object")
@@ -408,6 +411,7 @@ def parse_account_document(doc: Any) -> Account:
         raise InputError(f"malformed account snapshot: {exc}") from exc
 
 
+@gc_paused
 def parse_account(text: str) -> Account:
     try:
         doc = json.loads(text)

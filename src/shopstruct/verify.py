@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ._gcpause import gc_paused
 from .account import Account, AdGroupTag, BrandTag, CatchAllTag, RuleTag
 from .erasers import erases
 from .errors import InputError
@@ -404,6 +405,7 @@ def verify_structure(
     return tuple(findings)
 
 
+@gc_paused
 def verify_account(
     account: Account, *, probes: int = 1000, seed: int = 0
 ) -> VerificationReport:

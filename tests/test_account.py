@@ -161,3 +161,21 @@ def test_check_limit_against_before_counts_only_lengthened_lists(golden_account)
     # A list that only reaches the limit is not over it.
     at_limit = replace(golden_account, limit=len(adgroup.negatives) + 1)
     apply_changes(at_limit, [AddNegative(camp.name, extra, adgroup.name)]).check_limit(at_limit)
+
+
+def test_check_limit_against_before_passes_a_list_over_it_in_an_untouched_campaign(
+    golden_account,
+):
+    # c1, the High campaign, holds the longest list and stays over the limit;
+    # an update that leaves c1 alone passes, one that lengthens it does not.
+    general = golden_account.general_campaign()
+    before = replace(golden_account, limit=len(general.negatives) - 1)
+    extra = exact(normalize("zz yy"))
+    grown = apply_changes(before, [AddNegative(before.group_campaigns()[0].name, extra)])
+    assert grown.general_campaign() is general
+    assert list(grown.over_limit()) == [f"campaign {general.name}"]
+    grown.check_limit(before)
+    with pytest.raises(LimitExceededError) as err:
+        apply_changes(before, [AddNegative(general.name, extra)]).check_limit(before)
+    where = f"campaign {general.name}"
+    assert str(err.value) == _limit_message(where, len(general.negatives) + 1, before.limit)

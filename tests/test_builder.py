@@ -275,6 +275,9 @@ def test_build_limit_is_the_largest_list(limit_catalogues, unlimited_accounts, n
         {"mode": "balanced"},
         {"limit": 0},
         {"max_words": 0},
+        {"max_image": 1},
+        {"max_image": 0},
+        {"max_image": -3},
     ],
 )
 def test_build_config_validation(kwargs):

@@ -206,6 +206,15 @@ def test_build_target_size_below_one_exits_2(workspace, capsys, mode, target):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("max_image", ["1", "0", "-3"])
+def test_build_max_image_below_two_exits_2(workspace, capsys, max_image):
+    out = workspace / "bad.json"
+    args = ["build", "--rules", str(workspace / "rules.jsonl"), "--max-image", max_image]
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: max_image must be at least 2: {max_image}\n"
+    assert not out.exists()
+
+
 def test_rm_rule_finds_a_renamed_rule_adgroup_by_its_tag(workspace, capsys):
     path = workspace / "account.json"
     doc = json.loads(path.read_text())

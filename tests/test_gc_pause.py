@@ -1,0 +1,148 @@
+"""The bulk calls pause the cyclic garbage collector; these tests guard why
+that is safe and that the caller's collector state survives every call.
+
+A call that builds a reference cycle would leave garbage that only the
+collector frees; with the collector paused that garbage would pile up, so
+the first test fails if a compile, parse or verify path ever makes one.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+from contextlib import contextmanager
+from types import SimpleNamespace
+
+import pytest
+
+from shopstruct import (
+    BuildConfig,
+    InputError,
+    LimitExceededError,
+    ShopstructError,
+    SyntheticSpec,
+    build_account,
+    dumps_rules,
+    generate,
+    loads_rules,
+    parse_account,
+    reduction_stats,
+    render_account,
+    verify_account,
+)
+from shopstruct import builder
+from shopstruct.cli import main
+
+
+@pytest.fixture(scope="module")
+def synth300():
+    """Synth n=300 seed 0: its catalogue, rules text, account and snapshot."""
+    cat = generate(SyntheticSpec(n=300, seed=0))
+    catalogue = (cat.rules, cat.brands, cat.non_brands)
+    account = build_account(*catalogue)
+    return SimpleNamespace(
+        catalogue=catalogue,
+        rules=dumps_rules(cat.rules),
+        account=account,
+        text=render_account(account),
+    )
+
+
+def _bad_negative(text: str) -> str:
+    doc = json.loads(text)
+    doc["campaigns"][0]["negatives"][0] = {"keyword": "x", "match": "fuzzy"}
+    return json.dumps(doc)
+
+
+# name -> (call on the synth300 fixture, the error it raises or None)
+CALLS = {
+    "loads_rules": (lambda s: loads_rules(s.rules), None),
+    "build_account": (lambda s: build_account(*s.catalogue), None),
+    "render_account": (lambda s: render_account(s.account), None),
+    "parse_account": (lambda s: parse_account(s.text), None),
+    "verify_account": (lambda s: verify_account(s.account), None),
+    "reduction_stats": (lambda s: reduction_stats(*s.catalogue), None),
+    "build_over_limit": (
+        lambda s: build_account(*s.catalogue, config=BuildConfig(limit=1)),
+        LimitExceededError,
+    ),
+    "loads_rules_not_json": (lambda s: loads_rules("{" + s.rules), InputError),
+    "parse_not_json": (lambda s: parse_account("{" + s.text), InputError),
+    "parse_bad_negative": (lambda s: parse_account(_bad_negative(s.text)), InputError),
+}
+
+
+@contextmanager
+def _collector(enabled: bool):
+    """Set the collector on or off for the block, then put back the state
+    the test runner had."""
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def _call(name, synth300):
+    """Run one call; the type of the error it raised, or None."""
+    try:
+        CALLS[name][0](synth300)
+    except ShopstructError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_paused_call_leaves_no_cyclic_garbage(synth300, name):
+    with _collector(False):
+        gc.collect()
+        raised = _call(name, synth300)
+        assert gc.collect() == 0
+    assert raised is CALLS[name][1]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("name", CALLS)
+def test_paused_call_restores_the_collector_state(synth300, name, enabled):
+    with _collector(enabled):
+        assert _call(name, synth300) is CALLS[name][1]
+        assert gc.isenabled() is enabled
+
+
+def test_collector_is_off_inside_the_call_and_a_nested_call_keeps_it_off(
+    synth300, monkeypatch
+):
+    seen = []
+    plan_groups, build = builder.plan_groups, builder.build_account
+
+    def spy_plan(*args, **kwargs):
+        seen.append(("plan_groups", gc.isenabled()))
+        return plan_groups(*args, **kwargs)
+
+    def spy_build(*args, **kwargs):
+        account = build(*args, **kwargs)
+        seen.append(("after build_account", gc.isenabled()))
+        return account
+
+    monkeypatch.setattr(builder, "plan_groups", spy_plan)
+    monkeypatch.setattr(builder, "build_account", spy_build)
+    with _collector(True):
+        builder.reduction_stats(*synth300.catalogue)
+        assert gc.isenabled()
+    # reduction_stats pauses; the build inside it must not switch back on.
+    assert seen == [("plan_groups", False), ("after build_account", False)]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_cli_build_and_verify_restore_the_collector_state(tmp_path, enabled):
+    rules, account = tmp_path / "rules.jsonl", tmp_path / "account.json"
+    assert main(["synth", "--n", "60", "--seed", "0", "--rules-out", str(rules)]) == 0
+    with _collector(enabled):
+        assert main(["build", "--rules", str(rules), "--out", str(account)]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["verify", "--account", str(account)]) == 0
+        assert gc.isenabled() is enabled
+        over = ["build", "--rules", str(rules), "--limit", "1", "--out", str(account)]
+        assert main(over) == 2
+        assert gc.isenabled() is enabled
