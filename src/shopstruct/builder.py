@@ -43,6 +43,7 @@ from .account import (
 from .bounds import nk_exact
 from .erasers import (
     Eraser,
+    EraserGraph,
     ExactEraser,
     GroupPlan,
     build_graph,
@@ -74,26 +75,21 @@ def group_campaign_name(index: int) -> str:
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """Knobs for the account compiler; the defaults are the recommended ones."""
+    """The account compiler's settings: the build ``mode`` ("reduced" or
+    "naive"), the keyword-group ``target_size`` (None for ceil(sqrt(n))), the
+    negative-list ``limit`` and the ``default_bid`` of catch-all and brand
+    ad groups.  The defaults are the recommended ones."""
 
     mode: str = "reduced"
-    max_words: int = 3
-    max_image: int | None = None
     target_size: int | None = None
     limit: int = 20000
     default_bid: Money = field(default_factory=lambda: Money(10_000))
-    coloring_order: str = "weight"
 
     def __post_init__(self) -> None:
         if self.mode not in ("naive", "reduced"):
             raise InputError(f"unknown build mode: {self.mode!r}")
         if self.limit < 1:
             raise InputError("limit must be positive")
-        if self.max_words < 1:
-            raise InputError("max_words must be positive")
-        # Candidates keep images of 2 to max_image keywords: below 2, none.
-        if self.max_image is not None and self.max_image < 2:
-            raise InputError(f"max_image must be at least 2: {self.max_image}")
 
 
 def _check_routable(keywords: Iterable[Keyword], non_brands: Sequence[Keyword]) -> None:
@@ -144,14 +140,20 @@ def naive_partition(
     )
 
 
+def _candidate_graph(keywords: Sequence[Keyword], target_size: int | None) -> EraserGraph:
+    """The conflict graph of the candidate large erasers.  A candidate's image
+    is capped at the group target: a larger image fits in no group."""
+    n = len(keywords)
+    cap = min(group_target(n), group_target(n, target_size))
+    return build_graph(enumerate_candidates(keywords, max_image=cap))
+
+
 def plan_groups(keywords: Sequence[Keyword], config: BuildConfig) -> GroupPlan:
     """Partition plus per-group erasers under the configured mode."""
     if config.mode == "naive":
         return naive_partition(keywords, target_size=config.target_size)
-    graph = build_graph(
-        enumerate_candidates(keywords, max_words=config.max_words, max_image=config.max_image)
-    )
-    selected = select_color_class(graph, welsh_powell(graph, order=config.coloring_order))
+    graph = _candidate_graph(keywords, config.target_size)
+    selected = select_color_class(graph, welsh_powell(graph))
     return make_group_plan(keywords, selected, target_size=config.target_size)
 
 
@@ -322,9 +324,7 @@ def reduction_stats(
     largest list, the High campaign, is in the reduced build too."""
     config = replace(config or BuildConfig(), mode="reduced")
     keywords = [r.keyword for r in rules]
-    graph = build_graph(
-        enumerate_candidates(keywords, max_words=config.max_words, max_image=config.max_image)
-    )
+    graph = _candidate_graph(keywords, config.target_size)
     reduced = build_account(rules, brands, non_brands, config=config)
     exact_erasers = sum(isinstance(e, ExactEraser) for g in reduced.erasers for e in g)
     naive_groups = naive_partition(keywords, target_size=config.target_size).groups

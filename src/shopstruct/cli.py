@@ -52,14 +52,7 @@ def _load_catalogue(args) -> tuple[tuple[Rule, ...], tuple[Keyword, ...], tuple[
 
 
 def _build_config(args, **build_only) -> BuildConfig:
-    return BuildConfig(
-        max_words=args.max_words,
-        max_image=args.max_image,
-        target_size=args.target_size,
-        limit=args.limit,
-        coloring_order=args.coloring_order,
-        **build_only,
-    )
+    return BuildConfig(target_size=args.target_size, limit=args.limit, **build_only)
 
 
 def _cmd_build(args) -> int:
@@ -298,50 +291,53 @@ def _print_outcome(outcome: UpdateOutcome, as_json: bool) -> None:
         print("group shapes are balanced")
 
 
-def _cmd_add_rule(args) -> int:
+def _run_update(args, update, revise_rules) -> int:
+    """Read the account and the ``--rules`` catalogue when given, apply
+    ``update(account, rules)``, then write the snapshot and the catalogue
+    ``revise_rules(rules, outcome)``.  Nothing is written unless every input
+    was read and the update succeeded."""
     account = _read_account(args.account)
+    rules = load_rules(args.rules) if args.rules else None
+    outcome = update(account, rules)
+    _write_account(args.out or args.account, outcome.account)
+    if rules is not None:
+        save_rules(getattr(args, "rules_out", None) or args.rules, revise_rules(rules, outcome))
+    _print_outcome(outcome, args.json)
+    return 0
+
+
+def _cmd_add_rule(args) -> int:
     items = frozenset(part.strip() for part in args.items.split(",") if part.strip())
     rule = Rule(
         keyword=normalize(args.keyword), cpc=Money(args.cpc_micros), items=items
     )
-    outcome = add_rule(account, rule, strategy=args.strategy)
-    _write_account(args.out or args.account, outcome.account)
-    if args.rules:
-        rules = load_rules(args.rules)
-        save_rules(args.rules, rules + (rule,))
-    _print_outcome(outcome, args.json)
-    return 0
+    return _run_update(
+        args,
+        lambda account, _: add_rule(account, rule, strategy=args.strategy),
+        lambda rules, _: rules + (rule,),
+    )
 
 
 def _cmd_rm_rule(args) -> int:
-    account = _read_account(args.account)
     keyword = normalize(args.keyword)
-    outcome = remove_rule(account, keyword)
-    _write_account(args.out or args.account, outcome.account)
-    if args.rules:
-        rules = load_rules(args.rules)
-        save_rules(args.rules, tuple(r for r in rules if r.keyword != keyword))
-    _print_outcome(outcome, args.json)
-    return 0
+    return _run_update(
+        args,
+        lambda account, _: remove_rule(account, keyword),
+        lambda rules, _: tuple(r for r in rules if r.keyword != keyword),
+    )
 
 
 def _cmd_rm_item(args) -> int:
-    account = _read_account(args.account)
-    rules = load_rules(args.rules)
-    outcome = remove_item(account, rules, args.item)
-    _write_account(args.out or args.account, outcome.account)
-    assert outcome.rules is not None
-    save_rules(args.rules_out or args.rules, outcome.rules)
-    _print_outcome(outcome, args.json)
-    return 0
+    return _run_update(
+        args,
+        lambda account, rules: remove_item(account, rules, args.item),
+        lambda _, outcome: outcome.rules,
+    )
 
 
 def _add_build_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-words", type=int, default=3)
-    p.add_argument("--max-image", type=int, default=None)
     p.add_argument("--target-size", type=int, default=None)
     p.add_argument("--limit", type=int, default=20000)
-    p.add_argument("--coloring-order", choices=["weight", "degree"], default="weight")
 
 
 def _add_catalogue_options(p: argparse.ArgumentParser) -> None:

@@ -24,6 +24,8 @@ from typing import Iterable, Sequence, Union
 from .errors import InfeasibleTargetError, InputError
 from .keywords import Keyword, MatchType, NegativeKeyword, word_set
 
+# The most words a large eraser holds, at build and in updates alike.
+MAX_WORDS = 3
 
 @dataclass(frozen=True)
 class LargeEraser:
@@ -123,7 +125,7 @@ def _subset_images(
 def enumerate_candidates(
     keywords: Sequence[Keyword],
     *,
-    max_words: int = 3,
+    max_words: int = MAX_WORDS,
     max_image: int | None = None,
 ) -> tuple[Candidate, ...]:
     """All useful candidate large erasers over ``keywords``.
@@ -181,25 +183,17 @@ def build_graph(candidates: Sequence[Candidate]) -> EraserGraph:
     return EraserGraph(tuple(candidates), tuple(frozenset(a) for a in adj))
 
 
-def welsh_powell(graph: EraserGraph, *, order: str = "weight") -> tuple[int, ...]:
+def welsh_powell(graph: EraserGraph) -> tuple[int, ...]:
     """Greedy sequential coloring; every node gets the smallest free color.
 
-    ``order`` picks the processing sequence:
-
-    * ``"weight"`` (default): image size descending, then total neighbouring
-      image weight ascending (least-conflicted heavy nodes first, so heavy
-      independent erasers tend to share the first colors), then node order.
-    * ``"degree"``: classic degree-descending, then node order.
+    Nodes go by image size descending, then total neighbouring image weight
+    ascending (least-conflicted heavy nodes first, so heavy independent
+    erasers tend to share the first colors), then node order.
     """
     n = graph.node_count
     weights = [c.weight for c in graph.nodes]
-    if order == "weight":
-        nbr_weight = [sum(weights[j] for j in graph.adjacency[i]) for i in range(n)]
-        seq = sorted(range(n), key=lambda i: (-weights[i], nbr_weight[i], i))
-    elif order == "degree":
-        seq = sorted(range(n), key=lambda i: (-len(graph.adjacency[i]), i))
-    else:
-        raise InputError(f"unknown coloring order: {order!r}")
+    nbr_weight = [sum(weights[j] for j in graph.adjacency[i]) for i in range(n)]
+    seq = sorted(range(n), key=lambda i: (-weights[i], nbr_weight[i], i))
     colors: dict[int, int] = {}
     for i in seq:
         used = {colors[j] for j in graph.adjacency[i] if j in colors}
@@ -344,7 +338,7 @@ def reduce_keywords(
     members: Iterable[Keyword],
     universe: Iterable[Keyword],
     *,
-    max_words: int = 3,
+    max_words: int = MAX_WORDS,
 ) -> tuple[Eraser, ...]:
     """A small eraser set erasing exactly ``members`` and nothing else in ``universe``.
 

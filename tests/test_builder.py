@@ -93,6 +93,22 @@ def test_group_target_defaults_to_ceil_sqrt_n():
         group_target(300, 0)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("target", [1, 2, 6, 9, 16, 17])
+def test_reduced_targets_below_the_default_build_and_verify(seed, target):
+    # ceil(sqrt(300)) is 18: the candidate cap follows the smaller target, so
+    # every selected image fits in a group and no group passes the target.
+    cat = generate(SyntheticSpec(n=300, seed=seed))
+    config = BuildConfig(target_size=target)
+    account = build_account(cat.rules, cat.brands, cat.non_brands, config=config)
+    assert max(len(g) for g in account.partition) <= target
+    assert verify_account(account).passed
+    stats = reduction_stats(cat.rules, cat.brands, cat.non_brands, config=config)
+    keywords = [r.keyword for r in cat.rules]
+    assert stats.candidate_count == len(enumerate_candidates(keywords, max_image=target))
+    assert stats.reduced_negatives == negative_count(account)
+
+
 def test_small_naive_build_negative_layout(four_rules):
     brands = tuple(normalize(b) for b in ("nike", "adidas", "garmin"))
     non_brands = (normalize("reebok"),)
@@ -274,10 +290,6 @@ def test_build_limit_is_the_largest_list(limit_catalogues, unlimited_accounts, n
     [
         {"mode": "balanced"},
         {"limit": 0},
-        {"max_words": 0},
-        {"max_image": 1},
-        {"max_image": 0},
-        {"max_image": -3},
     ],
 )
 def test_build_config_validation(kwargs):
@@ -331,26 +343,17 @@ def _stats_catalogue(name: str):
 _STATS_CATALOGUES = ["golden", "empty", "empty with brands"] + [
     f"synth-{n}-{seed}-{brands}" for n in (300, 1000) for seed in range(4) for brands in (3, 0)
 ]
-_TWO_WORDS = BuildConfig(max_words=2, coloring_order="degree")
 
 
-@pytest.mark.parametrize(
-    "name, config",
-    [pytest.param(name, BuildConfig(), id=name) for name in _STATS_CATALOGUES]
-    + [
-        pytest.param(name, _TWO_WORDS, id=f"{name} two words by degree")
-        for name in _STATS_CATALOGUES
-        if name.startswith(("golden", "synth-300"))
-    ],
-)
-def test_reduction_stats_equals_the_stages_and_the_naive_build(name, config):
+@pytest.mark.parametrize("name", _STATS_CATALOGUES)
+def test_reduction_stats_equals_the_stages_and_the_naive_build(name):
     rules, brands, non_brands = _stats_catalogue(name)
     keywords = [r.keyword for r in rules]
-    candidates = enumerate_candidates(keywords, max_words=config.max_words)
+    candidates = enumerate_candidates(keywords)
     graph = build_graph(candidates)
-    selected = select_color_class(graph, welsh_powell(graph, order=config.coloring_order))
-    reduced = build_account(rules, brands, non_brands, config=config)
-    naive = build_account(rules, brands, non_brands, config=replace(config, mode="naive"))
+    selected = select_color_class(graph, welsh_powell(graph))
+    reduced = build_account(rules, brands, non_brands)
+    naive = build_account(rules, brands, non_brands, config=BuildConfig(mode="naive"))
     expected = ReductionStats(
         n=len(rules),
         candidate_count=len(candidates),
@@ -363,7 +366,7 @@ def test_reduction_stats_equals_the_stages_and_the_naive_build(name, config):
     )
     # The configured mode plays no part: both builds are always compared.
     for mode in ("reduced", "naive"):
-        stats = reduction_stats(rules, brands, non_brands, config=replace(config, mode=mode))
+        stats = reduction_stats(rules, brands, non_brands, config=BuildConfig(mode=mode))
         assert stats == expected
 
 

@@ -208,10 +208,13 @@ def test_build_target_size_below_one_exits_2(workspace, capsys, mode, target):
 
 @pytest.mark.parametrize("max_image", ["1", "0", "-3"])
 def test_build_max_image_below_two_exits_2(workspace, capsys, max_image):
+    # The candidate cap follows the group target; --max-image is no option.
     out = workspace / "bad.json"
     args = ["build", "--rules", str(workspace / "rules.jsonl"), "--max-image", max_image]
-    assert main(args + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: max_image must be at least 2: {max_image}\n"
+    with pytest.raises(SystemExit) as exit_info:
+        main(args + ["--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: --max-image {max_image}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -281,6 +284,16 @@ def test_reduce_stats_takes_no_build_only_options(workspace, capsys):
             main(["reduce-stats", "--rules", rules] + option)
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_removed_search_options_are_unrecognized(workspace, capsys):
+    rules = str(workspace / "rules.jsonl")
+    for command in ("build", "reduce-stats"):
+        for option in (["--max-image", "5"], ["--max-words", "2"], ["--coloring-order", "degree"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--rules", rules] + option)
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_malformed_rules_exit_2_with_line_number(tmp_path, capsys):
@@ -455,3 +468,25 @@ def test_duplicate_keyword_update_exits_2(workspace, capsys):
         == 2
     )
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["add-rule", "rm-rule", "rm-item"])
+@pytest.mark.parametrize("rules_file", ["missing", "malformed"])
+def test_update_that_cannot_read_its_rules_writes_nothing(workspace, capsys, command, rules_file):
+    account = workspace / "account.json"
+    before = account.read_bytes()
+    keyword = load_rules(workspace / "rules.jsonl")[0].keyword.text
+    rules = workspace / f"{rules_file}.jsonl"
+    if rules_file == "malformed":
+        rules.write_text("not json\n")
+    args = ["update", command, "--account", str(account), "--rules", str(rules)]
+    if command == "add-rule":
+        args += ["--keyword", "entirely new keyword", "--cpc-micros", "100", "--items", "i1"]
+    elif command == "rm-rule":
+        args += ["--keyword", keyword]
+    else:
+        args += ["--item", "item-0001"]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert account.read_bytes() == before
+    assert rules.exists() == (rules_file == "malformed")

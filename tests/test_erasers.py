@@ -160,14 +160,11 @@ def test_coloring_toy_graphs():
     assert welsh_powell(_toy_graph([{1}, {0, 2}, {1}])) == (0, 1, 0)
 
 
-def test_coloring_is_proper_on_both_orders():
+def test_coloring_is_proper():
     graph = build_graph(enumerate_candidates(KW))
-    for order in ("weight", "degree"):
-        colors = welsh_powell(graph, order=order)
-        for i, neighbors in enumerate(graph.adjacency):
-            assert all(colors[i] != colors[j] for j in neighbors)
-    with pytest.raises(InputError):
-        welsh_powell(graph, order="alphabetical")
+    colors = welsh_powell(graph)
+    for i, neighbors in enumerate(graph.adjacency):
+        assert all(colors[i] != colors[j] for j in neighbors)
 
 
 def test_select_color_class_picks_heaviest_then_lowest_color():

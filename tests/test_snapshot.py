@@ -462,9 +462,18 @@ PINNED_DIGESTS_1000 = {
 }
 
 
-def _pinned_snapshot(n: int, seed: int, digest: str) -> None:
+# sha256 of the reduced synth n=300 seed 0 builds at group targets of at
+# least ceil(sqrt(300)) = 18, where the candidate cap stays ceil(sqrt(n)), as
+# the builder with a separate max_image setting produced them.
+PINNED_TARGET_DIGESTS = {
+    27: "205d001048f71f82655dbc4817be671f18e798f57728b3cee0ac0636fd7e118b",
+    36: "3edf5b238a863d058ae8d71b7358c8d3644435737af1da9b9429878b4c713449",
+}
+
+
+def _pinned_snapshot(n: int, seed: int, digest: str, config: BuildConfig | None = None) -> None:
     cat = generate(SyntheticSpec(n=n, seed=seed))
-    account = build_account(cat.rules, cat.brands, cat.non_brands)
+    account = build_account(cat.rules, cat.brands, cat.non_brands, config=config)
     text = render_account(account)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert render_account(parse_account(text)) == text
@@ -478,6 +487,11 @@ def test_synth_snapshot_digest_is_pinned(seed):
 @pytest.mark.parametrize("seed", sorted(PINNED_DIGESTS_1000))
 def test_synth_1000_snapshot_digest_is_pinned(seed):
     _pinned_snapshot(1000, seed, PINNED_DIGESTS_1000[seed])
+
+
+@pytest.mark.parametrize("target", sorted(PINNED_TARGET_DIGESTS))
+def test_reduced_target_snapshot_digest_is_pinned(target):
+    _pinned_snapshot(300, 0, PINNED_TARGET_DIGESTS[target], BuildConfig(target_size=target))
 
 
 def test_parsing_shares_one_object_per_negative():
