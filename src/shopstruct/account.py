@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 from .erasers import Eraser
-from .errors import InputError, LimitExceededError
+from .errors import InputError, LimitExceededError, UnknownKeywordError
 from .keywords import Keyword, NegativeKeyword
 
 
@@ -142,15 +143,25 @@ class AdGroup:
 
 @dataclass(frozen=True)
 class Campaign:
+    """A campaign.  A group campaign also owns its keyword ``group`` and the
+    ``erasers`` whose images cover that group exactly; the other group
+    campaigns block those erasers."""
+
     name: str
     priority: Priority
     tag: CampaignTag
     negatives: frozenset[NegativeKeyword]
     adgroups: tuple[AdGroup, ...]
+    group: frozenset[Keyword] = frozenset()
+    erasers: tuple[Eraser, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.adgroups:
             raise InputError(f"campaign {self.name!r} has no ad groups")
+        if (self.group or self.erasers) and not isinstance(self.tag, GroupCampaignTag):
+            raise InputError(
+                f"campaign {self.name!r} holds keywords or erasers but is not a group campaign"
+            )
         names = [g.name for g in self.adgroups]
         if len(names) != len(set(names)):
             raise InputError(f"campaign {self.name!r} repeats an ad group name")
@@ -158,20 +169,18 @@ class Campaign:
 
 @dataclass(frozen=True)
 class Account:
-    """A full account: campaigns plus the bookkeeping that updates rely on.
+    """A full account: the brand lists and the campaigns.
 
-    ``partition`` holds the keyword groups backing the Low-priority campaigns,
-    aligned with ``erasers`` (the per-group eraser lists whose images cover the
-    group exactly).  ``limit`` is the cap on every negative list, campaign or
-    ad group.
+    ``limit`` is the cap on every negative list, campaign or ad group.
+    ``partition`` and ``erasers`` are read-only views, taken once per
+    account: each group campaign's ``group`` and ``erasers``, in campaign
+    storage order.
     """
 
     limit: int
     brands: tuple[Keyword, ...]
     non_brands: tuple[Keyword, ...]
     campaigns: tuple[Campaign, ...]
-    partition: tuple[frozenset[Keyword], ...]
-    erasers: tuple[tuple[Eraser, ...], ...]
 
     def __post_init__(self) -> None:
         if self.limit < 1:
@@ -179,8 +188,6 @@ class Account:
         names = [c.name for c in self.campaigns]
         if len(names) != len(set(names)):
             raise InputError("account repeats a campaign name")
-        if len(self.partition) != len(self.erasers):
-            raise InputError("partition and eraser lists are misaligned")
         generals = [c for c in self.campaigns if isinstance(c.tag, GeneralCampaignTag)]
         if len(generals) != 1:
             raise InputError("account needs exactly one High-tier campaign")
@@ -189,6 +196,14 @@ class Account:
             raise InputError("account allows at most one Medium-tier campaign")
 
     # --- convenience accessors -------------------------------------------
+
+    @cached_property
+    def partition(self) -> tuple[frozenset[Keyword], ...]:
+        return tuple(c.group for c in self.group_campaigns())
+
+    @cached_property
+    def erasers(self) -> tuple[tuple[Eraser, ...], ...]:
+        return tuple(c.erasers for c in self.group_campaigns())
 
     def keywords(self) -> frozenset[Keyword]:
         """All bidding keywords (the union of the partition)."""
@@ -216,8 +231,6 @@ class Account:
         for pos, group in enumerate(self.partition):
             if keyword in group:
                 return pos
-        from .errors import UnknownKeywordError
-
         raise UnknownKeywordError(f"keyword not in account: {keyword.text!r}")
 
     # --- the negative limit ----------------------------------------------

@@ -261,7 +261,8 @@ def build_account(
 
     plan = plan_groups(keywords, config)
     campaign_negatives = group_campaign_negatives(plan.erasers, snb_phrases, interned)
-    for index, (group, negs) in enumerate(zip(plan.groups, campaign_negatives), 1):
+    owned = zip(plan.groups, plan.erasers, campaign_negatives)
+    for index, (group, erasers, negs) in enumerate(owned, 1):
         # Sibling lists are the group's exact set less the keyword's own,
         # built from shared objects whose hashes the sets already hold.
         group_exact = frozenset(exact_of[kw] for kw in group)
@@ -276,6 +277,8 @@ def build_account(
                 tag=GroupCampaignTag(index),
                 negatives=negs,
                 adgroups=adgroups,
+                group=group,
+                erasers=erasers,
             )
         )
 
@@ -284,8 +287,6 @@ def build_account(
         brands=tuple(brands),
         non_brands=tuple(non_brands),
         campaigns=tuple(campaigns),
-        partition=plan.groups,
-        erasers=plan.erasers,
     )
     account.check_limit()
     return account

@@ -26,6 +26,8 @@ def parse_rule_line(line: str, *, where: str = "rule") -> Rule:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
         raise InputError(f"{where}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{where}: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected a JSON object")
     missing = {"keyword", "cpc_micros", "items"} - doc.keys()

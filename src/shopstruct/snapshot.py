@@ -27,6 +27,7 @@ to handle each negative once.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Any, Callable
@@ -56,6 +57,7 @@ from .keywords import Keyword, MatchType, NegativeKeyword, normalize
 
 _PRIORITY_NAMES = {Priority.HIGH: "high", Priority.MEDIUM: "medium", Priority.LOW: "low"}
 _PRIORITY_VALUES = {v: k for k, v in _PRIORITY_NAMES.items()}
+_TOO_DEEP = "account snapshot is nested too deeply"
 
 
 def _negatives_doc(negatives: frozenset[NegativeKeyword]) -> list[dict[str, str]]:
@@ -393,22 +395,31 @@ def parse_account_document(doc: Any) -> Account:
                     adgroups=adgroups,
                 )
             )
-        return Account(
-            limit=_integer(doc["limit"], "limit"),
-            brands=_keywords(doc["brands"], "brands", "brand"),
-            non_brands=_keywords(doc["non_brands"], "blocked brands", "blocked brand"),
-            campaigns=tuple(campaigns),
-            partition=tuple(
-                frozenset(_keywords(group, "partition group", "partition keyword"))
-                for group in _list(doc["partition"], "partition")
-            ),
-            erasers=tuple(
-                tuple(_parse_eraser(e) for e in _list(group, "eraser group"))
-                for group in _list(doc["erasers"], "erasers")
-            ),
-        )
+        limit = _integer(doc["limit"], "limit")
+        brands = _keywords(doc["brands"], "brands", "brand")
+        non_brands = _keywords(doc["non_brands"], "blocked brands", "blocked brand")
+        partition = [
+            frozenset(_keywords(group, "partition group", "partition keyword"))
+            for group in _list(doc["partition"], "partition")
+        ]
+        erasers = [
+            tuple(_parse_eraser(e) for e in _list(group, "eraser group"))
+            for group in _list(doc["erasers"], "erasers")
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed account snapshot: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(_TOO_DEEP) from exc
+    # The i-th partition and eraser entries belong to the i-th group campaign.
+    owners = [i for i, c in enumerate(campaigns) if isinstance(c.tag, GroupCampaignTag)]
+    for what, lists in (("partition", partition), ("erasers", erasers)):
+        if len(lists) != len(owners):
+            raise InputError(
+                f"{what} lists {len(lists)} groups for {len(owners)} group campaigns"
+            )
+    for i, group, own in zip(owners, partition, erasers):
+        campaigns[i] = replace(campaigns[i], group=group, erasers=own)
+    return Account(limit, brands, non_brands, tuple(campaigns))
 
 
 @gc_paused
@@ -417,4 +428,6 @@ def parse_account(text: str) -> Account:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"account snapshot is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(_TOO_DEEP) from exc
     return parse_account_document(doc)

@@ -3,11 +3,6 @@
 Every operation returns the new account together with a change log whose
 replay over the old account reproduces the new one exactly, so callers can
 ship the log as a batch of mutations instead of re-uploading the account.
-
-Group bookkeeping convention: ``account.partition[pos]`` belongs to the
-``pos``-th Low-priority campaign in campaign storage order.  Campaign tag
-indices are stable identifiers and never renumbered, so removing a middle
-group shifts positions but renames nothing.
 """
 
 from __future__ import annotations
@@ -49,8 +44,6 @@ class _Draft:
     def __init__(self, account: Account) -> None:
         self.account = account
         self.campaigns = {c.name: c for c in account.campaigns}
-        self.partition = list(account.partition)
-        self.erasers = list(account.erasers)
 
     def campaign(self, name: str) -> Campaign:
         if name not in self.campaigns:
@@ -75,26 +68,23 @@ class _Draft:
         adgroups = camp.adgroups[:i] + (new,) + camp.adgroups[i + 1 :]
         self.campaigns[campaign] = replace(camp, adgroups=adgroups)
 
-    def group(self, pos: int) -> int:
-        """``pos`` itself, once it is known to name an existing group."""
-        if not 0 <= pos < len(self.partition):
-            raise InputError(f"no keyword group {pos + 1}")
-        return pos
+    def edit_group(self, campaign: str, field: str, edit: Callable) -> None:
+        """Replace the ``group`` or ``erasers`` of a group campaign by ``edit``
+        of the current value."""
+        camp = self.campaign(campaign)
+        if not isinstance(camp.tag, GroupCampaignTag):
+            raise InputError(f"campaign {campaign} is not a group campaign")
+        self.campaigns[campaign] = replace(camp, **{field: edit(getattr(camp, field))})
 
     def freeze(self) -> Account:
-        return replace(
-            self.account,
-            campaigns=tuple(self.campaigns.values()),
-            partition=tuple(self.partition),
-            erasers=tuple(self.erasers),
-        )
+        return replace(self.account, campaigns=tuple(self.campaigns.values()))
 
 
 class Change:
     """One account mutation, a frozen dataclass per op kind.  ``describe()``
     gives its change-log line; ``apply(draft)`` performs it, raising
-    InputError when its target is missing.  ``group`` fields are 0-based
-    partition positions; ``Set*`` ops replace a whole field."""
+    InputError when its target is missing.  Group ops name the group
+    campaign they edit; ``Set*`` ops replace a whole field."""
 
 
 @dataclass(frozen=True)
@@ -197,91 +187,74 @@ class SetCampaignNegatives(Change):
 
 @dataclass(frozen=True)
 class AssignKeyword(Change):
-    group: int
+    campaign: str
     keyword: Keyword
 
     def describe(self) -> str:
-        return f"assign keyword {self.keyword.text!r} to group {self.group + 1}"
+        return f"assign keyword {self.keyword.text!r} to campaign {self.campaign}"
 
     def apply(self, draft: _Draft) -> None:
-        draft.partition[draft.group(self.group)] |= {self.keyword}
+        draft.edit_group(self.campaign, "group", lambda g: g | {self.keyword})
 
 
 @dataclass(frozen=True)
 class UnassignKeyword(Change):
-    group: int
+    campaign: str
     keyword: Keyword
 
     def describe(self) -> str:
-        return f"unassign keyword {self.keyword.text!r} from group {self.group + 1}"
+        return f"unassign keyword {self.keyword.text!r} from campaign {self.campaign}"
 
     def apply(self, draft: _Draft) -> None:
-        draft.partition[draft.group(self.group)] -= {self.keyword}
-
-
-@dataclass(frozen=True)
-class AddGroup(Change):
-    keywords: frozenset[Keyword]
-    erasers: tuple[Eraser, ...]
-
-    def describe(self) -> str:
-        return f"add keyword group of {len(self.keywords)}"
-
-    def apply(self, draft: _Draft) -> None:
-        draft.partition.append(self.keywords)
-        draft.erasers.append(self.erasers)
-
-
-@dataclass(frozen=True)
-class RemoveGroup(Change):
-    group: int
-
-    def describe(self) -> str:
-        return f"remove keyword group {self.group + 1}"
-
-    def apply(self, draft: _Draft) -> None:
-        del draft.partition[draft.group(self.group)]
-        del draft.erasers[self.group]
+        draft.edit_group(self.campaign, "group", lambda g: g - {self.keyword})
 
 
 @dataclass(frozen=True)
 class AddEraser(Change):
-    group: int
+    campaign: str
     eraser: Eraser
 
     def describe(self) -> str:
-        return f"record eraser {self.eraser.to_negative().describe()} for group {self.group + 1}"
+        return (
+            f"record eraser {self.eraser.to_negative().describe()}"
+            f" for campaign {self.campaign}"
+        )
 
     def apply(self, draft: _Draft) -> None:
-        draft.erasers[draft.group(self.group)] += (self.eraser,)
+        draft.edit_group(self.campaign, "erasers", lambda e: e + (self.eraser,))
 
 
 @dataclass(frozen=True)
 class RemoveEraser(Change):
-    group: int
+    campaign: str
     eraser: Eraser
 
     def describe(self) -> str:
-        return f"drop eraser {self.eraser.to_negative().describe()} from group {self.group + 1}"
+        return (
+            f"drop eraser {self.eraser.to_negative().describe()}"
+            f" from campaign {self.campaign}"
+        )
 
     def apply(self, draft: _Draft) -> None:
-        current = list(draft.erasers[draft.group(self.group)])
-        if self.eraser not in current:
-            raise InputError(f"group {self.group + 1} has no such eraser")
-        current.remove(self.eraser)
-        draft.erasers[self.group] = tuple(current)
+        draft.edit_group(self.campaign, "erasers", self._without)
+
+    def _without(self, erasers: tuple[Eraser, ...]) -> tuple[Eraser, ...]:
+        if self.eraser not in erasers:
+            raise InputError(f"campaign {self.campaign} has no such eraser")
+        i = erasers.index(self.eraser)
+        return erasers[:i] + erasers[i + 1 :]
 
 
 @dataclass(frozen=True)
 class SetGroupErasers(Change):
-    group: int
+    campaign: str
     erasers: tuple[Eraser, ...]
 
     def describe(self) -> str:
-        return f"replace the erasers of group {self.group + 1} ({len(self.erasers)})"
+        return f"replace the erasers of campaign {self.campaign} ({len(self.erasers)})"
 
     def apply(self, draft: _Draft) -> None:
-        draft.erasers[draft.group(self.group)] = self.erasers
+        draft.edit_group(self.campaign, "erasers", lambda _: self.erasers)
 
 
 def apply_changes(account: Account, changes: Iterable[Change]) -> Account:
@@ -354,13 +327,6 @@ class UpdateOutcome:
     rules: tuple[Rule, ...] | None = None
 
 
-def _group_campaigns(account: Account) -> tuple[Campaign, ...]:
-    group_camps = account.group_campaigns()
-    if len(group_camps) != len(account.partition):
-        raise InputError("group campaigns and partition are out of step")
-    return group_camps
-
-
 def _tier_campaigns(account: Account) -> list[Campaign]:
     """The High-tier campaign, then the Medium-tier one if there is one."""
     brand_camp = account.brand_campaign()
@@ -375,16 +341,14 @@ def _outcome(account: Account, changes: list[Change]) -> UpdateOutcome:
     return UpdateOutcome(new_account, tuple(changes), check_balance(new_account))
 
 
-def _place_changes(
-    account: Account, chosen: Campaign, pos: int, rule: Rule, neg: NegativeKeyword
-) -> list[Change]:
-    """Put ``rule``'s keyword into group ``pos`` (campaign ``chosen``): every
-    sibling ad group blocks it by ``neg``, and its new ad group blocks the siblings."""
-    siblings = frozenset(exact(other) for other in account.partition[pos])
+def _place_changes(chosen: Campaign, rule: Rule, neg: NegativeKeyword) -> list[Change]:
+    """Put ``rule``'s keyword into group campaign ``chosen``: every sibling ad
+    group blocks it by ``neg``, and its new ad group blocks the siblings."""
+    siblings = frozenset(exact(other) for other in chosen.group)
     return [
         *(AddNegative(chosen.name, neg, adgroup.name) for adgroup in chosen.adgroups),
         AddAdGroup(chosen.name, rule_adgroup(rule, siblings)),
-        AssignKeyword(pos, rule.keyword),
+        AssignKeyword(chosen.name, rule.keyword),
     ]
 
 
@@ -402,8 +366,10 @@ def add_rule(
     other campaign.  When every campaign blocks it, a fresh campaign is opened
     (``strategy="new-campaign"``), or with ``strategy="min-negatives"`` every
     group placement is costed by recomputing eraser covers and the cheapest
-    account wins.  Raises LimitExceededError when the rule would lengthen a
-    negative list past the account's limit.
+    placement wins.  That strategy compares re-covering placements only, not
+    opening a campaign, so it can end with more negatives than
+    ``"new-campaign"`` would.  Raises LimitExceededError when the rule would
+    lengthen a negative list past the account's limit.
     """
     if strategy not in ("new-campaign", "min-negatives"):
         raise InputError(f"unknown add strategy: {strategy!r}")
@@ -411,7 +377,7 @@ def add_rule(
     if kw in account.keywords():
         raise DuplicateKeywordError(f"keyword already has a rule: {kw.text!r}")
     _check_routable([kw], account.non_brands)
-    group_camps = _group_campaigns(account)
+    group_camps = account.group_campaigns()
 
     # One index over the union of the group campaigns' lists finds the
     # negatives that block the keyword; a campaign admits it when its list
@@ -419,19 +385,18 @@ def add_rule(
     held = frozenset().union(*(camp.negatives for camp in group_camps))
     hits = {neg for neg, _ in NegativeIndex(held).hits(QueryWords(kw))}
     blocking = _tier_campaigns(account)
-    admitting = [
-        pos for pos, camp in enumerate(group_camps) if hits.isdisjoint(camp.negatives)
-    ]
+    admitting = [camp for camp in group_camps if hits.isdisjoint(camp.negatives)]
     if admitting:
-        pos = min(admitting, key=lambda p: (len(account.partition[p]), p))
-        blocking += [camp for p, camp in enumerate(group_camps) if p != pos]
+        # min keeps the first of equal sizes: the earliest campaign.
+        chosen = min(admitting, key=lambda camp: len(camp.group))
+        blocking += [camp for camp in group_camps if camp is not chosen]
     # One exact-negative object, shared by every list that gains it.
     neg = exact(kw)
     changes: list[Change] = [AddNegative(camp.name, neg) for camp in blocking]
 
     if admitting:
-        changes += _place_changes(account, group_camps[pos], pos, rule, neg)
-        changes.append(AddEraser(pos, ExactEraser(kw)))
+        changes += _place_changes(chosen, rule, neg)
+        changes.append(AddEraser(chosen.name, ExactEraser(kw)))
     elif strategy == "new-campaign":
         changes += _open_campaign_changes(account, rule)
     else:
@@ -466,8 +431,10 @@ def _open_campaign_changes(account: Account, rule: Rule) -> list[Change]:
         tag=GroupCampaignTag(index),
         negatives=negs,
         adgroups=(rule_adgroup(rule, frozenset()),),
+        group=frozenset({kw}),
+        erasers=(ExactEraser(kw),),
     )
-    return [AddGroup(frozenset({kw}), (ExactEraser(kw),)), AddCampaign(campaign)]
+    return [AddCampaign(campaign)]
 
 
 def _min_negatives_changes(account: Account, rule: Rule, neg: NegativeKeyword) -> list[Change]:
@@ -502,13 +469,13 @@ def _min_negatives_changes(account: Account, rule: Rule, neg: NegativeKeyword) -
     best_erasers = without[:target] + [with_kw[target]] + without[target + 1 :]
 
     changes: list[Change] = []
-    for pos, erasers in enumerate(best_erasers):
-        if erasers != account.erasers[pos]:
-            changes.append(SetGroupErasers(pos, erasers))
+    for camp, erasers in zip(group_camps, best_erasers):
+        if erasers != camp.erasers:
+            changes.append(SetGroupErasers(camp.name, erasers))
     for camp, negs in zip(group_camps, group_campaign_negatives(best_erasers, snb)):
         if negs != camp.negatives:
             changes.append(SetCampaignNegatives(camp.name, negs))
-    return changes + _place_changes(account, group_camps[target], target, rule, neg)
+    return changes + _place_changes(group_camps[target], rule, neg)
 
 
 # --- remove_rule ---------------------------------------------------------
@@ -518,10 +485,8 @@ def remove_rule(account: Account, keyword: Keyword) -> UpdateOutcome:
     """Remove the rule for ``keyword``: its ad group goes away, every negative
     that existed only on its behalf goes away, and a group left empty takes
     its campaign down with it."""
-    pos = account.group_of(keyword)
-    group_camps = _group_campaigns(account)
-    own = group_camps[pos]
-    members = account.partition[pos]
+    group_camps = account.group_campaigns()
+    own = group_camps[account.group_of(keyword)]
     remaining_global = account.keywords() - {keyword}
 
     changes: list[Change] = []
@@ -530,24 +495,23 @@ def remove_rule(account: Account, keyword: Keyword) -> UpdateOutcome:
         if negative in campaign.negatives:
             changes.append(RemoveNegative(campaign.name, negative))
 
-    others = [camp for p, camp in enumerate(group_camps) if p != pos]
+    others = [camp for camp in group_camps if camp is not own]
     for camp in _tier_campaigns(account) + others:
         drop_if_present(camp, exact(keyword))
 
-    for eraser in account.erasers[pos]:
+    for eraser in own.erasers:
         if isinstance(eraser, ExactEraser):
             if eraser.keyword == keyword:
-                changes.append(RemoveEraser(pos, eraser))
+                changes.append(RemoveEraser(own.name, eraser))
             continue
         if erases(eraser, keyword) and not any(
             erases(eraser, kw) for kw in remaining_global
         ):
-            changes.append(RemoveEraser(pos, eraser))
+            changes.append(RemoveEraser(own.name, eraser))
             for camp in others:
                 drop_if_present(camp, eraser.to_negative())
 
-    survivors = members - {keyword}
-    if survivors:
+    if own.group - {keyword}:
         own_adgroup = next((g for g in own.adgroups if g.tag == RuleTag(keyword)), None)
         if own_adgroup is None:
             raise InputError(f"no ad group for {keyword.text!r} in {own.name}")
@@ -555,10 +519,9 @@ def remove_rule(account: Account, keyword: Keyword) -> UpdateOutcome:
             if adgroup is not own_adgroup and exact(keyword) in adgroup.negatives:
                 changes.append(RemoveNegative(own.name, exact(keyword), adgroup.name))
         changes.append(RemoveAdGroup(own.name, own_adgroup.name))
-        changes.append(UnassignKeyword(pos, keyword))
+        changes.append(UnassignKeyword(own.name, keyword))
     else:
         changes.append(RemoveCampaign(own.name))
-        changes.append(RemoveGroup(pos))
     return _outcome(account, changes)
 
 

@@ -136,15 +136,12 @@ def verify_property1(
     ``verify_structure`` to audit.  A keyword the partition repeats is a
     case at each of its positions.
     """
-    account = sim.account
-    group_camps = account.group_campaigns()
-    aligned = len(group_camps) == len(account.partition)
-    camps = [c.name for c in group_camps] if aligned else ["?"] * len(account.partition)
+    group_camps = sim.account.group_campaigns()
     placed = [
-        (pos, kw) for pos, group in enumerate(account.partition) for kw in sorted(group)
+        (pos, kw) for pos, camp in enumerate(group_camps) for kw in sorted(camp.group)
     ]
     cases = [
-        (kw, camps[pos], RuleTag(kw) if aligned else None, f"ad group for {kw.text!r}")
+        (kw, group_camps[pos].name, RuleTag(kw), f"ad group for {kw.text!r}")
         for pos, kw in placed
     ]
     note = None if cases else "no catalogue keywords; own-keyword routing is vacuous"
@@ -280,94 +277,76 @@ def verify_structure(
                 seen[kw] = pos
 
     group_camps = account.group_campaigns()
-    if len(group_camps) != len(account.partition):
-        findings.append(
-            Finding(
-                kind="alignment",
-                detail=(
-                    f"{len(group_camps)} group campaigns for"
-                    f" {len(account.partition)} keyword groups"
-                ),
+    for camp in group_camps:
+        tagged = {g.tag.keyword for g in camp.adgroups if isinstance(g.tag, RuleTag)}
+        for kw in sorted(camp.group - tagged):
+            findings.append(
+                Finding(
+                    kind="adgroups",
+                    detail=(
+                        f"campaign {camp.name} lacks an ad group for"
+                        f" keyword {kw.text!r}"
+                    ),
+                )
             )
-        )
-    else:
-        for pos, (camp, group) in enumerate(zip(group_camps, account.partition)):
-            tagged = {
-                g.tag.keyword
-                for g in camp.adgroups
-                if isinstance(g.tag, RuleTag)
-            }
-            for kw in sorted(group - tagged):
+        for kw in sorted(tagged - camp.group):
+            findings.append(
+                Finding(
+                    kind="adgroups",
+                    detail=(
+                        f"campaign {camp.name} has an ad group for"
+                        f" {kw.text!r}, which is not in its group"
+                    ),
+                )
+            )
+
+    # The load-bearing negative invariant: each group campaign admits every
+    # keyword of its own group and blocks every keyword of every other
+    # group.  A keyword that passed property 1 landed in its own campaign:
+    # every campaign of a higher tier and every other campaign of that
+    # tier refused it.  When no group campaign sits in a lower tier, that
+    # is the whole invariant for the keyword, so only failing cases are
+    # audited; a group campaign above that lowest tier has every keyword
+    # audited.
+    lowest = min((c.priority for c in group_camps), default=None)
+    failing: dict[int, list[Keyword]] = {}
+    for pos, kw in failures:
+        failing.setdefault(pos, []).append(kw)
+    for pos, camp in enumerate(group_camps):
+        audited = failing.get(pos, []) if camp.priority == lowest else sorted(camp.group)
+        for kw in audited:
+            blockers = sim.blockers(kw)
+            if camp.name in blockers:
                 findings.append(
                     Finding(
-                        kind="adgroups",
+                        kind="negatives",
                         detail=(
-                            f"campaign {camp.name} lacks an ad group for"
-                            f" keyword {kw.text!r}"
+                            f"campaign {camp.name} blocks its own keyword"
+                            f" {kw.text!r} via {blockers[camp.name].describe()}"
                         ),
                     )
                 )
-            for kw in sorted(tagged - group):
+            for other in group_camps:
+                if other is camp or other.name in blockers:
+                    continue
                 findings.append(
                     Finding(
-                        kind="adgroups",
+                        kind="negatives",
                         detail=(
-                            f"campaign {camp.name} has an ad group for"
-                            f" {kw.text!r}, which is not in its group"
+                            f"campaign {other.name} fails"
+                            f" to block {kw.text!r} from group {pos + 1}"
                         ),
                     )
                 )
 
-        # The load-bearing negative invariant: each group campaign admits every
-        # keyword of its own group and blocks every keyword of every other
-        # group.  A keyword that passed property 1 landed in its own campaign:
-        # every campaign of a higher tier and every other campaign of that
-        # tier refused it.  When no group campaign sits in a lower tier, that
-        # is the whole invariant for the keyword, so only failing cases are
-        # audited; a group campaign above that lowest tier has every keyword
-        # audited.
-        lowest = min((c.priority for c in group_camps), default=None)
-        failing: dict[int, list[Keyword]] = {}
-        for pos, kw in failures:
-            failing.setdefault(pos, []).append(kw)
-        for pos, (camp, group) in enumerate(zip(group_camps, account.partition)):
-            audited = failing.get(pos, []) if camp.priority == lowest else sorted(group)
-            for kw in audited:
-                blockers = sim.blockers(kw)
-                if camp.name in blockers:
-                    findings.append(
-                        Finding(
-                            kind="negatives",
-                            detail=(
-                                f"campaign {camp.name} blocks its own keyword"
-                                f" {kw.text!r} via {blockers[camp.name].describe()}"
-                            ),
-                        )
-                    )
-                for other_pos, other in enumerate(group_camps):
-                    if other_pos == pos or other.name in blockers:
-                        continue
-                    findings.append(
-                        Finding(
-                            kind="negatives",
-                            detail=(
-                                f"campaign {other.name} fails"
-                                f" to block {kw.text!r} from group {pos + 1}"
-                            ),
-                        )
-                    )
-
-    for pos, erasers in enumerate(account.erasers):
-        own = account.partition[pos]
-        uncovered = [kw for kw in sorted(own) if not any(erases(e, kw) for e in erasers)]
-        for kw in uncovered:
+    for pos, camp in enumerate(group_camps, 1):
+        for kw in sorted(camp.group):
+            if any(erases(e, kw) for e in camp.erasers):
+                continue
             findings.append(
                 Finding(
                     kind="erasers",
-                    detail=(
-                        f"no eraser of group {pos + 1} covers its own"
-                        f" keyword {kw.text!r}"
-                    ),
+                    detail=f"no eraser of group {pos} covers its own keyword {kw.text!r}",
                 )
             )
 

@@ -398,15 +398,15 @@ def _min_negatives_changes(account: Account, rule: Rule) -> list[Change]:
     target = best[1]
 
     changes: list[Change] = []
-    for pos, erasers in enumerate(best_erasers):
-        if erasers != account.erasers[pos]:
-            changes.append(SetGroupErasers(pos, erasers))
+    for camp, erasers in zip(group_camps, best_erasers):
+        if erasers != camp.erasers:
+            changes.append(SetGroupErasers(camp.name, erasers))
     for camp, negs in zip(group_camps, group_campaign_negatives(best_erasers, snb)):
         if negs != camp.negatives:
             _check_limit(account.limit, f"campaign {camp.name}", len(negs))
             changes.append(SetCampaignNegatives(camp.name, negs))
     chosen = group_camps[target]
-    members = account.partition[target]
+    members = chosen.group
     for adgroup in chosen.adgroups:
         _check_limit(
             account.limit, f"ad group {adgroup.name!r}", len(adgroup.negatives) + 1
@@ -422,7 +422,7 @@ def _min_negatives_changes(account: Account, rule: Rule) -> list[Change]:
             ),
         )
     )
-    changes.append(AssignKeyword(target, kw))
+    changes.append(AssignKeyword(chosen.name, kw))
     return changes
 
 
@@ -459,17 +459,16 @@ def verify_property1(account: Account) -> PropertyResult:
     group_camps = account.group_campaigns()
     failures = []
     checked = 0
-    aligned = len(group_camps) == len(account.partition)
     for pos, group in enumerate(account.partition):
         for kw in sorted(group):
             checked += 1
-            expected_campaign = group_camps[pos].name if aligned else "?"
+            expected_campaign = group_camps[pos].name
             expected = (
                 f"landed in campaign {expected_campaign},"
                 f" ad group for {kw.text!r}"
             )
             t = sim.run(kw)
-            if aligned and _landed_tag_matches(
+            if _landed_tag_matches(
                 account, t.disposition, expected_campaign, RuleTag(kw)
             ):
                 continue
@@ -660,80 +659,66 @@ def verify_structure(account: Account) -> tuple[Finding, ...]:
                 seen[kw] = pos
 
     group_camps = account.group_campaigns()
-    if len(group_camps) != len(account.partition):
-        findings.append(
-            Finding(
-                kind="alignment",
-                detail=(
-                    f"{len(group_camps)} group campaigns for"
-                    f" {len(account.partition)} keyword groups"
-                ),
+    for pos, (camp, group) in enumerate(zip(group_camps, account.partition)):
+        tagged = {
+            g.tag.keyword
+            for g in camp.adgroups
+            if isinstance(g.tag, RuleTag)
+        }
+        for kw in sorted(group - tagged):
+            findings.append(
+                Finding(
+                    kind="adgroups",
+                    detail=(
+                        f"campaign {camp.name} lacks an ad group for"
+                        f" keyword {kw.text!r}"
+                    ),
+                )
             )
-        )
-    else:
-        for pos, (camp, group) in enumerate(zip(group_camps, account.partition)):
-            tagged = {
-                g.tag.keyword
-                for g in camp.adgroups
-                if isinstance(g.tag, RuleTag)
-            }
-            for kw in sorted(group - tagged):
-                findings.append(
-                    Finding(
-                        kind="adgroups",
-                        detail=(
-                            f"campaign {camp.name} lacks an ad group for"
-                            f" keyword {kw.text!r}"
-                        ),
-                    )
+        for kw in sorted(tagged - group):
+            findings.append(
+                Finding(
+                    kind="adgroups",
+                    detail=(
+                        f"campaign {camp.name} has an ad group for"
+                        f" {kw.text!r}, which is not in its group"
+                    ),
                 )
-            for kw in sorted(tagged - group):
-                findings.append(
-                    Finding(
-                        kind="adgroups",
-                        detail=(
-                            f"campaign {camp.name} has an ad group for"
-                            f" {kw.text!r}, which is not in its group"
-                        ),
-                    )
-                )
+            )
 
     # The load-bearing negative invariant, checked statically: each group
     # campaign admits every keyword of its own group and blocks every keyword
     # of every other group.
-    if len(group_camps) == len(account.partition):
-        indexes = [NegativeIndex(c.negatives) for c in group_camps]
-        for pos, group in enumerate(account.partition):
-            for kw in sorted(group):
-                words = QueryWords(kw)
-                hit = _first(indexes[pos], words)
-                if hit is not None:
+    indexes = [NegativeIndex(c.negatives) for c in group_camps]
+    for pos, group in enumerate(account.partition):
+        for kw in sorted(group):
+            words = QueryWords(kw)
+            hit = _first(indexes[pos], words)
+            if hit is not None:
+                findings.append(
+                    Finding(
+                        kind="negatives",
+                        detail=(
+                            f"campaign {group_camps[pos].name} blocks its own"
+                            f" keyword {kw.text!r} via {hit.describe()}"
+                        ),
+                    )
+                )
+            for other_pos in range(len(account.partition)):
+                if other_pos == pos:
+                    continue
+                if _first(indexes[other_pos], words) is None:
                     findings.append(
                         Finding(
                             kind="negatives",
                             detail=(
-                                f"campaign {group_camps[pos].name} blocks its own"
-                                f" keyword {kw.text!r} via {hit.describe()}"
+                                f"campaign {group_camps[other_pos].name} fails"
+                                f" to block {kw.text!r} from group {pos + 1}"
                             ),
                         )
                     )
-                for other_pos in range(len(account.partition)):
-                    if other_pos == pos:
-                        continue
-                    if _first(indexes[other_pos], words) is None:
-                        findings.append(
-                            Finding(
-                                kind="negatives",
-                                detail=(
-                                    f"campaign {group_camps[other_pos].name} fails"
-                                    f" to block {kw.text!r} from group {pos + 1}"
-                                ),
-                            )
-                        )
 
     for pos, erasers in enumerate(account.erasers):
-        if pos >= len(account.partition):
-            break
         own = account.partition[pos]
         uncovered = [kw for kw in sorted(own) if not any(erases(e, kw) for e in erasers)]
         for kw in uncovered:

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -9,6 +9,7 @@ from shopstruct import (
     AdGroup,
     Campaign,
     CatchAllTag,
+    ExactEraser,
     GeneralCampaignTag,
     GroupCampaignTag,
     InputError,
@@ -87,16 +88,33 @@ def test_campaign_needs_adgroups_with_unique_names():
         )
 
 
+def test_only_a_group_campaign_holds_keywords_or_erasers():
+    kw = normalize("a b")
+    for owned in ({"group": frozenset({kw})}, {"erasers": (ExactEraser(kw),)}):
+        with pytest.raises(InputError, match="'c1' holds keywords or erasers but is not"):
+            replace(_general(), **owned)
+    group = replace(_general("c3_1"), priority=Priority.LOW, tag=GroupCampaignTag(1))
+    assert replace(group, group=frozenset({kw}), erasers=(ExactEraser(kw),)).group == {kw}
+
+
 def test_account_validation():
     with pytest.raises(InputError):
-        Account(10, (), (), (_general("x"), _general("x")), (), ())
+        Account(10, (), (), (_general("x"), _general("x")))
     with pytest.raises(InputError):
-        Account(10, (), (), (_general(),), (frozenset(),), ())
-    with pytest.raises(InputError):
-        Account(10, (), (), (), (), ())
+        Account(10, (), (), ())
     for limit in (0, -5):
         with pytest.raises(InputError, match="limit must be positive"):
-            Account(limit, (), (), (_general(),), (), ())
+            Account(limit, (), (), (_general(),))
+
+
+def test_partition_and_erasers_are_views_of_the_group_campaigns(golden_account):
+    camps = golden_account.group_campaigns()
+    assert golden_account.partition == tuple(c.group for c in camps)
+    assert golden_account.erasers == tuple(c.erasers for c in camps)
+    # Taken once per account, so repeated reads share one tuple.
+    assert golden_account.partition is golden_account.partition
+    assert golden_account.erasers is golden_account.erasers
+    assert not {"partition", "erasers"} & {f.name for f in fields(Account)}
 
 
 def test_accessors_on_golden_account(golden_account):

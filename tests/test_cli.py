@@ -188,6 +188,31 @@ def test_verify_non_positive_limit_exits_2(workspace, capsys):
     assert capsys.readouterr().err == "error: limit must be positive\n"
 
 
+@pytest.mark.parametrize("where", ["brands", "catch-all tree"])
+def test_snapshot_nested_too_deeply_exits_2(workspace, capsys, where):
+    account = workspace / "account.json"
+    doc = json.loads(account.read_text())
+    if where == "brands":
+        deep = "[" * 100_000 + "]" * 100_000
+        doc["brands"] = "DEEP"
+    else:
+        catch_all = doc["campaigns"][0]["adgroups"][0]
+        split = '{"kind": "split", "attribute": "a", "branches": [], "others": '
+        deep = split * 985 + json.dumps(catch_all["tree"]) + "}" * 985
+        catch_all["tree"] = "DEEP"
+    account.write_text(json.dumps(doc).replace('"DEEP"', deep))
+    before = account.read_bytes()
+    out = workspace / "out.json"
+    for args in (
+        ["verify", "--account", str(account)],
+        ["update", "rm-rule", "--account", str(account), "--keyword", "a", "--out", str(out)],
+    ):
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: account snapshot is nested too deeply\n"
+    assert not out.exists()
+    assert account.read_bytes() == before
+
+
 def test_verify_negative_probes_exit_2(workspace, capsys):
     account = str(workspace / "account.json")
     assert main(["verify", "--account", account, "--probes", "-5"]) == 2
@@ -303,6 +328,16 @@ def test_malformed_rules_exit_2_with_line_number(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad.jsonl:1" in err
     assert "missing fields" in err
+
+
+def test_rules_nested_too_deeply_exit_2(tmp_path, capsys):
+    rules = tmp_path / "rules.jsonl"
+    deep = "[" * 100_000 + "]" * 100_000
+    rules.write_text('{"keyword": "a b", "cpc_micros": 5, "items": ' + deep + "}\n")
+    out = tmp_path / "account.json"
+    assert main(["build", "--rules", str(rules), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {rules}:1: nested too deeply\n"
+    assert not out.exists()
 
 
 def test_rule_holding_a_blocked_brand_exits_2(tmp_path, capsys):

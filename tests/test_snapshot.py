@@ -24,6 +24,7 @@ from shopstruct import (
     generate,
     normalize,
     parse_account,
+    parse_account_document,
     render_account,
     verify_account,
 )
@@ -248,6 +249,39 @@ def test_minimal_snapshot_parses():
 def test_malformed_snapshots_raise_input_error(text):
     with pytest.raises(InputError):
         parse_account(text)
+
+
+def _drop_last(key):
+    return lambda doc: doc[key].pop()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_last("partition"), "partition lists 0 groups for 1 group campaigns"),
+        (_drop_last("erasers"), "erasers lists 0 groups for 1 group campaigns"),
+        (_drop_last("campaigns"), "partition lists 1 groups for 0 group campaigns"),
+        (
+            lambda doc: doc["partition"].append(["c d"]) or doc["erasers"].append([]),
+            "partition lists 2 groups for 1 group campaigns",
+        ),
+    ],
+    ids=["partition short", "erasers short", "campaign dropped", "both long"],
+)
+def test_group_lists_must_match_the_group_campaigns(edit, message):
+    # The i-th partition and eraser entries belong to the i-th group campaign.
+    with pytest.raises(InputError, match=f"^{message}$"):
+        parse_account(_with(edit))
+
+
+def test_a_document_nested_too_deeply_is_bad_input():
+    doc = _minimal_doc()
+    catch_all = doc["campaigns"][0]["adgroups"][0]
+    for _ in range(5000):
+        split = {"kind": "split", "attribute": "a", "branches": []}
+        catch_all["tree"] = {**split, "others": catch_all["tree"]}
+    with pytest.raises(InputError, match="^account snapshot is nested too deeply$"):
+        parse_account_document(doc)
 
 
 _LIST_PATHS = {

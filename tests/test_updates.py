@@ -25,6 +25,7 @@ from shopstruct import (
     NegativeKeyword,
     Priority,
     Rule,
+    RuleTag,
     Simulator,
     SyntheticSpec,
     UnknownKeywordError,
@@ -41,6 +42,7 @@ from shopstruct import (
     phrase,
     remove_item,
     remove_rule,
+    parse_account,
     render_account,
     verify_account,
 )
@@ -54,7 +56,6 @@ from shopstruct.updates import (
     RemoveAdGroup,
     RemoveCampaign,
     RemoveEraser,
-    RemoveGroup,
     RemoveNegative,
     SetGroupErasers,
     UnassignKeyword,
@@ -143,14 +144,8 @@ def test_add_rule_opens_new_campaign_when_blocked_everywhere(golden_account):
     out = add_rule(golden_account, rule)
     _assert_replay(golden_account, out)
 
-    assert len(out.changes) == 4
-    assert _ops(out) == Counter(
-        {
-            "AddNegative": 2,
-            "AddCampaign": 1,
-            "AddGroup": 1,
-        }
-    )
+    assert len(out.changes) == 3
+    assert _ops(out) == Counter({"AddNegative": 2, "AddCampaign": 1})
 
     acc = out.account
     fresh = acc.group_campaigns()[3]
@@ -167,8 +162,8 @@ def test_add_rule_opens_new_campaign_when_blocked_everywhere(golden_account):
             phrase(normalize("reebok")),
         }
     )
-    assert acc.partition[3] == frozenset({rule.keyword})
-    assert acc.erasers[3] == (ExactEraser(rule.keyword),)
+    assert fresh.group == frozenset({rule.keyword})
+    assert fresh.erasers == (ExactEraser(rule.keyword),)
 
     # every catalogue keyword still routes to its own ad group
     sim = Simulator(acc)
@@ -359,7 +354,6 @@ def test_remove_last_keyword_removes_campaign(golden_account):
     out = remove_rule(grown, rule.keyword)
     _assert_replay(grown, out)
     assert _ops(out)["RemoveCampaign"] == 1
-    assert _ops(out)["RemoveGroup"] == 1
     assert render_account(out.account) == render_account(golden_account)
 
 
@@ -439,11 +433,10 @@ def test_update_outcomes_carry_balance(golden_account):
 WALKTHROUGH_LOG = (
     "add negative [exact] nike large shoes to campaign c1",
     "add negative [exact] nike large shoes to campaign c2",
-    "add keyword group of 1",
     "add campaign c3_4",
     "add negative [exact] nike large shoes to campaign c1",
     "add negative [exact] nike large shoes to campaign c2",
-    "replace the erasers of group 3 (4)",
+    "replace the erasers of campaign c3_3 (4)",
     "replace the negatives of campaign c3_1 (6)",
     "replace the negatives of campaign c3_2 (7)",
     "add negative [exact] nike large shoes to ad group 'nike shoes' of campaign c3_1",
@@ -451,7 +444,7 @@ WALKTHROUGH_LOG = (
     "add negative [exact] nike large shoes to ad group 'nike air max' of campaign c3_1",
     "add negative [exact] nike large shoes to ad group 'soccer colored mens' of campaign c3_1",
     "add ad group 'nike large shoes' to campaign c3_1",
-    "assign keyword 'nike large shoes' to group 1",
+    "assign keyword 'nike large shoes' to campaign c3_1",
     "add negative [exact] nike jogging to campaign c1",
     "add negative [exact] nike jogging to campaign c2",
     "add negative [exact] nike jogging to campaign c3_2",
@@ -461,23 +454,22 @@ WALKTHROUGH_LOG = (
     "add negative [exact] nike jogging to ad group 'nike air max' of campaign c3_1",
     "add negative [exact] nike jogging to ad group 'soccer colored mens' of campaign c3_1",
     "add ad group 'nike jogging' to campaign c3_1",
-    "assign keyword 'nike jogging' to group 1",
-    "record eraser [exact] nike jogging for group 1",
+    "assign keyword 'nike jogging' to campaign c3_1",
+    "record eraser [exact] nike jogging for campaign c3_1",
     "remove negative [exact] air max from campaign c1",
     "remove negative [exact] air max from campaign c2",
     "remove negative [exact] air max from campaign c3_1",
     "remove negative [exact] air max from campaign c3_2",
-    "drop eraser [exact] air max from group 3",
+    "drop eraser [exact] air max from campaign c3_3",
     "remove negative [exact] air max from ad group 'garmin chronometer' of campaign c3_3",
     "remove negative [exact] air max from ad group 'large superstar shoes' of campaign c3_3",
     "remove negative [exact] air max from ad group 'large tee-shirt' of campaign c3_3",
     "remove ad group 'air max' from campaign c3_3",
-    "unassign keyword 'air max' from group 3",
+    "unassign keyword 'air max' from campaign c3_3",
     "remove negative [exact] nike large shoes from campaign c1",
     "remove negative [exact] nike large shoes from campaign c2",
-    "drop eraser [exact] nike large shoes from group 4",
+    "drop eraser [exact] nike large shoes from campaign c3_4",
     "remove campaign c3_4",
-    "remove keyword group 4",
 )
 
 OP_KINDS = {
@@ -492,8 +484,6 @@ OP_KINDS = {
     "SetCampaignNegatives",
     "AssignKeyword",
     "UnassignKeyword",
-    "AddGroup",
-    "RemoveGroup",
     "AddEraser",
     "RemoveEraser",
     "SetGroupErasers",
@@ -535,10 +525,10 @@ def test_apply_changes_rejects_missing_targets(golden_account):
         ),
         (
             lambda acc: [
-                RemoveEraser(0, ExactEraser(normalize("brand new"))),
-                AddEraser(0, ExactEraser(normalize("brand new"))),
+                RemoveEraser("c3_1", ExactEraser(normalize("brand new"))),
+                AddEraser("c3_1", ExactEraser(normalize("brand new"))),
             ],
-            "group 1 has no such eraser",
+            "campaign c3_1 has no such eraser",
         ),
         (
             lambda acc: [AddCampaign(acc.general_campaign()), RemoveCampaign("c1")],
@@ -566,23 +556,31 @@ def test_apply_changes_rejects_a_bad_change_where_it_occurs(golden_account, make
         apply_changes(golden_account, make(golden_account))
 
 
-@pytest.mark.parametrize("pos", [-1, 3, 6])
+@pytest.mark.parametrize(
+    "campaign, message",
+    [
+        ("c1", "^campaign c1 is not a group campaign$"),
+        ("c2", "^campaign c2 is not a group campaign$"),
+        ("c9", "^no campaign named 'c9'$"),
+    ],
+    ids=["c1", "c2", "missing"],
+)
 @pytest.mark.parametrize(
     "make",
     [
-        lambda pos: AssignKeyword(pos, normalize("brand new")),
-        lambda pos: UnassignKeyword(pos, normalize("air max")),
-        RemoveGroup,
-        lambda pos: AddEraser(pos, ExactEraser(normalize("brand new"))),
-        lambda pos: RemoveEraser(pos, ExactEraser(normalize("air max"))),
-        lambda pos: SetGroupErasers(pos, ()),
+        lambda name: AssignKeyword(name, normalize("brand new")),
+        lambda name: UnassignKeyword(name, normalize("air max")),
+        lambda name: AddEraser(name, ExactEraser(normalize("brand new"))),
+        lambda name: RemoveEraser(name, ExactEraser(normalize("air max"))),
+        lambda name: SetGroupErasers(name, ()),
     ],
-    ids=["assign", "unassign", "remove-group", "add-eraser", "remove-eraser", "set-erasers"],
+    ids=["assign", "unassign", "add-eraser", "remove-eraser", "set-erasers"],
 )
-def test_group_ops_reject_positions_outside_the_partition(golden_account, make, pos):
-    assert len(golden_account.partition) == 3
-    with pytest.raises(InputError, match=f"no keyword group {pos + 1}$"):
-        apply_changes(golden_account, [make(pos)])
+def test_group_ops_reject_a_campaign_without_a_group(golden_account, make, campaign, message):
+    # Unassigning a keyword a campaign lacks, or emptying its erasers, would
+    # build a valid campaign: only the op's own check rejects them.
+    with pytest.raises(InputError, match=message):
+        apply_changes(golden_account, [make(campaign)])
 
 
 # --- min-negatives against the k² reference, and random update sequences ---
@@ -732,7 +730,7 @@ def test_add_rule_admission_meets_both_outcomes():
 # either shows here.
 UPDATE_SEQUENCE_DIGESTS = {
     "account": "99b16003a55ad35d209b9a9f7576d47e9b877029c138844a0998b8c4dae95d51",
-    "log": "71078575a0aa686785ad167ad0130bb618d35370e3fb4904549e0dfc2341bde4",
+    "log": "4f7590a45643c8ca1245cb7b8eda60aaeb974e416c4e1dc0fdfe195f6dd24a70",
 }
 
 
@@ -815,11 +813,16 @@ class UpdateSequence(RuleBasedStateMachine):
         self.account = build_account(self.rules, _SMALL.brands, _SMALL.non_brands)
 
     def _step(self, outcome):
-        assert apply_changes(self.account, outcome.changes) == outcome.account
-        assert verify_account(outcome.account, probes=200).passed
-        reference = json.dumps(account_document(outcome.account), indent=2) + "\n"
-        assert render_account(outcome.account) == reference
-        self.account = outcome.account
+        account = outcome.account
+        assert apply_changes(self.account, outcome.changes) == account
+        assert verify_account(account, probes=200).passed
+        for camp in account.group_campaigns():
+            tagged = {g.tag.keyword for g in camp.adgroups if isinstance(g.tag, RuleTag)}
+            assert camp.group == tagged
+        text = render_account(account)
+        assert text == json.dumps(account_document(account), indent=2) + "\n"
+        assert parse_account(text) == account
+        self.account = account
 
     def _add(self, kw, strategy, items):
         new_rule = Rule(kw, Money(90_000), frozenset(items))

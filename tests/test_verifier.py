@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -18,6 +19,7 @@ from shopstruct import (
     generate,
     large,
     normalize,
+    parse_account_document,
     render_account,
     verify_account,
 )
@@ -133,10 +135,10 @@ def test_self_blocking_campaign_is_caught(golden_account):
 
 def test_partition_tampering_is_caught(golden_account):
     moved = normalize("nike shoes")
-    partition = list(golden_account.partition)
-    partition[0] = partition[0] - {moved}
-    partition[1] = partition[1] | {moved}
-    broken = replace(golden_account, partition=tuple(partition))
+    first, second = golden_account.group_campaigns()[:2]
+    assert moved in first.group
+    broken = _with_campaign(golden_account, first.name, group=first.group - {moved})
+    broken = _with_campaign(broken, second.name, group=second.group | {moved})
     sim = Simulator(broken)
     findings = verify_structure(sim, verify_property1(sim)[1])
     assert findings
@@ -218,9 +220,9 @@ def _mutants(account):
     general = account.general_campaign()
     kept = sorted(general.negatives, key=lambda n: n.sort_key())
     kept = frozenset(kept[: len(kept) // 2])
-    # The partition may repeat a keyword; each copy is its own property 1 case,
+    # Two groups may hold one keyword; each copy is its own property 1 case,
     # and its audit findings must name that copy's group.
-    parts = account.partition
+    last = camps[-1]
     return {
         "as built": account,
         "large negative dropped": _with_campaign(
@@ -246,10 +248,6 @@ def _mutants(account):
         "sibling ad groups swap negatives": _with_campaign(
             account, with_rules.name, adgroups=swapped
         ),
-        "group campaign removed": replace(
-            account,
-            campaigns=tuple(c for c in account.campaigns if c is not camps[-1]),
-        ),
         "group campaign in Medium": _with_campaign(
             account, first.name, priority=Priority.MEDIUM
         ),
@@ -267,28 +265,45 @@ def _mutants(account):
         "High campaign half its negatives": _with_campaign(
             account, general.name, negatives=kept
         ),
-        "keyword also in a later group": replace(
-            account, partition=(parts[0], parts[1] | {min(parts[0])}) + parts[2:]
+        "keyword also in a later group": _with_campaign(
+            account, second.name, group=second.group | {min(first.group)}
         ),
-        "keyword also in an earlier group": replace(
-            account, partition=(parts[0] | {min(parts[-1])},) + parts[1:]
+        "keyword also in an earlier group": _with_campaign(
+            account, first.name, group=first.group | {min(last.group)}
         ),
     }
 
 
 @pytest.fixture(scope="module")
-def equivalence_accounts(golden_account):
+def base_accounts(golden_account):
     bases = {"golden": golden_account}
     for seed in (0, 1):
         cat = generate(SyntheticSpec(n=300, seed=seed))
         bases[f"synth-300-{seed}"] = build_account(
             cat.rules, cat.brands, cat.non_brands
         )
+    return bases
+
+
+@pytest.fixture(scope="module")
+def equivalence_accounts(base_accounts):
     return {
         (base, mutant): tampered
-        for base, account in bases.items()
+        for base, account in base_accounts.items()
         for mutant, tampered in _mutants(account).items()
     }
+
+
+@pytest.mark.parametrize("base", ["golden", "synth-300-0", "synth-300-1"])
+def test_dropped_group_campaign_is_bad_input(base_accounts, base):
+    # A group campaign carries its keywords and erasers, so an account cannot
+    # lose one without the other; a snapshot that does is rejected on parse.
+    doc = json.loads(render_account(base_accounts[base]))
+    k = len(doc["partition"])
+    last = max(i for i, c in enumerate(doc["campaigns"]) if c["tag"]["kind"] == "group")
+    del doc["campaigns"][last]
+    with pytest.raises(InputError, match=f"^partition lists {k} groups for {k - 1} group"):
+        parse_account_document(doc)
 
 
 @pytest.mark.parametrize("base", ["golden", "synth-300-0", "synth-300-1"])
@@ -301,7 +316,6 @@ def equivalence_accounts(golden_account):
         "another group's negatives added",
         "rule ad group removed",
         "sibling ad groups swap negatives",
-        "group campaign removed",
         "group campaign in Medium",
         "group campaign in High",
         "group campaign in Medium over a leaky one",
