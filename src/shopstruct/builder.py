@@ -160,7 +160,7 @@ def plan_groups(keywords: Sequence[Keyword], config: BuildConfig) -> GroupPlan:
 def group_campaign_negatives(
     erasers: Sequence[Sequence[Eraser]],
     blocked: frozenset[NegativeKeyword],
-    interned: dict[NegativeKeyword, NegativeKeyword] | None = None,
+    interned: dict[NegativeKeyword, NegativeKeyword],
 ) -> list[frozenset[NegativeKeyword]]:
     """Each group campaign's negatives: the eraser negatives of every other
     group plus the blocked-brand phrases ``blocked``.
@@ -170,7 +170,6 @@ def group_campaign_negatives(
     eraser's negative is taken from ``interned`` (the account's table of one
     object per negative) when it holds an equal one, and added to it if not.
     """
-    interned = {} if interned is None else interned
     per_group = [
         frozenset(
             interned.setdefault(neg, neg) for neg in (e.to_negative() for e in group)

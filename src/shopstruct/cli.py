@@ -313,7 +313,7 @@ def _cmd_add_rule(args) -> int:
     )
     return _run_update(
         args,
-        lambda account, _: add_rule(account, rule, strategy=args.strategy),
+        lambda account, _: add_rule(account, rule),
         lambda rules, _: rules + (rule,),
     )
 
@@ -414,17 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--keyword", required=True)
     q.add_argument("--cpc-micros", type=int, required=True)
     q.add_argument("--items", required=True, help="comma separated item ids")
-    q.add_argument(
-        "--strategy",
-        choices=["new-campaign", "min-negatives"],
-        default="new-campaign",
-        help=(
-            "when every group campaign blocks the keyword: open a campaign, or"
-            " re-cover the groups and place it where the fewest negatives"
-            " result (re-covering placements only; it can end with more"
-            " negatives than new-campaign)"
-        ),
-    )
     q.add_argument("--out", help="snapshot output (default: rewrite --account)")
     q.add_argument("--rules", help="rule catalogue to append the rule to")
     q.add_argument("--json", action="store_true")

@@ -23,7 +23,6 @@ from .account import (
 from .builder import (
     _check_routable,
     group_campaign_name,
-    group_campaign_negatives,
     rule_adgroup,
 )
 from .erasers import Eraser, ExactEraser, erases, reduce_keywords
@@ -84,7 +83,7 @@ class Change:
     """One account mutation, a frozen dataclass per op kind.  ``describe()``
     gives its change-log line; ``apply(draft)`` performs it, raising
     InputError when its target is missing.  Group ops name the group
-    campaign they edit; ``Set*`` ops replace a whole field."""
+    campaign they edit."""
 
 
 @dataclass(frozen=True)
@@ -174,18 +173,6 @@ class RemoveNegative(_NegativeChange):
 
 
 @dataclass(frozen=True)
-class SetCampaignNegatives(Change):
-    campaign: str
-    negatives: frozenset[NegativeKeyword]
-
-    def describe(self) -> str:
-        return f"replace the negatives of campaign {self.campaign} ({len(self.negatives)})"
-
-    def apply(self, draft: _Draft) -> None:
-        draft.edit_negatives(self.campaign, None, lambda _: self.negatives)
-
-
-@dataclass(frozen=True)
 class AssignKeyword(Change):
     campaign: str
     keyword: Keyword
@@ -243,18 +230,6 @@ class RemoveEraser(Change):
             raise InputError(f"campaign {self.campaign} has no such eraser")
         i = erasers.index(self.eraser)
         return erasers[:i] + erasers[i + 1 :]
-
-
-@dataclass(frozen=True)
-class SetGroupErasers(Change):
-    campaign: str
-    erasers: tuple[Eraser, ...]
-
-    def describe(self) -> str:
-        return f"replace the erasers of campaign {self.campaign} ({len(self.erasers)})"
-
-    def apply(self, draft: _Draft) -> None:
-        draft.edit_group(self.campaign, "erasers", lambda _: self.erasers)
 
 
 def apply_changes(account: Account, changes: Iterable[Change]) -> Account:
@@ -355,24 +330,17 @@ def _place_changes(chosen: Campaign, rule: Rule, neg: NegativeKeyword) -> list[C
 # --- add_rule ------------------------------------------------------------
 
 
-def add_rule(
-    account: Account, rule: Rule, *, strategy: str = "new-campaign"
-) -> UpdateOutcome:
+def add_rule(account: Account, rule: Rule) -> UpdateOutcome:
     """Add one rule.
 
     When some Low-priority campaign already admits the keyword, the smallest
     admitting group takes it: the keyword becomes a new ad group there, its
     exact negative goes to that campaign's sibling ad groups and to every
     other campaign.  When every campaign blocks it, a fresh campaign is opened
-    (``strategy="new-campaign"``), or with ``strategy="min-negatives"`` every
-    group placement is costed by recomputing eraser covers and the cheapest
-    placement wins.  That strategy compares re-covering placements only, not
-    opening a campaign, so it can end with more negatives than
-    ``"new-campaign"`` would.  Raises LimitExceededError when the rule would
-    lengthen a negative list past the account's limit.
+    whose list is a recomputed cover of the existing catalogue.  Raises
+    LimitExceededError when the rule would lengthen a negative list past the
+    account's limit.
     """
-    if strategy not in ("new-campaign", "min-negatives"):
-        raise InputError(f"unknown add strategy: {strategy!r}")
     kw = rule.keyword
     if kw in account.keywords():
         raise DuplicateKeywordError(f"keyword already has a rule: {kw.text!r}")
@@ -397,10 +365,8 @@ def add_rule(
     if admitting:
         changes += _place_changes(chosen, rule, neg)
         changes.append(AddEraser(chosen.name, ExactEraser(kw)))
-    elif strategy == "new-campaign":
-        changes += _open_campaign_changes(account, rule)
     else:
-        changes += _min_negatives_changes(account, rule, neg)
+        changes += _open_campaign_changes(account, rule)
     return _outcome(account, changes)
 
 
@@ -435,47 +401,6 @@ def _open_campaign_changes(account: Account, rule: Rule) -> list[Change]:
         erasers=(ExactEraser(kw),),
     )
     return [AddCampaign(campaign)]
-
-
-def _min_negatives_changes(account: Account, rule: Rule, neg: NegativeKeyword) -> list[Change]:
-    """Case: every group campaign blocks the keyword and the caller prefers
-    re-covering groups over opening a campaign.  Each placement is costed by
-    the literal negatives it leaves account-wide; the cheapest wins (tie: the
-    lowest group).  Covers are taken against the grown catalogue, which is the
-    same for every placement, and a group that does not take the keyword has
-    the same cover wherever it goes, so each group's cover is computed once
-    without and once with the keyword: 2k covers for k groups, not k²."""
-    kw = rule.keyword
-    group_camps = account.group_campaigns()
-    if not group_camps:
-        return _open_campaign_changes(account, rule)
-    old_groups = account.partition
-    k = len(old_groups)
-    universe = account.keywords() | {kw}
-    snb = frozenset(phrase(b) for b in account.non_brands)
-    without = [reduce_keywords(group, universe) for group in old_groups]
-    with_kw = [reduce_keywords(group | {kw}, universe) for group in old_groups]
-    total = sum(len(e) for e in without)
-    sibling_pairs = sum(len(g) * (len(g) - 1) for g in old_groups)
-
-    def cost(t: int) -> int:
-        erasers = total - len(without[t]) + len(with_kw[t])
-        # The target group grows by one: (s + 1)s - s(s - 1) = 2s more
-        # sibling exacts.
-        adgroup_negs = sibling_pairs + 2 * len(old_groups[t])
-        return erasers * (k - 1) + len(snb) * k + adgroup_negs
-
-    target = min(range(k), key=lambda t: (cost(t), t))
-    best_erasers = without[:target] + [with_kw[target]] + without[target + 1 :]
-
-    changes: list[Change] = []
-    for camp, erasers in zip(group_camps, best_erasers):
-        if erasers != camp.erasers:
-            changes.append(SetGroupErasers(camp.name, erasers))
-    for camp, negs in zip(group_camps, group_campaign_negatives(best_erasers, snb)):
-        if negs != camp.negatives:
-            changes.append(SetCampaignNegatives(camp.name, negs))
-    return changes + _place_changes(group_camps[target], rule, neg)
 
 
 # --- remove_rule ---------------------------------------------------------

@@ -6,10 +6,7 @@ vocabulary for each uncovered keyword, ``expand`` takes eraser images by
 scanning the universe, ``exact_packing_oracle`` searches every disjoint
 sub-collection of candidates, ``enumerate_candidates`` copies every word's
 keyword set before intersecting, ``reduce_keywords`` scans the whole universe
-once per candidate word set, ``_min_negatives_changes`` recomputes every
-group's cover for every placement (k² covers for k groups) and checks the
-limit predictively on each list it lengthens or replaces,
-``verify_account`` is the verifier that builds a simulator per property and
+once per candidate word set, ``verify_account`` is the verifier that builds a simulator per property and
 audits group-campaign negatives with a second n×k lookup pass instead of
 reading property 1's routes, ``Simulator`` is the router that keeps one
 ``NegativeIndex`` per campaign and per ad group and looks each up separately,
@@ -32,12 +29,9 @@ from shopstruct.account import (
     BrandTag,
     Campaign,
     CatchAllTag,
-    Leaf,
     Priority,
-    Rule,
     RuleTag,
 )
-from shopstruct.builder import group_campaign_negatives
 from shopstruct.erasers import (
     Candidate,
     Eraser,
@@ -50,7 +44,6 @@ from shopstruct.erasers import (
 from shopstruct.errors import (
     InfeasibleTargetError,
     InputError,
-    LimitExceededError,
     ShopstructError,
 )
 from shopstruct.keywords import (
@@ -59,9 +52,7 @@ from shopstruct.keywords import (
     NegativeIndex,
     NegativeKeyword,
     QueryWords,
-    exact,
     normalize,
-    phrase,
     subword_set,
     word_set,
 )
@@ -75,15 +66,6 @@ from shopstruct.simulate import (
     Landed,
     Step,
     Trajectory,
-)
-from shopstruct.updates import (
-    AddAdGroup,
-    AddNegative,
-    AssignKeyword,
-    Change,
-    SetCampaignNegatives,
-    SetGroupErasers,
-    _open_campaign_changes,
 )
 from shopstruct.verify import (
     Failure,
@@ -351,79 +333,6 @@ def list_sizes(account: Account) -> dict[str, int]:
         for g in c.adgroups:
             sizes[f"ad group {g.name!r} of campaign {c.name}"] = len(g.negatives)
     return sizes
-
-
-def _check_limit(limit: int, where: str, count: int) -> None:
-    """The predictive limit check: ``where`` would hold ``count`` negatives."""
-    if count > limit:
-        raise LimitExceededError(
-            f"{where} needs {count} negatives, over the limit of {limit}"
-        )
-
-
-def _min_negatives_changes(account: Account, rule: Rule) -> list[Change]:
-    """Case: every group campaign blocks the keyword and the caller prefers
-    re-covering groups over opening a campaign.  Each placement is costed by
-    recomputing every group's eraser cover against the grown catalogue; the
-    placement with the fewest literal negatives account-wide wins."""
-    kw = rule.keyword
-    group_camps = account.group_campaigns()
-    if not group_camps:
-        return _open_campaign_changes(account, rule)
-    old_groups = list(account.partition)
-    universe = sorted(account.keywords()) + [kw]
-    snb = frozenset(phrase(b) for b in account.non_brands)
-
-    best: tuple[int, int] | None = None
-    best_erasers: list[tuple[Eraser, ...]] | None = None
-    for target in range(len(old_groups)):
-        new_erasers = []
-        for pos, group in enumerate(old_groups):
-            members = set(group) | ({kw} if pos == target else set())
-            new_erasers.append(reduce_keywords(sorted(members), universe))
-        total_erasers = sum(len(e) for e in new_erasers)
-        campaign_negs = total_erasers * (len(old_groups) - 1) + len(snb) * len(
-            old_groups
-        )
-        adgroup_negs = sum(
-            (len(g) + (1 if pos == target else 0))
-            * (len(g) + (1 if pos == target else 0) - 1)
-            for pos, g in enumerate(old_groups)
-        )
-        cost = campaign_negs + adgroup_negs
-        if best is None or (cost, target) < (best[0], best[1]):
-            best = (cost, target)
-            best_erasers = new_erasers
-    assert best is not None and best_erasers is not None
-    target = best[1]
-
-    changes: list[Change] = []
-    for camp, erasers in zip(group_camps, best_erasers):
-        if erasers != camp.erasers:
-            changes.append(SetGroupErasers(camp.name, erasers))
-    for camp, negs in zip(group_camps, group_campaign_negatives(best_erasers, snb)):
-        if negs != camp.negatives:
-            _check_limit(account.limit, f"campaign {camp.name}", len(negs))
-            changes.append(SetCampaignNegatives(camp.name, negs))
-    chosen = group_camps[target]
-    members = chosen.group
-    for adgroup in chosen.adgroups:
-        _check_limit(
-            account.limit, f"ad group {adgroup.name!r}", len(adgroup.negatives) + 1
-        )
-        changes.append(AddNegative(chosen.name, exact(kw), adgroup.name))
-    siblings = frozenset(exact(other) for other in members)
-    _check_limit(account.limit, f"ad group {kw.text!r}", len(siblings))
-    changes.append(
-        AddAdGroup(
-            chosen.name,
-            AdGroup(
-                name=kw.text, tag=RuleTag(kw), negatives=siblings, tree=Leaf(rule.cpc)
-            ),
-        )
-    )
-    changes.append(AssignKeyword(chosen.name, kw))
-    return changes
 
 
 def describe_disposition(d: Disposition) -> str:

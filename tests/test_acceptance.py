@@ -259,7 +259,7 @@ def test_criterion_7_update_walkthroughs(golden_account, capsys, tmp_path):
         assert verify_account(joined, probes=1000, seed=0).passed
 
         big = Rule(normalize("nike large shoes"), Money(140_000), frozenset({"item-13"}))
-        grown = add_rule(golden_account, big, strategy="new-campaign").account
+        grown = add_rule(golden_account, big).account
         fresh = grown.group_campaigns()[3]
         index = NegativeIndex(fresh.negatives)
         for kw in sorted(golden_account.keywords()):

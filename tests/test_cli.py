@@ -321,6 +321,20 @@ def test_removed_search_options_are_unrecognized(workspace, capsys):
             assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("strategy", ["new-campaign", "min-negatives"])
+def test_add_rule_strategy_is_unrecognized_and_writes_nothing(workspace, capsys, strategy):
+    account, rules, out = (workspace / name for name in ("account.json", "rules.jsonl", "out.json"))
+    before = account.read_bytes(), rules.read_bytes()
+    args = ["update", "add-rule", "--account", str(account), "--rules", str(rules)]
+    args += ["--keyword", "entirely new keyword", "--cpc-micros", "100", "--items", "i1"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(args + ["--out", str(out), "--strategy", strategy])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --strategy" in capsys.readouterr().err
+    assert (account.read_bytes(), rules.read_bytes()) == before
+    assert not out.exists()
+
+
 def test_malformed_rules_exit_2_with_line_number(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"keyword": "a b", "cpc_micros": 5}\n')

@@ -377,12 +377,12 @@ def _verdict_accounts() -> dict[str, Account]:
     mutant of the golden and synth-300 accounts."""
     routed = _routed_accounts()
     synth = routed["synth-300"]
-    # "bo ka bobe" holds large erasers of two groups, so min-negatives
-    # re-covers the groups; removing a rule then leaves stale erasers.
+    # "bo ka bobe" holds large erasers of two groups, so every group campaign
+    # blocks it and the add opens a campaign whose list is a fresh cover of
+    # the catalogue; a rule removal follows.
     grown = add_rule(
         synth,
         Rule(normalize("bo ka bobe"), Money(120_000), frozenset({"item-new"})),
-        strategy="min-negatives",
     ).account
     out = dict(routed)
     out["synth-300 updated"] = remove_rule(grown, min(synth.keywords())).account

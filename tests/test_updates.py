@@ -37,7 +37,6 @@ from shopstruct import (
     exact,
     generate,
     large,
-    negative_count,
     normalize,
     phrase,
     remove_item,
@@ -57,7 +56,6 @@ from shopstruct.updates import (
     RemoveCampaign,
     RemoveEraser,
     RemoveNegative,
-    SetGroupErasers,
     UnassignKeyword,
 )
 import oracles
@@ -175,38 +173,10 @@ def test_add_rule_opens_new_campaign_when_blocked_everywhere(golden_account):
     assert verify_account(acc).passed
 
 
-def test_add_rule_min_negatives_places_into_cheapest_group(golden_account):
-    rule = Rule(normalize("nike large shoes"), Money(90_000), frozenset({"item-21"}))
-    out = add_rule(golden_account, rule, strategy="min-negatives")
-    _assert_replay(golden_account, out)
-
-    acc = out.account
-    assert len(acc.partition) == 3
-    assert acc.group_of(rule.keyword) == 0
-    # group 3 can no longer share a single 'large' eraser once the new keyword
-    # must stay admitted by group 1, so its cover falls back to exacts
-    assert acc.erasers[2] == (
-        ExactEraser(normalize("air max")),
-        ExactEraser(normalize("garmin chronometer")),
-        ExactEraser(normalize("large superstar shoes")),
-        ExactEraser(normalize("large tee-shirt")),
-    )
-    assert verify_account(acc).passed
-
-    new_campaign_total = negative_count(
-        add_rule(golden_account, rule).account
-    )
-    assert negative_count(acc) == 90
-    assert new_campaign_total == 88
-
-
-def test_add_rule_rejects_duplicates_and_unknown_strategy(golden_account):
+def test_add_rule_rejects_duplicates(golden_account):
     dup = Rule(normalize("nike shoes"), Money(1_000), frozenset({"x"}))
     with pytest.raises(DuplicateKeywordError):
         add_rule(golden_account, dup)
-    rule = Rule(normalize("brand new"), Money(1_000), frozenset({"x"}))
-    with pytest.raises(InputError):
-        add_rule(golden_account, rule, strategy="fastest")
 
 
 def test_add_rule_prefers_smallest_admitting_group():
@@ -235,27 +205,27 @@ def test_add_rule_respects_the_limit(golden_rules, golden_brands, golden_non_bra
         )
 
 
-def _limit_rule(account, path: str) -> tuple[Rule, str]:
-    """A rule and strategy that take ``path`` through ``add_rule``.  Every
-    group campaign admits two unknown words; the words of large erasers of
-    two groups are blocked by both groups' erasers, so by every campaign."""
+def _limit_rule(account, path: str) -> Rule:
+    """A rule that takes ``path`` through ``add_rule``.  Every group campaign
+    admits two unknown words; the words of large erasers of two groups are
+    blocked by both groups' erasers, so by every campaign."""
     if path == "admitted":
-        return Rule(normalize("zzlimit yylimit"), Money(1_000), frozenset({"i"})), "new-campaign"
+        return Rule(normalize("zzlimit yylimit"), Money(1_000), frozenset({"i"}))
     larges = [
         next(e for e in group if isinstance(e, LargeEraser))
         for group in account.erasers
         if any(isinstance(e, LargeEraser) for e in group)
     ]
     words = tuple(sorted(larges[0].words | larges[1].words)) + ("zzlimit",)
-    return Rule(Keyword(words), Money(1_000), frozenset({"i"})), path
+    return Rule(Keyword(words), Money(1_000), frozenset({"i"}))
 
 
-@pytest.mark.parametrize("path", ["admitted", "new-campaign", "min-negatives"])
+@pytest.mark.parametrize("path", ["admitted", "new-campaign"])
 @pytest.mark.parametrize("name", LIMIT_CATALOGUES)
 def test_add_rule_refuses_to_lengthen_a_list_past_the_limit(unlimited_accounts, name, path):
     base = unlimited_accounts[name]
-    rule, strategy = _limit_rule(base, path)
-    grown = add_rule(base, rule, strategy=strategy)
+    rule = _limit_rule(base, path)
+    grown = add_rule(base, rule)
     ops = _ops(grown)
     assert ("AddCampaign" in ops) == (path == "new-campaign")
     assert ("AddEraser" in ops) == (path == "admitted")
@@ -271,13 +241,13 @@ def test_add_rule_refuses_to_lengthen_a_list_past_the_limit(unlimited_accounts, 
         account = replace(base, limit=limit)
         over = [(w, n) for w, n in lengthened.items() if n > limit]
         if not over:
-            out = add_rule(account, rule, strategy=strategy)
+            out = add_rule(account, rule)
             assert out.account == replace(grown.account, limit=limit)
             assert out.changes == grown.changes
             continue
         where, count = over[0]
         with pytest.raises(LimitExceededError) as err:
-            add_rule(account, rule, strategy=strategy)
+            add_rule(account, rule)
         assert str(err.value) == f"{where} holds {count} negatives, over the limit of {limit}"
     assert max(after.values()) > max(before.values())
 
@@ -428,23 +398,12 @@ def test_update_outcomes_carry_balance(golden_account):
     assert not out.balance.recommended
 
 
-# The change log of the five walkthroughs below, one line per change, as the
+# The change log of the four walkthroughs below, one line per change, as the
 # command line prints it.
 WALKTHROUGH_LOG = (
     "add negative [exact] nike large shoes to campaign c1",
     "add negative [exact] nike large shoes to campaign c2",
     "add campaign c3_4",
-    "add negative [exact] nike large shoes to campaign c1",
-    "add negative [exact] nike large shoes to campaign c2",
-    "replace the erasers of campaign c3_3 (4)",
-    "replace the negatives of campaign c3_1 (6)",
-    "replace the negatives of campaign c3_2 (7)",
-    "add negative [exact] nike large shoes to ad group 'nike shoes' of campaign c3_1",
-    "add negative [exact] nike large shoes to ad group 'nike soccer white' of campaign c3_1",
-    "add negative [exact] nike large shoes to ad group 'nike air max' of campaign c3_1",
-    "add negative [exact] nike large shoes to ad group 'soccer colored mens' of campaign c3_1",
-    "add ad group 'nike large shoes' to campaign c3_1",
-    "assign keyword 'nike large shoes' to campaign c3_1",
     "add negative [exact] nike jogging to campaign c1",
     "add negative [exact] nike jogging to campaign c2",
     "add negative [exact] nike jogging to campaign c3_2",
@@ -481,12 +440,10 @@ OP_KINDS = {
     "RemoveNegative",
     "AddNegative (ad group)",
     "RemoveNegative (ad group)",
-    "SetCampaignNegatives",
     "AssignKeyword",
     "UnassignKeyword",
     "AddEraser",
     "RemoveEraser",
-    "SetGroupErasers",
 }
 
 
@@ -494,7 +451,6 @@ def test_describe_covers_every_op(golden_account):
     rule = Rule(normalize("nike large shoes"), Money(90_000), frozenset({"item-21"}))
     seen = []
     seen += add_rule(golden_account, rule).changes
-    seen += add_rule(golden_account, rule, strategy="min-negatives").changes
     seen += add_rule(
         golden_account,
         Rule(normalize("nike jogging"), Money(1_000), frozenset({"i"})),
@@ -572,18 +528,17 @@ def test_apply_changes_rejects_a_bad_change_where_it_occurs(golden_account, make
         lambda name: UnassignKeyword(name, normalize("air max")),
         lambda name: AddEraser(name, ExactEraser(normalize("brand new"))),
         lambda name: RemoveEraser(name, ExactEraser(normalize("air max"))),
-        lambda name: SetGroupErasers(name, ()),
     ],
-    ids=["assign", "unassign", "add-eraser", "remove-eraser", "set-erasers"],
+    ids=["assign", "unassign", "add-eraser", "remove-eraser"],
 )
 def test_group_ops_reject_a_campaign_without_a_group(golden_account, make, campaign, message):
-    # Unassigning a keyword a campaign lacks, or emptying its erasers, would
-    # build a valid campaign: only the op's own check rejects them.
+    # Unassigning a keyword a campaign lacks would build a valid campaign:
+    # only the op's own check rejects it.
     with pytest.raises(InputError, match=message):
         apply_changes(golden_account, [make(campaign)])
 
 
-# --- min-negatives against the k² reference, and random update sequences ---
+# --- the blocked-everywhere path, and random update sequences ---------------
 
 
 def _blocked_everywhere(account, rng):
@@ -608,27 +563,6 @@ def _blocked_everywhere(account, rng):
         if kw not in present and index.blocked(QueryWords(kw)) == (1 << len(camps)) - 1:
             return kw
     return None
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_min_negatives_matches_the_quadratic_reference(seed):
-    cat = generate(SyntheticSpec(n=200, seed=seed))
-    acc = build_account(cat.rules, cat.brands, cat.non_brands)
-    kw = _blocked_everywhere(acc, random.Random(seed))
-    assert kw is not None
-    rule = Rule(kw, Money(120_000), frozenset({"item-new"}))
-
-    out = add_rule(acc, rule, strategy="min-negatives")
-    reference = tuple(oracles._min_negatives_changes(acc, rule))
-    # The general and brand campaigns' exact negatives come first.
-    head = out.changes[: len(out.changes) - len(reference)]
-    assert out.changes[len(head) :] == reference
-    assert {(_op(c), c.negative) for c in head} == {("AddNegative", exact(kw))}
-    _assert_replay(acc, out)
-    assert verify_account(out.account).passed
-    result = Simulator(out.account).run(kw)
-    assert result.disposition.kind == "landed"
-    assert result.disposition.adgroup == kw.text
 
 
 # --- add_rule admission against the per-negative reference -----------------
@@ -725,21 +659,48 @@ def test_add_rule_admission_meets_both_outcomes():
     assert seen["admitted"] and seen["opened"]
 
 
+@functools.cache
+def _blocked_path_accounts():
+    cat = generate(SyntheticSpec(n=300, seed=1))
+    accounts = dict(_admission_accounts())
+    del accounts["synth-300 unshared"]
+    accounts["synth-300 seed 1"] = build_account(cat.rules, cat.brands, cat.non_brands)
+    return accounts
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**16))
+@pytest.mark.parametrize("name", ["golden", "synth-300", "synth-300 seed 1"])
+def test_blocked_add_opens_one_campaign_that_admits_only_its_keyword(name, seed):
+    account = _blocked_path_accounts()[name]
+    kw = _blocked_everywhere(account, random.Random(seed))
+    assert kw is not None
+    out = add_rule(account, Rule(kw, Money(90_000), frozenset({"item-new"})))
+    _assert_replay(account, out)
+    opened = [c.campaign for c in out.changes if isinstance(c, AddCampaign)]
+    assert len(opened) == 1
+    fresh = opened[0]
+    for old in account.keywords():
+        assert any(matches(old, neg) for neg in fresh.negatives), old
+    assert not any(matches(kw, neg) for neg in fresh.negatives)
+    landed = Simulator(out.account).run(kw).disposition
+    assert (landed.kind, landed.campaign, landed.adgroup) == ("landed", fresh.name, kw.text)
+
+
 # sha256 of the final snapshot and of the joined change-log lines of
 # ``_seeded_updates``; both are fixed by the update algorithms, so a change to
 # either shows here.
 UPDATE_SEQUENCE_DIGESTS = {
-    "account": "99b16003a55ad35d209b9a9f7576d47e9b877029c138844a0998b8c4dae95d51",
-    "log": "4f7590a45643c8ca1245cb7b8eda60aaeb974e416c4e1dc0fdfe195f6dd24a70",
+    "account": "ca36afaa65830af751e1e02fc7cfcc8f8b22d178fd7ac0f955040b424d1f8746",
+    "log": "4068641c77da9be26613a0f83566b3a34cf3a04540b34e456db9427043ebc1e4",
 }
 
 
 def _seeded_updates():
-    """40 seeded adds on synth n=300 seed 0, alternating strategies, half of
-    them blocked everywhere; a remove_rule after every fifth add, and of the
-    keyword of every second blocked new-campaign add right after it; two
-    remove_items per eight adds.  Returns the final account and every
-    change-log line."""
+    """40 seeded adds on synth n=300 seed 0, half of them blocked everywhere;
+    a remove_rule after every fifth add, and of the keyword of every fourth
+    blocked add right after it; two remove_items per eight adds.  Returns the
+    final account and every change-log line."""
     cat = generate(SyntheticSpec(n=300, seed=0))
     rules = list(cat.rules)
     account = build_account(rules, cat.brands, cat.non_brands)
@@ -757,13 +718,12 @@ def _seeded_updates():
 
     previous = None
     for i in range(40):
-        strategy = ("new-campaign", "min-negatives")[i % 2]
         kw = _blocked_everywhere(account, rng) if i % 4 >= 2 else None
         while kw is None or kw in account.keywords():
             kw = normalize(" ".join(rng.sample(plain, rng.randint(1, 3))))
         own = {f"item-new-{i}"} if i % 2 else {f"item-new-{i}", rng.choice(items)}
         new = Rule(kw, Money(50_000 + 1_000 * i), frozenset(own))
-        step(add_rule(account, new, strategy=strategy))
+        step(add_rule(account, new))
         rules.append(new)
         if i % 8 == 3:
             gone = previous
@@ -804,7 +764,7 @@ class UpdateSequence(RuleBasedStateMachine):
     account: every step must leave a verified account that the step's change
     log reproduces from the one before, and that renders to the json.dumps
     bytes.  Updates leave negative lists no build makes (stale erasers after
-    a removal, re-covered groups after min-negatives), so the renderer's
+    a removal, a fresh cover on each opened campaign), so the renderer's
     cuts see other shapes here than on built accounts."""
 
     @initialize()
@@ -824,30 +784,28 @@ class UpdateSequence(RuleBasedStateMachine):
         assert parse_account(text) == account
         self.account = account
 
-    def _add(self, kw, strategy, items):
+    def _add(self, kw, items):
         new_rule = Rule(kw, Money(90_000), frozenset(items))
-        self._step(add_rule(self.account, new_rule, strategy=strategy))
+        self._step(add_rule(self.account, new_rule))
         self.rules.append(new_rule)
 
     @rule(
         words=st.lists(st.sampled_from(_PLAIN_WORDS), min_size=1, max_size=3, unique=True),
-        strategy=st.sampled_from(["new-campaign", "min-negatives"]),
         items=st.lists(st.sampled_from(_ITEMS), min_size=1, max_size=2),
     )
-    def add_plain(self, words, strategy, items):
+    def add_plain(self, words, items):
         kw = normalize(" ".join(words))
         if kw not in self.account.keywords():
-            self._add(kw, strategy, items)
+            self._add(kw, items)
 
     @rule(
         seed=st.integers(0, 2**16),
-        strategy=st.sampled_from(["new-campaign", "min-negatives"]),
         items=st.lists(st.sampled_from(_ITEMS), min_size=1, max_size=2),
     )
-    def add_blocked(self, seed, strategy, items):
+    def add_blocked(self, seed, items):
         kw = _blocked_everywhere(self.account, random.Random(seed))
         if kw is not None:
-            self._add(kw, strategy, items)
+            self._add(kw, items)
 
     @precondition(lambda self: len(self.rules) > 1)
     @rule(data=st.data())
