@@ -6,10 +6,12 @@ eraser is the set of catalogue keywords it erases.  Replacing per-keyword
 exact negatives with a few erasers whose images tile a keyword group is what
 shrinks campaign negative lists.
 
-Pipeline: enumerate candidate large erasers from word subsets of the keywords,
-build the conflict graph (images intersecting), color it, keep the color class
-erasing the most keywords (its images are pairwise disjoint), then pack the
-chosen erasers plus exact fillers into balanced keyword groups.
+Pipeline: enumerate candidate large erasers from word subsets of the keywords
+(one pass files each keyword under each of its subsets, so a subset's image is
+what is filed under it), build the conflict graph (images intersecting), color
+it, keep the color class erasing the most keywords (its images are pairwise
+disjoint), then pack the chosen erasers plus exact fillers into balanced
+keyword groups.
 """
 
 from __future__ import annotations
@@ -95,31 +97,21 @@ class Candidate:
 
 
 def _subset_images(
-    sources: Iterable[Keyword], universe: Iterable[Keyword], max_words: int
-) -> dict[frozenset[str], frozenset[Keyword]]:
-    """Image over ``universe`` of every word subset (size <= max_words) of each
-    source keyword, in first-seen order.  Sources must lie in the universe.
+    keywords: Iterable[Keyword], max_words: int
+) -> dict[tuple[str, ...], frozenset[Keyword]]:
+    """Image over ``keywords`` of every word subset (size <= max_words) of each
+    keyword, keyed by its sorted word tuple, in first-seen order.
 
-    An inverted index (word -> keywords holding it) is built once; a subset's
-    image is its prefix's image intersected with one more word's keywords.
+    One pass files each keyword under each of its own subsets; a subset's
+    image is the set of keywords filed under it.
     """
-    index: dict[str, set[Keyword]] = {}
-    for kw in universe:
-        for w in kw.words:
-            index.setdefault(w, set()).add(kw)
-    images: dict[frozenset[str], frozenset[Keyword]] = {}
-    for kw in sources:
-        toks = sorted(word_set(kw))
+    filed: dict[tuple[str, ...], list[Keyword]] = {}
+    for kw in keywords:
+        toks = sorted(set(kw.words))
         for r in range(1, min(max_words, len(toks)) + 1):
-            for combo in itertools.combinations(toks, r):
-                ws = frozenset(combo)
-                if ws not in images:
-                    images[ws] = (
-                        images[frozenset(combo[:-1])] & index[combo[-1]]
-                        if r > 1
-                        else frozenset(index[combo[0]])
-                    )
-    return images
+            for ws in itertools.combinations(toks, r):
+                filed.setdefault(ws, []).append(kw)
+    return {ws: frozenset(kws) for ws, kws in filed.items()}
 
 
 def enumerate_candidates(
@@ -139,18 +131,18 @@ def enumerate_candidates(
     """
     if max_image is None:
         max_image = group_target(len(keywords))
-    images = _subset_images(keywords, keywords, max_words)
+    images = _subset_images(keywords, max_words)
 
     kept = {ws: img for ws, img in images.items() if 2 <= len(img) <= max_image}
     # Images only shrink as words are added, so some strict subset has the
     # same image exactly when some one-word-smaller subset does.
     minimal = [
-        Candidate(LargeEraser(ws), img)
+        (ws, img)
         for ws, img in kept.items()
-        if not any(kept.get(ws - {w}) == img for w in ws)
+        if not any(kept.get(ws[:i] + ws[i + 1 :]) == img for i in range(len(ws)))
     ]
-    minimal.sort(key=lambda c: (-c.weight, tuple(sorted(c.eraser.words))))
-    return tuple(minimal)
+    minimal.sort(key=lambda t: (-len(t[1]), t[0]))
+    return tuple(Candidate(LargeEraser(frozenset(ws)), img) for ws, img in minimal)
 
 
 @dataclass(frozen=True)
@@ -345,9 +337,9 @@ def reduce_keywords(
     Greedy cover: strict large candidates (image inside ``members``) taken
     largest-image-first while they erase at least two uncovered keywords, then
     exact erasers for the rest.  Never longer than ``members`` itself.  The
-    candidates are the members' word subsets, imaged through one word index
-    of ``universe`` (see ``_subset_images``): one pass over the universe plus
-    one set intersection per subset, not one universe scan per subset.
+    candidates are the word subsets of the universe's keywords, imaged in one
+    pass over the universe (see ``_subset_images``); a subset that some
+    non-member holds has it in its image and is not strict.
     """
     member_set = frozenset(members)
     universe_list = list(universe)
@@ -356,17 +348,17 @@ def reduce_keywords(
 
     strict = [
         (ws, img)
-        for ws, img in _subset_images(member_set, universe_list, max_words).items()
+        for ws, img in _subset_images(universe_list, max_words).items()
         if len(img) >= 2 and img <= member_set
     ]
-    strict.sort(key=lambda t: (-len(t[1]), tuple(sorted(t[0]))))
+    strict.sort(key=lambda t: (-len(t[1]), t[0]))
 
     chosen: list[Eraser] = []
     covered: set[Keyword] = set()
     for ws, img in strict:
         fresh = img - covered
         if len(fresh) >= 2:
-            chosen.append(LargeEraser(ws))
+            chosen.append(LargeEraser(frozenset(ws)))
             covered.update(img)
     for kw in sorted(member_set - covered):
         chosen.append(ExactEraser(kw))

@@ -28,14 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import total_ordering
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import EmptyKeywordError
 
 
-@dataclass(frozen=True, order=True)
-class Keyword:
-    """An immutable, normalized token sequence."""
+class Keyword(NamedTuple):
+    """An immutable, normalized token sequence.
+
+    A one-field named tuple, so hashing, equality and ordering run in C.
+    ``hash(kw)`` is ``hash((kw.words,))``: set layouts and iteration orders,
+    and with them every change log and snapshot byte, rest on that value.
+    """
 
     words: tuple[str, ...]
 

@@ -38,16 +38,38 @@ class _Draft:
 
     Campaigns sit in an insertion-ordered dict by name and a change swaps in
     a new value only for what it touches, so untouched campaigns and ad
-    groups keep their identity.  ``freeze`` builds the ``Account`` once."""
+    groups keep their identity.  Edited negative lists wait in ``pending``
+    and are folded into their campaign by one ``replace`` when a change
+    reads that campaign, or at ``freeze``, which builds the ``Account`` once."""
 
     def __init__(self, account: Account) -> None:
         self.account = account
         self.campaigns = {c.name: c for c in account.campaigns}
+        # campaign name -> {ad-group index, or None for its own list: list}
+        self.pending: dict[str, dict[int | None, frozenset[NegativeKeyword]]] = {}
 
     def campaign(self, name: str) -> Campaign:
+        """The campaign ``name`` with its pending lists folded in."""
+        if name in self.pending:
+            self._fold(name)
+        return self._stored(name)
+
+    def _stored(self, name: str) -> Campaign:
         if name not in self.campaigns:
             raise InputError(f"no campaign named {name!r}")
         return self.campaigns[name]
+
+    def _fold(self, name: str) -> None:
+        edits = self.pending.pop(name)
+        camp = self.campaigns[name]
+        negatives = edits.pop(None, camp.negatives)
+        adgroups = camp.adgroups
+        if edits:
+            adgroups = tuple(
+                replace(g, negatives=edits[i]) if i in edits else g
+                for i, g in enumerate(adgroups)
+            )
+        self.campaigns[name] = replace(camp, negatives=negatives, adgroups=adgroups)
 
     def adgroup_index(self, campaign: Campaign, name: str) -> int:
         for i, g in enumerate(campaign.adgroups):
@@ -58,14 +80,12 @@ class _Draft:
     def edit_negatives(self, campaign: str, adgroup: str | None, edit: Callable) -> None:
         """Replace the negatives of a campaign, or of one of its ad groups,
         by ``edit`` of the current ones."""
-        camp = self.campaign(campaign)
-        if adgroup is None:
-            self.campaigns[campaign] = replace(camp, negatives=edit(camp.negatives))
-            return
-        i = self.adgroup_index(camp, adgroup)
-        new = replace(camp.adgroups[i], negatives=edit(camp.adgroups[i].negatives))
-        adgroups = camp.adgroups[:i] + (new,) + camp.adgroups[i + 1 :]
-        self.campaigns[campaign] = replace(camp, adgroups=adgroups)
+        # Pending edits change lists only, so the stored ad groups are current.
+        camp = self._stored(campaign)
+        i = None if adgroup is None else self.adgroup_index(camp, adgroup)
+        stored = camp.negatives if i is None else camp.adgroups[i].negatives
+        edits = self.pending.setdefault(campaign, {})
+        edits[i] = edit(edits.get(i, stored))
 
     def edit_group(self, campaign: str, field: str, edit: Callable) -> None:
         """Replace the ``group`` or ``erasers`` of a group campaign by ``edit``
@@ -76,6 +96,8 @@ class _Draft:
         self.campaigns[campaign] = replace(camp, **{field: edit(getattr(camp, field))})
 
     def freeze(self) -> Account:
+        for name in list(self.pending):
+            self._fold(name)
         return replace(self.account, campaigns=tuple(self.campaigns.values()))
 
 

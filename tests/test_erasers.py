@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -436,3 +438,29 @@ def test_reduce_keywords_matches_reference(inputs):
 
     assert cover(reduce_keywords) == cover(oracles.reduce_keywords)
 
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(
+        st.one_of(
+            st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=4).map(" ".join),
+            st.sampled_from(["nike nike shoes", "air max air", "red red"]),
+        ),
+        max_size=12,
+    ),
+    max_words=st.integers(1, 3),
+)
+def test_subset_images_meets_its_definition(texts, max_words):
+    from shopstruct.erasers import _subset_images
+
+    keywords = [normalize(t) for t in texts]
+    images = _subset_images(keywords, max_words)
+    # Keys: the sorted subsets of up to max_words of each keyword's distinct words.
+    assert set(images) == {
+        combo
+        for kw in keywords
+        for r in range(1, max_words + 1)
+        for combo in itertools.combinations(sorted(set(kw.words)), r)
+    }
+    for ws, image in images.items():
+        assert image == {kw for kw in keywords if set(ws) <= set(kw.words)}

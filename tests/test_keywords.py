@@ -164,3 +164,18 @@ def test_negative_caches_the_dataclass_hash_and_sort_key(kw, match):
     copy = pickle.loads(pickle.dumps(neg))
     assert copy == neg and hash(copy) == hash(neg)
     assert {neg: 1}[NegativeKeyword(Keyword(kw.words), match)] == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(kw=keywords, other=keywords)
+def test_keyword_hashes_compares_and_pickles_as_its_one_field(kw, other):
+    import pickle
+
+    # Set layouts and iteration orders, and with them every pinned snapshot
+    # and change-log digest, rest on this hash.
+    assert hash(kw) == hash((kw.words,))
+    assert sorted([kw, other]) == [Keyword(ws) for ws in sorted([kw.words, other.words])]
+    assert kw != kw.words
+    assert normalize(kw.text) == kw
+    copy = pickle.loads(pickle.dumps(kw))
+    assert copy == kw and hash(copy) == hash(kw)

@@ -512,6 +512,43 @@ def test_apply_changes_rejects_a_bad_change_where_it_occurs(golden_account, make
         apply_changes(golden_account, make(golden_account))
 
 
+def test_negative_edits_around_an_ad_group_removal(golden_account):
+    """Ad-group and campaign negatives on one campaign around the removal of
+    one of its ad groups: later edits name ad groups at shifted positions."""
+    camp = golden_account.group_campaigns()[0]
+    first, second, third = camp.adgroups[:3]
+    x, y = exact(normalize("x")), exact(normalize("y"))
+    log = [
+        AddNegative(camp.name, x, first.name),
+        AddNegative(camp.name, x),
+        AddNegative(camp.name, y, third.name),
+        RemoveAdGroup(camp.name, second.name),
+        AddNegative(camp.name, x, third.name),
+        RemoveNegative(camp.name, x, first.name),
+        AddNegative(camp.name, y, first.name),
+        RemoveNegative(camp.name, x),
+    ]
+    after = apply_changes(golden_account, log)
+    new = next(c for c in after.campaigns if c.name == camp.name)
+    assert new.negatives == camp.negatives
+    assert [g.name for g in new.adgroups] == [g.name for g in camp.adgroups if g is not second]
+    assert new.adgroups[0].negatives == first.negatives | {y}
+    assert new.adgroups[1].negatives == third.negatives | {x, y}
+    assert new.adgroups[2:] == camp.adgroups[3:]
+    # Every other campaign is the same object: check_limit(before) skips those.
+    assert all(
+        a is b for a, b in zip(after.campaigns, golden_account.campaigns) if b is not camp
+    )
+
+
+def test_a_batch_replays_as_its_changes_one_at_a_time(golden_account, golden_rules):
+    kw = golden_rules[0].keyword
+    new = Rule(normalize("nike red"), Money(1), frozenset("i"))
+    for log in (remove_rule(golden_account, kw).changes, add_rule(golden_account, new).changes):
+        stepwise = functools.reduce(lambda acc, c: apply_changes(acc, [c]), log, golden_account)
+        assert apply_changes(golden_account, log) == stepwise
+
+
 @pytest.mark.parametrize(
     "campaign, message",
     [
