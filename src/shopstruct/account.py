@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Union
 
 from .erasers import Eraser
 from .errors import InputError, LimitExceededError, UnknownKeywordError
-from .keywords import Keyword, NegativeKeyword
+from .keywords import Keyword, NegativeIndex, NegativeKeyword
 
 
 @dataclass(frozen=True, order=True)
@@ -174,7 +174,8 @@ class Account:
     ``limit`` is the cap on every negative list, campaign or ad group.
     ``partition`` and ``erasers`` are read-only views, taken once per
     account: each group campaign's ``group`` and ``erasers``, in campaign
-    storage order.
+    storage order.  ``admission_index`` is derived state of the same kind;
+    like them it stays out of ``==``.
     """
 
     limit: int
@@ -204,6 +205,14 @@ class Account:
     @cached_property
     def erasers(self) -> tuple[tuple[Eraser, ...], ...]:
         return tuple(c.erasers for c in self.group_campaigns())
+
+    @cached_property
+    def admission_index(self) -> NegativeIndex:
+        """The group campaigns' own lists in one index, bit ``i`` for the
+        ``i``-th group campaign: the campaigns that block a new keyword.
+        Built on first read; an update derives its account's index from this
+        one by the batch's list edits (``updates._Draft.freeze``)."""
+        return NegativeIndex(*(c.negatives for c in self.group_campaigns()))
 
     def keywords(self) -> frozenset[Keyword]:
         """All bidding keywords (the union of the partition)."""

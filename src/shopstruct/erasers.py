@@ -99,19 +99,21 @@ class Candidate:
 def _subset_images(
     keywords: Iterable[Keyword], max_words: int
 ) -> dict[tuple[str, ...], frozenset[Keyword]]:
-    """Image over ``keywords`` of every word subset (size <= max_words) of each
-    keyword, keyed by its sorted word tuple, in first-seen order.
+    """Image over ``keywords`` of every word subset (size <= max_words) of a
+    keyword that some other keyword also holds, keyed by its sorted word
+    tuple, in first-seen order.  Both callers keep only images of two or more
+    keywords, and most subsets belong to one keyword alone, so those get none.
 
-    One pass files each keyword under each of its own subsets; a subset's
-    image is the set of keywords filed under it.
+    One pass files each distinct keyword under each of its own subsets; a
+    subset's image is the set of keywords filed under it.
     """
     filed: dict[tuple[str, ...], list[Keyword]] = {}
-    for kw in keywords:
+    for kw in dict.fromkeys(keywords):
         toks = sorted(set(kw.words))
         for r in range(1, min(max_words, len(toks)) + 1):
             for ws in itertools.combinations(toks, r):
                 filed.setdefault(ws, []).append(kw)
-    return {ws: frozenset(kws) for ws, kws in filed.items()}
+    return {ws: frozenset(kws) for ws, kws in filed.items() if len(kws) > 1}
 
 
 def enumerate_candidates(

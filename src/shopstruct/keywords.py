@@ -14,13 +14,15 @@ whitespace-separated tokens; hyphens are kept inside a token ("tee-shirt" stays
 one word).
 
 This module is the one place that decides whether a negative blocks a query.
-``NegativeIndex`` answers for fixed negative lists by hash lookups keyed by
-the query's own words (an inverted-file lookup).  It can hold several lists
-at once, storing each distinct negative once with the set of lists that hold
-it, so one lookup per query gives every blocking negative with the bitmask of
-its lists, or just the bitmask of the lists that block the query; a list's
-first match is the first of those hits that it holds.  ``matches`` is the
-plain reference definition.
+``NegativeIndex`` answers for negative lists by hash lookups keyed by the
+query's own words (an inverted-file lookup).  It can hold several lists at
+once, storing each distinct negative once with the set of lists that hold it,
+so one lookup per query gives every blocking negative with the bitmask of its
+lists, or just the bitmask of the lists that block the query; a list's first
+match is the first of those hits that it holds.  An index is never changed
+once built; ``NegativeIndex.edited`` derives the index of the lists after a
+few additions and removals from it, sharing every posting they leave alone.
+``matches`` is the plain reference definition.
 """
 
 from __future__ import annotations
@@ -174,17 +176,23 @@ class NegativeIndex:
     __slots__ = ("exact", "phrases", "larges")
 
     def __init__(self, *lists: Iterable[NegativeKeyword]) -> None:
-        # Lists built or parsed by this package share one object per negative,
-        # so occurrences are merged by identity and only distinct objects are
-        # hashed by value; that second merge also joins the equal copies that
-        # an update or a hand-made list may hold.
-        by_id: dict[int, list] = {}
-        for i, negatives in enumerate(lists):
-            for neg in negatives:
-                by_id.setdefault(id(neg), [neg, 0])[1] |= 1 << i
-        masks: dict[NegativeKeyword, int] = {}
-        for neg, mask in by_id.values():
-            masks[neg] = masks.get(neg, 0) | mask
+        # Masks are built per list family and merged by value.  The union of
+        # the lists is one C-level set union; every negative starts from the
+        # bits of the lists holding at least half of it, so only the few
+        # entries such a list lacks, and the entries of smaller lists, are
+        # touched one by one: no input goes quadratic.
+        held = [s if isinstance(s, (set, frozenset)) else set(s) for s in lists]
+        union = set().union(*held)
+        base = sum(1 << i for i, s in enumerate(held) if 2 * len(s) >= len(union))
+        masks = dict.fromkeys(union, base)
+        for i, negatives in enumerate(held):
+            bit = 1 << i
+            if base & bit:
+                for neg in union.difference(negatives):
+                    masks[neg] ^= bit
+            else:
+                for neg in negatives:
+                    masks[neg] |= bit
         self.exact: dict[tuple[str, ...], _Posting] = {}
         self.phrases: dict[tuple[str, ...], _Posting] = {}
         self.larges: dict[str, list[tuple[frozenset[str], _Posting]]] = {}
@@ -197,6 +205,59 @@ class NegativeIndex:
                 self.phrases[words] = posting
             else:
                 self.larges.setdefault(min(words), []).append((frozenset(words), posting))
+
+    def edited(self, edits: Iterable[tuple[NegativeKeyword, int, bool]]) -> NegativeIndex:
+        """The index after each ``(negative, bit, held)`` edit in turn sets
+        (``held``) or clears list bit ``bit`` of ``negative``: as sets of
+        (negative, mask), the index a fresh build over the edited lists gives.
+
+        ``self`` stays as it is.  The new index copies the three tables, and a
+        large bucket when an edit first touches it, and shares every posting.
+        """
+        new = object.__new__(NegativeIndex)
+        new.exact, new.phrases, new.larges = dict(self.exact), dict(self.phrases), dict(self.larges)
+        copied: set[str] = set()
+        for neg, bit, held in edits:
+            words = neg.keyword.words
+            if neg.match is not MatchType.LARGE:
+                table = new.exact if neg.match is MatchType.EXACT else new.phrases
+                posting = _edited(table.get(words), neg, bit, held)
+                if posting is None:
+                    table.pop(words, None)
+                else:
+                    table[words] = posting
+                continue
+            key = min(words)
+            if key not in copied:
+                copied.add(key)
+                new.larges[key] = list(new.larges.get(key, ()))
+            bucket = new.larges[key]
+            j = _position(bucket, neg)
+            posting = _edited(None if j is None else bucket[j][1], neg, bit, held)
+            if posting is None:
+                if j is not None:
+                    del bucket[j]
+            elif j is None:
+                bucket.append((frozenset(words), posting))
+            else:
+                bucket[j] = (bucket[j][0], posting)
+        for key in copied:
+            if not new.larges[key]:
+                del new.larges[key]
+        return new
+
+    def stored(self, negative: NegativeKeyword) -> NegativeKeyword | None:
+        """The indexed negative equal to ``negative``, or None."""
+        words = negative.keyword.words
+        if negative.match is MatchType.EXACT:
+            posting = self.exact.get(words)
+        elif negative.match is MatchType.PHRASE:
+            posting = self.phrases.get(words)
+        else:
+            bucket = self.larges.get(min(words), [])
+            j = _position(bucket, negative)
+            posting = None if j is None else bucket[j][1]
+        return None if posting is None else posting[1]
 
     def _postings(self, query: QueryWords) -> list[_Posting]:
         """The posting of every indexed negative that blocks ``query``, unsorted."""
@@ -227,6 +288,23 @@ class NegativeIndex:
         for _, _, holders in self._postings(query):
             mask |= holders
         return mask
+
+
+def _position(bucket: list[tuple[frozenset[str], _Posting]], negative: NegativeKeyword) -> int | None:
+    """Where in a large bucket ``negative``'s posting sits, or None."""
+    return next((j for j, (_, p) in enumerate(bucket) if p[1].keyword == negative.keyword), None)
+
+
+def _edited(
+    posting: _Posting | None, negative: NegativeKeyword, bit: int, held: bool
+) -> _Posting | None:
+    """``posting`` (None when absent) with list bit ``bit`` set or cleared;
+    None once no list holds the negative."""
+    if posting is None:
+        return (negative.sort_key(), negative, bit) if held else None
+    key, stored, mask = posting
+    mask = mask | bit if held else mask & ~bit
+    return (key, stored, mask) if mask else None
 
 
 def exact(keyword: Keyword) -> NegativeKeyword:

@@ -27,7 +27,7 @@ from .builder import (
 )
 from .erasers import Eraser, ExactEraser, erases, reduce_keywords
 from .errors import DuplicateKeywordError, InputError
-from .keywords import Keyword, NegativeIndex, NegativeKeyword, QueryWords, exact, phrase
+from .keywords import Keyword, MatchType, NegativeKeyword, QueryWords, exact, phrase
 
 
 # --- change log ----------------------------------------------------------
@@ -40,13 +40,21 @@ class _Draft:
     a new value only for what it touches, so untouched campaigns and ad
     groups keep their identity.  Edited negative lists wait in ``pending``
     and are folded into their campaign by one ``replace`` when a change
-    reads that campaign, or at ``freeze``, which builds the ``Account`` once."""
+    reads that campaign, or at ``freeze``, which builds the ``Account`` once.
+
+    Every edit of a campaign's own list is also kept, in order, in
+    ``list_edits``.  When the account has built its ``admission_index``,
+    ``freeze`` derives the new account's index from it by those edits.  A
+    removed campaign shifts the bits of the ones after it, so after one the
+    new account builds its own index when it is first read."""
 
     def __init__(self, account: Account) -> None:
         self.account = account
         self.campaigns = {c.name: c for c in account.campaigns}
         # campaign name -> {ad-group index, or None for its own list: list}
         self.pending: dict[str, dict[int | None, frozenset[NegativeKeyword]]] = {}
+        # (campaign name, negative, held), or None once a campaign is removed
+        self.list_edits: list[tuple[str, NegativeKeyword, bool]] | None = []
 
     def campaign(self, name: str) -> Campaign:
         """The campaign ``name`` with its pending lists folded in."""
@@ -77,15 +85,32 @@ class _Draft:
                 return i
         raise InputError(f"no ad group named {name!r} in {campaign.name}")
 
-    def edit_negatives(self, campaign: str, adgroup: str | None, edit: Callable) -> None:
-        """Replace the negatives of a campaign, or of one of its ad groups,
-        by ``edit`` of the current ones."""
+    def edit_negative(
+        self, campaign: str, adgroup: str | None, negative: NegativeKeyword, held: bool
+    ) -> None:
+        """Add (``held``) or remove ``negative`` on the list of a campaign, or
+        of one of its ad groups."""
         # Pending edits change lists only, so the stored ad groups are current.
         camp = self._stored(campaign)
         i = None if adgroup is None else self.adgroup_index(camp, adgroup)
         stored = camp.negatives if i is None else camp.adgroups[i].negatives
         edits = self.pending.setdefault(campaign, {})
-        edits[i] = edit(edits.get(i, stored))
+        current = edits.get(i, stored)
+        edits[i] = current | {negative} if held else current - {negative}
+        if i is None and self.list_edits is not None:
+            self.list_edits.append((campaign, negative, held))
+
+    def add_campaign(self, campaign: Campaign) -> None:
+        if campaign.name in self.campaigns:
+            raise InputError(f"account repeats campaign name {campaign.name!r}")
+        self.campaigns[campaign.name] = campaign
+        if self.list_edits is not None:
+            self.list_edits += [(campaign.name, neg, True) for neg in campaign.negatives]
+
+    def remove_campaign(self, name: str) -> None:
+        self.campaign(name)
+        del self.campaigns[name]
+        self.list_edits = None
 
     def edit_group(self, campaign: str, field: str, edit: Callable) -> None:
         """Replace the ``group`` or ``erasers`` of a group campaign by ``edit``
@@ -98,7 +123,16 @@ class _Draft:
     def freeze(self) -> Account:
         for name in list(self.pending):
             self._fold(name)
-        return replace(self.account, campaigns=tuple(self.campaigns.values()))
+        account = replace(self.account, campaigns=tuple(self.campaigns.values()))
+        index = vars(self.account).get("admission_index")
+        if index is not None and self.list_edits is not None:
+            # The group campaigns keep their order and any new one comes
+            # last, so the parent's bits hold and a new campaign's is next.
+            bits = {c.name: 1 << i for i, c in enumerate(account.group_campaigns())}
+            edits = [(neg, bits[name], held) for name, neg, held in self.list_edits if name in bits]
+            # Fill the cached_property's slot, so the account never builds it.
+            vars(account)["admission_index"] = index.edited(edits)
+        return account
 
 
 class Change:
@@ -116,9 +150,7 @@ class AddCampaign(Change):
         return f"add campaign {self.campaign.name}"
 
     def apply(self, draft: _Draft) -> None:
-        if self.campaign.name in draft.campaigns:
-            raise InputError(f"account repeats campaign name {self.campaign.name!r}")
-        draft.campaigns[self.campaign.name] = self.campaign
+        draft.add_campaign(self.campaign)
 
 
 @dataclass(frozen=True)
@@ -129,8 +161,7 @@ class RemoveCampaign(Change):
         return f"remove campaign {self.campaign}"
 
     def apply(self, draft: _Draft) -> None:
-        draft.campaign(self.campaign)
-        del draft.campaigns[self.campaign]
+        draft.remove_campaign(self.campaign)
 
 
 @dataclass(frozen=True)
@@ -182,7 +213,7 @@ class AddNegative(_NegativeChange):
         return f"add negative {self.negative.describe()} to {self.target()}"
 
     def apply(self, draft: _Draft) -> None:
-        draft.edit_negatives(self.campaign, self.adgroup, lambda n: n | {self.negative})
+        draft.edit_negative(self.campaign, self.adgroup, self.negative, True)
 
 
 @dataclass(frozen=True)
@@ -191,7 +222,7 @@ class RemoveNegative(_NegativeChange):
         return f"remove negative {self.negative.describe()} from {self.target()}"
 
     def apply(self, draft: _Draft) -> None:
-        draft.edit_negatives(self.campaign, self.adgroup, lambda n: n - {self.negative})
+        draft.edit_negative(self.campaign, self.adgroup, self.negative, False)
 
 
 @dataclass(frozen=True)
@@ -338,10 +369,41 @@ def _outcome(account: Account, changes: list[Change]) -> UpdateOutcome:
     return UpdateOutcome(new_account, tuple(changes), check_balance(new_account))
 
 
-def _place_changes(chosen: Campaign, rule: Rule, neg: NegativeKeyword) -> list[Change]:
+def _held(account: Account, negatives: list[NegativeKeyword]) -> frozenset[NegativeKeyword]:
+    """``negatives`` as the objects the account's lists hold, where they hold
+    an equal one, so an update keeps one object per negative as build and
+    parse do, and set operations on the lists compare by identity instead of
+    by ``__eq__``.  Looks in the admission index first; only for what it
+    lacks does it read the High campaign's long list, which holds every
+    catalogue exact and brand phrase."""
+    index = account.admission_index
+    held = [index.stored(n) for n in negatives]
+    if not all(held):
+        high = account.general_campaign().negatives
+        table = dict(zip(high, high))
+        held = [h or table.get(n, n) for h, n in zip(held, negatives)]
+    return frozenset(held)
+
+
+def _sibling_exacts(account: Account, chosen: Campaign) -> frozenset[NegativeKeyword]:
+    """The exact negative of every keyword of ``chosen``'s group, as objects
+    the account holds.  In an account that build or update made, two sibling
+    ad groups hold all of them between them; that is checked, not assumed."""
+    group = chosen.group
+    pool = frozenset().union(*(g.negatives for g in chosen.adgroups[:2]))
+    if len(pool) == len(group) and all(
+        n.match is MatchType.EXACT and n.keyword in group for n in pool
+    ):
+        return pool
+    return _held(account, [exact(other) for other in group])
+
+
+def _place_changes(
+    account: Account, chosen: Campaign, rule: Rule, neg: NegativeKeyword
+) -> list[Change]:
     """Put ``rule``'s keyword into group campaign ``chosen``: every sibling ad
     group blocks it by ``neg``, and its new ad group blocks the siblings."""
-    siblings = frozenset(exact(other) for other in chosen.group)
+    siblings = _sibling_exacts(account, chosen)
     return [
         *(AddNegative(chosen.name, neg, adgroup.name) for adgroup in chosen.adgroups),
         AddAdGroup(chosen.name, rule_adgroup(rule, siblings)),
@@ -369,13 +431,12 @@ def add_rule(account: Account, rule: Rule) -> UpdateOutcome:
     _check_routable([kw], account.non_brands)
     group_camps = account.group_campaigns()
 
-    # One index over the union of the group campaigns' lists finds the
-    # negatives that block the keyword; a campaign admits it when its list
-    # holds none of them (compared by value, so equal copies agree).
-    held = frozenset().union(*(camp.negatives for camp in group_camps))
-    hits = {neg for neg, _ in NegativeIndex(held).hits(QueryWords(kw))}
+    # The account's admission index gives the group campaigns whose lists
+    # hold a negative that blocks the keyword (by value, so equal copies
+    # agree); every other group campaign admits it.
+    blocked = account.admission_index.blocked(QueryWords(kw))
     blocking = _tier_campaigns(account)
-    admitting = [camp for camp in group_camps if hits.isdisjoint(camp.negatives)]
+    admitting = [camp for i, camp in enumerate(group_camps) if not blocked >> i & 1]
     if admitting:
         # min keeps the first of equal sizes: the earliest campaign.
         chosen = min(admitting, key=lambda camp: len(camp.group))
@@ -385,7 +446,7 @@ def add_rule(account: Account, rule: Rule) -> UpdateOutcome:
     changes: list[Change] = [AddNegative(camp.name, neg) for camp in blocking]
 
     if admitting:
-        changes += _place_changes(chosen, rule, neg)
+        changes += _place_changes(account, chosen, rule, neg)
         changes.append(AddEraser(chosen.name, ExactEraser(kw)))
     else:
         changes += _open_campaign_changes(account, rule)
@@ -409,8 +470,9 @@ def _open_campaign_changes(account: Account, rule: Rule) -> list[Change]:
     kw = rule.keyword
     existing = account.keywords()
     cover = reduce_keywords(existing, existing | {kw})
-    negs = frozenset(e.to_negative() for e in cover) | frozenset(
-        phrase(b) for b in account.non_brands
+    negs = _held(
+        account,
+        [e.to_negative() for e in cover] + [phrase(b) for b in account.non_brands],
     )
     index, name = _next_group_identity(account)
     campaign = Campaign(
@@ -442,9 +504,10 @@ def remove_rule(account: Account, keyword: Keyword) -> UpdateOutcome:
         if negative in campaign.negatives:
             changes.append(RemoveNegative(campaign.name, negative))
 
+    gone = exact(keyword)
     others = [camp for camp in group_camps if camp is not own]
     for camp in _tier_campaigns(account) + others:
-        drop_if_present(camp, exact(keyword))
+        drop_if_present(camp, gone)
 
     for eraser in own.erasers:
         if isinstance(eraser, ExactEraser):
@@ -463,8 +526,8 @@ def remove_rule(account: Account, keyword: Keyword) -> UpdateOutcome:
         if own_adgroup is None:
             raise InputError(f"no ad group for {keyword.text!r} in {own.name}")
         for adgroup in own.adgroups:
-            if adgroup is not own_adgroup and exact(keyword) in adgroup.negatives:
-                changes.append(RemoveNegative(own.name, exact(keyword), adgroup.name))
+            if adgroup is not own_adgroup and gone in adgroup.negatives:
+                changes.append(RemoveNegative(own.name, gone, adgroup.name))
         changes.append(RemoveAdGroup(own.name, own_adgroup.name))
         changes.append(UnassignKeyword(own.name, keyword))
     else:

@@ -146,3 +146,17 @@ def unlimited_accounts(limit_catalogues):
         name: build_account(*catalogue, config=BuildConfig(limit=10**9))
         for name, catalogue in limit_catalogues.items()
     }
+
+
+def index_postings(index) -> set[tuple]:
+    """A ``NegativeIndex`` as the set of (family, key, negative, mask) of its
+    postings, so two indexes over the same lists compare equal whatever
+    order or history built them."""
+    out = {("exact", words, neg, mask) for words, (_, neg, mask) in index.exact.items()}
+    out |= {("phrase", words, neg, mask) for words, (_, neg, mask) in index.phrases.items()}
+    out |= {
+        ("large", (word, needed), neg, mask)
+        for word, bucket in index.larges.items()
+        for needed, (_, neg, mask) in bucket
+    }
+    return out

@@ -455,12 +455,15 @@ def test_subset_images_meets_its_definition(texts, max_words):
 
     keywords = [normalize(t) for t in texts]
     images = _subset_images(keywords, max_words)
-    # Keys: the sorted subsets of up to max_words of each keyword's distinct words.
-    assert set(images) == {
+    # Keys: the sorted subsets of up to max_words of each keyword's distinct
+    # words that at least two distinct keywords hold.
+    subsets = {
         combo
         for kw in keywords
         for r in range(1, max_words + 1)
         for combo in itertools.combinations(sorted(set(kw.words)), r)
     }
+    image_of = {ws: {kw for kw in keywords if set(ws) <= set(kw.words)} for ws in subsets}
+    assert set(images) == {ws for ws in subsets if len(image_of[ws]) >= 2}
     for ws, image in images.items():
-        assert image == {kw for kw in keywords if set(ws) <= set(kw.words)}
+        assert image == image_of[ws]

@@ -21,6 +21,7 @@ from shopstruct import (
     word_set,
 )
 from shopstruct.keywords import QueryWords
+from conftest import index_postings
 
 words = st.sampled_from(["nike", "adidas", "shoes", "air", "max", "large", "red"])
 keywords = st.lists(words, min_size=1, max_size=5).map(lambda ws: Keyword(tuple(ws)))
@@ -117,6 +118,40 @@ def test_index_and_blocks_agree_with_reference_matches(negs, query):
     )
     assert first == reference
     assert index.blocked(QueryWords(q)) == (first is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lists=st.lists(negatives, min_size=1, max_size=5),
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 4),
+            st.builds(NegativeKeyword, keywords, st.sampled_from(list(MatchType))),
+            st.booleans(),
+        ),
+        max_size=12,
+    ),
+)
+def test_edited_index_equals_a_fresh_one(lists, edits):
+    index = NegativeIndex(*lists)
+    before = index_postings(index)
+    lists = [set(negs) for negs in lists]
+    bit_edits = []
+    for i, neg, held in edits:
+        i %= len(lists)
+        if held:
+            lists[i].add(neg)
+        else:
+            lists[i].discard(neg)
+        bit_edits.append((neg, 1 << i, held))
+    edited = index.edited(bit_edits)
+    assert index_postings(edited) == index_postings(NegativeIndex(*lists))
+    assert index_postings(index) == before
+    for neg in {n for negs in lists for n in negs}:
+        assert edited.stored(neg) == neg
+    for _, neg, held in edits:
+        if not any(neg in negs for negs in lists):
+            assert edited.stored(neg) is None
 
 
 def test_match_type_ordering():

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib
 import json
 import random
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -59,7 +61,13 @@ from shopstruct.updates import (
     UnassignKeyword,
 )
 import oracles
-from conftest import GOLDEN_BRANDS, GOLDEN_NON_BRANDS, LIMIT_CATALOGUES, make_golden_rules
+from conftest import (
+    GOLDEN_BRANDS,
+    GOLDEN_NON_BRANDS,
+    LIMIT_CATALOGUES,
+    index_postings,
+    make_golden_rules,
+)
 
 
 def _op(change) -> str:
@@ -77,6 +85,30 @@ def _ops(outcome) -> Counter:
 
 def _assert_replay(before, outcome):
     assert apply_changes(before, outcome.changes) == outcome.account
+
+
+def _assert_carries_its_index(outcome):
+    """For an update of an account that had built its admission index: the
+    new account carries one derived from it unless a campaign closed, and
+    that index equals a fresh build over the new lists."""
+    account = outcome.account
+    derived = vars(account).get("admission_index")
+    closed = any(isinstance(c, RemoveCampaign) for c in outcome.changes)
+    assert (derived is None) == closed
+    if derived is not None:
+        fresh = NegativeIndex(*(c.negatives for c in account.group_campaigns()))
+        assert index_postings(derived) == index_postings(fresh)
+
+
+def _assert_one_object_per_negative(account):
+    """Every list of ``account`` shares one object per negative value."""
+    held = [
+        neg
+        for c in account.campaigns
+        for negatives in (c.negatives, *(g.negatives for g in c.adgroups))
+        for neg in negatives
+    ]
+    assert len({id(neg) for neg in held}) == len(set(held))
 
 
 def test_add_rule_holding_a_blocked_brand_rejected(golden_account):
@@ -736,11 +768,13 @@ UPDATE_SEQUENCE_DIGESTS = {
 def _seeded_updates():
     """40 seeded adds on synth n=300 seed 0, half of them blocked everywhere;
     a remove_rule after every fifth add, and of the keyword of every fourth
-    blocked add right after it; two remove_items per eight adds.  Returns the
-    final account and every change-log line."""
+    blocked add right after it; two remove_items per eight adds.  Each update
+    replays and carries its admission index (``_assert_carries_its_index``).
+    Returns the final account and every change-log line."""
     cat = generate(SyntheticSpec(n=300, seed=0))
     rules = list(cat.rules)
     account = build_account(rules, cat.brands, cat.non_brands)
+    account.admission_index
     special = {w for b in cat.brands + cat.non_brands for w in b.words}
     plain = sorted({w for r in rules for w in r.keyword.words} - special)
     items = sorted({i for r in rules for i in r.items})
@@ -750,8 +784,10 @@ def _seeded_updates():
     def step(outcome):
         nonlocal account
         _assert_replay(account, outcome)
+        _assert_carries_its_index(outcome)
         lines.extend(c.describe() for c in outcome.changes)
         account = outcome.account
+        account.admission_index
 
     previous = None
     for i in range(40):
@@ -783,6 +819,7 @@ def _seeded_updates():
 def test_seeded_update_sequence_is_pinned():
     account, lines = _seeded_updates()
     assert verify_account(account).passed
+    assert any(line.startswith("remove campaign") for line in lines)
     digests = {
         "account": hashlib.sha256(render_account(account).encode()).hexdigest(),
         "log": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
@@ -808,10 +845,13 @@ class UpdateSequence(RuleBasedStateMachine):
     def build(self):
         self.rules = list(_SMALL.rules)
         self.account = build_account(self.rules, _SMALL.brands, _SMALL.non_brands)
+        self.account.admission_index
 
     def _step(self, outcome):
         account = outcome.account
         assert apply_changes(self.account, outcome.changes) == account
+        _assert_carries_its_index(outcome)
+        _assert_one_object_per_negative(account)
         assert verify_account(account, probes=200).passed
         for camp in account.group_campaigns():
             tagged = {g.tag.keyword for g in camp.adgroups if isinstance(g.tag, RuleTag)}
@@ -819,6 +859,8 @@ class UpdateSequence(RuleBasedStateMachine):
         text = render_account(account)
         assert text == json.dumps(account_document(account), indent=2) + "\n"
         assert parse_account(text) == account
+        # Built after a closed campaign, so every next update derives one.
+        account.admission_index
         self.account = account
 
     def _add(self, kw, items):
@@ -866,3 +908,36 @@ UpdateSequence.TestCase.settings = settings(
 )
 test_update_sequences = UpdateSequence.TestCase
 
+
+
+def test_updates_carry_their_index_along_the_maintain_600_sequence(monkeypatch):
+    """The benchmark's 200 seeded maintain-600 updates, seed 0: every account
+    carries an admission index derived from its parent's and equal to a fresh
+    build, through 20 campaign opens, and keeps one object per negative.  No
+    campaign closes here; ``_seeded_updates`` closes some."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    catalogue = generate(SyntheticSpec(n=600, seed=0))
+    rules = list(catalogue.rules)
+    account = build_account(rules, catalogue.brands, catalogue.non_brands)
+    _assert_one_object_per_negative(account)
+    maker = workloads.UpdateMaker(0, catalogue)
+    seen = Counter()
+    for kind in maker.schedule(workloads.UPDATE_OPS):
+        account.admission_index
+        if kind in ("add_admitted", "add_open"):
+            new = getattr(maker, kind)(account)
+            outcome = add_rule(account, new)
+            rules.append(new)
+        elif kind == "remove_rule":
+            kw = maker.remove_rule(account)
+            outcome = remove_rule(account, kw)
+            rules = [r for r in rules if r.keyword != kw]
+        else:
+            outcome = remove_item(account, rules, maker.remove_item(rules))
+            rules = list(outcome.rules)
+        _assert_carries_its_index(outcome)
+        seen.update(type(c).__name__ for c in outcome.changes)
+        account = outcome.account
+    _assert_one_object_per_negative(account)
+    assert seen["AddCampaign"] == 20 and seen["RemoveNegative"]
