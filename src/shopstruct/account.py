@@ -143,28 +143,31 @@ class AdGroup:
 
 @dataclass(frozen=True)
 class Campaign:
-    """A campaign.  A group campaign also owns its keyword ``group`` and the
-    ``erasers`` whose images cover that group exactly; the other group
-    campaigns block those erasers."""
+    """A campaign.  A group campaign also owns the ``erasers`` whose images
+    cover its keyword ``group`` exactly; the other group campaigns block
+    those erasers.  The group is read off the campaign's rule ad groups, one
+    per keyword, and like any derived state it stays out of ``==``."""
 
     name: str
     priority: Priority
     tag: CampaignTag
     negatives: frozenset[NegativeKeyword]
     adgroups: tuple[AdGroup, ...]
-    group: frozenset[Keyword] = frozenset()
     erasers: tuple[Eraser, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.adgroups:
             raise InputError(f"campaign {self.name!r} has no ad groups")
-        if (self.group or self.erasers) and not isinstance(self.tag, GroupCampaignTag):
-            raise InputError(
-                f"campaign {self.name!r} holds keywords or erasers but is not a group campaign"
-            )
+        if self.erasers and not isinstance(self.tag, GroupCampaignTag):
+            raise InputError(f"campaign {self.name!r} holds erasers but is not a group campaign")
         names = [g.name for g in self.adgroups]
         if len(names) != len(set(names)):
             raise InputError(f"campaign {self.name!r} repeats an ad group name")
+
+    @cached_property
+    def group(self) -> frozenset[Keyword]:
+        """The keywords of the campaign's rule ad groups."""
+        return frozenset(g.tag.keyword for g in self.adgroups if type(g.tag) is RuleTag)
 
 
 @dataclass(frozen=True)
@@ -173,9 +176,9 @@ class Account:
 
     ``limit`` is the cap on every negative list, campaign or ad group.
     ``partition`` and ``erasers`` are read-only views, taken once per
-    account: each group campaign's ``group`` and ``erasers``, in campaign
-    storage order.  ``admission_index`` is derived state of the same kind;
-    like them it stays out of ``==``.
+    account: each group campaign's ``group`` (the keywords of its rule ad
+    groups) and ``erasers``, in campaign storage order.  ``admission_index``
+    is derived state of the same kind; like them it stays out of ``==``.
     """
 
     limit: int

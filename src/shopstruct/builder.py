@@ -276,7 +276,6 @@ def build_account(
                 tag=GroupCampaignTag(index),
                 negatives=negs,
                 adgroups=adgroups,
-                group=group,
                 erasers=erasers,
             )
         )

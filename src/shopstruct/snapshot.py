@@ -3,7 +3,9 @@
 The renderer is deterministic: negatives are sorted by (match type, keyword),
 keywords inside partition groups are sorted, and everything else keeps the
 account's own canonical order, so rendering the parse of a rendering is
-byte-identical.
+byte-identical.  The ``partition`` key is written from each group campaign's
+``group``, which is read off its rule ad groups, and parse checks it against
+the groups the parsed ad groups make.
 
 ``account_document`` is the reference definition of the format: a snapshot is
 ``json.dumps(account_document(account), indent=2) + "\\n"``.  ``render_account``
@@ -410,16 +412,19 @@ def parse_account_document(doc: Any) -> Account:
         raise InputError(f"malformed account snapshot: {exc}") from exc
     except RecursionError as exc:
         raise InputError(_TOO_DEEP) from exc
-    # The i-th partition and eraser entries belong to the i-th group campaign.
+    # The i-th eraser entry belongs to the i-th group campaign.
     owners = [i for i, c in enumerate(campaigns) if isinstance(c.tag, GroupCampaignTag)]
-    for what, lists in (("partition", partition), ("erasers", erasers)):
-        if len(lists) != len(owners):
-            raise InputError(
-                f"{what} lists {len(lists)} groups for {len(owners)} group campaigns"
-            )
-    for i, group, own in zip(owners, partition, erasers):
-        campaigns[i] = replace(campaigns[i], group=group, erasers=own)
-    return Account(limit, brands, non_brands, tuple(campaigns))
+    if len(erasers) != len(owners):
+        raise InputError(
+            f"erasers lists {len(erasers)} groups for {len(owners)} group campaigns"
+        )
+    for i, own in zip(owners, erasers):
+        campaigns[i] = replace(campaigns[i], erasers=own)
+    account = Account(limit, brands, non_brands, tuple(campaigns))
+    # The partition is written from the groups the rule ad groups make.
+    if partition != list(account.partition):
+        raise InputError("partition does not match the rule ad groups of the group campaigns")
+    return account
 
 
 @gc_paused

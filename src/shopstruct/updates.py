@@ -77,7 +77,10 @@ class _Draft:
                 replace(g, negatives=edits[i]) if i in edits else g
                 for i, g in enumerate(adgroups)
             )
-        self.campaigns[name] = replace(camp, negatives=negatives, adgroups=adgroups)
+        new = self.campaigns[name] = replace(camp, negatives=negatives, adgroups=adgroups)
+        # A list edit changes no tag, so the group the parent read holds.
+        if "group" in vars(camp):
+            vars(new)["group"] = camp.group
 
     def adgroup_index(self, campaign: Campaign, name: str) -> int:
         for i, g in enumerate(campaign.adgroups):
@@ -112,13 +115,12 @@ class _Draft:
         del self.campaigns[name]
         self.list_edits = None
 
-    def edit_group(self, campaign: str, field: str, edit: Callable) -> None:
-        """Replace the ``group`` or ``erasers`` of a group campaign by ``edit``
-        of the current value."""
+    def edit_erasers(self, campaign: str, edit: Callable) -> None:
+        """Replace the ``erasers`` of a group campaign by ``edit`` of them."""
         camp = self.campaign(campaign)
         if not isinstance(camp.tag, GroupCampaignTag):
             raise InputError(f"campaign {campaign} is not a group campaign")
-        self.campaigns[campaign] = replace(camp, **{field: edit(getattr(camp, field))})
+        self.campaigns[campaign] = replace(camp, erasers=edit(camp.erasers))
 
     def freeze(self) -> Account:
         for name in list(self.pending):
@@ -138,7 +140,7 @@ class _Draft:
 class Change:
     """One account mutation, a frozen dataclass per op kind.  ``describe()``
     gives its change-log line; ``apply(draft)`` performs it, raising
-    InputError when its target is missing.  Group ops name the group
+    InputError when its target is missing.  Eraser ops name the group
     campaign they edit."""
 
 
@@ -226,30 +228,6 @@ class RemoveNegative(_NegativeChange):
 
 
 @dataclass(frozen=True)
-class AssignKeyword(Change):
-    campaign: str
-    keyword: Keyword
-
-    def describe(self) -> str:
-        return f"assign keyword {self.keyword.text!r} to campaign {self.campaign}"
-
-    def apply(self, draft: _Draft) -> None:
-        draft.edit_group(self.campaign, "group", lambda g: g | {self.keyword})
-
-
-@dataclass(frozen=True)
-class UnassignKeyword(Change):
-    campaign: str
-    keyword: Keyword
-
-    def describe(self) -> str:
-        return f"unassign keyword {self.keyword.text!r} from campaign {self.campaign}"
-
-    def apply(self, draft: _Draft) -> None:
-        draft.edit_group(self.campaign, "group", lambda g: g - {self.keyword})
-
-
-@dataclass(frozen=True)
 class AddEraser(Change):
     campaign: str
     eraser: Eraser
@@ -261,7 +239,7 @@ class AddEraser(Change):
         )
 
     def apply(self, draft: _Draft) -> None:
-        draft.edit_group(self.campaign, "erasers", lambda e: e + (self.eraser,))
+        draft.edit_erasers(self.campaign, lambda e: e + (self.eraser,))
 
 
 @dataclass(frozen=True)
@@ -276,7 +254,7 @@ class RemoveEraser(Change):
         )
 
     def apply(self, draft: _Draft) -> None:
-        draft.edit_group(self.campaign, "erasers", self._without)
+        draft.edit_erasers(self.campaign, self._without)
 
     def _without(self, erasers: tuple[Eraser, ...]) -> tuple[Eraser, ...]:
         if self.eraser not in erasers:
@@ -407,7 +385,6 @@ def _place_changes(
     return [
         *(AddNegative(chosen.name, neg, adgroup.name) for adgroup in chosen.adgroups),
         AddAdGroup(chosen.name, rule_adgroup(rule, siblings)),
-        AssignKeyword(chosen.name, rule.keyword),
     ]
 
 
@@ -481,7 +458,6 @@ def _open_campaign_changes(account: Account, rule: Rule) -> list[Change]:
         tag=GroupCampaignTag(index),
         negatives=negs,
         adgroups=(rule_adgroup(rule, frozenset()),),
-        group=frozenset({kw}),
         erasers=(ExactEraser(kw),),
     )
     return [AddCampaign(campaign)]
@@ -529,7 +505,6 @@ def remove_rule(account: Account, keyword: Keyword) -> UpdateOutcome:
             if adgroup is not own_adgroup and gone in adgroup.negatives:
                 changes.append(RemoveNegative(own.name, gone, adgroup.name))
         changes.append(RemoveAdGroup(own.name, own_adgroup.name))
-        changes.append(UnassignKeyword(own.name, keyword))
     else:
         changes.append(RemoveCampaign(own.name))
     return _outcome(account, changes)

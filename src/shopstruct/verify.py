@@ -13,12 +13,14 @@ Each query's verdict comes from ``Simulator.disposition``, which reads every
 verdict, failing ones included, off the index bitmasks and builds no
 trajectory, so a case costs a few mask lookups.
 
-Static structure checks (limits, partition discipline, eraser strictness and
-coverage) run alongside.  The negatives audit (each group campaign admits its
-own group's keywords and blocks every other group's) starts from property 1's
-failures: a keyword that landed in its own campaign, with no group campaign in
-a lower tier, already proves the audit's claim for it.  The audit reads the
-campaigns that refuse a keyword, and the negative each refuses it by, from
+Static structure checks (limits, partition discipline, eraser coverage) run
+alongside.  A group campaign's keyword group is read off its rule ad groups,
+so partition discipline means that no keyword has rule ad groups in two group
+campaigns.  The negatives audit (each group campaign admits its own group's
+keywords and blocks every other group's) starts from property 1's failures: a
+keyword that landed in its own campaign, with no group campaign in a lower
+tier, already proves the audit's claim for it.  The audit reads the campaigns
+that refuse a keyword, and the negative each refuses it by, from
 ``Simulator.blockers``, and one ``Simulator`` serves every check.
 Verification never mutates the account and is deterministic for a given seed.
 """
@@ -277,29 +279,6 @@ def verify_structure(
                 seen[kw] = pos
 
     group_camps = account.group_campaigns()
-    for camp in group_camps:
-        tagged = {g.tag.keyword for g in camp.adgroups if isinstance(g.tag, RuleTag)}
-        for kw in sorted(camp.group - tagged):
-            findings.append(
-                Finding(
-                    kind="adgroups",
-                    detail=(
-                        f"campaign {camp.name} lacks an ad group for"
-                        f" keyword {kw.text!r}"
-                    ),
-                )
-            )
-        for kw in sorted(tagged - camp.group):
-            findings.append(
-                Finding(
-                    kind="adgroups",
-                    detail=(
-                        f"campaign {camp.name} has an ad group for"
-                        f" {kw.text!r}, which is not in its group"
-                    ),
-                )
-            )
-
     # The load-bearing negative invariant: each group campaign admits every
     # keyword of its own group and blocks every keyword of every other
     # group.  A keyword that passed property 1 landed in its own campaign:

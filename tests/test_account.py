@@ -18,6 +18,7 @@ from shopstruct import (
     Money,
     Priority,
     Rule,
+    RuleTag,
     Split,
     UnknownKeywordError,
     apply_changes,
@@ -90,11 +91,15 @@ def test_campaign_needs_adgroups_with_unique_names():
 
 def test_only_a_group_campaign_holds_keywords_or_erasers():
     kw = normalize("a b")
-    for owned in ({"group": frozenset({kw})}, {"erasers": (ExactEraser(kw),)}):
-        with pytest.raises(InputError, match="'c1' holds keywords or erasers but is not"):
-            replace(_general(), **owned)
+    with pytest.raises(InputError, match="^campaign 'c1' holds erasers but is not a group"):
+        replace(_general(), erasers=(ExactEraser(kw),))
+    # A group campaign's keywords are those of its rule ad groups.
     group = replace(_general("c3_1"), priority=Priority.LOW, tag=GroupCampaignTag(1))
-    assert replace(group, group=frozenset({kw}), erasers=(ExactEraser(kw),)).group == {kw}
+    assert group.group == frozenset()
+    adgroup = AdGroup(name=kw.text, tag=RuleTag(kw), negatives=frozenset(), tree=_leaf())
+    owned = replace(group, adgroups=(adgroup,), erasers=(ExactEraser(kw),))
+    assert owned.group == {kw}
+    assert "group" not in {f.name for f in fields(Campaign)}
 
 
 def test_account_validation():
@@ -110,6 +115,10 @@ def test_account_validation():
 def test_partition_and_erasers_are_views_of_the_group_campaigns(golden_account):
     camps = golden_account.group_campaigns()
     assert golden_account.partition == tuple(c.group for c in camps)
+    assert all(
+        c.group == {g.tag.keyword for g in c.adgroups if isinstance(g.tag, RuleTag)}
+        for c in camps
+    )
     assert golden_account.erasers == tuple(c.erasers for c in camps)
     # Taken once per account, so repeated reads share one tuple.
     assert golden_account.partition is golden_account.partition

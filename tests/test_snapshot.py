@@ -255,23 +255,55 @@ def _drop_last(key):
     return lambda doc: doc[key].pop()
 
 
+_PARTITION_MISMATCH = "partition does not match the rule ad groups of the group campaigns"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_drop_last("partition"), "partition lists 0 groups for 1 group campaigns"),
+        (_drop_last("partition"), _PARTITION_MISMATCH),
         (_drop_last("erasers"), "erasers lists 0 groups for 1 group campaigns"),
-        (_drop_last("campaigns"), "partition lists 1 groups for 0 group campaigns"),
+        (_drop_last("campaigns"), "erasers lists 1 groups for 0 group campaigns"),
         (
             lambda doc: doc["partition"].append(["c d"]) or doc["erasers"].append([]),
-            "partition lists 2 groups for 1 group campaigns",
+            "erasers lists 2 groups for 1 group campaigns",
         ),
     ],
     ids=["partition short", "erasers short", "campaign dropped", "both long"],
 )
 def test_group_lists_must_match_the_group_campaigns(edit, message):
-    # The i-th partition and eraser entries belong to the i-th group campaign.
+    # The i-th eraser entry belongs to the i-th group campaign, whose rule ad
+    # groups make the i-th partition entry; erasers are checked first.
     with pytest.raises(InputError, match=f"^{message}$"):
         parse_account(_with(edit))
+
+
+def _move_first_keyword(doc):
+    doc["partition"][1].append(doc["partition"][0].pop(0))
+
+
+def _drop_rule_adgroup(doc):
+    camp = next(c for c in doc["campaigns"] if c["tag"]["kind"] == "group")
+    camp["adgroups"].pop()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _move_first_keyword,
+        _drop_last("partition"),
+        lambda doc: doc["partition"].append(["brand new"]),
+        _drop_rule_adgroup,
+    ],
+    ids=["keyword moved", "group dropped", "group added", "rule ad group dropped"],
+)
+def test_partition_must_match_the_rule_ad_groups(golden_account, edit):
+    # The partition key is written from the groups the rule ad groups make;
+    # a snapshot whose partition says otherwise is bad input.
+    doc = json.loads(render_account(golden_account))
+    edit(doc)
+    with pytest.raises(InputError, match=f"^{_PARTITION_MISMATCH}$"):
+        parse_account(json.dumps(doc))
 
 
 def test_a_document_nested_too_deeply_is_bad_input():

@@ -53,12 +53,10 @@ from shopstruct.updates import (
     AddCampaign,
     AddEraser,
     AddNegative,
-    AssignKeyword,
     RemoveAdGroup,
     RemoveCampaign,
     RemoveEraser,
     RemoveNegative,
-    UnassignKeyword,
 )
 import oracles
 from conftest import (
@@ -122,13 +120,12 @@ def test_add_rule_into_admitting_group(golden_account):
     out = add_rule(golden_account, rule)
     _assert_replay(golden_account, out)
 
-    assert len(out.changes) == 11
+    assert len(out.changes) == 10
     assert _ops(out) == Counter(
         {
             "AddNegative": 4,
             "AddNegative (ad group)": 4,
             "AddAdGroup": 1,
-            "AssignKeyword": 1,
             "AddEraser": 1,
         }
     )
@@ -167,6 +164,29 @@ def test_admitted_add_shares_one_exact_negative_object(golden_account):
     # c1, c2, c3_2 and c3_3, plus group 1's four sibling ad groups.
     assert len(held) == len(added) == 8
     assert all(n is added[0] for n in held + added)
+
+
+def test_list_edits_carry_each_group_campaigns_group(golden_account):
+    # An admitted add edits every group campaign's own list, so every one is
+    # rebuilt; each that kept its ad groups carries the group its parent
+    # read instead of reading it off its ad groups again.
+    before = {c.name: c for c in golden_account.group_campaigns()}
+    rule = Rule(normalize("nike jogging"), Money(77_000), frozenset({"item-20"}))
+    grown = add_rule(golden_account, rule).account
+    camps = grown.group_campaigns()
+    chosen = camps[grown.group_of(rule.keyword)]
+    assert chosen.group == before[chosen.name].group | {rule.keyword}
+    for camp in camps:
+        if camp is not chosen:
+            assert camp is not before[camp.name]
+            assert vars(camp)["group"] is vars(before[camp.name])["group"]
+    # Removing the keyword again edits the same lists back; every group,
+    # carried or read afresh, is its campaign's rule-tagged keywords.
+    trimmed = remove_rule(grown, rule.keyword).account
+    for camp in trimmed.group_campaigns():
+        assert camp.group == {g.tag.keyword for g in camp.adgroups if isinstance(g.tag, RuleTag)}
+        assert camp.group == before[camp.name].group
+    assert trimmed == golden_account
 
 
 def test_add_rule_opens_new_campaign_when_blocked_everywhere(golden_account):
@@ -311,13 +331,12 @@ def test_remove_rule_walkthrough(golden_account):
     out = remove_rule(golden_account, normalize("air max"))
     _assert_replay(golden_account, out)
 
-    assert len(out.changes) == 10
+    assert len(out.changes) == 9
     assert _ops(out) == Counter(
         {
             "RemoveNegative": 4,
             "RemoveNegative (ad group)": 3,
             "RemoveAdGroup": 1,
-            "UnassignKeyword": 1,
             "RemoveEraser": 1,
         }
     )
@@ -445,7 +464,6 @@ WALKTHROUGH_LOG = (
     "add negative [exact] nike jogging to ad group 'nike air max' of campaign c3_1",
     "add negative [exact] nike jogging to ad group 'soccer colored mens' of campaign c3_1",
     "add ad group 'nike jogging' to campaign c3_1",
-    "assign keyword 'nike jogging' to campaign c3_1",
     "record eraser [exact] nike jogging for campaign c3_1",
     "remove negative [exact] air max from campaign c1",
     "remove negative [exact] air max from campaign c2",
@@ -456,7 +474,6 @@ WALKTHROUGH_LOG = (
     "remove negative [exact] air max from ad group 'large superstar shoes' of campaign c3_3",
     "remove negative [exact] air max from ad group 'large tee-shirt' of campaign c3_3",
     "remove ad group 'air max' from campaign c3_3",
-    "unassign keyword 'air max' from campaign c3_3",
     "remove negative [exact] nike large shoes from campaign c1",
     "remove negative [exact] nike large shoes from campaign c2",
     "drop eraser [exact] nike large shoes from campaign c3_4",
@@ -472,8 +489,6 @@ OP_KINDS = {
     "RemoveNegative",
     "AddNegative (ad group)",
     "RemoveNegative (ad group)",
-    "AssignKeyword",
-    "UnassignKeyword",
     "AddEraser",
     "RemoveEraser",
 }
@@ -593,16 +608,12 @@ def test_a_batch_replays_as_its_changes_one_at_a_time(golden_account, golden_rul
 @pytest.mark.parametrize(
     "make",
     [
-        lambda name: AssignKeyword(name, normalize("brand new")),
-        lambda name: UnassignKeyword(name, normalize("air max")),
         lambda name: AddEraser(name, ExactEraser(normalize("brand new"))),
         lambda name: RemoveEraser(name, ExactEraser(normalize("air max"))),
     ],
-    ids=["assign", "unassign", "add-eraser", "remove-eraser"],
+    ids=["add-eraser", "remove-eraser"],
 )
 def test_group_ops_reject_a_campaign_without_a_group(golden_account, make, campaign, message):
-    # Unassigning a keyword a campaign lacks would build a valid campaign:
-    # only the op's own check rejects it.
     with pytest.raises(InputError, match=message):
         apply_changes(golden_account, [make(campaign)])
 
@@ -761,7 +772,7 @@ def test_blocked_add_opens_one_campaign_that_admits_only_its_keyword(name, seed)
 # either shows here.
 UPDATE_SEQUENCE_DIGESTS = {
     "account": "ca36afaa65830af751e1e02fc7cfcc8f8b22d178fd7ac0f955040b424d1f8746",
-    "log": "4068641c77da9be26613a0f83566b3a34cf3a04540b34e456db9427043ebc1e4",
+    "log": "10861e08957091057ca1efcd2983522ba7205bf2e2dc82d7b605c734389d40cc",
 }
 
 
@@ -853,9 +864,6 @@ class UpdateSequence(RuleBasedStateMachine):
         _assert_carries_its_index(outcome)
         _assert_one_object_per_negative(account)
         assert verify_account(account, probes=200).passed
-        for camp in account.group_campaigns():
-            tagged = {g.tag.keyword for g in camp.adgroups if isinstance(g.tag, RuleTag)}
-            assert camp.group == tagged
         text = render_account(account)
         assert text == json.dumps(account_document(account), indent=2) + "\n"
         assert parse_account(text) == account

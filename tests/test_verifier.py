@@ -137,12 +137,16 @@ def test_partition_tampering_is_caught(golden_account):
     moved = normalize("nike shoes")
     first, second = golden_account.group_campaigns()[:2]
     assert moved in first.group
-    broken = _with_campaign(golden_account, first.name, group=first.group - {moved})
-    broken = _with_campaign(broken, second.name, group=second.group | {moved})
+    adgroup = _rule_adgroup(first, moved)
+    broken = _with_campaign(
+        golden_account, first.name, adgroups=tuple(g for g in first.adgroups if g is not adgroup)
+    )
+    broken = _with_campaign(broken, second.name, adgroups=second.adgroups + (adgroup,))
+    assert moved in broken.group_campaigns()[1].group
     sim = Simulator(broken)
     findings = verify_structure(sim, verify_property1(sim)[1])
-    assert findings
-    assert any("nike shoes" in f.detail for f in findings)
+    assert {f.kind for f in findings} == {"negatives", "erasers"}
+    assert all("nike shoes" in f.detail for f in findings)
 
 
 def test_limit_findings(golden_account):
@@ -193,6 +197,16 @@ def _with_campaign(account, name, **fields):
     return replace(account, campaigns=campaigns)
 
 
+def _rule_adgroup(campaign, keyword):
+    return next(g for g in campaign.adgroups if g.tag == RuleTag(keyword))
+
+
+def _with_rule_adgroup_copied(account, source, target, keyword):
+    """``account`` with ``keyword``'s ad group in ``source`` also in ``target``."""
+    adgroups = target.adgroups + (_rule_adgroup(source, keyword),)
+    return _with_campaign(account, target.name, adgroups=adgroups)
+
+
 def _first_negative(campaign, match):
     return min(
         (n for n in campaign.negatives if n.match is match),
@@ -201,7 +215,11 @@ def _first_negative(campaign, match):
 
 
 def _mutants(account):
-    """The account plus one tampered copy per kind of structural fault."""
+    """The account plus one tampered copy per kind of structural fault, and
+    one that is no fault: a group is read off its rule ad groups, so a
+    removed rule ad group takes its keyword out of the account, and the
+    account left is sound.  (A snapshot that drops the ad group but still
+    lists the keyword is bad input instead.)"""
     camps = account.group_campaigns()
     first, second = camps[0], camps[1]
     with_large = next(
@@ -265,11 +283,11 @@ def _mutants(account):
         "High campaign half its negatives": _with_campaign(
             account, general.name, negatives=kept
         ),
-        "keyword also in a later group": _with_campaign(
-            account, second.name, group=second.group | {min(first.group)}
+        "keyword also in a later group": _with_rule_adgroup_copied(
+            account, first, second, min(first.group)
         ),
-        "keyword also in an earlier group": _with_campaign(
-            account, first.name, group=first.group | {min(last.group)}
+        "keyword also in an earlier group": _with_rule_adgroup_copied(
+            account, last, first, min(last.group)
         ),
     }
 
@@ -296,13 +314,14 @@ def equivalence_accounts(base_accounts):
 
 @pytest.mark.parametrize("base", ["golden", "synth-300-0", "synth-300-1"])
 def test_dropped_group_campaign_is_bad_input(base_accounts, base):
-    # A group campaign carries its keywords and erasers, so an account cannot
-    # lose one without the other; a snapshot that does is rejected on parse.
+    # A group campaign carries its erasers and the ad groups its keywords are
+    # read off, so an account cannot lose one without the other; a snapshot
+    # that does is rejected on parse.
     doc = json.loads(render_account(base_accounts[base]))
-    k = len(doc["partition"])
+    k = len(doc["erasers"])
     last = max(i for i, c in enumerate(doc["campaigns"]) if c["tag"]["kind"] == "group")
     del doc["campaigns"][last]
-    with pytest.raises(InputError, match=f"^partition lists {k} groups for {k - 1} group"):
+    with pytest.raises(InputError, match=f"^erasers lists {k} groups for {k - 1} group"):
         parse_account_document(doc)
 
 
@@ -331,8 +350,7 @@ def test_report_equals_reference_verifier(equivalence_accounts, base, mutant):
     for seed in (0, 1):
         expected = oracles.verify_account(account, probes=200, seed=seed)
         assert verify_account(account, probes=200, seed=seed) == expected
-    if mutant != "as built":
-        assert not expected.passed
+    assert expected.passed == (mutant in ("as built", "rule ad group removed"))
 
 
 @pytest.mark.parametrize("name", LIMIT_CATALOGUES)
