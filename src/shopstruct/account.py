@@ -16,11 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import Iterable, Iterator, Union
+from typing import Collection, Iterable, Iterator, Mapping, Union
 
 from .erasers import Eraser
 from .errors import InputError, LimitExceededError, UnknownKeywordError
 from .keywords import Keyword, NegativeIndex, NegativeKeyword
+
+# Some negative lists of an account: campaign name -> the names of those of
+# its ad groups whose lists are meant.  A named campaign's own list is always
+# meant.
+Lists = Mapping[str, Collection[str]]
 
 
 @dataclass(frozen=True, order=True)
@@ -252,12 +257,21 @@ class Account:
         sits: campaign by campaign, each campaign's own list first."""
         return self._lists_over(self.campaigns)
 
-    def _lists_over(self, campaigns: Iterable[Campaign]) -> dict[str, int]:
+    def _lists_over(
+        self, campaigns: Iterable[Campaign], lists: Lists | None = None
+    ) -> dict[str, int]:
+        """``over_limit`` of ``campaigns``, or of only ``lists`` in them."""
         over: dict[str, int] = {}
         for c in campaigns:
+            adgroups = c.adgroups
+            if lists is not None:
+                if c.name not in lists:
+                    continue
+                names = lists[c.name]
+                adgroups = [g for g in adgroups if g.name in names] if names else []
             if len(c.negatives) > self.limit:
                 over[f"campaign {c.name}"] = len(c.negatives)
-            for g in c.adgroups:
+            for g in adgroups:
                 if len(g.negatives) > self.limit:
                     over[f"ad group {g.name!r} of campaign {c.name}"] = len(g.negatives)
         return over
@@ -266,15 +280,15 @@ class Account:
         """The one text for a list over the limit, in errors and findings."""
         return f"{where} holds {count} negatives, over the limit of {self.limit}"
 
-    def check_limit(self, before: Account | None = None) -> None:
-        """Raise LimitExceededError at the first list over ``limit``.  With
-        ``before``, only a list also longer than it was there counts, so an
-        update may still shrink an account that is already over its cap.
-        A campaign that ``before`` holds as the same object is not walked:
-        none of its lists got longer."""
-        kept = {id(c) for c in before.campaigns} if before is not None else set()
-        over = self._lists_over(c for c in self.campaigns if id(c) not in kept)
-        was = before.over_limit() if before is not None and over else {}
+    def check_limit(self, before: Account | None = None, lists: Lists | None = None) -> None:
+        """Raise LimitExceededError at the first list over ``limit``, in
+        ``over_limit`` order.  With ``before``, only a list also longer than
+        it was there counts, so an update may still shrink an account that is
+        already over its cap.  With ``lists``, only those lists are walked:
+        an update names the lists its change log lengthens or adds, and no
+        other list can have got longer."""
+        over = self._lists_over(self.campaigns, lists)
+        was = before._lists_over(before.campaigns, lists) if before is not None and over else {}
         for where, count in over.items():
             if count > was.get(where, 0):
                 raise LimitExceededError(self.limit_message(where, count))

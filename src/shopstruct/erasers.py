@@ -66,7 +66,12 @@ def erases(eraser: Eraser, keyword: Keyword) -> bool:
     """``keywords.matches(keyword, eraser.to_negative())`` seen from the catalogue
     side: the same rule, held equal by a property test in tests/test_erasers.py."""
     if isinstance(eraser, LargeEraser):
-        return eraser.words <= word_set(keyword)
+        # Each word looked up in the keyword's few words: no set is built.
+        words = keyword.words
+        for word in eraser.words:
+            if word not in words:
+                return False
+        return True
     return eraser.keyword == keyword
 
 

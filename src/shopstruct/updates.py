@@ -3,13 +3,15 @@
 Every operation returns the new account together with a change log whose
 replay over the old account reproduces the new one exactly, so callers can
 ship the log as a batch of mutations instead of re-uploading the account.
+An update refuses to lengthen a negative list past the account's limit, and
+checks only the lists its log lengthens or adds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .account import (
     Account,
@@ -32,6 +34,18 @@ from .keywords import Keyword, MatchType, NegativeKeyword, QueryWords, exact, ph
 
 # --- change log ----------------------------------------------------------
 
+T = TypeVar("T", AdGroup, Campaign)
+
+
+def _relisted(obj: T, **lists: object) -> T:
+    """``obj``, an ``AdGroup`` or ``Campaign``, with the lists in ``lists``
+    swapped in.  A list edit changes no name or tag, so the checks its
+    constructor made still hold and are not run again, and a campaign's
+    cached ``group`` comes along with its other fields."""
+    new = object.__new__(type(obj))
+    vars(new).update(vars(obj), **lists)
+    return new
+
 
 class _Draft:
     """A copy-on-write account that one batch of changes edits in place.
@@ -39,8 +53,15 @@ class _Draft:
     Campaigns sit in an insertion-ordered dict by name and a change swaps in
     a new value only for what it touches, so untouched campaigns and ad
     groups keep their identity.  Edited negative lists wait in ``pending``
-    and are folded into their campaign by one ``replace`` when a change
-    reads that campaign, or at ``freeze``, which builds the ``Account`` once.
+    and are folded into their campaign by ``_relisted`` when a change reads
+    that campaign, or at ``freeze``, which builds the ``Account`` once.  Ops
+    that change a campaign's ad groups or erasers go through its constructor
+    and its checks.  Ad groups are found by name through a map per campaign,
+    built on first use and dropped when its ad groups change.
+
+    Every list a change may lengthen or add is named in ``grown``, in the
+    shape ``Account.check_limit`` takes: each ``AddNegative`` target, each
+    added ad group and each list of an added campaign.
 
     Every edit of a campaign's own list is also kept, in order, in
     ``list_edits``.  When the account has built its ``admission_index``,
@@ -53,6 +74,9 @@ class _Draft:
         self.campaigns = {c.name: c for c in account.campaigns}
         # campaign name -> {ad-group index, or None for its own list: list}
         self.pending: dict[str, dict[int | None, frozenset[NegativeKeyword]]] = {}
+        # campaign name -> {ad-group name: index}
+        self.positions: dict[str, dict[str, int]] = {}
+        self.grown: dict[str, set[str]] = {}
         # (campaign name, negative, held), or None once a campaign is removed
         self.list_edits: list[tuple[str, NegativeKeyword, bool]] | None = []
 
@@ -74,19 +98,19 @@ class _Draft:
         adgroups = camp.adgroups
         if edits:
             adgroups = tuple(
-                replace(g, negatives=edits[i]) if i in edits else g
+                _relisted(g, negatives=edits[i]) if i in edits else g
                 for i, g in enumerate(adgroups)
             )
-        new = self.campaigns[name] = replace(camp, negatives=negatives, adgroups=adgroups)
-        # A list edit changes no tag, so the group the parent read holds.
-        if "group" in vars(camp):
-            vars(new)["group"] = camp.group
+        self.campaigns[name] = _relisted(camp, negatives=negatives, adgroups=adgroups)
 
     def adgroup_index(self, campaign: Campaign, name: str) -> int:
-        for i, g in enumerate(campaign.adgroups):
-            if g.name == name:
-                return i
-        raise InputError(f"no ad group named {name!r} in {campaign.name}")
+        positions = self.positions.get(campaign.name)
+        if positions is None:
+            positions = {g.name: i for i, g in enumerate(campaign.adgroups)}
+            self.positions[campaign.name] = positions
+        if name not in positions:
+            raise InputError(f"no ad group named {name!r} in {campaign.name}")
+        return positions[name]
 
     def edit_negative(
         self, campaign: str, adgroup: str | None, negative: NegativeKeyword, held: bool
@@ -100,13 +124,33 @@ class _Draft:
         edits = self.pending.setdefault(campaign, {})
         current = edits.get(i, stored)
         edits[i] = current | {negative} if held else current - {negative}
+        if held:
+            grown = self.grown.setdefault(campaign, set())
+            if adgroup is not None:
+                grown.add(adgroup)
         if i is None and self.list_edits is not None:
             self.list_edits.append((campaign, negative, held))
+
+    def _restructure(self, campaign: Campaign) -> None:
+        """Store ``campaign``, whose ad groups may not be the stored one's."""
+        self.campaigns[campaign.name] = campaign
+        self.positions.pop(campaign.name, None)
+
+    def add_adgroup(self, campaign: str, adgroup: AdGroup) -> None:
+        camp = self.campaign(campaign)
+        self._restructure(replace(camp, adgroups=camp.adgroups + (adgroup,)))
+        self.grown.setdefault(campaign, set()).add(adgroup.name)
+
+    def remove_adgroup(self, campaign: str, adgroup: str) -> None:
+        camp = self.campaign(campaign)
+        i = self.adgroup_index(camp, adgroup)
+        self._restructure(replace(camp, adgroups=camp.adgroups[:i] + camp.adgroups[i + 1 :]))
 
     def add_campaign(self, campaign: Campaign) -> None:
         if campaign.name in self.campaigns:
             raise InputError(f"account repeats campaign name {campaign.name!r}")
-        self.campaigns[campaign.name] = campaign
+        self._restructure(campaign)
+        self.grown.setdefault(campaign.name, set()).update(g.name for g in campaign.adgroups)
         if self.list_edits is not None:
             self.list_edits += [(campaign.name, neg, True) for neg in campaign.negatives]
 
@@ -175,9 +219,7 @@ class AddAdGroup(Change):
         return f"add ad group {self.adgroup.name!r} to campaign {self.campaign}"
 
     def apply(self, draft: _Draft) -> None:
-        camp = draft.campaign(self.campaign)
-        adgroups = camp.adgroups + (self.adgroup,)
-        draft.campaigns[self.campaign] = replace(camp, adgroups=adgroups)
+        draft.add_adgroup(self.campaign, self.adgroup)
 
 
 @dataclass(frozen=True)
@@ -189,10 +231,7 @@ class RemoveAdGroup(Change):
         return f"remove ad group {self.adgroup!r} from campaign {self.campaign}"
 
     def apply(self, draft: _Draft) -> None:
-        camp = draft.campaign(self.campaign)
-        i = draft.adgroup_index(camp, self.adgroup)
-        adgroups = camp.adgroups[:i] + camp.adgroups[i + 1 :]
-        draft.campaigns[self.campaign] = replace(camp, adgroups=adgroups)
+        draft.remove_adgroup(self.campaign, self.adgroup)
 
 
 @dataclass(frozen=True)
@@ -269,10 +308,14 @@ def apply_changes(account: Account, changes: Iterable[Change]) -> Account:
     Raises InputError at the first change whose target is missing, that
     repeats a campaign or ad group name, or that empties a campaign; the
     built account then checks its tiers."""
+    return _replay(account, changes).freeze()
+
+
+def _replay(account: Account, changes: Iterable[Change]) -> _Draft:
     draft = _Draft(account)
     for change in changes:
         change.apply(draft)
-    return draft.freeze()
+    return draft
 
 
 # --- balance -------------------------------------------------------------
@@ -341,9 +384,10 @@ def _tier_campaigns(account: Account) -> list[Campaign]:
 
 def _outcome(account: Account, changes: list[Change]) -> UpdateOutcome:
     """Apply ``changes``; raise LimitExceededError if they lengthen a list
-    past the limit."""
-    new_account = apply_changes(account, changes)
-    new_account.check_limit(account)
+    past the limit.  Only the lists the draft names as grown are checked."""
+    draft = _replay(account, changes)
+    new_account = draft.freeze()
+    new_account.check_limit(account, draft.grown)
     return UpdateOutcome(new_account, tuple(changes), check_balance(new_account))
 
 

@@ -18,6 +18,7 @@ from shopstruct import (
     BuildConfig,
     DuplicateKeywordError,
     ExactEraser,
+    GroupCampaignTag,
     InputError,
     LargeEraser,
     LimitExceededError,
@@ -57,6 +58,7 @@ from shopstruct.updates import (
     RemoveCampaign,
     RemoveEraser,
     RemoveNegative,
+    _outcome,
 )
 import oracles
 from conftest import (
@@ -187,6 +189,38 @@ def test_list_edits_carry_each_group_campaigns_group(golden_account):
         assert camp.group == {g.tag.keyword for g in camp.adgroups if isinstance(g.tag, RuleTag)}
         assert camp.group == before[camp.name].group
     assert trimmed == golden_account
+
+
+def test_a_list_edit_keeps_every_other_field_and_the_cached_group(golden_account):
+    camp = golden_account.group_campaigns()[0]
+    camp.group  # read, so the campaign holds it
+    first, second = camp.adgroups[:2]
+    x = exact(normalize("x"))
+    after = apply_changes(
+        golden_account, [AddNegative(camp.name, x), AddNegative(camp.name, x, second.name)]
+    )
+    new = next(c for c in after.campaigns if c.name == camp.name)
+    edited = new.adgroups[1]
+    assert new.negatives == camp.negatives | {x}
+    assert edited.negatives == second.negatives | {x}
+    assert all(getattr(new, f) is getattr(camp, f) for f in ("name", "priority", "tag", "erasers"))
+    assert all(getattr(edited, f) is getattr(second, f) for f in ("name", "tag", "tree"))
+    assert vars(new)["group"] is vars(camp)["group"]
+    assert new.adgroups[0] is first
+    assert all(a is b for a, b in zip(new.adgroups[2:], camp.adgroups[2:], strict=True))
+
+
+def test_an_added_campaigns_ad_group_lists_count_as_lengthened(golden_account):
+    # An update's own campaigns open with empty ad-group lists; a log may add
+    # a campaign whose ad groups hold negatives, and those lists are checked.
+    model = golden_account.group_campaigns()[0]
+    fresh = replace(model, name="c9", tag=GroupCampaignTag(9), negatives=frozenset())
+    size = max(len(g.negatives) for g in fresh.adgroups)
+    longest = next(g for g in fresh.adgroups if len(g.negatives) == size)
+    account = replace(golden_account, limit=size - 1)
+    with pytest.raises(LimitExceededError) as err:
+        _outcome(account, [AddCampaign(fresh)])
+    assert str(err.value) == account.limit_message(f"ad group {longest.name!r} of campaign c9", size)
 
 
 def test_add_rule_opens_new_campaign_when_blocked_everywhere(golden_account):
@@ -551,8 +585,34 @@ def test_apply_changes_rejects_missing_targets(golden_account):
             ],
             "'c1' has no ad groups",
         ),
+        # The same two faults on a campaign whose lists a change has just
+        # edited: ops that change ad groups still run the campaign's checks.
+        (
+            lambda acc: [
+                AddNegative("c2", exact(normalize("x")), "nike"),
+                AddAdGroup("c2", acc.brand_campaign().adgroups[0]),
+                RemoveAdGroup("c2", "nike"),
+            ],
+            "'c2' repeats an ad group name",
+        ),
+        (
+            lambda acc: [
+                AddNegative("c1", exact(normalize("x")), "catch-all"),
+                RemoveAdGroup("c1", "catch-all"),
+                AddAdGroup("c1", acc.general_campaign().adgroups[0]),
+            ],
+            "'c1' has no ad groups",
+        ),
     ],
-    ids=["missing-adgroup", "missing-eraser", "repeated-campaign", "repeated-adgroup", "empty-campaign"],
+    ids=[
+        "missing-adgroup",
+        "missing-eraser",
+        "repeated-campaign",
+        "repeated-adgroup",
+        "empty-campaign",
+        "repeated-adgroup-after-a-list-edit",
+        "empty-campaign-after-a-list-edit",
+    ],
 )
 def test_apply_changes_rejects_a_bad_change_where_it_occurs(golden_account, make, message):
     with pytest.raises(InputError, match=message):
@@ -582,7 +642,7 @@ def test_negative_edits_around_an_ad_group_removal(golden_account):
     assert new.adgroups[0].negatives == first.negatives | {y}
     assert new.adgroups[1].negatives == third.negatives | {x, y}
     assert new.adgroups[2:] == camp.adgroups[3:]
-    # Every other campaign is the same object: check_limit(before) skips those.
+    # The draft swaps in a new value only for the campaign the log edits.
     assert all(
         a is b for a, b in zip(after.campaigns, golden_account.campaigns) if b is not camp
     )
@@ -776,12 +836,14 @@ UPDATE_SEQUENCE_DIGESTS = {
 }
 
 
+@functools.cache
 def _seeded_updates():
     """40 seeded adds on synth n=300 seed 0, half of them blocked everywhere;
     a remove_rule after every fifth add, and of the keyword of every fourth
     blocked add right after it; two remove_items per eight adds.  Each update
     replays and carries its admission index (``_assert_carries_its_index``).
-    Returns the final account and every change-log line."""
+    Returns the final account, every change-log line and each update as the
+    account it started from and its change log."""
     cat = generate(SyntheticSpec(n=300, seed=0))
     rules = list(cat.rules)
     account = build_account(rules, cat.brands, cat.non_brands)
@@ -791,12 +853,14 @@ def _seeded_updates():
     items = sorted({i for r in rules for i in r.items})
     rng = random.Random(0)
     lines = []
+    steps = []
 
     def step(outcome):
         nonlocal account
         _assert_replay(account, outcome)
         _assert_carries_its_index(outcome)
         lines.extend(c.describe() for c in outcome.changes)
+        steps.append((account, outcome.changes))
         account = outcome.account
         account.admission_index
 
@@ -824,11 +888,11 @@ def _seeded_updates():
             step(outcome)
             rules = list(outcome.rules)
         previous = kw
-    return account, lines
+    return account, lines, steps
 
 
 def test_seeded_update_sequence_is_pinned():
-    account, lines = _seeded_updates()
+    account, lines, _ = _seeded_updates()
     assert verify_account(account).passed
     assert any(line.startswith("remove campaign") for line in lines)
     digests = {
@@ -836,6 +900,55 @@ def test_seeded_update_sequence_is_pinned():
         "log": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
     }
     assert digests == UPDATE_SEQUENCE_DIGESTS
+
+
+def _limit_verdict(call) -> str | None:
+    """None when ``call`` passes the limit check, else the error's text."""
+    try:
+        call()
+    except LimitExceededError as err:
+        return str(err)
+    return None
+
+
+def _step_kind(changes) -> str:
+    kinds = {type(c) for c in changes}
+    return "opened" if AddCampaign in kinds else "admitted" if AddAdGroup in kinds else "removal"
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("kind", ["admitted", "opened", "removal"])
+def test_update_limit_verdict_equals_the_full_check(kind, data):
+    """An update checks only the lists its draft names as grown; its verdict,
+    success or the exact error text, equals ``check_limit(before)`` over the
+    whole result, at limits at, just below and just above the size of each
+    lengthened list and on accounts already over their limit.  Logs are the
+    steps of ``_seeded_updates`` and parts of them, since any subsequence of
+    an update's log applies: without the campaign lists' adds an add
+    lengthens ad-group lists first, and its ad-group or campaign adds alone
+    lengthen only the lists they add."""
+    steps = [s for s in _seeded_updates()[2] if _step_kind(s[1]) == kind]
+    base, changes = data.draw(st.sampled_from(steps))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(changes), max_size=len(changes)))
+    logs = [
+        list(changes),
+        [c for c in changes if not (isinstance(c, AddNegative) and c.adgroup is None)],
+        [c for c in changes if isinstance(c, (AddAdGroup, AddCampaign))],
+        [c for c, k in zip(changes, keep) if k],
+    ]
+    before = oracles.list_sizes(base)
+    for log in logs:
+        after = oracles.list_sizes(apply_changes(base, log))
+        lengthened = [n for w, n in after.items() if n > before.get(w, 0)]
+        limits = {n + d for n in lengthened for d in (-1, 0, 1)} | {max(before.values()) - 1}
+        for limit in sorted(limits - {0}):
+            account = replace(base, limit=limit)
+            verdict = _limit_verdict(lambda: _outcome(account, log))
+            full = _limit_verdict(lambda: apply_changes(account, log).check_limit(account))
+            assert verdict == full
+            over = [(w, n) for w, n in after.items() if n > max(limit, before.get(w, 0))]
+            assert full == (account.limit_message(*over[0]) if over else None)
 
 
 _SMALL = generate(SyntheticSpec(n=60, seed=4))
