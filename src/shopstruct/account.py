@@ -14,18 +14,18 @@ Everything here is immutable; updates build new values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
+from enum import Enum
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Mapping, Union
+from typing import ClassVar, Collection, Iterator, Mapping, Union
 
 from .erasers import Eraser
 from .errors import InputError, LimitExceededError, UnknownKeywordError
 from .keywords import Keyword, NegativeIndex, NegativeKeyword
 
-# Some negative lists of an account: campaign name -> the names of those of
-# its ad groups whose lists are meant.  A named campaign's own list is always
-# meant.
-Lists = Mapping[str, Collection[str]]
+# Some negative lists of an account: campaign name -> the names of the
+# lists meant in it, None for the campaign's own list and an ad group's name
+# for that ad group's.
+Lists = Mapping[str, Collection[Union[str, None]]]
 
 
 @dataclass(frozen=True, order=True)
@@ -88,10 +88,10 @@ def tree_leaves(tree: ProductTree) -> Iterator[Leaf]:
     yield from tree_leaves(tree.others)
 
 
-class Priority(IntEnum):
-    LOW = 0
-    MEDIUM = 1
-    HIGH = 2
+class Priority(Enum):
+    HIGH = "high"
+    MEDIUM = "medium"
+    LOW = "low"
 
 
 # --- tags identify the intended role of campaigns and ad groups -----------
@@ -122,10 +122,14 @@ AdGroupTag = Union[CatchAllTag, BrandTag, RuleTag]
 class GeneralCampaignTag:
     """The single High-priority campaign."""
 
+    priority: ClassVar[Priority] = Priority.HIGH
+
 
 @dataclass(frozen=True)
 class BrandCampaignTag:
     """The single Medium-priority campaign."""
+
+    priority: ClassVar[Priority] = Priority.MEDIUM
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,7 @@ class GroupCampaignTag:
     """A Low-priority campaign owning keyword group ``index`` (1-based)."""
 
     index: int
+    priority: ClassVar[Priority] = Priority.LOW
 
 
 CampaignTag = Union[GeneralCampaignTag, BrandCampaignTag, GroupCampaignTag]
@@ -148,13 +153,13 @@ class AdGroup:
 
 @dataclass(frozen=True)
 class Campaign:
-    """A campaign.  A group campaign also owns the ``erasers`` whose images
-    cover its keyword ``group`` exactly; the other group campaigns block
-    those erasers.  The group is read off the campaign's rule ad groups, one
-    per keyword, and like any derived state it stays out of ``==``."""
+    """A campaign, in the tier its tag names (``priority``).  A group
+    campaign also owns the ``erasers`` whose images cover its keyword
+    ``group`` exactly; the other group campaigns block those erasers.  The
+    group is read off the campaign's rule ad groups, one per keyword, and
+    like any derived state it stays out of ``==``."""
 
     name: str
-    priority: Priority
     tag: CampaignTag
     negatives: frozenset[NegativeKeyword]
     adgroups: tuple[AdGroup, ...]
@@ -169,6 +174,10 @@ class Campaign:
         if len(names) != len(set(names)):
             raise InputError(f"campaign {self.name!r} repeats an ad group name")
 
+    @property
+    def priority(self) -> Priority:
+        return self.tag.priority
+
     @cached_property
     def group(self) -> frozenset[Keyword]:
         """The keywords of the campaign's rule ad groups."""
@@ -179,7 +188,9 @@ class Campaign:
 class Account:
     """A full account: the brand lists and the campaigns.
 
-    ``limit`` is the cap on every negative list, campaign or ad group.
+    ``limit`` is the cap on every negative list, campaign or ad group.  The
+    campaigns are one High-tier campaign, at most one Medium-tier one and
+    the group campaigns, all in the Low tier, as their tags say.
     ``partition`` and ``erasers`` are read-only views, taken once per
     account: each group campaign's ``group`` (the keywords of its rule ad
     groups) and ``erasers``, in campaign storage order.  ``admission_index``
@@ -197,11 +208,10 @@ class Account:
         names = [c.name for c in self.campaigns]
         if len(names) != len(set(names)):
             raise InputError("account repeats a campaign name")
-        generals = [c for c in self.campaigns if isinstance(c.tag, GeneralCampaignTag)]
-        if len(generals) != 1:
+        tiers = [c.priority for c in self.campaigns]
+        if tiers.count(Priority.HIGH) != 1:
             raise InputError("account needs exactly one High-tier campaign")
-        brand_tier = [c for c in self.campaigns if isinstance(c.tag, BrandCampaignTag)]
-        if len(brand_tier) > 1:
+        if tiers.count(Priority.MEDIUM) > 1:
             raise InputError("account allows at most one Medium-tier campaign")
 
     # --- convenience accessors -------------------------------------------
@@ -252,24 +262,21 @@ class Account:
 
     # --- the negative limit ----------------------------------------------
 
-    def over_limit(self) -> dict[str, int]:
-        """The size of every negative list over ``limit``, keyed by where it
-        sits: campaign by campaign, each campaign's own list first."""
-        return self._lists_over(self.campaigns)
-
-    def _lists_over(
-        self, campaigns: Iterable[Campaign], lists: Lists | None = None
-    ) -> dict[str, int]:
-        """``over_limit`` of ``campaigns``, or of only ``lists`` in them."""
+    def over_limit(self, lists: Lists | None = None) -> dict[str, int]:
+        """The size of every negative list over ``limit``, or of only those
+        ``lists`` names, keyed by where it sits: campaign by campaign, each
+        campaign's own list first."""
         over: dict[str, int] = {}
-        for c in campaigns:
-            adgroups = c.adgroups
+        for c in self.campaigns:
+            own, adgroups = True, c.adgroups
             if lists is not None:
                 if c.name not in lists:
                     continue
                 names = lists[c.name]
-                adgroups = [g for g in adgroups if g.name in names] if names else []
-            if len(c.negatives) > self.limit:
+                own = None in names
+                # A campaign named only for its own list skips its ad groups.
+                adgroups = [g for g in adgroups if g.name in names] if len(names) > own else ()
+            if own and len(c.negatives) > self.limit:
                 over[f"campaign {c.name}"] = len(c.negatives)
             for g in adgroups:
                 if len(g.negatives) > self.limit:
@@ -280,18 +287,13 @@ class Account:
         """The one text for a list over the limit, in errors and findings."""
         return f"{where} holds {count} negatives, over the limit of {self.limit}"
 
-    def check_limit(self, before: Account | None = None, lists: Lists | None = None) -> None:
+    def check_limit(self, lists: Lists | None = None) -> None:
         """Raise LimitExceededError at the first list over ``limit``, in
-        ``over_limit`` order.  With ``before``, only a list also longer than
-        it was there counts, so an update may still shrink an account that is
-        already over its cap.  With ``lists``, only those lists are walked:
-        an update names the lists its change log lengthens or adds, and no
-        other list can have got longer."""
-        over = self._lists_over(self.campaigns, lists)
-        was = before._lists_over(before.campaigns, lists) if before is not None and over else {}
-        for where, count in over.items():
-            if count > was.get(where, 0):
-                raise LimitExceededError(self.limit_message(where, count))
+        ``over_limit`` order, among every list or only those ``lists`` names.
+        An update names the lists its change log makes longer or adds, so it
+        may still shrink an account already over its cap."""
+        for where, count in self.over_limit(lists).items():
+            raise LimitExceededError(self.limit_message(where, count))
 
 
 def negative_count(account: Account) -> int:

@@ -1,14 +1,14 @@
-"""Compile a rule catalogue into the three-priority account structure.
+"""Compile a rule catalogue into the three-tier account structure.
 
 Layout produced:
 
-* one high priority campaign that blocks every catalogue keyword exactly and
+* one High-tier campaign that blocks every catalogue keyword exactly and
   every brand and blocked-brand term as a phrase, with a single catch-all
   ad group (generic traffic lands here);
-* one medium priority campaign (only when brands exist) blocking catalogue
+* one Medium-tier campaign (only when brands exist) blocking catalogue
   keywords exactly and blocked brands as phrases, one ad group per brand that
   blocks every other brand as a phrase (brand traffic lands per brand);
-* one low priority campaign per keyword group; campaign negatives are the
+* one Low-tier campaign per keyword group; campaign negatives are the
   erasers of every *other* group plus blocked-brand phrases, and each keyword
   gets an ad group blocking its group siblings exactly (catalogue traffic
   lands on its own keyword's ad group).
@@ -34,7 +34,6 @@ from .account import (
     GroupCampaignTag,
     Leaf,
     Money,
-    Priority,
     ProductTree,
     Rule,
     RuleTag,
@@ -140,21 +139,24 @@ def naive_partition(
     )
 
 
-def _candidate_graph(keywords: Sequence[Keyword], target_size: int | None) -> EraserGraph:
-    """The conflict graph of the candidate large erasers.  A candidate's image
-    is capped at the group target: a larger image fits in no group."""
+def _reduced_plan(
+    keywords: Sequence[Keyword], target_size: int | None
+) -> tuple[EraserGraph, GroupPlan]:
+    """The conflict graph of the candidate large erasers, and the plan packed
+    from its best color class.  A candidate's image is capped at the group
+    target: a larger image fits in no group."""
     n = len(keywords)
     cap = min(group_target(n), group_target(n, target_size))
-    return build_graph(enumerate_candidates(keywords, max_image=cap))
+    graph = build_graph(enumerate_candidates(keywords, max_image=cap))
+    selected = select_color_class(graph, welsh_powell(graph))
+    return graph, make_group_plan(keywords, selected, target_size=target_size)
 
 
 def plan_groups(keywords: Sequence[Keyword], config: BuildConfig) -> GroupPlan:
     """Partition plus per-group erasers under the configured mode."""
     if config.mode == "naive":
         return naive_partition(keywords, target_size=config.target_size)
-    graph = _candidate_graph(keywords, config.target_size)
-    selected = select_color_class(graph, welsh_powell(graph))
-    return make_group_plan(keywords, selected, target_size=config.target_size)
+    return _reduced_plan(keywords, config.target_size)[1]
 
 
 def group_campaign_negatives(
@@ -196,6 +198,19 @@ def build_account(
     a negative list of the built account is over ``config.limit``."""
     config = config or BuildConfig()
     _validate_inputs(rules, brands, non_brands)
+    plan = plan_groups([r.keyword for r in rules], config)
+    return _emit_account(rules, brands, non_brands, config, plan, brand_trees)
+
+
+def _emit_account(
+    rules: Sequence[Rule],
+    brands: Sequence[Keyword],
+    non_brands: Sequence[Keyword],
+    config: BuildConfig,
+    plan: GroupPlan,
+    brand_trees: Mapping[Keyword, ProductTree] | None = None,
+) -> Account:
+    """The account of validated inputs whose keyword groups ``plan`` gives."""
     keywords = [r.keyword for r in rules]
     rule_by_kw = {r.keyword: r for r in rules}
     position = {kw: i for i, kw in enumerate(keywords)}
@@ -218,7 +233,6 @@ def build_account(
     campaigns.append(
         Campaign(
             name=GENERAL_CAMPAIGN,
-            priority=Priority.HIGH,
             tag=GeneralCampaignTag(),
             negatives=general_negs,
             adgroups=(
@@ -251,14 +265,12 @@ def build_account(
         campaigns.append(
             Campaign(
                 name=BRAND_CAMPAIGN,
-                priority=Priority.MEDIUM,
                 tag=BrandCampaignTag(),
                 negatives=brand_negs,
                 adgroups=tuple(adgroups),
             )
         )
 
-    plan = plan_groups(keywords, config)
     campaign_negatives = group_campaign_negatives(plan.erasers, snb_phrases, interned)
     owned = zip(plan.groups, plan.erasers, campaign_negatives)
     for index, (group, erasers, negs) in enumerate(owned, 1):
@@ -272,7 +284,6 @@ def build_account(
         campaigns.append(
             Campaign(
                 name=group_campaign_name(index),
-                priority=Priority.LOW,
                 tag=GroupCampaignTag(index),
                 negatives=negs,
                 adgroups=adgroups,
@@ -318,13 +329,15 @@ def reduction_stats(
     *,
     config: BuildConfig | None = None,
 ) -> ReductionStats:
-    """Build the reduced account once and report how much it saves.  The naive
-    count is ``nk_exact`` over the naive partition, with no naive build: its
-    largest list, the High campaign, is in the reduced build too."""
+    """Build the reduced account once, from the one candidate graph it
+    counts, and report how much it saves.  The naive count is ``nk_exact``
+    over the naive partition, with no naive build: its largest list, the
+    High campaign, is in the reduced build too."""
     config = replace(config or BuildConfig(), mode="reduced")
+    _validate_inputs(rules, brands, non_brands)
     keywords = [r.keyword for r in rules]
-    graph = _candidate_graph(keywords, config.target_size)
-    reduced = build_account(rules, brands, non_brands, config=config)
+    graph, plan = _reduced_plan(keywords, config.target_size)
+    reduced = _emit_account(rules, brands, non_brands, config, plan)
     exact_erasers = sum(isinstance(e, ExactEraser) for g in reduced.erasers for e in g)
     naive_groups = naive_partition(keywords, target_size=config.target_size).groups
     naive_sizes = [len(g) for g in naive_groups]

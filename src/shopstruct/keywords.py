@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import total_ordering
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyKeywordError
@@ -77,7 +76,6 @@ def subword_set(keyword: Keyword) -> frozenset[tuple[str, ...]]:
     return frozenset(words[i:j] for i in range(n) for j in range(i + 1, n + 1))
 
 
-@total_ordering
 class MatchType(Enum):
     """Negative keyword match type, in canonical (least permissive first) order."""
 
@@ -85,16 +83,8 @@ class MatchType(Enum):
     PHRASE = "phrase"
     LARGE = "large"
 
-    @property
-    def rank(self) -> int:
-        return _MATCH_RANK[self]
 
-    def __lt__(self, other: "MatchType") -> bool:
-        if not isinstance(other, MatchType):
-            return NotImplemented
-        return self.rank < other.rank
-
-
+# Each match type's place in canonical order, the first part of a sort key.
 _MATCH_RANK = {MatchType.EXACT: 0, MatchType.PHRASE: 1, MatchType.LARGE: 2}
 
 

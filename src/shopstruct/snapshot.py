@@ -22,8 +22,9 @@ as the runs between the entries it lacks.
 Parsing interns negatives: the first entry with a given raw (keyword, match)
 pair is normalized and validated, and every later entry with that pair reuses
 its object.  A snapshot repeats each negative across many lists, so a parsed
-account holds one object per negative, which ``simulate.Simulator`` relies on
-to handle each negative once.
+account holds one object per negative, as a built one does: each negative
+is stored once, and set operations on the lists match equal entries by
+identity without calling ``__eq__``.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ from .erasers import Eraser, ExactEraser, LargeEraser
 from .errors import InputError
 from .keywords import Keyword, MatchType, NegativeKeyword, normalize
 
-_PRIORITY_NAMES = {Priority.HIGH: "high", Priority.MEDIUM: "medium", Priority.LOW: "low"}
-_PRIORITY_VALUES = {v: k for k, v in _PRIORITY_NAMES.items()}
 _TOO_DEEP = "account snapshot is nested too deeply"
 
 
@@ -112,7 +111,7 @@ def _document(
         "campaigns": [
             {
                 "name": c.name,
-                "priority": _PRIORITY_NAMES[c.priority],
+                "priority": c.priority.value,
                 "tag": _campaign_tag_doc(c.tag),
                 "negatives": negatives(c.negatives),
                 "adgroups": [
@@ -388,15 +387,18 @@ def parse_account_document(doc: Any) -> Account:
                 )
                 for g in _list(cdoc["adgroups"], "ad groups")
             )
-            campaigns.append(
-                Campaign(
-                    name=_string(cdoc["name"], "campaign name"),
-                    priority=_PRIORITY_VALUES[cdoc["priority"]],
-                    tag=_parse_campaign_tag(cdoc["tag"]),
-                    negatives=_parse_negatives(cdoc["negatives"], interned),
-                    adgroups=adgroups,
-                )
+            camp = Campaign(
+                name=_string(cdoc["name"], "campaign name"),
+                tag=_parse_campaign_tag(cdoc["tag"]),
+                negatives=_parse_negatives(cdoc["negatives"], interned),
+                adgroups=adgroups,
             )
+            if cdoc["priority"] != camp.priority.value:
+                raise InputError(
+                    f"campaign {camp.name!r} is a {cdoc['tag']['kind']} campaign, so its"
+                    f" priority must be {camp.priority.value!r}, not {cdoc['priority']!r}"
+                )
+            campaigns.append(camp)
         limit = _integer(doc["limit"], "limit")
         brands = _keywords(doc["brands"], "brands", "brand")
         non_brands = _keywords(doc["non_brands"], "blocked brands", "blocked brand")

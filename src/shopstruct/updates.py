@@ -18,7 +18,6 @@ from .account import (
     AdGroup,
     Campaign,
     GroupCampaignTag,
-    Priority,
     Rule,
     RuleTag,
 )
@@ -59,9 +58,11 @@ class _Draft:
     and its checks.  Ad groups are found by name through a map per campaign,
     built on first use and dropped when its ad groups change.
 
-    Every list a change may lengthen or add is named in ``grown``, in the
-    shape ``Account.check_limit`` takes: each ``AddNegative`` target, each
-    added ad group and each list of an added campaign.
+    Every list a change lengthens or adds is named in ``grown``, in the
+    shape ``Account.check_limit`` takes: each list an ``AddNegative`` gives
+    a negative it lacked, each added ad group and each list of an added
+    campaign.  An update's log only lengthens lists or only shortens them,
+    so each named list is longer than in the parent account.
 
     Every edit of a campaign's own list is also kept, in order, in
     ``list_edits``.  When the account has built its ``admission_index``,
@@ -76,7 +77,8 @@ class _Draft:
         self.pending: dict[str, dict[int | None, frozenset[NegativeKeyword]]] = {}
         # campaign name -> {ad-group name: index}
         self.positions: dict[str, dict[str, int]] = {}
-        self.grown: dict[str, set[str]] = {}
+        # campaign name -> {ad-group name, or None for its own list}
+        self.grown: dict[str, set[str | None]] = {}
         # (campaign name, negative, held), or None once a campaign is removed
         self.list_edits: list[tuple[str, NegativeKeyword, bool]] | None = []
 
@@ -123,11 +125,9 @@ class _Draft:
         stored = camp.negatives if i is None else camp.adgroups[i].negatives
         edits = self.pending.setdefault(campaign, {})
         current = edits.get(i, stored)
+        if held and negative not in current:
+            self.grown.setdefault(campaign, set()).add(adgroup)
         edits[i] = current | {negative} if held else current - {negative}
-        if held:
-            grown = self.grown.setdefault(campaign, set())
-            if adgroup is not None:
-                grown.add(adgroup)
         if i is None and self.list_edits is not None:
             self.list_edits.append((campaign, negative, held))
 
@@ -150,7 +150,7 @@ class _Draft:
         if campaign.name in self.campaigns:
             raise InputError(f"account repeats campaign name {campaign.name!r}")
         self._restructure(campaign)
-        self.grown.setdefault(campaign.name, set()).update(g.name for g in campaign.adgroups)
+        self.grown[campaign.name] = {None, *(g.name for g in campaign.adgroups)}
         if self.list_edits is not None:
             self.list_edits += [(campaign.name, neg, True) for neg in campaign.negatives]
 
@@ -387,7 +387,7 @@ def _outcome(account: Account, changes: list[Change]) -> UpdateOutcome:
     past the limit.  Only the lists the draft names as grown are checked."""
     draft = _replay(account, changes)
     new_account = draft.freeze()
-    new_account.check_limit(account, draft.grown)
+    new_account.check_limit(draft.grown)
     return UpdateOutcome(new_account, tuple(changes), check_balance(new_account))
 
 
@@ -438,7 +438,7 @@ def _place_changes(
 def add_rule(account: Account, rule: Rule) -> UpdateOutcome:
     """Add one rule.
 
-    When some Low-priority campaign already admits the keyword, the smallest
+    When some Low-tier campaign already admits the keyword, the smallest
     admitting group takes it: the keyword becomes a new ad group there, its
     exact negative goes to that campaign's sibling ad groups and to every
     other campaign.  When every campaign blocks it, a fresh campaign is opened
@@ -498,7 +498,6 @@ def _open_campaign_changes(account: Account, rule: Rule) -> list[Change]:
     index, name = _next_group_identity(account)
     campaign = Campaign(
         name=name,
-        priority=Priority.LOW,
         tag=GroupCampaignTag(index),
         negatives=negs,
         adgroups=(rule_adgroup(rule, frozenset()),),

@@ -17,9 +17,9 @@ Static structure checks (limits, partition discipline, eraser coverage) run
 alongside.  A group campaign's keyword group is read off its rule ad groups,
 so partition discipline means that no keyword has rule ad groups in two group
 campaigns.  The negatives audit (each group campaign admits its own group's
-keywords and blocks every other group's) starts from property 1's failures: a
-keyword that landed in its own campaign, with no group campaign in a lower
-tier, already proves the audit's claim for it.  The audit reads the campaigns
+keywords and blocks every other group's) audits property 1's failures only:
+every group campaign is in the Low tier, so a keyword that landed in its own
+campaign already proves the audit's claim for it.  The audit reads the campaigns
 that refuse a keyword, and the negative each refuses it by, from
 ``Simulator.blockers``, and one ``Simulator`` serves every check.
 Verification never mutates the account and is deterministic for a given seed.
@@ -254,7 +254,7 @@ def verify_structure(
     """Static checks: limits, partition discipline, negatives, eraser coverage.
 
     ``failures`` are property 1's failing cases, as (partition position,
-    keyword) in partition order; the negatives audit starts from them.
+    keyword) in partition order; the negatives audit reads only them.
     """
     account = sim.account
     findings = [
@@ -281,42 +281,35 @@ def verify_structure(
     group_camps = account.group_campaigns()
     # The load-bearing negative invariant: each group campaign admits every
     # keyword of its own group and blocks every keyword of every other
-    # group.  A keyword that passed property 1 landed in its own campaign:
-    # every campaign of a higher tier and every other campaign of that
-    # tier refused it.  When no group campaign sits in a lower tier, that
-    # is the whole invariant for the keyword, so only failing cases are
-    # audited; a group campaign above that lowest tier has every keyword
-    # audited.
-    lowest = min((c.priority for c in group_camps), default=None)
-    failing: dict[int, list[Keyword]] = {}
+    # group.  Every group campaign sits in the Low tier, the last one, so a
+    # keyword that passed property 1 landed in its own campaign after every
+    # other campaign refused it: that is the whole invariant for the
+    # keyword, and only failing cases are audited.
     for pos, kw in failures:
-        failing.setdefault(pos, []).append(kw)
-    for pos, camp in enumerate(group_camps):
-        audited = failing.get(pos, []) if camp.priority == lowest else sorted(camp.group)
-        for kw in audited:
-            blockers = sim.blockers(kw)
-            if camp.name in blockers:
-                findings.append(
-                    Finding(
-                        kind="negatives",
-                        detail=(
-                            f"campaign {camp.name} blocks its own keyword"
-                            f" {kw.text!r} via {blockers[camp.name].describe()}"
-                        ),
-                    )
+        camp = group_camps[pos]
+        blockers = sim.blockers(kw)
+        if camp.name in blockers:
+            findings.append(
+                Finding(
+                    kind="negatives",
+                    detail=(
+                        f"campaign {camp.name} blocks its own keyword"
+                        f" {kw.text!r} via {blockers[camp.name].describe()}"
+                    ),
                 )
-            for other in group_camps:
-                if other is camp or other.name in blockers:
-                    continue
-                findings.append(
-                    Finding(
-                        kind="negatives",
-                        detail=(
-                            f"campaign {other.name} fails"
-                            f" to block {kw.text!r} from group {pos + 1}"
-                        ),
-                    )
+            )
+        for other in group_camps:
+            if other is camp or other.name in blockers:
+                continue
+            findings.append(
+                Finding(
+                    kind="negatives",
+                    detail=(
+                        f"campaign {other.name} fails"
+                        f" to block {kw.text!r} from group {pos + 1}"
+                    ),
                 )
+            )
 
     for pos, camp in enumerate(group_camps, 1):
         for kw in sorted(camp.group):

@@ -7,6 +7,7 @@ import pytest
 from shopstruct import (
     Account,
     AdGroup,
+    BrandCampaignTag,
     Campaign,
     CatchAllTag,
     ExactEraser,
@@ -16,18 +17,18 @@ from shopstruct import (
     Leaf,
     LimitExceededError,
     Money,
+    NegativeKeyword,
     Priority,
     Rule,
     RuleTag,
     Split,
     UnknownKeywordError,
-    apply_changes,
     exact,
     negative_count,
     normalize,
     tree_leaves,
 )
-from shopstruct.updates import AddNegative, RemoveNegative
+from shopstruct.updates import AddNegative, RemoveNegative, _replay
 import oracles
 
 
@@ -42,7 +43,6 @@ def _catch_all(name: str = "catch-all") -> AdGroup:
 def _general(name: str = "c1") -> Campaign:
     return Campaign(
         name=name,
-        priority=Priority.HIGH,
         tag=GeneralCampaignTag(),
         negatives=frozenset(),
         adgroups=(_catch_all(),),
@@ -78,11 +78,10 @@ def test_tree_leaves_walks_every_branch():
 
 def test_campaign_needs_adgroups_with_unique_names():
     with pytest.raises(InputError):
-        Campaign("c", Priority.HIGH, GeneralCampaignTag(), frozenset(), ())
+        Campaign("c", GeneralCampaignTag(), frozenset(), ())
     with pytest.raises(InputError):
         Campaign(
             "c",
-            Priority.HIGH,
             GeneralCampaignTag(),
             frozenset(),
             (_catch_all("a"), _catch_all("a")),
@@ -94,7 +93,7 @@ def test_only_a_group_campaign_holds_keywords_or_erasers():
     with pytest.raises(InputError, match="^campaign 'c1' holds erasers but is not a group"):
         replace(_general(), erasers=(ExactEraser(kw),))
     # A group campaign's keywords are those of its rule ad groups.
-    group = replace(_general("c3_1"), priority=Priority.LOW, tag=GroupCampaignTag(1))
+    group = replace(_general("c3_1"), tag=GroupCampaignTag(1))
     assert group.group == frozenset()
     adgroup = AdGroup(name=kw.text, tag=RuleTag(kw), negatives=frozenset(), tree=_leaf())
     owned = replace(group, adgroups=(adgroup,), erasers=(ExactEraser(kw),))
@@ -167,42 +166,78 @@ def test_over_limit_names_every_list_over_it_in_account_order(unlimited_accounts
         assert str(err.value) == _limit_message(where, count, limit)
 
 
-def test_check_limit_against_before_counts_only_lengthened_lists(golden_account):
-    # At limit 2 the golden account is over it in many lists; none is longer
-    # than in itself, so it passes against itself.
-    before = replace(golden_account, limit=2)
-    before.check_limit(before)
-    camp = before.group_campaigns()[0]
+def test_a_campaigns_tier_is_its_tags():
+    general = _general()
+    brands = replace(general, tag=BrandCampaignTag())
+    group = replace(general, tag=GroupCampaignTag(1))
+    assert [c.priority for c in (general, brands, group)] == [
+        Priority.HIGH,
+        Priority.MEDIUM,
+        Priority.LOW,
+    ]
+    assert [p.value for p in Priority] == ["high", "medium", "low"]
+    assert "priority" not in {f.name for f in fields(Campaign)}
+    with pytest.raises(TypeError):
+        replace(group, priority=Priority.HIGH)
+
+
+def test_check_limit_names_only_the_lists_an_update_lengthens(golden_account):
+    camp = golden_account.group_campaigns()[0]
     adgroup = camp.adgroups[0]
-    assert len(adgroup.negatives) > 2
-    extra = exact(normalize("zz yy"))
-    shrunk = apply_changes(
-        before, [RemoveNegative(camp.name, next(iter(adgroup.negatives)), adgroup.name)]
-    )
-    shrunk.check_limit(before)
-    grown = apply_changes(before, [AddNegative(camp.name, extra, adgroup.name)])
+    extra, more = exact(normalize("zz yy")), exact(normalize("zz xx"))
+    # The ad group takes one more negative; the campaign's own list is over
+    # the limit already.
+    account = replace(golden_account, limit=len(adgroup.negatives) + 1)
+    assert len(camp.negatives) > account.limit
+    draft = _replay(account, [AddNegative(camp.name, extra, adgroup.name)])
+    assert draft.grown == {camp.name: {adgroup.name}}
+    grown = draft.freeze()
+    assert f"campaign {camp.name}" in grown.over_limit()
+    grown.check_limit(draft.grown)
+    # Naming the campaign's own list asks about it too.
+    with pytest.raises(LimitExceededError) as err:
+        grown.check_limit({camp.name: {None, adgroup.name}})
+    where = f"campaign {camp.name}"
+    assert str(err.value) == _limit_message(where, len(camp.negatives), account.limit)
+    # A second negative takes the ad group past the limit.
+    draft = _replay(account, [AddNegative(camp.name, extra, adgroup.name)] * 2)
+    assert draft.grown == {camp.name: {adgroup.name}}
+    draft.freeze().check_limit(draft.grown)
+    log = [AddNegative(camp.name, neg, adgroup.name) for neg in (extra, more)]
+    draft = _replay(account, log)
+    with pytest.raises(LimitExceededError) as err:
+        draft.freeze().check_limit(draft.grown)
     where = f"ad group {adgroup.name!r} of campaign {camp.name}"
-    with pytest.raises(LimitExceededError) as err:
-        grown.check_limit(before)
-    assert str(err.value) == _limit_message(where, len(adgroup.negatives) + 1, 2)
-    # A list that only reaches the limit is not over it.
-    at_limit = replace(golden_account, limit=len(adgroup.negatives) + 1)
-    apply_changes(at_limit, [AddNegative(camp.name, extra, adgroup.name)]).check_limit(at_limit)
+    assert str(err.value) == _limit_message(where, len(adgroup.negatives) + 2, account.limit)
+    # A campaign named only for its own list is not asked about its ad groups.
+    assert list(grown.over_limit({camp.name: {None}})) == [f"campaign {camp.name}"]
 
 
-def test_check_limit_against_before_passes_a_list_over_it_in_an_untouched_campaign(
-    golden_account,
-):
-    # c1, the High campaign, holds the longest list and stays over the limit;
-    # an update that leaves c1 alone passes, one that lengthens it does not.
+def test_check_limit_passes_lists_an_update_does_not_lengthen(golden_account):
+    # c1, the High campaign, holds the longest list and is over the limit.
     general = golden_account.general_campaign()
-    before = replace(golden_account, limit=len(general.negatives) - 1)
+    account = replace(golden_account, limit=len(general.negatives) - 1)
+    held = min(general.negatives, key=NegativeKeyword.sort_key)
     extra = exact(normalize("zz yy"))
-    grown = apply_changes(before, [AddNegative(before.group_campaigns()[0].name, extra)])
-    assert grown.general_campaign() is general
-    assert list(grown.over_limit()) == [f"campaign {general.name}"]
-    grown.check_limit(before)
+    # An AddNegative of a negative the list already holds, equal or the same
+    # object, names nothing, and neither does a removal.
+    for log in (
+        [AddNegative(general.name, held)],
+        [AddNegative(general.name, NegativeKeyword(held.keyword, held.match))],
+        [RemoveNegative(general.name, held)],
+    ):
+        draft = _replay(account, log)
+        assert draft.grown == {}
+        draft.freeze().check_limit(draft.grown)
+    # An update that leaves c1 alone passes; one that lengthens it does not.
+    draft = _replay(account, [AddNegative(account.group_campaigns()[0].name, extra)])
+    new = draft.freeze()
+    assert new.general_campaign() is general
+    assert list(new.over_limit()) == [f"campaign {general.name}"]
+    new.check_limit(draft.grown)
+    draft = _replay(account, [AddNegative(general.name, extra)])
+    assert draft.grown == {general.name: {None}}
     with pytest.raises(LimitExceededError) as err:
-        apply_changes(before, [AddNegative(general.name, extra)]).check_limit(before)
+        draft.freeze().check_limit(draft.grown)
     where = f"campaign {general.name}"
-    assert str(err.value) == _limit_message(where, len(general.negatives) + 1, before.limit)
+    assert str(err.value) == _limit_message(where, len(general.negatives) + 1, account.limit)

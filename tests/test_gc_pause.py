@@ -30,7 +30,7 @@ from shopstruct import (
     render_account,
     verify_account,
 )
-from shopstruct import builder
+from shopstruct import builder, snapshot
 from shopstruct.cli import main
 
 
@@ -114,24 +114,26 @@ def test_collector_is_off_inside_the_call_and_a_nested_call_keeps_it_off(
     synth300, monkeypatch
 ):
     seen = []
-    plan_groups, build = builder.plan_groups, builder.build_account
+    emit, parse_document = builder._emit_account, snapshot.parse_account_document
 
-    def spy_plan(*args, **kwargs):
-        seen.append(("plan_groups", gc.isenabled()))
-        return plan_groups(*args, **kwargs)
+    def spy_emit(*args, **kwargs):
+        seen.append(("emit", gc.isenabled()))
+        return emit(*args, **kwargs)
 
-    def spy_build(*args, **kwargs):
-        account = build(*args, **kwargs)
-        seen.append(("after build_account", gc.isenabled()))
+    def spy_parse_document(*args, **kwargs):
+        account = parse_document(*args, **kwargs)
+        seen.append(("after parse_account_document", gc.isenabled()))
         return account
 
-    monkeypatch.setattr(builder, "plan_groups", spy_plan)
-    monkeypatch.setattr(builder, "build_account", spy_build)
+    monkeypatch.setattr(builder, "_emit_account", spy_emit)
+    monkeypatch.setattr(snapshot, "parse_account_document", spy_parse_document)
     with _collector(True):
         builder.reduction_stats(*synth300.catalogue)
         assert gc.isenabled()
-    # reduction_stats pauses; the build inside it must not switch back on.
-    assert seen == [("plan_groups", False), ("after build_account", False)]
+        snapshot.parse_account(synth300.text)
+        assert gc.isenabled()
+    # Both calls pause; parse_account's nested call must not switch it back on.
+    assert seen == [("emit", False), ("after parse_account_document", False)]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

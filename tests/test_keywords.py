@@ -155,9 +155,16 @@ def test_edited_index_equals_a_fresh_one(lists, edits):
 
 
 def test_match_type_ordering():
-    assert MatchType.EXACT < MatchType.PHRASE < MatchType.LARGE
-    assert MatchType.EXACT.rank == 0
-    assert MatchType.LARGE.rank == 2
+    # Canonical order lives in the negatives' sort key; the match types
+    # themselves carry no ordering.
+    kw = normalize("a")
+    ordered = sorted(
+        (NegativeKeyword(kw, m) for m in reversed(MatchType)), key=NegativeKeyword.sort_key
+    )
+    assert [n.match for n in ordered] == [MatchType.EXACT, MatchType.PHRASE, MatchType.LARGE]
+    assert [n.sort_key()[0] for n in ordered] == [0, 1, 2]
+    with pytest.raises(TypeError):
+        MatchType.EXACT < MatchType.PHRASE
 
 
 def test_negative_constructors_and_dispatch():
@@ -195,7 +202,7 @@ def test_negative_caches_the_dataclass_hash_and_sort_key(kw, match):
 
     neg = NegativeKeyword(kw, match)
     assert hash(neg) == hash((kw, match))
-    assert neg.sort_key() == (match.rank, kw.words)
+    assert neg.sort_key() == (list(MatchType).index(match), kw.words)
     copy = pickle.loads(pickle.dumps(neg))
     assert copy == neg and hash(copy) == hash(neg)
     assert {neg: 1}[NegativeKeyword(Keyword(kw.words), match)] == 1

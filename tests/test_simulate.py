@@ -27,7 +27,6 @@ from shopstruct import (
     Money,
     NegativeIndex,
     NegativeKeyword,
-    Priority,
     Rule,
     RuleTag,
     Simulator,
@@ -93,7 +92,6 @@ def test_two_brand_query_dead_ends_in_brand_campaign(golden_account):
 def _low(name: str, index: int, kw: str, negatives=frozenset()) -> Campaign:
     return Campaign(
         name=name,
-        priority=Priority.LOW,
         tag=GroupCampaignTag(index),
         negatives=negatives,
         adgroups=(
@@ -110,7 +108,6 @@ def _low(name: str, index: int, kw: str, negatives=frozenset()) -> Campaign:
 def _tiny_account(campaigns) -> Account:
     general = Campaign(
         name="c1",
-        priority=Priority.HIGH,
         tag=GeneralCampaignTag(),
         negatives=frozenset({large(normalize("zz"))}),
         adgroups=(
@@ -136,7 +133,6 @@ def test_two_admitting_campaigns_is_ambiguous():
 def test_two_open_adgroups_is_ambiguous():
     camp = Campaign(
         name="c3_1",
-        priority=Priority.LOW,
         tag=GroupCampaignTag(1),
         negatives=frozenset(),
         adgroups=(
@@ -247,7 +243,6 @@ def test_blocker_ties_across_match_types_follow_the_reference():
     camps.append(
         Campaign(
             name="c3_9",
-            priority=Priority.LOW,
             tag=GroupCampaignTag(9),
             negatives=frozenset(),
             adgroups=tuple(

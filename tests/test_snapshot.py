@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -276,6 +277,28 @@ def test_group_lists_must_match_the_group_campaigns(edit, message):
     # groups make the i-th partition entry; erasers are checked first.
     with pytest.raises(InputError, match=f"^{message}$"):
         parse_account(_with(edit))
+
+
+@pytest.mark.parametrize(
+    "position, given, message",
+    [
+        (0, "low", "campaign 'c1' is a general campaign, so its priority must be 'high', not 'low'"),
+        (1, "high", "campaign 'c2' is a brands campaign, so its priority must be 'medium', not 'high'"),
+        (2, "high", "campaign 'c3_1' is a group campaign, so its priority must be 'low', not 'high'"),
+        (2, "medium", "campaign 'c3_1' is a group campaign, so its priority must be 'low', not 'medium'"),
+        (2, "urgent", "campaign 'c3_1' is a group campaign, so its priority must be 'low', not 'urgent'"),
+        (2, 0, "campaign 'c3_1' is a group campaign, so its priority must be 'low', not 0"),
+    ],
+)
+def test_priority_must_be_the_tags_tier(position, given, message):
+    # A campaign's tier is its tag's; the snapshot still writes it, and a
+    # snapshot that disagrees is bad input, not an account to audit.
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        parse_account(_with(_set(["campaigns", position, "priority"], given)))
+    doc = _minimal_doc()
+    del doc["campaigns"][position]["priority"]
+    with pytest.raises(InputError, match="^malformed account snapshot: 'priority'$"):
+        parse_account(json.dumps(doc))
 
 
 def _move_first_keyword(doc):

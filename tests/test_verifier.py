@@ -10,7 +10,6 @@ from conftest import LIMIT_CATALOGUES
 from shopstruct import (
     InputError,
     MatchType,
-    Priority,
     RuleTag,
     Simulator,
     SyntheticSpec,
@@ -266,20 +265,6 @@ def _mutants(account):
         "sibling ad groups swap negatives": _with_campaign(
             account, with_rules.name, adgroups=swapped
         ),
-        "group campaign in Medium": _with_campaign(
-            account, first.name, priority=Priority.MEDIUM
-        ),
-        "group campaign in High": _with_campaign(
-            account, second.name, priority=Priority.HIGH
-        ),
-        # Group 1's keywords land in Medium and never meet the Low tier, where
-        # the second campaign no longer blocks them: only the audit sees it.
-        "group campaign in Medium over a leaky one": _with_campaign(
-            _with_campaign(account, first.name, priority=Priority.MEDIUM),
-            second.name,
-            negatives=second.negatives
-            - {e.to_negative() for e in account.erasers[0]},
-        ),
         "High campaign half its negatives": _with_campaign(
             account, general.name, negatives=kept
         ),
@@ -335,9 +320,6 @@ def test_dropped_group_campaign_is_bad_input(base_accounts, base):
         "another group's negatives added",
         "rule ad group removed",
         "sibling ad groups swap negatives",
-        "group campaign in Medium",
-        "group campaign in High",
-        "group campaign in Medium over a leaky one",
         "High campaign half its negatives",
         "keyword also in a later group",
         "keyword also in an earlier group",
