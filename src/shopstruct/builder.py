@@ -162,22 +162,14 @@ def plan_groups(keywords: Sequence[Keyword], config: BuildConfig) -> GroupPlan:
 def group_campaign_negatives(
     erasers: Sequence[Sequence[Eraser]],
     blocked: frozenset[NegativeKeyword],
-    interned: dict[NegativeKeyword, NegativeKeyword],
 ) -> list[frozenset[NegativeKeyword]]:
     """Each group campaign's negatives: the eraser negatives of every other
     group plus the blocked-brand phrases ``blocked``.
 
     Each group's negatives are built once; the unions reuse their stored
-    hashes, so the k-fold repetition costs no per-negative hashing.  An
-    eraser's negative is taken from ``interned`` (the account's table of one
-    object per negative) when it holds an equal one, and added to it if not.
+    hashes, so the k-fold repetition costs no per-negative hashing.
     """
-    per_group = [
-        frozenset(
-            interned.setdefault(neg, neg) for neg in (e.to_negative() for e in group)
-        )
-        for group in erasers
-    ]
+    per_group = [frozenset(e.to_negative() for e in group) for group in erasers]
     return [
         blocked.union(*(negs for j, negs in enumerate(per_group) if j != own))
         for own in range(len(per_group))
@@ -215,17 +207,11 @@ def _emit_account(
     rule_by_kw = {r.keyword: r for r in rules}
     position = {kw: i for i, kw in enumerate(keywords)}
 
-    # One object per distinct negative, shared by every list that holds it.
-    interned: dict[NegativeKeyword, NegativeKeyword] = {}
-
-    def shared(neg: NegativeKeyword) -> NegativeKeyword:
-        return interned.setdefault(neg, neg)
-
-    exact_of = {kw: shared(exact(kw)) for kw in keywords}
-    phrase_of = {b: shared(phrase(b)) for b in brands}
+    exact_of = {kw: exact(kw) for kw in keywords}
+    phrase_of = {b: phrase(b) for b in brands}
     sk_exact = frozenset(exact_of.values())
     sb_phrases = frozenset(phrase_of.values())
-    snb_phrases = frozenset(shared(phrase(b)) for b in non_brands)
+    snb_phrases = frozenset(phrase(b) for b in non_brands)
 
     campaigns: list[Campaign] = []
 
@@ -271,11 +257,10 @@ def _emit_account(
             )
         )
 
-    campaign_negatives = group_campaign_negatives(plan.erasers, snb_phrases, interned)
+    campaign_negatives = group_campaign_negatives(plan.erasers, snb_phrases)
     owned = zip(plan.groups, plan.erasers, campaign_negatives)
     for index, (group, erasers, negs) in enumerate(owned, 1):
-        # Sibling lists are the group's exact set less the keyword's own,
-        # built from shared objects whose hashes the sets already hold.
+        # Sibling lists are the group's exact set less the keyword's own.
         group_exact = frozenset(exact_of[kw] for kw in group)
         adgroups = tuple(
             rule_adgroup(rule_by_kw[kw], group_exact - {exact_of[kw]})

@@ -124,12 +124,11 @@ def _subset_images(
 def enumerate_candidates(
     keywords: Sequence[Keyword],
     *,
-    max_words: int = MAX_WORDS,
     max_image: int | None = None,
 ) -> tuple[Candidate, ...]:
     """All useful candidate large erasers over ``keywords``.
 
-    Candidates are word subsets (size <= max_words) of individual keywords with
+    Candidates are word subsets (size <= MAX_WORDS) of individual keywords with
     image size in [2, max_image]; a candidate is dropped when a strict subset of
     its words has the identical image (the smaller word set blocks everything
     the bigger one does and more besides, so the bigger one is redundant).
@@ -138,7 +137,7 @@ def enumerate_candidates(
     """
     if max_image is None:
         max_image = group_target(len(keywords))
-    images = _subset_images(keywords, max_words)
+    images = _subset_images(keywords, MAX_WORDS)
 
     kept = {ws: img for ws, img in images.items() if 2 <= len(img) <= max_image}
     # Images only shrink as words are added, so some strict subset has the
@@ -336,8 +335,6 @@ def make_group_plan(
 def reduce_keywords(
     members: Iterable[Keyword],
     universe: Iterable[Keyword],
-    *,
-    max_words: int = MAX_WORDS,
 ) -> tuple[Eraser, ...]:
     """A small eraser set erasing exactly ``members`` and nothing else in ``universe``.
 
@@ -355,7 +352,7 @@ def reduce_keywords(
 
     strict = [
         (ws, img)
-        for ws, img in _subset_images(universe_list, max_words).items()
+        for ws, img in _subset_images(universe_list, MAX_WORDS).items()
         if len(img) >= 2 and img <= member_set
     ]
     strict.sort(key=lambda t: (-len(t[1]), t[0]))

@@ -236,19 +236,6 @@ class NegativeIndex:
                 del new.larges[key]
         return new
 
-    def stored(self, negative: NegativeKeyword) -> NegativeKeyword | None:
-        """The indexed negative equal to ``negative``, or None."""
-        words = negative.keyword.words
-        if negative.match is MatchType.EXACT:
-            posting = self.exact.get(words)
-        elif negative.match is MatchType.PHRASE:
-            posting = self.phrases.get(words)
-        else:
-            bucket = self.larges.get(min(words), [])
-            j = _position(bucket, negative)
-            posting = None if j is None else bucket[j][1]
-        return None if posting is None else posting[1]
-
     def _postings(self, query: QueryWords) -> list[_Posting]:
         """The posting of every indexed negative that blocks ``query``, unsorted."""
         hit = self.exact.get(query.words)

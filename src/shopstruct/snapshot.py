@@ -21,10 +21,10 @@ as the runs between the entries it lacks.
 
 Parsing interns negatives: the first entry with a given raw (keyword, match)
 pair is normalized and validated, and every later entry with that pair reuses
-its object.  A snapshot repeats each negative across many lists, so a parsed
-account holds one object per negative, as a built one does: each negative
-is stored once, and set operations on the lists match equal entries by
-identity without calling ``__eq__``.
+its object.  A snapshot repeats each negative across many lists, so each raw
+pair is normalized once, and the unions of a list family meet identical
+objects.  Nothing else depends on it: built and updated accounts may hold
+equal copies, and nothing compares negatives by identity.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ checks only the lists its log lengthens or adds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -26,9 +25,9 @@ from .builder import (
     group_campaign_name,
     rule_adgroup,
 )
-from .erasers import Eraser, ExactEraser, erases, reduce_keywords
+from .erasers import Eraser, ExactEraser, erases, group_target, reduce_keywords
 from .errors import DuplicateKeywordError, InputError
-from .keywords import Keyword, MatchType, NegativeKeyword, QueryWords, exact, phrase
+from .keywords import Keyword, NegativeKeyword, QueryWords, exact, phrase
 
 
 # --- change log ----------------------------------------------------------
@@ -53,10 +52,11 @@ class _Draft:
     a new value only for what it touches, so untouched campaigns and ad
     groups keep their identity.  Edited negative lists wait in ``pending``
     and are folded into their campaign by ``_relisted`` when a change reads
-    that campaign, or at ``freeze``, which builds the ``Account`` once.  Ops
-    that change a campaign's ad groups or erasers go through its constructor
-    and its checks.  Ad groups are found by name through a map per campaign,
-    built on first use and dropped when its ad groups change.
+    that campaign, or at ``freeze``, which builds the ``Account`` once.  An
+    eraser edit is swapped in by ``_relisted`` at once; only ops that change
+    a campaign's ad groups go through its constructor and its checks.  Ad
+    groups are found by name through a map per campaign, built on first use
+    and dropped when its ad groups change.
 
     Every list a change lengthens or adds is named in ``grown``, in the
     shape ``Account.check_limit`` takes: each list an ``AddNegative`` gives
@@ -164,7 +164,7 @@ class _Draft:
         camp = self.campaign(campaign)
         if not isinstance(camp.tag, GroupCampaignTag):
             raise InputError(f"campaign {campaign} is not a group campaign")
-        self.campaigns[campaign] = replace(camp, erasers=edit(camp.erasers))
+        self.campaigns[campaign] = _relisted(camp, erasers=edit(camp.erasers))
 
     def freeze(self) -> Account:
         for name in list(self.pending):
@@ -338,21 +338,19 @@ BALANCE_FACTOR = 2.0
 
 def check_balance(account: Account) -> BalanceReport:
     """Recommend a rebuild when group count or the biggest group passes
-    ``BALANCE_FACTOR * sqrt(n)``; balanced shapes keep both near sqrt(n)."""
+    ``BALANCE_FACTOR * group_target(n)``; balanced shapes keep both near
+    the group target."""
     n = sum(len(g) for g in account.partition)
     group_count = len(account.partition)
     max_size = max((len(g) for g in account.partition), default=0)
-    threshold = BALANCE_FACTOR * math.sqrt(n) if n else BALANCE_FACTOR
+    target = group_target(n)
+    threshold = BALANCE_FACTOR * target
+    why = f"factor {BALANCE_FACTOR} of the group target {target} for {n} keywords"
     reasons = []
     if group_count > threshold:
-        reasons.append(
-            f"{group_count} groups exceed {threshold:.1f} (factor {BALANCE_FACTOR} of sqrt({n}))"
-        )
+        reasons.append(f"{group_count} groups exceed {threshold:.1f} ({why})")
     if max_size > threshold:
-        reasons.append(
-            f"largest group has {max_size} keywords, over {threshold:.1f}"
-            f" (factor {BALANCE_FACTOR} of sqrt({n}))"
-        )
+        reasons.append(f"largest group has {max_size} keywords, over {threshold:.1f} ({why})")
     return BalanceReport(
         keyword_count=n,
         group_count=group_count,
@@ -391,41 +389,10 @@ def _outcome(account: Account, changes: list[Change]) -> UpdateOutcome:
     return UpdateOutcome(new_account, tuple(changes), check_balance(new_account))
 
 
-def _held(account: Account, negatives: list[NegativeKeyword]) -> frozenset[NegativeKeyword]:
-    """``negatives`` as the objects the account's lists hold, where they hold
-    an equal one, so an update keeps one object per negative as build and
-    parse do, and set operations on the lists compare by identity instead of
-    by ``__eq__``.  Looks in the admission index first; only for what it
-    lacks does it read the High campaign's long list, which holds every
-    catalogue exact and brand phrase."""
-    index = account.admission_index
-    held = [index.stored(n) for n in negatives]
-    if not all(held):
-        high = account.general_campaign().negatives
-        table = dict(zip(high, high))
-        held = [h or table.get(n, n) for h, n in zip(held, negatives)]
-    return frozenset(held)
-
-
-def _sibling_exacts(account: Account, chosen: Campaign) -> frozenset[NegativeKeyword]:
-    """The exact negative of every keyword of ``chosen``'s group, as objects
-    the account holds.  In an account that build or update made, two sibling
-    ad groups hold all of them between them; that is checked, not assumed."""
-    group = chosen.group
-    pool = frozenset().union(*(g.negatives for g in chosen.adgroups[:2]))
-    if len(pool) == len(group) and all(
-        n.match is MatchType.EXACT and n.keyword in group for n in pool
-    ):
-        return pool
-    return _held(account, [exact(other) for other in group])
-
-
-def _place_changes(
-    account: Account, chosen: Campaign, rule: Rule, neg: NegativeKeyword
-) -> list[Change]:
+def _place_changes(chosen: Campaign, rule: Rule, neg: NegativeKeyword) -> list[Change]:
     """Put ``rule``'s keyword into group campaign ``chosen``: every sibling ad
     group blocks it by ``neg``, and its new ad group blocks the siblings."""
-    siblings = _sibling_exacts(account, chosen)
+    siblings = frozenset(exact(other) for other in chosen.group)
     return [
         *(AddNegative(chosen.name, neg, adgroup.name) for adgroup in chosen.adgroups),
         AddAdGroup(chosen.name, rule_adgroup(rule, siblings)),
@@ -467,7 +434,7 @@ def add_rule(account: Account, rule: Rule) -> UpdateOutcome:
     changes: list[Change] = [AddNegative(camp.name, neg) for camp in blocking]
 
     if admitting:
-        changes += _place_changes(account, chosen, rule, neg)
+        changes += _place_changes(chosen, rule, neg)
         changes.append(AddEraser(chosen.name, ExactEraser(kw)))
     else:
         changes += _open_campaign_changes(account, rule)
@@ -491,9 +458,8 @@ def _open_campaign_changes(account: Account, rule: Rule) -> list[Change]:
     kw = rule.keyword
     existing = account.keywords()
     cover = reduce_keywords(existing, existing | {kw})
-    negs = _held(
-        account,
-        [e.to_negative() for e in cover] + [phrase(b) for b in account.non_brands],
+    negs = frozenset(
+        [e.to_negative() for e in cover] + [phrase(b) for b in account.non_brands]
     )
     index, name = _next_group_identity(account)
     campaign = Campaign(

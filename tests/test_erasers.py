@@ -25,6 +25,7 @@ from shopstruct import (
     select_color_class,
     welsh_powell,
 )
+from shopstruct.erasers import MAX_WORDS
 from conftest import GOLDEN_KEYWORDS
 import oracles
 from oracles import CandidateLimitError, exact_packing_oracle, expand
@@ -92,11 +93,9 @@ def test_enumerate_candidates_golden():
     assert got == [(set(w), set(img)) for w, img in EXPECTED_CANDIDATES]
 
 
-@pytest.mark.parametrize(
-    "max_words,max_image", [(2, 3), (3, None), (3, 3)]
-)
-def test_enumerate_candidates_stable_under_parameter_variants(max_words, max_image):
-    cands = enumerate_candidates(KW, max_words=max_words, max_image=max_image)
+@pytest.mark.parametrize("max_image", [3, None])
+def test_enumerate_candidates_stable_under_parameter_variants(max_image):
+    cands = enumerate_candidates(KW, max_image=max_image)
     assert [set(c.eraser.words) for c in cands] == [
         set(w) for w, _ in EXPECTED_CANDIDATES
     ]
@@ -401,7 +400,7 @@ def _texts(draw, max_size):
 def _cover_inputs(draw):
     """A catalogue with shared words and lone-word keywords, a member subset
     of it, a universe holding the catalogue plus extra keywords, and the
-    enumeration limits."""
+    enumeration's image cap."""
     catalogue = list(dict.fromkeys(normalize(t) for t in draw(_texts(25))))
     for i in range(draw(st.integers(0, 4))):
         at = draw(st.integers(0, len(catalogue)))
@@ -411,32 +410,30 @@ def _cover_inputs(draw):
     if draw(st.booleans()):
         extras.append(normalize("solo9"))
     universe = draw(st.permutations(list(dict.fromkeys(catalogue + extras))))
-    max_words = draw(st.integers(1, 3))
     max_image = draw(st.one_of(st.none(), st.integers(1, len(catalogue) + 1)))
-    return catalogue, members, universe, max_words, max_image
+    return catalogue, members, universe, max_image
 
 
 @settings(max_examples=200, deadline=None)
 @given(_cover_inputs())
 def test_enumerate_candidates_matches_reference(inputs):
-    catalogue, _, _, max_words, max_image = inputs
-    got = enumerate_candidates(catalogue, max_words=max_words, max_image=max_image)
-    want = oracles.enumerate_candidates(
-        catalogue, max_words=max_words, max_image=max_image
-    )
+    catalogue, _, _, max_image = inputs
+    got = enumerate_candidates(catalogue, max_image=max_image)
+    want = oracles.enumerate_candidates(catalogue, max_words=MAX_WORDS, max_image=max_image)
     assert got == want  # ordered candidates, each with its image
 
 
 @settings(max_examples=200, deadline=None)
 @given(_cover_inputs())
 def test_reduce_keywords_matches_reference(inputs):
-    _, members, universe, max_words, _ = inputs
+    _, members, universe, _ = inputs
 
-    def cover(reduce_fn):
-        erasers = reduce_fn(members, universe, max_words=max_words)
+    def cover(erasers):
         return [(e, eraser_image(e, universe)) for e in erasers]
 
-    assert cover(reduce_keywords) == cover(oracles.reduce_keywords)
+    assert cover(reduce_keywords(members, universe)) == cover(
+        oracles.reduce_keywords(members, universe, max_words=MAX_WORDS)
+    )
 
 
 @settings(max_examples=200, deadline=None)
