@@ -1,9 +1,10 @@
 """Pause Python's cyclic garbage collector around the bulk calls.
 
 Rules, accounts and verification reports are immutable and hold no
-reference cycles, so a collection during a compile, render, parse or verify
-frees nothing.  It still walks every container alive: at n=10000 a full
-pass walks the account's frozensets of about 1.5M negative references.
+reference cycles, so a collection during a compile, render, parse, verify or
+``Simulator`` setup frees nothing.  It still walks every container alive: at
+n=10000 a full pass walks the account's frozensets of about 1.5M negative
+references.
 ``tests/test_gc_pause.py`` checks that these calls leave no cyclic garbage.
 """
 

@@ -18,7 +18,7 @@ from enum import Enum
 from functools import cached_property
 from typing import ClassVar, Collection, Iterator, Mapping, Union
 
-from .erasers import Eraser
+from .erasers import Eraser, all_subset_images, refile_subset_images
 from .errors import InputError, LimitExceededError, UnknownKeywordError
 from .keywords import Keyword, NegativeIndex, NegativeKeyword
 
@@ -193,8 +193,9 @@ class Account:
     the group campaigns, all in the Low tier, as their tags say.
     ``partition`` and ``erasers`` are read-only views, taken once per
     account: each group campaign's ``group`` (the keywords of its rule ad
-    groups) and ``erasers``, in campaign storage order.  ``admission_index``
-    is derived state of the same kind; like them it stays out of ``==``.
+    groups) and ``erasers``, in campaign storage order.  ``keywords()``,
+    ``admission_index`` and ``subset_images`` are derived state of the same
+    kind; like them they stay out of ``==``.
     """
 
     limit: int
@@ -232,8 +233,26 @@ class Account:
         one by the batch's list edits (``updates._Draft.freeze``)."""
         return NegativeIndex(*(c.negatives for c in self.group_campaigns()))
 
+    @cached_property
+    def subset_images(self) -> Mapping[tuple[str, ...], frozenset[Keyword]]:
+        """``erasers.all_subset_images`` of the catalogue: each sorted subset
+        of up to ``MAX_WORDS`` distinct words of a keyword, with its image.
+        Built on first read.  An updated account is handed a base by
+        ``updates._Draft.freeze``, the images and keywords of the nearest
+        account before it that read them, and on first read refiles only the
+        keywords that came or went since."""
+        base = vars(self).pop("_images_base", None)
+        if base is None:
+            return all_subset_images(self.keywords())
+        keywords, images = base
+        return refile_subset_images(images, keywords, self.keywords())
+
     def keywords(self) -> frozenset[Keyword]:
         """All bidding keywords (the union of the partition)."""
+        return self._keywords
+
+    @cached_property
+    def _keywords(self) -> frozenset[Keyword]:
         out: set[Keyword] = set()
         for group in self.partition:
             out.update(group)

@@ -12,6 +12,11 @@ what is filed under it), build the conflict graph (images intersecting), color
 it, keep the color class erasing the most keywords (its images are pairwise
 disjoint), then pack the chosen erasers plus exact fillers into balanced
 keyword groups.
+
+The same filing, singletons included, is an account's ``subset_images``: an
+update refiles it by the keywords it adds and removes
+(``refile_subset_images``), and a campaign-opening add reads its cover off it
+(``cover_beside``) instead of filing the whole catalogue again.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InfeasibleTargetError, InputError
 from .keywords import Keyword, MatchType, NegativeKeyword, word_set
@@ -101,24 +106,58 @@ class Candidate:
         return len(self.image)
 
 
-def _subset_images(
+def _filed(
     keywords: Iterable[Keyword], max_words: int
-) -> dict[tuple[str, ...], frozenset[Keyword]]:
-    """Image over ``keywords`` of every word subset (size <= max_words) of a
-    keyword that some other keyword also holds, keyed by its sorted word
-    tuple, in first-seen order.  Both callers keep only images of two or more
-    keywords, and most subsets belong to one keyword alone, so those get none.
-
-    One pass files each distinct keyword under each of its own subsets; a
-    subset's image is the set of keywords filed under it.
-    """
+) -> dict[tuple[str, ...], list[Keyword]]:
+    """One pass that files each distinct keyword under each sorted subset of
+    up to ``max_words`` of its distinct words, in first-seen order; a
+    subset's image is the set of keywords filed under it."""
     filed: dict[tuple[str, ...], list[Keyword]] = {}
     for kw in dict.fromkeys(keywords):
         toks = sorted(set(kw.words))
         for r in range(1, min(max_words, len(toks)) + 1):
             for ws in itertools.combinations(toks, r):
                 filed.setdefault(ws, []).append(kw)
-    return {ws: frozenset(kws) for ws, kws in filed.items() if len(kws) > 1}
+    return filed
+
+
+def _subset_images(
+    keywords: Iterable[Keyword], max_words: int
+) -> dict[tuple[str, ...], frozenset[Keyword]]:
+    """Image over ``keywords`` of every word subset (size <= max_words) of a
+    keyword that some other keyword also holds, keyed by its sorted word
+    tuple, in first-seen order.  The build's view of ``_filed``: it keeps
+    only images of two or more keywords, and most subsets belong to one
+    keyword alone, so those get none."""
+    return {ws: frozenset(kws) for ws, kws in _filed(keywords, max_words).items() if len(kws) > 1}
+
+
+def all_subset_images(keywords: Iterable[Keyword]) -> dict[tuple[str, ...], frozenset[Keyword]]:
+    """Image over ``keywords`` of every word subset (size <= MAX_WORDS) of a
+    keyword, keyed by its sorted word tuple, singletons included so that an
+    added keyword can join them."""
+    return {ws: frozenset(kws) for ws, kws in _filed(keywords, MAX_WORDS).items()}
+
+
+def refile_subset_images(
+    images: Mapping[tuple[str, ...], frozenset[Keyword]],
+    old: frozenset[Keyword],
+    new: frozenset[Keyword],
+) -> dict[tuple[str, ...], frozenset[Keyword]]:
+    """``all_subset_images(new)`` derived from ``images``, which is
+    ``all_subset_images(old)``: only the subsets of the keywords in one set
+    and not the other are filed again.  ``images`` is left as it was."""
+    out = dict(images)
+    for ws, gone in _filed(old - new, MAX_WORDS).items():
+        left = out[ws].difference(gone)
+        if left:
+            out[ws] = left
+        else:
+            del out[ws]
+    for ws, came in _filed(new - old, MAX_WORDS).items():
+        held = out.get(ws)
+        out[ws] = frozenset(came) if held is None else held.union(came)
+    return out
 
 
 def enumerate_candidates(
@@ -338,32 +377,57 @@ def reduce_keywords(
 ) -> tuple[Eraser, ...]:
     """A small eraser set erasing exactly ``members`` and nothing else in ``universe``.
 
-    Greedy cover: strict large candidates (image inside ``members``) taken
-    largest-image-first while they erase at least two uncovered keywords, then
-    exact erasers for the rest.  Never longer than ``members`` itself.  The
-    candidates are the word subsets of the universe's keywords, imaged in one
-    pass over the universe (see ``_subset_images``); a subset that some
-    non-member holds has it in its image and is not strict.
+    Greedy cover (``_greedy_cover``) over the strict large candidates, those
+    whose image lies inside ``members``.  The candidates are the word subsets
+    of the universe's keywords, imaged in one pass over the universe (see
+    ``_subset_images``); a subset that some non-member holds has it in its
+    image and is not strict.
     """
     member_set = frozenset(members)
     universe_list = list(universe)
     if not member_set <= set(universe_list):
         raise InputError("reduce: members must lie inside the universe")
-
     strict = [
-        (ws, img)
+        (-len(img), ws, img)
         for ws, img in _subset_images(universe_list, MAX_WORDS).items()
-        if len(img) >= 2 and img <= member_set
+        if img <= member_set
     ]
-    strict.sort(key=lambda t: (-len(t[1]), t[0]))
+    return _greedy_cover(strict, member_set)
 
+
+def cover_beside(
+    images: Mapping[tuple[str, ...], frozenset[Keyword]],
+    members: frozenset[Keyword],
+    newcomer: Keyword,
+) -> tuple[Eraser, ...]:
+    """``reduce_keywords(members, members | {newcomer})`` read off ``images``,
+    which is ``all_subset_images(members)``.  A subset holding all its words
+    in ``newcomer`` has the newcomer in its image, so the strict candidates
+    are the other images of two or more members."""
+    words = frozenset(newcomer.words)
+    strict = [
+        (-size, ws, img)
+        for ws, img in images.items()
+        if (size := len(img)) >= 2 and not words.issuperset(ws)
+    ]
+    return _greedy_cover(strict, members)
+
+
+def _greedy_cover(
+    strict: list[tuple[int, tuple[str, ...], frozenset[Keyword]]], members: frozenset[Keyword]
+) -> tuple[Eraser, ...]:
+    """Large erasers from ``strict`` (minus image size, word tuple, image
+    inside ``members``), taken largest-image-first, then by words, while
+    they erase at least two uncovered keywords, then exact erasers for the
+    rest.  Never longer than ``members`` itself."""
+    strict.sort()  # the word tuples differ, so images are never compared
     chosen: list[Eraser] = []
     covered: set[Keyword] = set()
-    for ws, img in strict:
+    for _, ws, img in strict:
         fresh = img - covered
         if len(fresh) >= 2:
             chosen.append(LargeEraser(frozenset(ws)))
             covered.update(img)
-    for kw in sorted(member_set - covered):
+    for kw in sorted(members - covered):
         chosen.append(ExactEraser(kw))
     return tuple(chosen)

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+from ._gcpause import gc_paused
 from .account import Account, AdGroup, AdGroupTag, Campaign, Priority
 from .keywords import Keyword, NegativeIndex, NegativeKeyword, QueryWords
 
@@ -108,6 +109,7 @@ class Simulator:
     matched once.
     """
 
+    @gc_paused
     def __init__(self, account: Account) -> None:
         self.account = account
         self._tiers: list[tuple[list[Campaign], NegativeIndex]] = []

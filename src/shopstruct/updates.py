@@ -25,7 +25,7 @@ from .builder import (
     group_campaign_name,
     rule_adgroup,
 )
-from .erasers import Eraser, ExactEraser, erases, group_target, reduce_keywords
+from .erasers import Eraser, ExactEraser, cover_beside, erases, group_target
 from .errors import DuplicateKeywordError, InputError
 from .keywords import Keyword, NegativeKeyword, QueryWords, exact, phrase
 
@@ -68,7 +68,10 @@ class _Draft:
     ``list_edits``.  When the account has built its ``admission_index``,
     ``freeze`` derives the new account's index from it by those edits.  A
     removed campaign shifts the bits of the ones after it, so after one the
-    new account builds its own index when it is first read."""
+    new account builds its own index when it is first read.  ``freeze``
+    also hands the new account the base its ``subset_images`` are refiled
+    from on first read: the account's own images and keywords when it read
+    them, else the base it was handed."""
 
     def __init__(self, account: Account) -> None:
         self.account = account
@@ -178,6 +181,11 @@ class _Draft:
             edits = [(neg, bits[name], held) for name, neg, held in self.list_edits if name in bits]
             # Fill the cached_property's slot, so the account never builds it.
             vars(account)["admission_index"] = index.edited(edits)
+        mine = vars(self.account)
+        if "subset_images" in mine:
+            vars(account)["_images_base"] = (self.account.keywords(), mine["subset_images"])
+        elif "_images_base" in mine:
+            vars(account)["_images_base"] = mine["_images_base"]
         return account
 
 
@@ -454,10 +462,11 @@ def _next_group_identity(account: Account) -> tuple[int, str]:
 
 def _open_campaign_changes(account: Account, rule: Rule) -> list[Change]:
     """Case: every group campaign blocks the keyword; open a fresh one whose
-    negatives are a recomputed minimal cover of the existing catalogue."""
+    negatives are a recomputed minimal cover of the existing catalogue,
+    ``reduce_keywords(existing, existing | {kw})`` read off the account's
+    subset images."""
     kw = rule.keyword
-    existing = account.keywords()
-    cover = reduce_keywords(existing, existing | {kw})
+    cover = cover_beside(account.subset_images, account.keywords(), kw)
     negs = frozenset(
         [e.to_negative() for e in cover] + [phrase(b) for b in account.non_brands]
     )

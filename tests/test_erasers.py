@@ -448,19 +448,54 @@ def test_reduce_keywords_matches_reference(inputs):
     max_words=st.integers(1, 3),
 )
 def test_subset_images_meets_its_definition(texts, max_words):
-    from shopstruct.erasers import _subset_images
+    from shopstruct.erasers import _subset_images, all_subset_images
 
     keywords = [normalize(t) for t in texts]
-    images = _subset_images(keywords, max_words)
-    # Keys: the sorted subsets of up to max_words of each keyword's distinct
-    # words that at least two distinct keywords hold.
-    subsets = {
-        combo
-        for kw in keywords
-        for r in range(1, max_words + 1)
-        for combo in itertools.combinations(sorted(set(kw.words)), r)
+
+    def filing(max_words):
+        """Each sorted subset of up to max_words of a keyword's distinct
+        words, with the keywords that hold all its words."""
+        subsets = {
+            combo
+            for kw in keywords
+            for r in range(1, max_words + 1)
+            for combo in itertools.combinations(sorted(set(kw.words)), r)
+        }
+        return {ws: {kw for kw in keywords if set(ws) <= set(kw.words)} for ws in subsets}
+
+    # The build's view keeps the subsets that two or more keywords hold.
+    image_of = filing(max_words)
+    assert _subset_images(keywords, max_words) == {
+        ws: img for ws, img in image_of.items() if len(img) >= 2
     }
-    image_of = {ws: {kw for kw in keywords if set(ws) <= set(kw.words)} for ws in subsets}
-    assert set(images) == {ws for ws in subsets if len(image_of[ws]) >= 2}
-    for ws, image in images.items():
-        assert image == image_of[ws]
+    # The full filing keeps every subset of up to MAX_WORDS, singletons too.
+    assert all_subset_images(keywords) == filing(MAX_WORDS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    old=st.lists(st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=4), max_size=10),
+    new=st.lists(st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=4), max_size=10),
+)
+def test_refiled_subset_images_equal_a_fresh_filing(old, new):
+    from shopstruct.erasers import all_subset_images, refile_subset_images
+
+    old = frozenset(normalize(" ".join(w)) for w in old)
+    new = frozenset(normalize(" ".join(w)) for w in new) | set(sorted(old)[: len(old) // 2])
+    images = all_subset_images(old)
+    kept = dict(images)
+    assert refile_subset_images(images, old, new) == all_subset_images(new)
+    assert images == kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cover_inputs(), st.data())
+def test_cover_beside_equals_reduce_keywords(inputs, data):
+    from shopstruct.erasers import all_subset_images, cover_beside
+
+    catalogue, _, universe, _ = inputs
+    members = frozenset(catalogue)
+    newcomer = data.draw(st.sampled_from([kw for kw in universe if kw not in members] or [None]))
+    if newcomer is not None:
+        got = cover_beside(all_subset_images(members), members, newcomer)
+        assert got == reduce_keywords(members, members | {newcomer})

@@ -20,6 +20,7 @@ from shopstruct import (
     InputError,
     LimitExceededError,
     ShopstructError,
+    Simulator,
     SyntheticSpec,
     build_account,
     dumps_rules,
@@ -30,7 +31,7 @@ from shopstruct import (
     render_account,
     verify_account,
 )
-from shopstruct import builder, snapshot
+from shopstruct import builder, simulate, snapshot
 from shopstruct.cli import main
 
 
@@ -61,6 +62,7 @@ CALLS = {
     "render_account": (lambda s: render_account(s.account), None),
     "parse_account": (lambda s: parse_account(s.text), None),
     "verify_account": (lambda s: verify_account(s.account), None),
+    "Simulator": (lambda s: Simulator(s.account), None),
     "reduction_stats": (lambda s: reduction_stats(*s.catalogue), None),
     "build_over_limit": (
         lambda s: build_account(*s.catalogue, config=BuildConfig(limit=1)),
@@ -134,6 +136,21 @@ def test_collector_is_off_inside_the_call_and_a_nested_call_keeps_it_off(
         assert gc.isenabled()
     # Both calls pause; parse_account's nested call must not switch it back on.
     assert seen == [("emit", False), ("after parse_account_document", False)]
+
+
+def test_simulator_setup_runs_with_the_collector_off(synth300, monkeypatch):
+    seen = []
+    index = simulate.NegativeIndex
+
+    def spy_index(*lists):
+        seen.append(gc.isenabled())
+        return index(*lists)
+
+    monkeypatch.setattr(simulate, "NegativeIndex", spy_index)
+    with _collector(True):
+        Simulator(synth300.account)
+        assert gc.isenabled()
+    assert seen and not any(seen)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

@@ -41,13 +41,14 @@ from shopstruct import (
     large,
     normalize,
     phrase,
+    reduce_keywords,
     remove_item,
     remove_rule,
     parse_account,
     render_account,
     verify_account,
 )
-from shopstruct.erasers import group_target
+from shopstruct.erasers import all_subset_images, group_target
 from shopstruct.keywords import QueryWords, matches
 from shopstruct.updates import (
     AddAdGroup,
@@ -98,6 +99,29 @@ def _assert_carries_its_index(outcome):
     if derived is not None:
         fresh = NegativeIndex(*(c.negatives for c in account.group_campaigns()))
         assert index_postings(derived) == index_postings(fresh)
+
+
+def _assert_carries_its_images(before, outcome):
+    """An update reads at most its own account's subset images, never the
+    new account's; whenever either has read them, they equal a fresh filing
+    of its keywords."""
+    assert "subset_images" not in vars(outcome.account)
+    for account in (before, outcome.account):
+        images = vars(account).get("subset_images")
+        if images is not None:
+            assert images == all_subset_images(account.keywords())
+
+
+def _assert_opens_the_reduced_cover(before, changes):
+    """A campaign-opening add's list is ``reduce_keywords`` of the catalogue
+    against the catalogue and the new keyword, plus the blocked-brand
+    phrases."""
+    [opened] = [c.campaign for c in changes if isinstance(c, AddCampaign)]
+    [kw] = opened.group
+    existing = before.keywords()
+    cover = reduce_keywords(existing, existing | {kw})
+    blocked = {phrase(b) for b in before.non_brands}
+    assert opened.negatives == {e.to_negative() for e in cover} | blocked
 
 
 def test_add_rule_holding_a_blocked_brand_rejected(golden_account):
@@ -864,6 +888,7 @@ def test_blocked_add_opens_one_campaign_that_admits_only_its_keyword(name, seed)
     _assert_replay(account, out)
     opened = [c.campaign for c in out.changes if isinstance(c, AddCampaign)]
     assert len(opened) == 1
+    _assert_opens_the_reduced_cover(account, out.changes)
     fresh = opened[0]
     for old in account.keywords():
         assert any(matches(old, neg) for neg in fresh.negatives), old
@@ -886,7 +911,8 @@ def _seeded_updates():
     """40 seeded adds on synth n=300 seed 0, half of them blocked everywhere;
     a remove_rule after every fifth add, and of the keyword of every fourth
     blocked add right after it; two remove_items per eight adds.  Each update
-    replays and carries its admission index (``_assert_carries_its_index``).
+    replays and carries its admission index (``_assert_carries_its_index``)
+    and its subset images (``_assert_carries_its_images``).
     Returns the final account, every change-log line and each update as the
     account it started from and its change log."""
     cat = generate(SyntheticSpec(n=300, seed=0))
@@ -904,6 +930,7 @@ def _seeded_updates():
         nonlocal account
         _assert_replay(account, outcome)
         _assert_carries_its_index(outcome)
+        _assert_carries_its_images(account, outcome)
         lines.extend(c.describe() for c in outcome.changes)
         steps.append((account, outcome.changes))
         account = outcome.account
@@ -934,6 +961,35 @@ def _seeded_updates():
             rules = list(outcome.rules)
         previous = kw
     return account, lines, steps
+
+
+def test_each_open_along_the_seeded_updates_covers_as_reduce_keywords():
+    opens = [s for s in _seeded_updates()[2] if _step_kind(s[1]) == "opened"]
+    assert len(opens) == 20
+    for before, changes in opens:
+        _assert_opens_the_reduced_cover(before, changes)
+
+
+def test_only_a_read_files_an_accounts_subset_images():
+    """Updates that open no campaign file no images: each new account only
+    holds the base its first read refiles from, here the images of an
+    account two updates before it.  An open reads its own account's."""
+    account = replace(_admission_accounts()["synth-300"])
+    images = account.subset_images
+    rng = random.Random(1)
+    kw = _admitted_somewhere(account, rng)
+    admitted = add_rule(account, Rule(kw, Money(90_000), frozenset({"item-new"}))).account
+    removed = remove_rule(admitted, min(admitted.keywords())).account
+    for derived in (admitted, removed):
+        assert "subset_images" not in vars(derived)
+        keywords, base = vars(derived)["_images_base"]
+        assert keywords == account.keywords() and base is images
+    assert removed.subset_images == all_subset_images(removed.keywords())
+    assert "_images_base" not in vars(removed)
+    blocked = _blocked_everywhere(removed, rng)
+    opened = add_rule(removed, Rule(blocked, Money(90_000), frozenset({"item-new"}))).account
+    assert "subset_images" not in vars(opened)
+    assert opened.subset_images == all_subset_images(opened.keywords())
 
 
 def test_seeded_update_sequence_is_pinned():
@@ -1018,6 +1074,7 @@ class UpdateSequence(RuleBasedStateMachine):
         account = outcome.account
         assert apply_changes(self.account, outcome.changes) == account
         _assert_carries_its_index(outcome)
+        _assert_carries_its_images(self.account, outcome)
         assert verify_account(account, probes=200).passed
         text = render_account(account)
         assert text == json.dumps(account_document(account), indent=2) + "\n"
@@ -1076,8 +1133,9 @@ test_update_sequences = UpdateSequence.TestCase
 def test_updates_carry_their_index_along_the_maintain_600_sequence(monkeypatch):
     """The benchmark's 200 seeded maintain-600 updates, seed 0: every account
     carries an admission index derived from its parent's and equal to a fresh
-    build, through 20 campaign opens.  No campaign closes here;
-    ``_seeded_updates`` closes some."""
+    build, through 20 campaign opens, and each open reads subset images
+    refiled from the last open's and equal to a fresh filing.  No campaign
+    closes here; ``_seeded_updates`` closes some."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     workloads = importlib.import_module("workloads")
     catalogue = generate(SyntheticSpec(n=600, seed=0))
@@ -1099,6 +1157,7 @@ def test_updates_carry_their_index_along_the_maintain_600_sequence(monkeypatch):
             outcome = remove_item(account, rules, maker.remove_item(rules))
             rules = list(outcome.rules)
         _assert_carries_its_index(outcome)
+        _assert_carries_its_images(account, outcome)
         seen.update(type(c).__name__ for c in outcome.changes)
         account = outcome.account
     assert seen["AddCampaign"] == 20 and seen["RemoveNegative"]
