@@ -416,10 +416,10 @@ def add_rule(account: Account, rule: Rule) -> UpdateOutcome:
     When some Low-tier campaign already admits the keyword, the smallest
     admitting group takes it: the keyword becomes a new ad group there, its
     exact negative goes to that campaign's sibling ad groups, to the High
-    and Medium campaigns and to every other group campaign that admits it.  When every campaign blocks it, a fresh campaign is opened
-    whose list is a recomputed cover of the existing catalogue.  Raises
-    LimitExceededError when the rule would lengthen a negative list past the
-    account's limit.
+    and Medium campaigns and to every other group campaign that admits it.
+    When every campaign blocks it, a fresh campaign is opened whose list is
+    a recomputed cover of the existing catalogue.  Raises LimitExceededError
+    when the rule would lengthen a negative list past the account's limit.
     """
     kw = rule.keyword
     if kw in account.keywords():
@@ -436,8 +436,8 @@ def add_rule(account: Account, rule: Rule) -> UpdateOutcome:
     if admitting:
         # min keeps the first of equal sizes: the earliest campaign.
         chosen = min(admitting, key=lambda camp: len(camp.group))
-        # A blocking campaign needs no exact: remove_rule keeps every
-        # negative that matches a catalogue keyword, so it keeps blocking.
+        # A group campaign that blocks kw already needs no exact: remove_rule
+        # keeps every negative that matches a catalogue keyword, kw included.
         blocking += [camp for camp in admitting if camp is not chosen]
     # One exact-negative object, shared by every list that gains it.
     neg = exact(kw)
