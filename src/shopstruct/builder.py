@@ -93,9 +93,16 @@ class BuildConfig:
 
 def _check_routable(keywords: Iterable[Keyword], non_brands: Sequence[Keyword]) -> None:
     """Reject keywords holding a blocked brand as a phrase: every campaign
-    blocks such a keyword, so its traffic could never land anywhere."""
-    blocked = NegativeIndex(phrase(b) for b in non_brands)
+    blocks such a keyword, so its traffic could never land anywhere.  Only a
+    keyword sharing a word with some blocked brand can hold one, so the
+    phrase index is built, and a keyword looked up, only for those."""
+    brand_words = {w for b in non_brands for w in b.words}
+    blocked: NegativeIndex | None = None
     for kw in keywords:
+        if brand_words.isdisjoint(kw.words):
+            continue
+        if blocked is None:
+            blocked = NegativeIndex(phrase(b) for b in non_brands)
         hits = blocked.hits(QueryWords(kw))
         if hits:
             raise InputError(

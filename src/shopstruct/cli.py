@@ -144,7 +144,8 @@ def _report_doc(report: VerificationReport) -> dict:
 
 def _cmd_verify(args) -> int:
     account = _read_account(args.account)
-    report = verify_account(account, probes=args.probes, seed=args.seed)
+    rules = load_rules(args.rules) if args.rules else None
+    report = verify_account(account, probes=args.probes, seed=args.seed, rules=rules)
     if args.json:
         print(json.dumps(_report_doc(report), indent=2))
         return 0 if report.passed else 1
@@ -374,6 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--account", required=True)
     p.add_argument("--probes", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--rules",
+        help="rule catalogue the account was built from; each keyword missing"
+        " on either side is a catalogue finding",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

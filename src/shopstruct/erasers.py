@@ -24,7 +24,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -334,20 +333,29 @@ def make_group_plan(
     large_covered = tuple(sizes)
     open_groups = {g for g in range(k) if sizes[g] < target_size}
     vocabulary: list[set[str]] = [set() for _ in range(k)]
-    holders: dict[str, set[int]] = {}  # word -> open groups whose vocabulary has it
+    holders: dict[str, int] = {}  # word -> bitmask of open groups whose vocabulary has it
     for g in open_groups:
         for kw in group_kws[g]:
             vocabulary[g].update(kw.words)
         for w in vocabulary[g]:
-            holders.setdefault(w, set()).add(g)
+            holders[w] = holders.get(w, 0) | 1 << g
 
     for kw in keywords:
         if kw in seen:
             continue
         words = word_set(kw)
-        shared = Counter(g for w in words for g in holders.get(w, ()))
-        if shared:
-            g = min(shared, key=lambda g: (-shared[g], sizes[g], g))
+        # levels[j]: the open groups holding more than j of the keyword's
+        # words, so the last non-empty level holds the groups sharing most.
+        levels: list[int] = []
+        for w in words:
+            mask = holders.get(w, 0)
+            for j, level in enumerate(levels):
+                levels[j] = level | mask
+                mask &= level
+            if mask:
+                levels.append(mask)
+        if levels:
+            g = _lightest(levels[-1], sizes)
         else:
             # Some group is open: fewer than n <= k * target_size keywords
             # are placed so far.
@@ -357,18 +365,31 @@ def make_group_plan(
         sizes[g] += 1
         if sizes[g] < target_size:
             for w in words - vocabulary[g]:
-                holders.setdefault(w, set()).add(g)
+                holders[w] = holders.get(w, 0) | 1 << g
             vocabulary[g] |= words
         else:
             open_groups.discard(g)
             for w in vocabulary[g]:
-                holders[w].discard(g)
+                holders[w] &= ~(1 << g)
 
     return GroupPlan(
         tuple(frozenset(g) for g in group_kws),
         tuple(tuple(e) for e in group_erasers),
         target_size,
     )
+
+
+def _lightest(groups: int, sizes: Sequence[int]) -> int:
+    """The group of bitmask ``groups`` with the fewest keywords, tie to the
+    lowest index."""
+    best = -1
+    while groups:
+        low = groups & -groups
+        g = low.bit_length() - 1
+        if best < 0 or sizes[g] < sizes[best]:
+            best = g
+        groups ^= low
+    return best
 
 
 def reduce_keywords(

@@ -9,8 +9,10 @@ the groups the parsed ad groups make.
 
 ``account_document`` is the reference definition of the format: a snapshot is
 ``json.dumps(account_document(account), indent=2) + "\\n"``.  ``render_account``
-writes those same bytes directly, without building the per-negative documents
-or going through json's pure-Python indenting encoder.
+writes those same bytes by the schema: each part of the fixed layout is
+written straight from the account at the depth it always sits at, from text
+templates that ``_object`` lays out as json.dumps would, so no document is
+built and json's pure-Python indenting encoder is never run.
 
 The structure repeats a few negatives across many lists: each ad group of a
 group campaign holds its siblings' exact negatives, and each group campaign
@@ -33,7 +35,8 @@ import json
 from dataclasses import replace
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _encode
-from typing import Any, Callable
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Sequence
 
 from ._gcpause import gc_paused
 from .account import (
@@ -101,9 +104,8 @@ def _eraser_doc(eraser: Eraser) -> dict[str, Any]:
     return {"kind": "exact", "keyword": eraser.keyword.text}
 
 
-def _document(
-    account: Account, negatives: Callable[[frozenset[NegativeKeyword]], Any]
-) -> dict[str, Any]:
+def account_document(account: Account) -> dict[str, Any]:
+    """The snapshot's reference definition: the JSON value of ``account``."""
     return {
         "limit": account.limit,
         "brands": [b.text for b in account.brands],
@@ -113,12 +115,12 @@ def _document(
                 "name": c.name,
                 "priority": c.priority.value,
                 "tag": _campaign_tag_doc(c.tag),
-                "negatives": negatives(c.negatives),
+                "negatives": _negatives_doc(c.negatives),
                 "adgroups": [
                     {
                         "name": g.name,
                         "tag": _adgroup_tag_doc(g.tag),
-                        "negatives": negatives(g.negatives),
+                        "negatives": _negatives_doc(g.negatives),
                         "tree": _tree_doc(g.tree),
                     }
                     for g in c.adgroups
@@ -133,18 +135,92 @@ def _document(
     }
 
 
-def account_document(account: Account) -> dict[str, Any]:
-    """The snapshot's reference definition: the JSON value of ``account``."""
-    return _document(account, _negatives_doc)
-
-
 @gc_paused
 def render_account(account: Account) -> str:
     """``json.dumps(account_document(account), indent=2) + "\\n"``, written directly."""
-    out = bytearray()
-    _Writer(account).write(_document(account, lambda negatives: negatives), 0, out)
-    out += b"\n"
-    return out.decode("ascii")
+    return _Writer(account).render()
+
+
+def _pad(level: int) -> str:
+    """The line break and indent before a value at nesting depth ``level``."""
+    return "\n" + "  " * level
+
+
+def _object(level: int, *fields: tuple[str, str]) -> str:
+    """A JSON object at depth ``level`` as ``json.dumps(..., indent=2)``
+    writes it, from its keys and their values' texts."""
+    inner = _pad(level + 1)
+    body = ("," + inner).join(f'"{key}": {text}' for key, text in fields)
+    return "{" + inner + body + _pad(level) + "}"
+
+
+def _array(level: int, texts: list[str]) -> str:
+    """A JSON array at depth ``level``, from its items' texts."""
+    if not texts:
+        return "[]"
+    inner = _pad(level + 1)
+    return "[" + inner + ("," + inner).join(texts) + _pad(level) + "]"
+
+
+def _strings(level: int, values: Iterable[str]) -> str:
+    return _array(level, [_encode(v) for v in values])
+
+
+def _json(value: Any, level: int) -> str:
+    """``json.dumps(value, indent=2)`` at depth ``level``, for the parts of
+    the schema that few entries hold: campaign tags, the tags of catch-all
+    and brand ad groups, and split trees, whose objects all hold a field.
+    (json.dumps itself, with an indent, leaves reference cycles behind on
+    every call.)"""
+    if isinstance(value, dict):
+        return _object(level, *((key, _json(item, level + 1)) for key, item in value.items()))
+    if isinstance(value, list):
+        return _array(level, [_json(item, level + 1) for item in value])
+    if isinstance(value, str):
+        return _encode(value)
+    return int.__repr__(value)
+
+
+# The schema's objects at their fixed depths, "%s" or "%d" where a value
+# goes and NUL where a list written on its own goes: the snapshot at depth 0,
+# campaigns at 2, ad groups at 4 with their tags and trees at 5, erasers at 3.
+_HOLE = "\0"
+_ACCOUNT = _object(
+    0, ("limit", "%d"), ("brands", "%s"), ("non_brands", "%s"),
+    ("campaigns", _HOLE), ("partition", "%s"), ("erasers", "%s"),
+).split(_HOLE)
+_CAMPAIGN = _object(
+    2, ("name", "%s"), ("priority", "%s"), ("tag", "%s"),
+    ("negatives", _HOLE), ("adgroups", _HOLE),
+).split(_HOLE)
+_ADGROUP = _object(
+    4, ("name", "%s"), ("tag", "%s"), ("negatives", _HOLE), ("tree", "%s")
+).split(_HOLE)
+_RULE_TAG = _object(5, ("kind", '"rule"'), ("keyword", "%s"))
+_LEAF = _object(5, ("kind", '"leaf"'), ("bid_micros", "%d"))
+_LARGE = _object(3, ("kind", '"large"'), ("words", "%s"))
+_EXACT = _object(3, ("kind", '"exact"'), ("keyword", "%s"))
+
+
+def _adgroup_tag_text(tag: AdGroupTag) -> str:
+    if type(tag) is RuleTag:
+        return _RULE_TAG % _encode(tag.keyword.text)
+    return _json(_adgroup_tag_doc(tag), 5)
+
+
+def _tree_text(tree: ProductTree) -> str:
+    if type(tree) is Leaf:
+        return _LEAF % tree.bid.micros
+    return _json(_tree_doc(tree), 5)
+
+
+def _eraser_text(eraser: Eraser) -> str:
+    if type(eraser) is LargeEraser:
+        return _LARGE % _strings(4, sorted(eraser.words))
+    return _EXACT % _encode(eraser.keyword.text)
+
+
+_rank = attrgetter("_sort_key")  # NegativeKeyword.sort_key, read without a call
 
 
 class _Family:
@@ -158,20 +234,21 @@ class _Family:
 
     def __init__(self, lists: list[frozenset[NegativeKeyword]]) -> None:
         self.union = frozenset().union(*lists)
-        self.ranked = sorted(self.union, key=NegativeKeyword.sort_key)
+        self.ranked = sorted(self.union, key=_rank)
         self.rank = {id(neg): i for i, neg in enumerate(self.ranked)}
         self.texts: dict[int, tuple[memoryview, list[int]]] = {}
 
     def text(self, level: int) -> tuple[memoryview, list[int]]:
         found = self.texts.get(level)
         if found is None:
-            pad = "\n" + "  " * (level + 1)
-            inner = pad + "  "
+            entry = _object(level + 1, ("keyword", "%s"), ("match", "%s"))
+            # The keyword's text and the match type's value, read without
+            # the Keyword.text and Enum.value properties.
             entries = [
-                "{" + inner + '"keyword": ' + _encode(n.keyword.text) + ","
-                + inner + '"match": ' + _encode(n.match.value) + pad + "}"
+                entry % (_encode(" ".join(n.keyword.words)), _encode(n.match._value_))
                 for n in self.ranked
             ]
+            pad = _pad(level + 1)
             gap = len(pad) + 1
             starts = list(accumulate((len(e) + gap for e in entries), initial=0))
             found = (memoryview(("," + pad).join(entries).encode()), starts)
@@ -180,19 +257,23 @@ class _Family:
 
 
 class _Writer:
-    """``json.dumps(..., indent=2)`` for the snapshot's documents, in which
-    negative lists are left as the account's frozensets, written as ASCII
-    into one ``bytearray``.
+    """The snapshot schema written as ``json.dumps(account_document(...),
+    indent=2)`` writes it, as ASCII into one ``bytearray``.
 
-    Strings go through the C string encoder, which escapes every non-ASCII
-    character as json.dumps does.  Negative lists are written by family (see
-    the module docstring): each list as the runs of its family's text
-    between the entries it lacks.  Those are found by a set difference,
-    which compares stored hashes (and the values of separate but equal
-    objects) and yields the union's own objects, so they rank by id even
-    where the list holds its own copies.  In a built account a
-    list lacks few of its family's entries, so it costs a sort of those few
-    and one copy per run.
+    Each part of the fixed schema (the head fields, campaigns, ad groups,
+    tags, leaf trees, ``partition`` and ``erasers``) is written straight from
+    the account at its known depth, with no document built.  Strings go
+    through the C string encoder, which escapes every non-ASCII character as
+    json.dumps does; the parts that few entries hold, such as campaign tags
+    and split trees, go through the generic ``_json``.
+
+    Negative lists are written by family (see the module docstring): each
+    list as the runs of its family's text between the entries it lacks.
+    Those are found by a set difference, which compares stored hashes (and
+    the values of separate but equal objects) and yields the union's own
+    objects, so they rank by id even where the list holds its own copies.
+    In a built account a list lacks few of its family's entries, so it costs
+    a sort of those few and one copy per run.
 
     Runs are copied from the family text through a memoryview straight into
     the one output buffer, which is decoded once.  A string per list or per
@@ -202,49 +283,67 @@ class _Writer:
     """
 
     def __init__(self, account: Account) -> None:
+        self.account = account
+        self.out = bytearray()
         tiers: dict[Priority, list[frozenset[NegativeKeyword]]] = {}
         for c in account.campaigns:
             tiers.setdefault(c.priority, []).append(c.negatives)
-        families = list(tiers.values())
-        families += [[g.negatives for g in c.adgroups] for c in account.campaigns]
+        # Campaign lists sit at depth 3, ad-group lists at 5; each family's
+        # text is made here, before the output grows (see render).
+        families = [(lists, 3) for lists in tiers.values()]
+        families += [([g.negatives for g in c.adgroups], 5) for c in account.campaigns]
         self.family: dict[int, _Family] = {}
-        for lists in families:
+        for lists, level in families:
             family = _Family(lists)
+            family.text(level)
             self.family.update((id(negs), family) for negs in lists)
 
-    def write(self, value: Any, level: int, out: bytearray) -> None:
-        if isinstance(value, str):
-            out += _encode(value).encode()
-        elif isinstance(value, int):
-            out += int.__repr__(value).encode()
-        elif isinstance(value, frozenset):
-            self.negatives(value, level, out)
-        elif isinstance(value, dict):
-            if not value:
-                out += b"{}"
-                return
-            inner = "\n" + "  " * (level + 1)
-            sep = "{" + inner
-            for key, item in value.items():
-                out += (sep + _encode(key) + ": ").encode()
-                self.write(item, level + 1, out)
-                sep = "," + inner
-            out += ("\n" + "  " * level + "}").encode()
-        else:
-            if not value:
-                out += b"[]"
-                return
-            inner = ("\n" + "  " * (level + 1)).encode()
-            sep = b"[" + inner
-            for item in value:
-                out += sep
-                self.write(item, level + 1, out)
-                sep = b"," + inner
-            out += ("\n" + "  " * level + "]").encode()
+    def render(self) -> str:
+        # Every large text but the output is made before the output starts
+        # to grow: the buffer then grows in place at the top of the C heap
+        # instead of moving past them, and the heap it leaves can be given
+        # back once freed.  Made on the way, they kept about 4 MB more
+        # peak memory in a verify at n=1000, which renders in its set-up.
+        account, out = self.account, self.out
+        head, tail = _ACCOUNT
+        brands = _strings(1, (b.text for b in account.brands))
+        non_brands = _strings(1, (b.text for b in account.non_brands))
+        partition = [_strings(2, sorted(kw.text for kw in group)) for group in account.partition]
+        erasers = [_array(2, [_eraser_text(e) for e in group]) for group in account.erasers]
+        end = (tail % (_array(1, partition), _array(1, erasers)) + "\n").encode()
+        del partition, erasers
+        out += (head % (account.limit, brands, non_brands)).encode()
+        self.items(account.campaigns, self.campaign, 1)
+        out += end
+        return out.decode("ascii")
 
-    def negatives(
-        self, negatives: frozenset[NegativeKeyword], level: int, out: bytearray
-    ) -> None:
+    def items(self, values: Sequence[Any], write: Callable[[Any], None], level: int) -> None:
+        """A list of campaigns or ad groups, never empty, at depth ``level``."""
+        inner = _pad(level + 1)
+        sep, between = ("[" + inner).encode(), ("," + inner).encode()
+        for value in values:
+            self.out += sep
+            write(value)
+            sep = between
+        self.out += (_pad(level) + "]").encode()
+
+    def campaign(self, c: Campaign) -> None:
+        head, middle, tail = _CAMPAIGN
+        fields = (_encode(c.name), _encode(c.priority.value), _json(_campaign_tag_doc(c.tag), 3))
+        self.out += (head % fields).encode()
+        self.negatives(c.negatives, 3)
+        self.out += middle.encode()
+        self.items(c.adgroups, self.adgroup, 3)
+        self.out += tail.encode()
+
+    def adgroup(self, g: AdGroup) -> None:
+        head, tail = _ADGROUP
+        self.out += (head % (_encode(g.name), _adgroup_tag_text(g.tag))).encode()
+        self.negatives(g.negatives, 5)
+        self.out += (tail % _tree_text(g.tree)).encode()
+
+    def negatives(self, negatives: frozenset[NegativeKeyword], level: int) -> None:
+        out = self.out
         if not negatives:
             out += b"[]"
             return
@@ -255,14 +354,14 @@ class _Writer:
         ends = lacked + [len(family.ranked)]
         # A run copied up to the next entry's start brings the separator the
         # next run needs; only the last run stops short of its own.
-        pad = "\n" + "  " * (level + 1)
+        pad = _pad(level + 1)
         runs = [(b, e) for b, e in zip(begins, ends) if b < e]
         last, stop = runs.pop()
         out += ("[" + pad).encode()
         for b, e in runs:
             out += text[starts[b] : starts[e]]
         out += text[starts[last] : starts[stop] - len("," + pad)]
-        out += ("\n" + "  " * level + "]").encode()
+        out += (_pad(level) + "]").encode()
 
 
 def _string(value: Any, what: str) -> str:

@@ -14,9 +14,11 @@ verdict, failing ones included, off the index bitmasks and builds no
 trajectory, so a case costs a few mask lookups.
 
 Static structure checks (limits, partition discipline, eraser coverage) run
-alongside.  A group campaign's keyword group is read off its rule ad groups,
-so partition discipline means that no keyword has rule ad groups in two group
-campaigns.  The negatives audit (each group campaign admits its own group's
+alongside, and, given the rule catalogue the account was built from, a
+catalogue check: every rule keyword has a rule ad group and every account
+keyword a rule.  A group campaign's keyword group is read off its rule ad
+groups, so partition discipline means that no keyword has rule ad groups in
+two group campaigns.  The negatives audit (each group campaign admits its own group's
 keywords and blocks every other group's) audits property 1's failures only:
 every group campaign is in the Low tier, so a keyword that landed in its own
 campaign already proves the audit's claim for it.  The audit reads the campaigns
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ._gcpause import gc_paused
-from .account import Account, AdGroupTag, BrandTag, CatchAllTag, RuleTag
+from .account import Account, AdGroupTag, BrandTag, CatchAllTag, Rule, RuleTag
 from .erasers import erases
 from .errors import InputError
 from .keywords import Keyword, subword_set, word_set
@@ -356,19 +358,46 @@ def verify_structure(
     return tuple(findings)
 
 
+def verify_catalogue(account: Account, rules: Sequence[Rule]) -> tuple[Finding, ...]:
+    """The account against the catalogue it was built from: each rule keyword
+    with no rule ad group, in catalogue order, then each account keyword with
+    no rule, in sorted order."""
+    held = account.keywords()
+    ruled = {r.keyword for r in rules}
+    findings = [
+        Finding(kind="catalogue", detail=f"rule keyword {kw.text!r} has no rule ad group")
+        for kw in dict.fromkeys(r.keyword for r in rules)
+        if kw not in held
+    ]
+    findings += [
+        Finding(kind="catalogue", detail=f"account keyword {kw.text!r} has no rule")
+        for kw in sorted(held - ruled)
+    ]
+    return tuple(findings)
+
+
 @gc_paused
 def verify_account(
-    account: Account, *, probes: int = 1000, seed: int = 0
+    account: Account,
+    *,
+    probes: int = 1000,
+    seed: int = 0,
+    rules: Sequence[Rule] | None = None,
 ) -> VerificationReport:
-    """Run all routing properties plus the structural checks on one simulator."""
+    """Run all routing properties plus the structural checks on one
+    simulator, and, given the ``rules`` the account was built from, the
+    catalogue check."""
     _check_probes(probes)
     sim = Simulator(account)
     own_keyword, failures = verify_property1(sim)
+    findings = verify_structure(sim, failures)
+    if rules is not None:
+        findings += verify_catalogue(account, rules)
     return VerificationReport(
         properties=(
             own_keyword,
             verify_property2(sim, probes=probes, seed=seed),
             verify_property3(sim, probes=probes, seed=seed),
         ),
-        findings=verify_structure(sim, failures),
+        findings=findings,
     )

@@ -3,6 +3,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FOUR_KEYWORDS,
@@ -41,7 +43,10 @@ from shopstruct import (
     build_graph,
     enumerate_candidates,
     normalize,
+    add_rule,
+    matches,
 )
+from shopstruct.builder import _check_routable
 from shopstruct.erasers import group_target
 
 
@@ -383,3 +388,66 @@ def test_candidate_pipeline_agrees_with_build(golden_rules):
     graph = build_graph(candidates)
     assert graph.node_count == 9
     assert graph.edge_count == 12
+
+
+# --- routable keywords ------------------------------------------------------
+
+_ROUTE_WORDS = ["ree", "bok", "nike", "shoes", "red"]
+_route_phrase = st.lists(st.sampled_from(_ROUTE_WORDS), min_size=1, max_size=4).map(
+    lambda ws: normalize(" ".join(ws))
+)
+
+
+def _refusal(keyword, non_brands):
+    """The message for a keyword that some blocked brand blocks as a phrase,
+    naming the first such brand in sort order; None for a routable one."""
+    blocking = [b for b in non_brands if matches(keyword, phrase(b))]
+    if not blocking:
+        return None
+    first = min(blocking, key=lambda b: phrase(b).sort_key())
+    return (
+        f"keyword {keyword.text!r} contains the blocked brand"
+        f" {first.text!r}, so no campaign can route it"
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_route_phrase, min_size=1, max_size=8, unique=True),
+    st.lists(_route_phrase, max_size=3, unique=True),
+    _route_phrase,
+)
+def test_routable_check_refuses_exactly_the_blocked_keywords(keywords, non_brands, added):
+    rules = [Rule(kw, Money(1000), frozenset({f"item-{i}"})) for i, kw in enumerate(keywords)]
+    for kw in keywords:
+        expected = _refusal(kw, non_brands)
+        if expected is None:
+            _check_routable([kw], non_brands)
+        else:
+            with pytest.raises(InputError) as refused:
+                _check_routable([kw], non_brands)
+            assert str(refused.value) == expected
+    # A build names the first refused keyword in catalogue order.
+    first = next(filter(None, (_refusal(kw, non_brands) for kw in keywords)), None)
+    if first is not None:
+        with pytest.raises(InputError) as refused:
+            build_account(rules, (), non_brands)
+        assert str(refused.value) == first
+        return
+    account = build_account(rules, (), non_brands)
+    assume(added not in keywords)
+    rule = Rule(added, Money(1000), frozenset({"item-new"}))
+    expected = _refusal(added, non_brands)
+    if expected is None:
+        assert added in add_rule(account, rule).account.keywords()
+    else:
+        with pytest.raises(InputError) as refused:
+            add_rule(account, rule)
+        assert str(refused.value) == expected
+
+
+def test_routable_check_names_the_first_of_two_blocked_brands():
+    non_brands = [normalize("shoes"), normalize("red nike"), normalize("nike")]
+    first = "^keyword 'red nike shoes' contains the blocked brand 'nike',"
+    with pytest.raises(InputError, match=first):
+        _check_routable([normalize("red nike shoes")], non_brands)

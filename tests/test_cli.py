@@ -146,6 +146,33 @@ def test_verify_fails_on_tampered_account(workspace, capsys):
     assert "FAIL" in out
 
 
+def test_verify_rules_report_a_removed_rule_adgroup(workspace, capsys):
+    # Dropping a rule ad group and its partition entry leaves a sound
+    # account that verifies clean; only the catalogue shows the keyword gone.
+    path = workspace / "account.json"
+    doc = json.loads(path.read_text())
+    index, camp = next(
+        (i, c) for i, c in enumerate(c for c in doc["campaigns"] if c["priority"] == "low")
+        if len(c["adgroups"]) > 1
+    )
+    gone = camp["adgroups"].pop()["tag"]["keyword"]
+    doc["partition"][index].remove(gone)
+    path.write_text(json.dumps(doc))
+    args = ["verify", "--account", str(path), "--probes", "50"]
+    assert main(args) == 0
+    capsys.readouterr()
+    rules = ["--rules", str(workspace / "rules.jsonl")]
+    assert main(args + rules) == 1
+    out = capsys.readouterr().out
+    assert f"finding [catalogue]: rule keyword {gone!r} has no rule ad group" in out
+    assert out.endswith("verification FAILED\n")
+    assert main(args + rules + ["--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["findings"] == [
+        {"kind": "catalogue", "detail": f"rule keyword {gone!r} has no rule ad group"}
+    ]
+
+
 def test_verify_non_string_keyword_exits_2(workspace, capsys):
     account_path = workspace / "account.json"
     doc = json.loads(account_path.read_text())

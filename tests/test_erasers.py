@@ -306,12 +306,14 @@ _VOCAB = ["nike", "adidas", "shoes", "air", "max", "large", "red", "white"]
 def _packing_inputs(draw):
     """A catalogue, disjoint selected candidates and a target size.
 
-    Some keywords use words of their own ("solo0", ...), so they share no word
-    with any group; the selection is empty, the color class, or a random
-    disjoint pick among the candidates."""
+    Keywords hold up to five words, so an exact filler can share one, two,
+    three or more words with the open groups and ties meet across those
+    levels.  Some keywords use words of their own ("solo0", ...), so they
+    share no word with any group; the selection is empty, the color class,
+    or a random disjoint pick among the candidates."""
     texts = draw(
         st.lists(
-            st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=3).map(" ".join),
+            st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=5).map(" ".join),
             min_size=1,
             max_size=30,
             unique_by=lambda t: normalize(t),
@@ -381,6 +383,73 @@ def test_group_plan_matches_reference_with_full_groups_after_the_erasers():
     plan = make_group_plan(keywords, selected, target_size=3)
     assert sorted(len(g) for g in plan.groups) == [3, 3, 3]
     assert plan == reference_group_plan(keywords, selected, target_size=3)
+
+
+def _seeded_plan(seeds, probe, pads, target):
+    """The plan of one large eraser per seed word, each imaging the
+    keywords of its seed, then the filler ``probe``, then ``pads`` fillers
+    that share no word; with where the probe landed, named by the seed word
+    of its group's eraser."""
+    keywords = [normalize(t) for kws in seeds.values() for t in kws]
+    keywords += [normalize(probe)] + [normalize(f"pad{i}") for i in range(pads)]
+    selected = [
+        Candidate(LargeEraser(frozenset({w})), eraser_image(LargeEraser(frozenset({w})), keywords))
+        for w in seeds
+    ]
+    assert [c.weight for c in selected] == [len(kws) for kws in seeds.values()]
+    plan = make_group_plan(keywords, selected, target_size=target)
+    assert len(plan.groups) == len(seeds)
+    assert plan == reference_group_plan(keywords, selected, target_size=target)
+    [landed] = [g for g in plan.erasers if ExactEraser(normalize(probe)) in g]
+    return next(w for e in landed if isinstance(e, LargeEraser) for w in e.words)
+
+
+@pytest.mark.parametrize(
+    "seeds, probe, pads, target, expected",
+    [
+        # "a b c" shares one word with p's group, two with q's, three with
+        # r's; equal sizes.
+        ({"p": ["p a", "p x"], "q": ["q a b", "q y"], "r": ["r a b c", "r z"]}, "a b c", 0, 3, "r"),
+        # The same levels with r's group the heaviest: the level decides.
+        (
+            {"p": ["p a", "p x"], "q": ["q a b", "q y"], "r": ["r a b c", "r z", "r w"]},
+            "a b c",
+            1,
+            4,
+            "r",
+        ),
+        # ... and with p's group, sharing one word, the lightest.
+        (
+            {"p": ["p a"], "q": ["q a b", "q y"], "r": ["r a b c", "r z", "r w"]},
+            "a b c",
+            2,
+            4,
+            "r",
+        ),
+        # q's and s's groups share two words: the lighter one, s's, takes it.
+        (
+            {"q": ["q a b", "q y", "q v"], "s": ["s a b", "s u"], "p": ["p a", "p x"]},
+            "a b c",
+            1,
+            4,
+            "s",
+        ),
+        # Two words each at equal sizes: the lower index, q's group.
+        ({"q": ["q a b", "q y"], "s": ["s a b", "s u"], "p": ["p a", "p x"]}, "a b c", 0, 3, "q"),
+        # Three words each, the heavier first in index: the lighter one.
+        (
+            {"q": ["q a b c", "q y", "q v"], "s": ["s a b c", "s u"], "p": ["p a b", "p x"]},
+            "a b c d e",
+            1,
+            4,
+            "s",
+        ),
+    ],
+)
+def test_filler_goes_to_the_lightest_group_sharing_the_most_words(
+    seeds, probe, pads, target, expected
+):
+    assert _seeded_plan(seeds, probe, pads, target) == expected
 
 
 # --- indexed enumeration and covers against the scanning originals ---------

@@ -23,7 +23,9 @@ from shopstruct import (
     verify_account,
 )
 from shopstruct.verify import (
+    Finding,
     describe_disposition,
+    verify_catalogue,
     verify_property1,
     verify_property2,
     verify_property3,
@@ -278,6 +280,15 @@ def _mutants(account):
 
 
 @pytest.fixture(scope="module")
+def base_rules(golden_rules):
+    """The rule catalogue of each base account."""
+    rules = {"golden": golden_rules}
+    for seed in (0, 1):
+        rules[f"synth-300-{seed}"] = generate(SyntheticSpec(n=300, seed=seed)).rules
+    return rules
+
+
+@pytest.fixture(scope="module")
 def base_accounts(golden_account):
     bases = {"golden": golden_account}
     for seed in (0, 1):
@@ -349,3 +360,36 @@ def test_limit_findings_equal_the_reference(unlimited_accounts, name):
         assert limits == [
             f"{w} holds {n} negatives, over the limit of {limit}" for w, n in over.items()
         ]
+
+
+@pytest.mark.parametrize("base", ["golden", "synth-300-0", "synth-300-1"])
+def test_rules_catch_a_removed_rule_adgroup(base_accounts, base_rules, base):
+    # Without its catalogue the mutant verifies clean; with it, the keyword
+    # whose rule ad group went is the one catalogue finding.
+    account, rules = base_accounts[base], base_rules[base]
+    mutant = _mutants(account)["rule ad group removed"]
+    [gone] = account.keywords() - mutant.keywords()
+    assert verify_account(mutant, probes=200).passed
+    report = verify_account(mutant, probes=200, rules=rules)
+    assert not report.passed
+    assert report.findings == (
+        Finding(kind="catalogue", detail=f"rule keyword {gone.text!r} has no rule ad group"),
+    )
+    assert verify_account(account, probes=200, rules=rules) == verify_account(account, probes=200)
+
+
+def test_rules_catch_an_account_keyword_with_no_rule(golden_account, golden_rules):
+    # Rule keywords with no ad group come in catalogue order, then account
+    # keywords with no rule in sorted order.
+    dropped = [golden_rules[3], golden_rules[0]]
+    rules = [r for r in golden_rules if r not in dropped] + [
+        replace(golden_rules[0], keyword=normalize("zz top")),
+        replace(golden_rules[0], keyword=normalize("aa first")),
+    ]
+    details = [f.detail for f in verify_catalogue(golden_account, rules)]
+    assert details == [
+        "rule keyword 'zz top' has no rule ad group",
+        "rule keyword 'aa first' has no rule ad group",
+        "account keyword 'adidas running shoes' has no rule",
+        "account keyword 'nike shoes' has no rule",
+    ]
