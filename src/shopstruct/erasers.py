@@ -46,9 +46,6 @@ class LargeEraser:
     def to_negative(self) -> NegativeKeyword:
         return NegativeKeyword(Keyword(tuple(sorted(self.words))), MatchType.LARGE)
 
-    def sort_key(self) -> tuple[int, tuple[str, ...]]:
-        return (1, tuple(sorted(self.words)))
-
 
 @dataclass(frozen=True)
 class ExactEraser:
@@ -58,9 +55,6 @@ class ExactEraser:
 
     def to_negative(self) -> NegativeKeyword:
         return NegativeKeyword(self.keyword, MatchType.EXACT)
-
-    def sort_key(self) -> tuple[int, tuple[str, ...]]:
-        return (0, self.keyword.words)
 
 
 Eraser = Union[LargeEraser, ExactEraser]
@@ -105,37 +99,33 @@ class Candidate:
         return len(self.image)
 
 
-def _filed(
-    keywords: Iterable[Keyword], max_words: int
-) -> dict[tuple[str, ...], list[Keyword]]:
+def _filed(keywords: Iterable[Keyword]) -> dict[tuple[str, ...], list[Keyword]]:
     """One pass that files each distinct keyword under each sorted subset of
-    up to ``max_words`` of its distinct words, in first-seen order; a
+    up to ``MAX_WORDS`` of its distinct words, in first-seen order; a
     subset's image is the set of keywords filed under it."""
     filed: dict[tuple[str, ...], list[Keyword]] = {}
     for kw in dict.fromkeys(keywords):
         toks = sorted(set(kw.words))
-        for r in range(1, min(max_words, len(toks)) + 1):
+        for r in range(1, min(MAX_WORDS, len(toks)) + 1):
             for ws in itertools.combinations(toks, r):
                 filed.setdefault(ws, []).append(kw)
     return filed
 
 
-def _subset_images(
-    keywords: Iterable[Keyword], max_words: int
-) -> dict[tuple[str, ...], frozenset[Keyword]]:
-    """Image over ``keywords`` of every word subset (size <= max_words) of a
+def _subset_images(keywords: Iterable[Keyword]) -> dict[tuple[str, ...], frozenset[Keyword]]:
+    """Image over ``keywords`` of every word subset (size <= MAX_WORDS) of a
     keyword that some other keyword also holds, keyed by its sorted word
     tuple, in first-seen order.  The build's view of ``_filed``: it keeps
     only images of two or more keywords, and most subsets belong to one
     keyword alone, so those get none."""
-    return {ws: frozenset(kws) for ws, kws in _filed(keywords, max_words).items() if len(kws) > 1}
+    return {ws: frozenset(kws) for ws, kws in _filed(keywords).items() if len(kws) > 1}
 
 
 def all_subset_images(keywords: Iterable[Keyword]) -> dict[tuple[str, ...], frozenset[Keyword]]:
     """Image over ``keywords`` of every word subset (size <= MAX_WORDS) of a
     keyword, keyed by its sorted word tuple, singletons included so that an
     added keyword can join them."""
-    return {ws: frozenset(kws) for ws, kws in _filed(keywords, MAX_WORDS).items()}
+    return {ws: frozenset(kws) for ws, kws in _filed(keywords).items()}
 
 
 def refile_subset_images(
@@ -147,13 +137,13 @@ def refile_subset_images(
     ``all_subset_images(old)``: only the subsets of the keywords in one set
     and not the other are filed again.  ``images`` is left as it was."""
     out = dict(images)
-    for ws, gone in _filed(old - new, MAX_WORDS).items():
+    for ws, gone in _filed(old - new).items():
         left = out[ws].difference(gone)
         if left:
             out[ws] = left
         else:
             del out[ws]
-    for ws, came in _filed(new - old, MAX_WORDS).items():
+    for ws, came in _filed(new - old).items():
         held = out.get(ws)
         out[ws] = frozenset(came) if held is None else held.union(came)
     return out
@@ -175,7 +165,7 @@ def enumerate_candidates(
     """
     if max_image is None:
         max_image = group_target(len(keywords))
-    images = _subset_images(keywords, MAX_WORDS)
+    images = _subset_images(keywords)
 
     kept = {ws: img for ws, img in images.items() if 2 <= len(img) <= max_image}
     # Images only shrink as words are added, so some strict subset has the
@@ -410,7 +400,7 @@ def reduce_keywords(
         raise InputError("reduce: members must lie inside the universe")
     strict = [
         (-len(img), ws, img)
-        for ws, img in _subset_images(universe_list, MAX_WORDS).items()
+        for ws, img in _subset_images(universe_list).items()
         if img <= member_set
     ]
     return _greedy_cover(strict, member_set)

@@ -32,7 +32,6 @@ equal copies, and nothing compares negatives by identity.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _encode
 from operator import attrgetter
@@ -475,6 +474,12 @@ def parse_account_document(doc: Any) -> Account:
         raise InputError("account snapshot must be a JSON object")
     interned: dict[tuple[str, str], NegativeKeyword] = {}
     try:
+        erasers = [
+            tuple(_parse_eraser(e) for e in _list(group, "eraser group"))
+            for group in _list(doc["erasers"], "erasers")
+        ]
+        # The i-th eraser entry belongs to the i-th group campaign.
+        owned = iter(erasers)
         campaigns = []
         for cdoc in _list(doc["campaigns"], "campaigns"):
             adgroups = tuple(
@@ -486,11 +491,13 @@ def parse_account_document(doc: Any) -> Account:
                 )
                 for g in _list(cdoc["adgroups"], "ad groups")
             )
+            tag = _parse_campaign_tag(cdoc["tag"])
             camp = Campaign(
                 name=_string(cdoc["name"], "campaign name"),
-                tag=_parse_campaign_tag(cdoc["tag"]),
+                tag=tag,
                 negatives=_parse_negatives(cdoc["negatives"], interned),
                 adgroups=adgroups,
+                erasers=next(owned, ()) if isinstance(tag, GroupCampaignTag) else (),
             )
             if cdoc["priority"] != camp.priority.value:
                 raise InputError(
@@ -505,22 +512,13 @@ def parse_account_document(doc: Any) -> Account:
             frozenset(_keywords(group, "partition group", "partition keyword"))
             for group in _list(doc["partition"], "partition")
         ]
-        erasers = [
-            tuple(_parse_eraser(e) for e in _list(group, "eraser group"))
-            for group in _list(doc["erasers"], "erasers")
-        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed account snapshot: {exc}") from exc
     except RecursionError as exc:
         raise InputError(_TOO_DEEP) from exc
-    # The i-th eraser entry belongs to the i-th group campaign.
-    owners = [i for i, c in enumerate(campaigns) if isinstance(c.tag, GroupCampaignTag)]
-    if len(erasers) != len(owners):
-        raise InputError(
-            f"erasers lists {len(erasers)} groups for {len(owners)} group campaigns"
-        )
-    for i, own in zip(owners, erasers):
-        campaigns[i] = replace(campaigns[i], erasers=own)
+    owners = sum(isinstance(c.tag, GroupCampaignTag) for c in campaigns)
+    if len(erasers) != owners:
+        raise InputError(f"erasers lists {len(erasers)} groups for {owners} group campaigns")
     account = Account(limit, brands, non_brands, tuple(campaigns))
     # The partition is written from the groups the rule ad groups make.
     if partition != list(account.partition):

@@ -10,7 +10,7 @@ checks only the lists its log lengthens or adds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 from .account import (
     Account,
@@ -134,6 +134,20 @@ class _Draft:
         if i is None and self.list_edits is not None:
             self.list_edits.append((campaign, negative, held))
 
+    def edit_eraser(self, campaign: str, eraser: Eraser, held: bool) -> None:
+        """Append (``held``) or remove ``eraser`` on a group campaign's erasers."""
+        camp = self.campaign(campaign)
+        if not isinstance(camp.tag, GroupCampaignTag):
+            raise InputError(f"campaign {campaign} is not a group campaign")
+        erasers = list(camp.erasers)
+        if held:
+            erasers.append(eraser)
+        elif eraser in erasers:
+            erasers.remove(eraser)
+        else:
+            raise InputError(f"campaign {campaign} has no such eraser")
+        self.campaigns[campaign] = _relisted(camp, erasers=tuple(erasers))
+
     def _restructure(self, campaign: Campaign) -> None:
         """Store ``campaign``, whose ad groups may not be the stored one's."""
         self.campaigns[campaign.name] = campaign
@@ -161,13 +175,6 @@ class _Draft:
         self.campaign(name)
         del self.campaigns[name]
         self.list_edits = None
-
-    def edit_erasers(self, campaign: str, edit: Callable) -> None:
-        """Replace the ``erasers`` of a group campaign by ``edit`` of them."""
-        camp = self.campaign(campaign)
-        if not isinstance(camp.tag, GroupCampaignTag):
-            raise InputError(f"campaign {campaign} is not a group campaign")
-        self.campaigns[campaign] = _relisted(camp, erasers=edit(camp.erasers))
 
     def freeze(self) -> Account:
         for name in list(self.pending):
@@ -286,7 +293,7 @@ class AddEraser(Change):
         )
 
     def apply(self, draft: _Draft) -> None:
-        draft.edit_erasers(self.campaign, lambda e: e + (self.eraser,))
+        draft.edit_eraser(self.campaign, self.eraser, True)
 
 
 @dataclass(frozen=True)
@@ -301,13 +308,7 @@ class RemoveEraser(Change):
         )
 
     def apply(self, draft: _Draft) -> None:
-        draft.edit_erasers(self.campaign, self._without)
-
-    def _without(self, erasers: tuple[Eraser, ...]) -> tuple[Eraser, ...]:
-        if self.eraser not in erasers:
-            raise InputError(f"campaign {self.campaign} has no such eraser")
-        i = erasers.index(self.eraser)
-        return erasers[:i] + erasers[i + 1 :]
+        draft.edit_eraser(self.campaign, self.eraser, False)
 
 
 def apply_changes(account: Account, changes: Iterable[Change]) -> Account:

@@ -9,6 +9,11 @@ Three routing properties are checked by simulation:
 3. generic routing: a query matching no catalogue keyword, no brand and no
    blocked brand lands in the catch-all ad group (seeded probes).
 
+Probes are admissible by construction: no filler is a brand or blocked-brand
+word, so a probe holds just the special phrases its brand's own words hold
+(none for a generic probe), and a brand whose words hold another brand or a
+blocked brand, decided once per brand, has its probes skipped.
+
 Each query's verdict comes from ``Simulator.disposition``, which reads every
 verdict, failing ones included, off the index bitmasks and builds no
 trajectory, so a case costs a few mask lookups.
@@ -29,6 +34,7 @@ Verification never mutates the account and is deterministic for a given seed.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -37,7 +43,7 @@ from ._gcpause import gc_paused
 from .account import Account, AdGroupTag, BrandTag, CatchAllTag, Rule, RuleTag
 from .erasers import erases
 from .errors import InputError
-from .keywords import Keyword, subword_set, word_set
+from .keywords import Keyword, subword_set
 from .simulate import Disposition, Landed, Simulator
 
 
@@ -154,17 +160,13 @@ def verify_property1(
 
 
 def _filler_pool(account: Account) -> list[str]:
-    """Filler words that can never form a brand or blocked-brand phrase."""
-    excluded: set[str] = set()
-    for b in account.brands:
-        excluded.update(word_set(b))
-    for b in account.non_brands:
-        excluded.update(word_set(b))
-    pool: set[str] = set()
-    for kw in account.keywords():
-        pool.update(word_set(kw) - excluded)
-    pool.update(f"zzfill{i}" for i in range(16))
-    return sorted(pool)
+    """Filler words that hold no brand or blocked-brand word: the catalogue's
+    other words and 16 spare ``zzfill`` ones, so the pool is never empty."""
+    excluded = {w for b in account.brands + account.non_brands for w in b.words}
+    spares = (w for w in (f"zzfill{i}" for i in itertools.count()) if w not in excluded)
+    pool = {w for kw in account.keywords() for w in kw.words}
+    pool.update(itertools.islice(spares, 16))
+    return sorted(pool - excluded)
 
 
 def _probe_routing(
@@ -212,19 +214,23 @@ def verify_property2(
     rng = random.Random(seed)
     pool = _filler_pool(account)
     brand_campaign = account.brand_campaign()
+    brands = [account.brands[i % len(account.brands)] for i in range(probes)]
+    special = account.brands + account.non_brands
+
+    # A brand whose words hold another special phrase has no admissible probe.
+    skipped = set()
+    for brand in set(brands):
+        runs = subword_set(brand)
+        if [b for b in special if b.words in runs] != [brand]:
+            skipped.add(brand)
 
     def draw(tag: BrandTag) -> Keyword | None:
         fillers = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
         cut = rng.randint(0, len(fillers))
-        q = Keyword(tuple(fillers[:cut]) + tag.brand.words + tuple(fillers[cut:]))
-        runs = subword_set(q)
-        if sum(1 for b in account.brands if b.words in runs) != 1:
+        if tag.brand in skipped:
             return None
-        if any(b.words in runs for b in account.non_brands):
-            return None
-        return q
+        return Keyword(tuple(fillers[:cut]) + tag.brand.words + tuple(fillers[cut:]))
 
-    brands = [account.brands[i % len(account.brands)] for i in range(probes)]
     targets = [(BrandTag(b), f"ad group for brand {b.text!r}") for b in brands]
     campaign = brand_campaign.name if brand_campaign else "?"
     return _probe_routing(sim, "brand routing", campaign, targets, draw)
@@ -238,12 +244,9 @@ def verify_property3(
     account = sim.account
     rng = random.Random(seed)
     pool = _filler_pool(account)
-    special = account.brands + account.non_brands
 
-    def draw(tag: CatchAllTag) -> Keyword | None:
-        q = Keyword(tuple(rng.choice(pool) for _ in range(rng.randint(1, 4))))
-        runs = subword_set(q)
-        return None if any(b.words in runs for b in special) else q
+    def draw(tag: CatchAllTag) -> Keyword:
+        return Keyword(tuple(rng.choice(pool) for _ in range(rng.randint(1, 4))))
 
     targets = [(CatchAllTag(), "the catch-all ad group")] * probes
     general = account.general_campaign().name

@@ -514,31 +514,24 @@ def test_reduce_keywords_matches_reference(inputs):
         ),
         max_size=12,
     ),
-    max_words=st.integers(1, 3),
 )
-def test_subset_images_meets_its_definition(texts, max_words):
+def test_subset_images_meets_its_definition(texts):
     from shopstruct.erasers import _subset_images, all_subset_images
 
     keywords = [normalize(t) for t in texts]
-
-    def filing(max_words):
-        """Each sorted subset of up to max_words of a keyword's distinct
-        words, with the keywords that hold all its words."""
-        subsets = {
-            combo
-            for kw in keywords
-            for r in range(1, max_words + 1)
-            for combo in itertools.combinations(sorted(set(kw.words)), r)
-        }
-        return {ws: {kw for kw in keywords if set(ws) <= set(kw.words)} for ws in subsets}
-
-    # The build's view keeps the subsets that two or more keywords hold.
-    image_of = filing(max_words)
-    assert _subset_images(keywords, max_words) == {
-        ws: img for ws, img in image_of.items() if len(img) >= 2
+    # Each sorted subset of up to MAX_WORDS of a keyword's distinct words,
+    # with the keywords that hold all its words.
+    subsets = {
+        combo
+        for kw in keywords
+        for r in range(1, MAX_WORDS + 1)
+        for combo in itertools.combinations(sorted(set(kw.words)), r)
     }
-    # The full filing keeps every subset of up to MAX_WORDS, singletons too.
-    assert all_subset_images(keywords) == filing(MAX_WORDS)
+    image_of = {ws: {kw for kw in keywords if set(ws) <= set(kw.words)} for ws in subsets}
+    # The build's view keeps the subsets that two or more keywords hold.
+    assert _subset_images(keywords) == {ws: img for ws, img in image_of.items() if len(img) >= 2}
+    # The full filing keeps every subset, singletons too.
+    assert all_subset_images(keywords) == image_of
 
 
 @settings(max_examples=200, deadline=None)

@@ -532,6 +532,21 @@ def test_render_cuts_any_subset_of_a_family(account):
     assert render_account(account) == json.dumps(account_document(account), indent=2) + "\n"
 
 
+def test_a_list_shared_by_a_campaign_and_its_ad_group_renders_at_both_depths(golden_account):
+    # One frozenset as a group campaign's list and its first ad group's sits
+    # in the Low tier's family (depth 3) and in the ad-group family (depth
+    # 5); the family it is filed under writes its text at both depths.
+    camp = golden_account.group_campaigns()[0]
+    first = replace(camp.adgroups[0], negatives=camp.negatives)
+    shared = replace(camp, adgroups=(first, *camp.adgroups[1:]))
+    account = replace(
+        golden_account,
+        campaigns=tuple(shared if c is camp else c for c in golden_account.campaigns),
+    )
+    assert account.group_campaigns()[0].adgroups[0].negatives is shared.negatives
+    assert render_account(account) == json.dumps(account_document(account), indent=2) + "\n"
+
+
 # sha256 of the rendered synth catalogues at n=300, as the quadratic packing,
 # per-sibling emission and json.dumps renderer produced them.
 PINNED_DIGESTS = {

@@ -31,6 +31,7 @@ from shopstruct.verify import (
     verify_property3,
     verify_structure,
 )
+from shopstruct.verify import _filler_pool
 
 
 def _drop_campaign_negative(account, campaign_name, negative):
@@ -181,6 +182,40 @@ def test_property3_probes_avoid_catalogue_collisions(golden_account):
     p3 = verify_property3(Simulator(golden_account), probes=300, seed=11)
     assert p3.passed
     assert p3.checked > 100
+
+
+@pytest.mark.parametrize("blocked", [False, True], ids=["brand", "blocked brand"])
+def test_a_special_phrase_named_like_a_spare_filler_leaves_the_pool(
+    golden_rules, golden_brands, golden_non_brands, blocked
+):
+    # Every filler word is tested against the brand and blocked-brand words,
+    # the spare zzfill words too, so no generic probe is ever inadmissible
+    # and the pool still holds 16 spares.
+    spare = (normalize("zzfill3"),)
+    if blocked:
+        account = build_account(golden_rules, golden_brands, golden_non_brands + spare)
+    else:
+        account = build_account(golden_rules, golden_brands + spare, golden_non_brands)
+    pool = _filler_pool(account)
+    assert "zzfill3" not in pool
+    assert {f"zzfill{i}" for i in range(17)} - {"zzfill3"} <= set(pool)
+    p3 = verify_property3(Simulator(account), probes=1000)
+    assert (p3.checked, p3.failures, p3.note) == (1000, (), None)
+    assert verify_account(account, probes=1000).passed
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_crowded_brands_are_skipped_as_the_reference_skips_them(golden_rules, seed):
+    # "nike air" holds the brand "air", and "nike outlet" the blocked brand
+    # "outlet": no probe of theirs holds one brand phrase and nothing else
+    # special, so their 200 of the 300 probes are skipped and "air" gets 100.
+    brands = tuple(normalize(b) for b in ("air", "nike air", "nike outlet"))
+    account = build_account(golden_rules, brands, (normalize("outlet"),))
+    report = verify_account(account, probes=300, seed=seed)
+    assert report == oracles.verify_account(account, probes=300, seed=seed)
+    p2 = report.properties[1]
+    assert (p2.checked, p2.failures) == (100, ())
+    assert p2.note == "200 probes skipped (no admissible query found)"
 
 
 def test_describe_disposition_strings(golden_account):
