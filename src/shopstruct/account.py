@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import ClassVar, Collection, Iterator, Mapping, Union
+from typing import ClassVar, Collection, Iterator, Mapping, Sequence, Union
 
-from .erasers import Eraser, all_subset_images, refile_subset_images
+from .erasers import Eraser, Ranked, all_subset_images, rank_subset_images, refile_subset_images
 from .errors import InputError, LimitExceededError, UnknownKeywordError
 from .keywords import Keyword, NegativeIndex, NegativeKeyword
 
@@ -194,8 +194,8 @@ class Account:
     ``partition`` and ``erasers`` are read-only views, taken once per
     account: each group campaign's ``group`` (the keywords of its rule ad
     groups) and ``erasers``, in campaign storage order.  ``keywords()``,
-    ``admission_index`` and ``subset_images`` are derived state of the same
-    kind; like them they stay out of ``==``.
+    ``admission_index``, ``subset_images`` and ``cover_ranking`` are derived
+    state of the same kind; like them they stay out of ``==``.
     """
 
     limit: int
@@ -233,19 +233,35 @@ class Account:
         one by the batch's list edits (``updates._Draft.freeze``)."""
         return NegativeIndex(*(c.negatives for c in self.group_campaigns()))
 
-    @cached_property
+    @property
     def subset_images(self) -> Mapping[tuple[str, ...], frozenset[Keyword]]:
         """``erasers.all_subset_images`` of the catalogue: each sorted subset
-        of up to ``MAX_WORDS`` distinct words of a keyword, with its image.
-        Built on first read.  An updated account is handed a base by
-        ``updates._Draft.freeze``, the images and keywords of the nearest
-        account before it that read them, and on first read refiles only the
-        keywords that came or went since."""
+        of up to ``MAX_WORDS`` distinct words of a keyword, with its image."""
+        return self._subset_filing[0]
+
+    @property
+    def cover_ranking(self) -> Sequence[Ranked]:
+        """``erasers.rank_subset_images`` of ``subset_images``: the images of
+        two or more keywords in greedy order, the candidates a
+        campaign-opening add walks for its cover."""
+        return self._subset_filing[1]
+
+    @cached_property
+    def _subset_filing(
+        self,
+    ) -> tuple[Mapping[tuple[str, ...], frozenset[Keyword]], Sequence[Ranked]]:
+        """``subset_images`` and ``cover_ranking``, built together on first
+        read of either: a built or parsed account files and ranks its whole
+        catalogue once.  An updated account is handed a base by
+        ``updates._Draft.freeze``, the keywords, images and ranking of the
+        nearest account before it that read them, and on first read refiles
+        only the keywords that came or went since."""
         base = vars(self).pop("_images_base", None)
         if base is None:
-            return all_subset_images(self.keywords())
-        keywords, images = base
-        return refile_subset_images(images, keywords, self.keywords())
+            images = all_subset_images(self.keywords())
+            return images, rank_subset_images(images)
+        keywords, images, ranking = base
+        return refile_subset_images(images, ranking, keywords, self.keywords())
 
     def keywords(self) -> frozenset[Keyword]:
         """All bidding keywords (the union of the partition)."""

@@ -13,14 +13,18 @@ it, keep the color class erasing the most keywords (its images are pairwise
 disjoint), then pack the chosen erasers plus exact fillers into balanced
 keyword groups.
 
-The same filing, singletons included, is an account's ``subset_images``: an
-update refiles it by the keywords it adds and removes
-(``refile_subset_images``), and a campaign-opening add reads its cover off it
-(``cover_beside``) instead of filing the whole catalogue again.
+The same filing, singletons included, is an account's ``subset_images``,
+and its images of two or more keywords, ranked in greedy order once
+(``rank_subset_images``), are the account's ``cover_ranking``.  An update
+refiles both by the keywords it adds and removes (``refile_subset_images``),
+moving only the refiled subsets in the ranking, and a campaign-opening add
+walks the ranking for its cover (``cover_beside``) instead of filing and
+sorting the whole catalogue again.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -32,6 +36,10 @@ from .keywords import Keyword, MatchType, NegativeKeyword, word_set
 
 # The most words a large eraser holds, at build and in updates alike.
 MAX_WORDS = 3
+
+# A cover candidate in greedy order: minus its image size, its sorted word
+# tuple and its image.
+Ranked = tuple[int, tuple[str, ...], frozenset[Keyword]]
 
 @dataclass(frozen=True)
 class LargeEraser:
@@ -128,25 +136,51 @@ def all_subset_images(keywords: Iterable[Keyword]) -> dict[tuple[str, ...], froz
     return {ws: frozenset(kws) for ws, kws in _filed(keywords).items()}
 
 
+def rank_subset_images(
+    images: Mapping[tuple[str, ...], frozenset[Keyword]],
+) -> list[Ranked]:
+    """The images of two or more keywords in ``images`` as ``(-size, words,
+    image)`` triples in greedy order: largest image first, then by words.
+    The word tuples differ, so images are never compared."""
+    ranking = [(-size, ws, img) for ws, img in images.items() if (size := len(img)) >= 2]
+    ranking.sort()
+    return ranking
+
+
 def refile_subset_images(
     images: Mapping[tuple[str, ...], frozenset[Keyword]],
+    ranking: Sequence[Ranked],
     old: frozenset[Keyword],
     new: frozenset[Keyword],
-) -> dict[tuple[str, ...], frozenset[Keyword]]:
-    """``all_subset_images(new)`` derived from ``images``, which is
-    ``all_subset_images(old)``: only the subsets of the keywords in one set
-    and not the other are filed again.  ``images`` is left as it was."""
+) -> tuple[dict[tuple[str, ...], frozenset[Keyword]], list[Ranked]]:
+    """``all_subset_images(new)`` and its ``rank_subset_images``, derived
+    from ``images``, which is ``all_subset_images(old)``, and its
+    ``ranking``: only the subsets of the keywords in one set and not the
+    other are filed again, and only their entries leave the ranking and
+    come back at their place.  ``images`` and ``ranking`` are left as they
+    were."""
     out = dict(images)
-    for ws, gone in _filed(old - new).items():
-        left = out[ws].difference(gone)
+    gone = _filed(old - new)
+    for ws, kws in gone.items():
+        left = out[ws].difference(kws)
         if left:
             out[ws] = left
         else:
             del out[ws]
-    for ws, came in _filed(new - old).items():
+    came = _filed(new - old)
+    for ws, kws in came.items():
         held = out.get(ws)
-        out[ws] = frozenset(came) if held is None else held.union(came)
-    return out
+        out[ws] = frozenset(kws) if held is None else held.union(kws)
+    ranked = list(ranking)
+    for ws in gone.keys() | came.keys():
+        before = images.get(ws)
+        if before is not None and len(before) >= 2:
+            # (-size, words) sorts just before its own triple.
+            del ranked[bisect.bisect_left(ranked, (-len(before), ws))]
+        after = out.get(ws)
+        if after is not None and len(after) >= 2:
+            bisect.insort(ranked, (-len(after), ws, after))
+    return out, ranked
 
 
 def enumerate_candidates(
@@ -398,45 +432,35 @@ def reduce_keywords(
     universe_list = list(universe)
     if not member_set <= set(universe_list):
         raise InputError("reduce: members must lie inside the universe")
-    strict = [
-        (-len(img), ws, img)
-        for ws, img in _subset_images(universe_list).items()
-        if img <= member_set
-    ]
-    return _greedy_cover(strict, member_set)
+    strict = {ws: img for ws, img in _subset_images(universe_list).items() if img <= member_set}
+    return _greedy_cover(rank_subset_images(strict), member_set)
 
 
 def cover_beside(
-    images: Mapping[tuple[str, ...], frozenset[Keyword]],
+    ranking: Iterable[Ranked],
     members: frozenset[Keyword],
     newcomer: Keyword,
 ) -> tuple[Eraser, ...]:
-    """``reduce_keywords(members, members | {newcomer})`` read off ``images``,
-    which is ``all_subset_images(members)``.  A subset holding all its words
-    in ``newcomer`` has the newcomer in its image, so the strict candidates
-    are the other images of two or more members."""
+    """``reduce_keywords(members, members | {newcomer})`` read off
+    ``ranking``, which is ``rank_subset_images(all_subset_images(members))``.
+    A subset holding all its words in ``newcomer`` has the newcomer in its
+    image, so the strict candidates are the others, already in greedy
+    order."""
     words = frozenset(newcomer.words)
-    strict = [
-        (-size, ws, img)
-        for ws, img in images.items()
-        if (size := len(img)) >= 2 and not words.issuperset(ws)
-    ]
-    return _greedy_cover(strict, members)
+    return _greedy_cover((t for t in ranking if not words.issuperset(t[1])), members)
 
 
-def _greedy_cover(
-    strict: list[tuple[int, tuple[str, ...], frozenset[Keyword]]], members: frozenset[Keyword]
-) -> tuple[Eraser, ...]:
-    """Large erasers from ``strict`` (minus image size, word tuple, image
-    inside ``members``), taken largest-image-first, then by words, while
-    they erase at least two uncovered keywords, then exact erasers for the
-    rest.  Never longer than ``members`` itself."""
-    strict.sort()  # the word tuples differ, so images are never compared
+def _greedy_cover(ranking: Iterable[Ranked], members: frozenset[Keyword]) -> tuple[Eraser, ...]:
+    """Large erasers from ``ranking`` (candidates in greedy order, each
+    image inside ``members``), each taken when it erases at least two
+    keywords not yet erased, then exact erasers for the rest.  Never longer
+    than ``members`` itself."""
     chosen: list[Eraser] = []
     covered: set[Keyword] = set()
-    for _, ws, img in strict:
-        fresh = img - covered
-        if len(fresh) >= 2:
+    for _, ws, img in ranking:
+        # Late in the walk most images lie inside the cover: test that
+        # first, with no set built.
+        if not img <= covered and len(img - covered) >= 2:
             chosen.append(LargeEraser(frozenset(ws)))
             covered.update(img)
     for kw in sorted(members - covered):

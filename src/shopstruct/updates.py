@@ -69,9 +69,10 @@ class _Draft:
     ``freeze`` derives the new account's index from it by those edits.  A
     removed campaign shifts the bits of the ones after it, so after one the
     new account builds its own index when it is first read.  ``freeze``
-    also hands the new account the base its ``subset_images`` are refiled
-    from on first read: the account's own images and keywords when it read
-    them, else the base it was handed."""
+    also hands the new account the base its ``subset_images`` and
+    ``cover_ranking`` are refiled from on first read: the account's own
+    keywords, images and ranking when it read them, else the base it was
+    handed."""
 
     def __init__(self, account: Account) -> None:
         self.account = account
@@ -189,8 +190,8 @@ class _Draft:
             # Fill the cached_property's slot, so the account never builds it.
             vars(account)["admission_index"] = index.edited(edits)
         mine = vars(self.account)
-        if "subset_images" in mine:
-            vars(account)["_images_base"] = (self.account.keywords(), mine["subset_images"])
+        if "_subset_filing" in mine:
+            vars(account)["_images_base"] = (self.account.keywords(), *mine["_subset_filing"])
         elif "_images_base" in mine:
             vars(account)["_images_base"] = mine["_images_base"]
         return account
@@ -467,9 +468,9 @@ def _open_campaign_changes(account: Account, rule: Rule) -> list[Change]:
     """Case: every group campaign blocks the keyword; open a fresh one whose
     negatives are a recomputed minimal cover of the existing catalogue,
     ``reduce_keywords(existing, existing | {kw})`` read off the account's
-    subset images."""
+    ranked subset images."""
     kw = rule.keyword
-    cover = cover_beside(account.subset_images, account.keywords(), kw)
+    cover = cover_beside(account.cover_ranking, account.keywords(), kw)
     negs = frozenset(
         [e.to_negative() for e in cover] + [phrase(b) for b in account.non_brands]
     )

@@ -540,24 +540,57 @@ def test_subset_images_meets_its_definition(texts):
     new=st.lists(st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=4), max_size=10),
 )
 def test_refiled_subset_images_equal_a_fresh_filing(old, new):
-    from shopstruct.erasers import all_subset_images, refile_subset_images
+    from shopstruct.erasers import all_subset_images, rank_subset_images, refile_subset_images
 
     old = frozenset(normalize(" ".join(w)) for w in old)
     new = frozenset(normalize(" ".join(w)) for w in new) | set(sorted(old)[: len(old) // 2])
     images = all_subset_images(old)
     kept = dict(images)
-    assert refile_subset_images(images, old, new) == all_subset_images(new)
+    refiled, _ = refile_subset_images(images, rank_subset_images(images), old, new)
+    assert refiled == all_subset_images(new)
     assert images == kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(
+        st.one_of(
+            st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=4).map(" ".join),
+            st.sampled_from(_VOCAB),
+        ),
+        max_size=14,
+    ),
+    steps=st.lists(st.tuples(st.sets(st.integers(0, 13)), st.sets(st.integers(0, 13))), max_size=4),
+)
+def test_refiled_ranking_equals_a_fresh_ranking(texts, steps):
+    """Each step of a chain removes some keywords of the drawn pool and adds
+    others, removed ones among them, and refiles from the step before.  The
+    small vocabulary makes shared words and one-word keywords common."""
+    from shopstruct.erasers import all_subset_images, rank_subset_images, refile_subset_images
+
+    pool = list(dict.fromkeys(normalize(t) for t in texts))
+    keywords = frozenset(pool[: len(pool) // 2])
+    images = all_subset_images(keywords)
+    ranking = rank_subset_images(images)
+    for gone, came in steps:
+        new = keywords - {pool[i] for i in gone if i < len(pool)}
+        new |= {pool[i] for i in came if i < len(pool)}
+        kept_images, kept_ranking = dict(images), list(ranking)
+        refiled, reranked = refile_subset_images(images, ranking, keywords, new)
+        assert refiled == all_subset_images(new)
+        assert reranked == rank_subset_images(all_subset_images(new))
+        assert images == kept_images and ranking == kept_ranking
+        keywords, images, ranking = new, refiled, reranked
 
 
 @settings(max_examples=200, deadline=None)
 @given(_cover_inputs(), st.data())
 def test_cover_beside_equals_reduce_keywords(inputs, data):
-    from shopstruct.erasers import all_subset_images, cover_beside
+    from shopstruct.erasers import all_subset_images, cover_beside, rank_subset_images
 
     catalogue, _, universe, _ = inputs
     members = frozenset(catalogue)
     newcomer = data.draw(st.sampled_from([kw for kw in universe if kw not in members] or [None]))
     if newcomer is not None:
-        got = cover_beside(all_subset_images(members), members, newcomer)
+        got = cover_beside(rank_subset_images(all_subset_images(members)), members, newcomer)
         assert got == reduce_keywords(members, members | {newcomer})

@@ -48,7 +48,7 @@ from shopstruct import (
     render_account,
     verify_account,
 )
-from shopstruct.erasers import all_subset_images, group_target
+from shopstruct.erasers import all_subset_images, group_target, rank_subset_images
 from shopstruct.keywords import QueryWords, matches
 from shopstruct.updates import (
     AddAdGroup,
@@ -102,14 +102,17 @@ def _assert_carries_its_index(outcome):
 
 
 def _assert_carries_its_images(before, outcome):
-    """An update reads at most its own account's subset images, never the
-    new account's; whenever either has read them, they equal a fresh filing
-    of its keywords."""
-    assert "subset_images" not in vars(outcome.account)
+    """An update reads at most its own account's subset images and their
+    ranking, never the new account's; whenever either account has read
+    them, the images equal a fresh filing of its keywords and the ranking a
+    fresh ranking of those images."""
+    assert "_subset_filing" not in vars(outcome.account)
     for account in (before, outcome.account):
-        images = vars(account).get("subset_images")
-        if images is not None:
+        filing = vars(account).get("_subset_filing")
+        if filing is not None:
+            images, ranking = filing
             assert images == all_subset_images(account.keywords())
+            assert ranking == rank_subset_images(images)
 
 
 def _assert_opens_the_reduced_cover(before, changes):
@@ -986,25 +989,31 @@ def test_each_open_along_the_seeded_updates_covers_as_reduce_keywords():
 
 
 def test_only_a_read_files_an_accounts_subset_images():
-    """Updates that open no campaign file no images: each new account only
-    holds the base its first read refiles from, here the images of an
-    account two updates before it.  An open reads its own account's."""
+    """Updates that open no campaign file and rank nothing: each new account
+    only holds the base its first read refiles from, here the images and
+    ranking of an account two updates before it.  An open reads its own
+    account's."""
     account = replace(_admission_accounts()["synth-300"])
-    images = account.subset_images
+    images, ranking = account.subset_images, account.cover_ranking
+    assert ranking == rank_subset_images(images)
     rng = random.Random(1)
     kw = _admitted_somewhere(account, rng)
     admitted = add_rule(account, Rule(kw, Money(90_000), frozenset({"item-new"}))).account
     removed = remove_rule(admitted, min(admitted.keywords())).account
     for derived in (admitted, removed):
-        assert "subset_images" not in vars(derived)
-        keywords, base = vars(derived)["_images_base"]
-        assert keywords == account.keywords() and base is images
+        assert "_subset_filing" not in vars(derived)
+        keywords, base, base_ranking = vars(derived)["_images_base"]
+        assert keywords == account.keywords() and base is images and base_ranking is ranking
+    assert removed.cover_ranking == rank_subset_images(all_subset_images(removed.keywords()))
     assert removed.subset_images == all_subset_images(removed.keywords())
     assert "_images_base" not in vars(removed)
     blocked = _blocked_everywhere(removed, rng)
     opened = add_rule(removed, Rule(blocked, Money(90_000), frozenset({"item-new"}))).account
-    assert "subset_images" not in vars(opened)
+    assert "_subset_filing" not in vars(opened)
+    _, base, base_ranking = vars(opened)["_images_base"]
+    assert base is removed.subset_images and base_ranking is removed.cover_ranking
     assert opened.subset_images == all_subset_images(opened.keywords())
+    assert opened.cover_ranking == rank_subset_images(opened.subset_images)
 
 
 def test_seeded_update_sequence_is_pinned():
