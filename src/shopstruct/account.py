@@ -18,6 +18,7 @@ from enum import Enum
 from functools import cached_property
 from typing import ClassVar, Collection, Iterator, Mapping, Sequence, Union
 
+from ._gcpause import gc_paused
 from .erasers import Eraser, Ranked, all_subset_images, rank_subset_images, refile_subset_images
 from .errors import InputError, LimitExceededError, UnknownKeywordError
 from .keywords import Keyword, NegativeIndex, NegativeKeyword
@@ -226,11 +227,13 @@ class Account:
         return tuple(c.erasers for c in self.group_campaigns())
 
     @cached_property
+    @gc_paused
     def admission_index(self) -> NegativeIndex:
         """The group campaigns' own lists in one index, bit ``i`` for the
         ``i``-th group campaign: the campaigns that block a new keyword.
-        Built on first read; an update derives its account's index from this
-        one by the batch's list edits (``updates._Draft.freeze``)."""
+        Built on first read, with the collector paused (see
+        ``_catalogue_filing``); an update derives its account's index from
+        this one by the batch's list edits (``updates._Draft.freeze``)."""
         return NegativeIndex(*(c.negatives for c in self.group_campaigns()))
 
     @property
@@ -258,8 +261,7 @@ class Account:
         only the keywords that came or went since."""
         base = vars(self).pop("_images_base", None)
         if base is None:
-            images = all_subset_images(self.keywords())
-            return images, rank_subset_images(images)
+            return _catalogue_filing(self.keywords())
         keywords, images, ranking = base
         return refile_subset_images(images, ranking, keywords, self.keywords())
 
@@ -329,6 +331,22 @@ class Account:
         may still shrink an account already over its cap."""
         for where, count in self.over_limit(lists).items():
             raise LimitExceededError(self.limit_message(where, count))
+
+
+@gc_paused
+def _catalogue_filing(
+    keywords: frozenset[Keyword],
+) -> tuple[Mapping[tuple[str, ...], frozenset[Keyword]], Sequence[Ranked]]:
+    """``all_subset_images`` of a whole catalogue and its ranking.
+
+    This and a from-scratch ``Account.admission_index`` run with the
+    collector paused.  Each makes tens of thousands of containers at
+    n=10000, and with the collector on they set off collections that walk
+    the whole account, about 1.5M negative references, and free nothing.
+    Pausing only one of the two moves those collections into the other.
+    The per-update derivations stay as they are."""
+    images = all_subset_images(keywords)
+    return images, rank_subset_images(images)
 
 
 def negative_count(account: Account) -> int:

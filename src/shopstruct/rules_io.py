@@ -21,37 +21,39 @@ from .errors import InputError
 from .keywords import Keyword, distinct_keywords, normalize
 
 
+_FIELDS = {"keyword", "cpc_micros", "items"}
+
+
 def parse_rule_line(line: str, *, where: str = "rule") -> Rule:
+    try:
+        return _parse_rule(line)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from exc
+
+
+def _parse_rule(line: str) -> Rule:
+    """One rule line; its errors leave the caller to name where it was."""
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise InputError(f"{where}: not valid JSON: {exc}") from exc
+        raise InputError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise InputError(f"{where}: nested too deeply") from exc
+        raise InputError("nested too deeply") from exc
     if not isinstance(doc, dict):
-        raise InputError(f"{where}: expected a JSON object")
-    missing = {"keyword", "cpc_micros", "items"} - doc.keys()
-    if missing:
-        raise InputError(f"{where}: missing fields: {', '.join(sorted(missing))}")
-    extra = doc.keys() - {"keyword", "cpc_micros", "items"}
-    if extra:
-        raise InputError(f"{where}: unknown fields: {', '.join(sorted(extra))}")
-    if not isinstance(doc["keyword"], str):
-        raise InputError(f"{where}: keyword must be a string")
-    if not isinstance(doc["cpc_micros"], int) or isinstance(doc["cpc_micros"], bool):
-        raise InputError(f"{where}: cpc_micros must be an integer")
-    if not isinstance(doc["items"], list) or not all(
-        isinstance(i, str) for i in doc["items"]
-    ):
-        raise InputError(f"{where}: items must be a list of strings")
-    try:
-        return Rule(
-            keyword=normalize(doc["keyword"]),
-            cpc=Money(doc["cpc_micros"]),
-            items=frozenset(doc["items"]),
-        )
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from exc
+        raise InputError("expected a JSON object")
+    if doc.keys() != _FIELDS:
+        missing = _FIELDS - doc.keys()
+        if missing:
+            raise InputError(f"missing fields: {', '.join(sorted(missing))}")
+        raise InputError(f"unknown fields: {', '.join(sorted(doc.keys() - _FIELDS))}")
+    keyword, cpc, items = doc["keyword"], doc["cpc_micros"], doc["items"]
+    if not isinstance(keyword, str):
+        raise InputError("keyword must be a string")
+    if not isinstance(cpc, int) or isinstance(cpc, bool):
+        raise InputError("cpc_micros must be an integer")
+    if not isinstance(items, list) or not all(isinstance(i, str) for i in items):
+        raise InputError("items must be a list of strings")
+    return Rule(keyword=normalize(keyword), cpc=Money(cpc), items=frozenset(items))
 
 
 @gc_paused
@@ -60,7 +62,11 @@ def loads_rules(text: str, *, source: str = "<rules>") -> tuple[Rule, ...]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        rules.append(parse_rule_line(line, where=f"{source}:{lineno}"))
+        try:
+            rules.append(_parse_rule(line))
+        except InputError as exc:
+            # The location is formatted only for the line that fails.
+            raise InputError(f"{source}:{lineno}: {exc}") from exc
     try:
         distinct_keywords(r.keyword for r in rules)
     except InputError as exc:

@@ -12,14 +12,18 @@ the groups the parsed ad groups make.
 writes those same bytes by the schema: each part of the fixed layout is
 written straight from the account at the depth it always sits at, from text
 templates that ``_object`` lays out as json.dumps would, so no document is
-built and json's pure-Python indenting encoder is never run.
+built and json's pure-Python indenting encoder is never run.  The parts are
+appended to one list of str pieces and put together by one ``"".join``, the
+only copy of the snapshot that is made.
 
 The structure repeats a few negatives across many lists: each ad group of a
 group campaign holds its siblings' exact negatives, and each group campaign
-the other groups' erasers.  So the renderer works by *family*, the ad-group
-lists of one campaign or the campaign lists of one tier.  A family's union is
-ranked and rendered once as one text, and each list is cut out of that text
-as the runs between the entries it lacks.
+the other groups' erasers.  So the renderer ranks the account's distinct
+negatives once and renders each one's entry text once per nesting depth,
+and every list is written as pieces that are those shared texts.  Lists are
+cut by *family*, the ad-group lists of one campaign or the campaign lists of
+one tier: each list is its family's union, in rank order, less a few
+entries, and is written as the runs between the entries it lacks.
 
 Parsing interns negatives: the first entry with a given raw (keyword, match)
 pair is normalized and validated, and every later entry with that pair reuses
@@ -32,7 +36,6 @@ equal copies, and nothing compares negatives by identity.
 from __future__ import annotations
 
 import json
-from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _encode
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
@@ -221,43 +224,33 @@ def _eraser_text(eraser: Eraser) -> str:
 
 _rank = attrgetter("_sort_key")  # NegativeKeyword.sort_key, read without a call
 
+# The opening, separator and closing texts of a list at each depth a list of
+# campaigns (1), ad groups (3) or negatives (3 and 5) sits at.
+_LIST = {
+    level: ("[" + _pad(level + 1), "," + _pad(level + 1), _pad(level) + "]")
+    for level in (1, 3, 5)
+}
+
 
 class _Family:
-    """The negative lists of one family, as cuts of one shared text.
+    """The negative lists of one family, each a cut of the family's union.
 
-    ``ranked`` is the union of the lists in canonical order and ``rank`` maps
-    the id of each of its objects to its position.  ``text(level)`` is the
-    union's entries rendered at one nesting depth and joined as one list
-    body, with the offset at which each entry starts.
+    ``order`` is the account-wide rank of each of the union's entries, in
+    canonical order, and ``position`` maps each rank back to its place there.
+    ``texts`` holds, per nesting depth, the union's entry texts in that
+    order: each entry bare, to open a list, and after its leading separator.
     """
 
-    def __init__(self, lists: list[frozenset[NegativeKeyword]]) -> None:
-        self.union = frozenset().union(*lists)
-        self.ranked = sorted(self.union, key=_rank)
-        self.rank = {id(neg): i for i, neg in enumerate(self.ranked)}
-        self.texts: dict[int, tuple[memoryview, list[int]]] = {}
-
-    def text(self, level: int) -> tuple[memoryview, list[int]]:
-        found = self.texts.get(level)
-        if found is None:
-            entry = _object(level + 1, ("keyword", "%s"), ("match", "%s"))
-            # The keyword's text and the match type's value, read without
-            # the Keyword.text and Enum.value properties.
-            entries = [
-                entry % (_encode(" ".join(n.keyword.words)), _encode(n.match._value_))
-                for n in self.ranked
-            ]
-            pad = _pad(level + 1)
-            gap = len(pad) + 1
-            starts = list(accumulate((len(e) + gap for e in entries), initial=0))
-            found = (memoryview(("," + pad).join(entries).encode()), starts)
-            self.texts[level] = found
-        return found
+    def __init__(self, union: frozenset[NegativeKeyword], rank: dict[Any, int]) -> None:
+        self.union = union
+        self.order = sorted(map(rank.__getitem__, map(_rank, union)))
+        self.position = dict(zip(self.order, range(len(self.order))))
+        self.texts: dict[int, tuple[list[str], list[str]]] = {}
 
 
 class _Writer:
     """The snapshot schema written as ``json.dumps(account_document(...),
-    indent=2)`` writes it, as ASCII into one ``bytearray``.
+    indent=2)`` writes it, as str pieces that one ``"".join`` puts together.
 
     Each part of the fixed schema (the head fields, campaigns, ad groups,
     tags, leaf trees, ``partition`` and ``erasers``) is written straight from
@@ -266,101 +259,124 @@ class _Writer:
     json.dumps does; the parts that few entries hold, such as campaign tags
     and split trees, go through the generic ``_json``.
 
-    Negative lists are written by family (see the module docstring): each
-    list as the runs of its family's text between the entries it lacks.
-    Those are found by a set difference, which compares stored hashes (and
-    the values of separate but equal objects) and yields the union's own
-    objects, so they rank by id even where the list holds its own copies.
-    In a built account a list lacks few of its family's entries, so it costs
-    a sort of those few and one copy per run.
-
-    Runs are copied from the family text through a memoryview straight into
-    the one output buffer, which is decoded once.  A string per list or per
-    run would do: but such short-lived strings of every size fragment the C
-    heap, and at n=10000 a renderer that made them kept 30 to 140 MB of freed
-    heap it could not return, raising peak memory by up to a third.
+    Negative lists are written by family (see the module docstring).  The
+    union of all family unions is sorted once, and each family orders its own
+    union by that account-wide rank.  The rank is keyed by the sort key, a
+    value, so separate but equal objects rank alike.  Each distinct
+    negative's entry is rendered once per depth, bare and after its leading
+    separator, and the pieces of a list are those shared texts: the runs of
+    its family's order between the entries it lacks, found by a set
+    difference with the family's union.  In a built account a list lacks few
+    of its family's entries, so it costs a sort of those few and one slice
+    per run.  No text is made per list or per run, so the join's output is
+    the only copy of the snapshot; the piece list holds one reference per
+    entry, 1.58M of them (12.6 MB) at n=10000 for a 147 MB snapshot.
     """
 
     def __init__(self, account: Account) -> None:
         self.account = account
-        self.out = bytearray()
+        self.parts: list[str] = []
         tiers: dict[Priority, list[frozenset[NegativeKeyword]]] = {}
         for c in account.campaigns:
             tiers.setdefault(c.priority, []).append(c.negatives)
-        # Campaign lists sit at depth 3, ad-group lists at 5; each family's
-        # text is made here, before the output grows (see render).
+        # Campaign lists sit at depth 3, ad-group lists at 5.
         families = [(lists, 3) for lists in tiers.values()]
         families += [([g.negatives for g in c.adgroups], 5) for c in account.campaigns]
+        unions = [frozenset().union(*lists) for lists, _ in families]
+        ranked = sorted(frozenset().union(*unions), key=_rank)
+        self.rank = {key: i for i, key in enumerate(map(_rank, ranked))}
+        # The keyword's text and the match type's value of each, read without
+        # the Keyword.text and Enum.value properties.
+        fields = [
+            (_encode(" ".join(n.keyword.words)), _encode(n.match._value_)) for n in ranked
+        ]
+        # Every distinct negative's entry text at each depth a list sits at,
+        # by rank, bare and after its leading separator.
+        self.entries: dict[int, tuple[list[str], list[str]]] = {}
+        for level in (3, 5):
+            entry = _object(level + 1, ("keyword", "%s"), ("match", "%s"))
+            bare = list(map(entry.__mod__, fields))
+            self.entries[level] = (bare, list(map(_LIST[level][1].__add__, bare)))
         self.family: dict[int, _Family] = {}
-        for lists, level in families:
-            family = _Family(lists)
-            family.text(level)
+        for (lists, level), union in zip(families, unions):
+            family = _Family(union, self.rank)
+            self.texts(family, level)
             self.family.update((id(negs), family) for negs in lists)
 
+    def texts(self, family: _Family, level: int) -> tuple[list[str], list[str]]:
+        """The family's entry texts at depth ``level``, bare and separated."""
+        found = family.texts.get(level)
+        if found is None:
+            bare, separated = self.entries[level]
+            found = family.texts[level] = (
+                list(map(bare.__getitem__, family.order)),
+                list(map(separated.__getitem__, family.order)),
+            )
+        return found
+
     def render(self) -> str:
-        # Every large text but the output is made before the output starts
-        # to grow: the buffer then grows in place at the top of the C heap
-        # instead of moving past them, and the heap it leaves can be given
-        # back once freed.  Made on the way, they kept about 4 MB more
-        # peak memory in a verify at n=1000, which renders in its set-up.
-        account, out = self.account, self.out
+        account, parts = self.account, self.parts
         head, tail = _ACCOUNT
         brands = _strings(1, (b.text for b in account.brands))
         non_brands = _strings(1, (b.text for b in account.non_brands))
+        parts.append(head % (account.limit, brands, non_brands))
+        self.items(account.campaigns, self.campaign, 1)
         partition = [_strings(2, sorted(kw.text for kw in group)) for group in account.partition]
         erasers = [_array(2, [_eraser_text(e) for e in group]) for group in account.erasers]
-        end = (tail % (_array(1, partition), _array(1, erasers)) + "\n").encode()
-        del partition, erasers
-        out += (head % (account.limit, brands, non_brands)).encode()
-        self.items(account.campaigns, self.campaign, 1)
-        out += end
-        return out.decode("ascii")
+        parts.append(tail % (_array(1, partition), _array(1, erasers)) + "\n")
+        return "".join(parts)
 
     def items(self, values: Sequence[Any], write: Callable[[Any], None], level: int) -> None:
         """A list of campaigns or ad groups, never empty, at depth ``level``."""
-        inner = _pad(level + 1)
-        sep, between = ("[" + inner).encode(), ("," + inner).encode()
+        sep, between, close = _LIST[level]
         for value in values:
-            self.out += sep
+            self.parts.append(sep)
             write(value)
             sep = between
-        self.out += (_pad(level) + "]").encode()
+        self.parts.append(close)
 
     def campaign(self, c: Campaign) -> None:
         head, middle, tail = _CAMPAIGN
         fields = (_encode(c.name), _encode(c.priority.value), _json(_campaign_tag_doc(c.tag), 3))
-        self.out += (head % fields).encode()
+        self.parts.append(head % fields)
         self.negatives(c.negatives, 3)
-        self.out += middle.encode()
+        self.parts.append(middle)
         self.items(c.adgroups, self.adgroup, 3)
-        self.out += tail.encode()
+        self.parts.append(tail)
 
     def adgroup(self, g: AdGroup) -> None:
         head, tail = _ADGROUP
-        self.out += (head % (_encode(g.name), _adgroup_tag_text(g.tag))).encode()
+        self.parts.append(head % (_encode(g.name), _adgroup_tag_text(g.tag)))
         self.negatives(g.negatives, 5)
-        self.out += (tail % _tree_text(g.tree)).encode()
+        self.parts.append(tail % _tree_text(g.tree))
 
     def negatives(self, negatives: frozenset[NegativeKeyword], level: int) -> None:
-        out = self.out
+        parts = self.parts
         if not negatives:
-            out += b"[]"
+            parts.append("[]")
             return
         family = self.family[id(negatives)]
-        text, starts = family.text(level)
-        lacked = sorted(map(family.rank.__getitem__, map(id, family.union - negatives)))
-        begins = [0] + [p + 1 for p in lacked]
-        ends = lacked + [len(family.ranked)]
-        # A run copied up to the next entry's start brings the separator the
-        # next run needs; only the last run stops short of its own.
-        pad = _pad(level + 1)
-        runs = [(b, e) for b, e in zip(begins, ends) if b < e]
-        last, stop = runs.pop()
-        out += ("[" + pad).encode()
-        for b, e in runs:
-            out += text[starts[b] : starts[e]]
-        out += text[starts[last] : starts[stop] - len("," + pad)]
-        out += (_pad(level) + "]").encode()
+        bare, separated = self.texts(family, level)
+        lacked = [family.position[self.rank[n._sort_key]] for n in family.union - negatives]
+        lacked.sort()
+        lacked.append(len(bare))
+        # Runs of the family's order between the lacked entries; the list's
+        # first entry goes without the separator the others carry.
+        stops = iter(lacked)
+        b = 0
+        for e in stops:
+            if b < e:
+                break
+            b = e + 1
+        open_, _, close = _LIST[level]
+        parts += (open_, bare[b])
+        parts += separated[b + 1 : e]
+        b = e + 1
+        for e in stops:
+            if b < e:
+                parts += separated[b:e]
+            b = e + 1
+        parts.append(close)
 
 
 def _string(value: Any, what: str) -> str:

@@ -31,6 +31,7 @@ from shopstruct import (
     render_account,
     verify_account,
 )
+from shopstruct import account as account_mod
 from shopstruct import builder, simulate, snapshot
 from shopstruct.cli import main
 
@@ -63,6 +64,8 @@ CALLS = {
     "parse_account": (lambda s: parse_account(s.text), None),
     "verify_account": (lambda s: verify_account(s.account), None),
     "Simulator": (lambda s: Simulator(s.account), None),
+    "admission_index": (lambda s: parse_account(s.text).admission_index, None),
+    "subset_images": (lambda s: parse_account(s.text).subset_images, None),
     "reduction_stats": (lambda s: reduction_stats(*s.catalogue), None),
     "build_over_limit": (
         lambda s: build_account(*s.catalogue, config=BuildConfig(limit=1)),
@@ -165,3 +168,27 @@ def test_cli_build_and_verify_restore_the_collector_state(tmp_path, enabled):
         over = ["build", "--rules", str(rules), "--limit", "1", "--out", str(account)]
         assert main(over) == 2
         assert gc.isenabled() is enabled
+
+
+def test_derived_builds_from_scratch_run_with_the_collector_off(synth300, monkeypatch):
+    # A parsed account has no base: its admission index and subset images are
+    # built from the whole account, and both pause the collector.
+    seen = []
+    index, filed = account_mod.NegativeIndex, account_mod.all_subset_images
+
+    def spy_index(*lists):
+        seen.append(("admission_index", gc.isenabled()))
+        return index(*lists)
+
+    def spy_filed(keywords):
+        seen.append(("subset_images", gc.isenabled()))
+        return filed(keywords)
+
+    monkeypatch.setattr(account_mod, "NegativeIndex", spy_index)
+    monkeypatch.setattr(account_mod, "all_subset_images", spy_filed)
+    parsed = parse_account(synth300.text)
+    with _collector(True):
+        parsed.admission_index
+        parsed.subset_images
+        assert gc.isenabled()
+    assert seen == [("admission_index", False), ("subset_images", False)]

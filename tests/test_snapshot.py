@@ -547,6 +547,55 @@ def test_a_list_shared_by_a_campaign_and_its_ad_group_renders_at_both_depths(gol
     assert render_account(account) == json.dumps(account_document(account), indent=2) + "\n"
 
 
+def test_render_ranks_by_value_when_identity_is_mixed_across_families(golden_account):
+    # The High tier's exact of a keyword is the very object one ad group of a
+    # group campaign holds, another ad group of that campaign holds a separate
+    # equal copy, and a Low-tier list holds negatives no other family holds.
+    # The account-wide ranking must place each of them by value.
+    high = golden_account.general_campaign()
+    camp = next(c for c in golden_account.group_campaigns() if len(c.adgroups) >= 3)
+    exact = NegativeKeyword(camp.adgroups[0].tag.keyword, MatchType.EXACT)
+    [held] = [n for n in high.negatives if n == exact]
+    copy = NegativeKeyword(exact.keyword, exact.match)
+
+    def holding(negatives, negative):
+        return (negatives - {negative}) | {negative}
+
+    _, first, second, *rest = camp.adgroups
+    mixed = replace(
+        camp,
+        adgroups=(
+            camp.adgroups[0],
+            replace(first, negatives=holding(first.negatives, held)),
+            replace(second, negatives=holding(second.negatives, copy)),
+            *rest,
+        ),
+    )
+    low = next(c for c in golden_account.group_campaigns() if c is not camp)
+    alone = frozenset(
+        NegativeKeyword(normalize(text), match)
+        for text, match in [
+            ("aaa alone", MatchType.EXACT),
+            ("mmm alone", MatchType.PHRASE),
+            ("zzz alone", MatchType.LARGE),
+        ]
+    )
+    lonely = replace(low, negatives=low.negatives | alone)
+    swap = {camp.name: mixed, low.name: lonely}
+    account = replace(
+        golden_account,
+        campaigns=tuple(swap.get(c.name, c) for c in golden_account.campaigns),
+    )
+    in_first, in_second = (
+        next(n for n in g.negatives if n == exact) for g in mixed.adgroups[1:3]
+    )
+    assert in_first is held and in_second is copy and copy is not held
+    lists = [c.negatives for c in account.campaigns]
+    lists += [g.negatives for c in account.campaigns for g in c.adgroups]
+    assert [negs for negs in lists if alone & negs] == [lonely.negatives]
+    assert render_account(account) == json.dumps(account_document(account), indent=2) + "\n"
+
+
 # sha256 of the rendered synth catalogues at n=300, as the quadratic packing,
 # per-sibling emission and json.dumps renderer produced them.
 PINNED_DIGESTS = {

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from shopstruct import (
@@ -149,6 +151,17 @@ def test_loads_rules_reports_line_numbers():
     )
     with pytest.raises(InputError, match=r"cat\.jsonl:3"):
         loads_rules(text, source="cat.jsonl")
+
+
+def test_loads_rules_names_the_last_line_of_a_long_text():
+    # The location is formatted only for a bad line; a late one keeps it.
+    good = [
+        json.dumps({"keyword": f"kw{i}", "cpc_micros": 5, "items": ["x"]}) for i in range(4999)
+    ]
+    text = "\n".join([*good, '{"keyword": "late", "cpc_micros": 5}'])
+    with pytest.raises(InputError) as caught:
+        loads_rules(text)
+    assert str(caught.value) == "<rules>:5000: missing fields: items"
 
 
 def test_loads_rules_rejects_duplicate_keywords():
