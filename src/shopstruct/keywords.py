@@ -15,19 +15,20 @@ one word).
 
 This module is the one place that decides whether a negative blocks a query.
 ``NegativeIndex`` answers for negative lists by hash lookups keyed by the
-query's own words (an inverted-file lookup).  It can hold several lists at
-once, storing each distinct negative once with the set of lists that hold it,
-so one lookup per query gives every blocking negative with the bitmask of its
-lists, or just the bitmask of the lists that block the query; a list's first
-match is the first of those hits that it holds.  An index is never changed
-once built; ``NegativeIndex.edited`` derives the index of the lists after a
-few additions and removals from it, sharing every posting they leave alone.
+query's own words (an inverted-file lookup); a query's contiguous runs are
+looked up only when one of its words starts a phrase negative.  It can hold
+several lists at once, storing each distinct negative once with the set of
+lists that hold it, so one lookup per query gives every blocking negative with
+the bitmask of its lists, or just the bitmask of the lists that block the
+query; a list's first match is the first of those hits that it holds.  An
+index is never changed once built; ``NegativeIndex.edited`` derives the index
+of the lists after a few additions and removals from it, sharing every posting
+they leave alone.
 ``matches`` is the plain reference definition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -38,8 +39,8 @@ class Keyword(NamedTuple):
     """An immutable, normalized token sequence.
 
     A one-field named tuple, so hashing, equality and ordering run in C.
-    ``hash(kw)`` is ``hash((kw.words,))``: set layouts and iteration orders,
-    and with them every change log and snapshot byte, rest on that value.
+    No output rests on the hash: str hashes are seeded per process, so every
+    change log and snapshot byte comes out in a sorted order.
     """
 
     words: tuple[str, ...]
@@ -83,38 +84,26 @@ class MatchType(Enum):
     PHRASE = "phrase"
     LARGE = "large"
 
+    # Members are singletons, so the identity hash is a value hash, in C.
+    __hash__ = object.__hash__
+
 
 # Each match type's place in canonical order, the first part of a sort key.
 _MATCH_RANK = {MatchType.EXACT: 0, MatchType.PHRASE: 1, MatchType.LARGE: 2}
 
 
-@dataclass(frozen=True)
-class NegativeKeyword:
+class NegativeKeyword(NamedTuple):
     """A keyword paired with the match type under which it blocks queries.
 
-    The hash and the sort key are computed once, at construction: sets and
-    dicts of negatives then pay one Python call per hash instead of three
-    (this class, ``Keyword`` and ``MatchType``).  The cached hash is the value
-    the generated dataclass hash gives, ``hash((keyword, match))``, so set
-    layouts and iteration orders are those of an uncached negative.
+    A two-field named tuple, like ``Keyword``, so construction, hashing and
+    equality run in C.  Negatives order by ``sort_key``, not as tuples.
     """
 
     keyword: Keyword
     match: MatchType
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.keyword, self.match)))
-        object.__setattr__(self, "_sort_key", (_MATCH_RANK[self.match], self.keyword.words))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuild through __init__, so an unpickled copy hashes by this process.
-        return (NegativeKeyword, (self.keyword, self.match))
-
     def sort_key(self) -> tuple[int, tuple[str, ...]]:
-        return self._sort_key
+        return _MATCH_RANK[self.match], self.keyword.words
 
     def describe(self) -> str:
         return f"[{self.match.value}] {self.keyword.text}"
@@ -133,15 +122,22 @@ def matches(query: Keyword, negative: NegativeKeyword) -> bool:
 
 
 class QueryWords:
-    """A query's token tuple, contiguous runs and word set, computed once so
-    that every negative list the query meets can share them."""
+    """A query's token tuple, word set and contiguous runs, shared by every
+    negative list the query meets; the runs are made on first use."""
 
-    __slots__ = ("words", "runs", "distinct")
+    __slots__ = ("query", "words", "distinct", "_runs")
 
     def __init__(self, query: Keyword) -> None:
+        self.query = query
         self.words = query.words
-        self.runs = subword_set(query)
         self.distinct = frozenset(query.words)
+        self._runs: frozenset[tuple[str, ...]] | None = None
+
+    @property
+    def runs(self) -> frozenset[tuple[str, ...]]:
+        if self._runs is None:
+            self._runs = subword_set(self.query)
+        return self._runs
 
 
 _Posting = tuple[tuple[int, tuple[str, ...]], NegativeKeyword, int]
@@ -155,15 +151,16 @@ class NegativeIndex:
     bitmask of the lists holding it (bit ``i`` for the ``i``-th list), so a
     negative shared by many campaigns or ad groups costs one entry and one
     probe.  Exact negatives are keyed by their token tuple and phrase
-    negatives by theirs, looked up once per contiguous run of the query.
-    Large negatives are bucketed under their smallest word and confirmed by
-    word-set inclusion.
+    negatives by theirs.  ``heads`` holds the phrase negatives' first words:
+    every phrase occurrence starts at one, so the query's contiguous runs are
+    looked up only when a head is among its words.  Large negatives are
+    bucketed under their smallest word and confirmed by word-set inclusion.
 
     A list's first match is its hit with the smallest ``sort_key``: exact
     before phrase before large, canonical order within a type.
     """
 
-    __slots__ = ("exact", "phrases", "larges")
+    __slots__ = ("exact", "phrases", "heads", "larges")
 
     def __init__(self, *lists: Iterable[NegativeKeyword]) -> None:
         # Masks are built per list family and merged by value.  The union of
@@ -195,6 +192,7 @@ class NegativeIndex:
                 self.phrases[words] = posting
             else:
                 self.larges.setdefault(min(words), []).append((frozenset(words), posting))
+        self.heads = frozenset(words[0] for words in self.phrases)
 
     def edited(self, edits: Iterable[tuple[NegativeKeyword, int, bool]]) -> NegativeIndex:
         """The index after each ``(negative, bit, held)`` edit in turn sets
@@ -234,13 +232,14 @@ class NegativeIndex:
         for key in copied:
             if not new.larges[key]:
                 del new.larges[key]
+        new.heads = frozenset(words[0] for words in new.phrases)
         return new
 
     def _postings(self, query: QueryWords) -> list[_Posting]:
         """The posting of every indexed negative that blocks ``query``, unsorted."""
         hit = self.exact.get(query.words)
         postings = [] if hit is None else [hit]
-        if self.phrases:
+        if not self.heads.isdisjoint(query.distinct):
             postings += [self.phrases[r] for r in query.runs if r in self.phrases]
         if self.larges:
             distinct = query.distinct

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _encode
-from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from ._gcpause import gc_paused
@@ -222,8 +221,6 @@ def _eraser_text(eraser: Eraser) -> str:
     return _EXACT % _encode(eraser.keyword.text)
 
 
-_rank = attrgetter("_sort_key")  # NegativeKeyword.sort_key, read without a call
-
 # The opening, separator and closing texts of a list at each depth a list of
 # campaigns (1), ad groups (3) or negatives (3 and 5) sits at.
 _LIST = {
@@ -241,9 +238,11 @@ class _Family:
     order: each entry bare, to open a list, and after its leading separator.
     """
 
-    def __init__(self, union: frozenset[NegativeKeyword], rank: dict[Any, int]) -> None:
+    def __init__(
+        self, union: frozenset[NegativeKeyword], rank: dict[NegativeKeyword, int]
+    ) -> None:
         self.union = union
-        self.order = sorted(map(rank.__getitem__, map(_rank, union)))
+        self.order = sorted(map(rank.__getitem__, union))
         self.position = dict(zip(self.order, range(len(self.order))))
         self.texts: dict[int, tuple[list[str], list[str]]] = {}
 
@@ -261,7 +260,7 @@ class _Writer:
 
     Negative lists are written by family (see the module docstring).  The
     union of all family unions is sorted once, and each family orders its own
-    union by that account-wide rank.  The rank is keyed by the sort key, a
+    union by that account-wide rank.  The rank is keyed by the negative, a
     value, so separate but equal objects rank alike.  Each distinct
     negative's entry is rendered once per depth, bare and after its leading
     separator, and the pieces of a list are those shared texts: the runs of
@@ -283,8 +282,8 @@ class _Writer:
         families = [(lists, 3) for lists in tiers.values()]
         families += [([g.negatives for g in c.adgroups], 5) for c in account.campaigns]
         unions = [frozenset().union(*lists) for lists, _ in families]
-        ranked = sorted(frozenset().union(*unions), key=_rank)
-        self.rank = {key: i for i, key in enumerate(map(_rank, ranked))}
+        ranked = sorted(frozenset().union(*unions), key=NegativeKeyword.sort_key)
+        self.rank = dict(zip(ranked, range(len(ranked))))
         # The keyword's text and the match type's value of each, read without
         # the Keyword.text and Enum.value properties.
         fields = [
@@ -357,7 +356,7 @@ class _Writer:
             return
         family = self.family[id(negatives)]
         bare, separated = self.texts(family, level)
-        lacked = [family.position[self.rank[n._sort_key]] for n in family.union - negatives]
+        lacked = [family.position[self.rank[n]] for n in family.union - negatives]
         lacked.sort()
         lacked.append(len(bare))
         # Runs of the family's order between the lacked entries; the list's

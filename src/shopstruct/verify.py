@@ -12,7 +12,7 @@ Three routing properties are checked by simulation:
 Probes are admissible by construction: no filler is a brand or blocked-brand
 word, so a probe holds just the special phrases its brand's own words hold
 (none for a generic probe), and a brand whose words hold another brand or a
-blocked brand, decided once per brand, has its probes skipped.
+blocked brand, decided once per brand, has its probes skipped without a draw.
 
 Each query's verdict comes from ``Simulator.disposition``, which reads every
 verdict, failing ones included, off the index bitmasks and builds no
@@ -173,19 +173,20 @@ def _probe_routing(
     sim: Simulator,
     name: str,
     campaign: str,
-    targets: Sequence[tuple[AdGroupTag, str]],
-    draw: Callable[[AdGroupTag], Keyword | None],
+    targets: Sequence[tuple[AdGroupTag, str] | None],
+    draw: Callable[[AdGroupTag], Keyword],
 ) -> PropertyResult:
-    """Route one seeded probe per (ad-group tag, description) target.
+    """Route one seeded probe per (ad-group tag, description) target; a None
+    target is a probe skipped without a draw.
 
-    ``draw(tag)`` makes one attempt at a probe query, None if inadmissible.  A
-    probe gets 50 attempts, never uses a catalogue keyword, else is skipped.
+    ``draw(tag)`` makes one attempt at an admissible probe query.  A probe
+    gets 50 attempts, never uses a catalogue keyword, else is skipped.
     """
     catalogue = sim.account.keywords()
     cases = []
-    for tag, what in targets:
+    for tag, what in filter(None, targets):
         attempts = (draw(tag) for _ in range(50))
-        query = next((q for q in attempts if q is not None and q not in catalogue), None)
+        query = next((q for q in attempts if q not in catalogue), None)
         if query is not None:
             cases.append((query, campaign, tag, what))
     skipped = len(targets) - len(cases)
@@ -218,20 +219,20 @@ def verify_property2(
     special = account.brands + account.non_brands
 
     # A brand whose words hold another special phrase has no admissible probe.
-    skipped = set()
+    crowded = set()
     for brand in set(brands):
         runs = subword_set(brand)
         if [b for b in special if b.words in runs] != [brand]:
-            skipped.add(brand)
+            crowded.add(brand)
 
-    def draw(tag: BrandTag) -> Keyword | None:
+    def draw(tag: BrandTag) -> Keyword:
         fillers = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
         cut = rng.randint(0, len(fillers))
-        if tag.brand in skipped:
-            return None
         return Keyword(tuple(fillers[:cut]) + tag.brand.words + tuple(fillers[cut:]))
 
-    targets = [(BrandTag(b), f"ad group for brand {b.text!r}") for b in brands]
+    targets = [
+        None if b in crowded else (BrandTag(b), f"ad group for brand {b.text!r}") for b in brands
+    ]
     campaign = brand_campaign.name if brand_campaign else "?"
     return _probe_routing(sim, "brand routing", campaign, targets, draw)
 

@@ -131,11 +131,21 @@ def test_index_and_blocks_agree_with_reference_matches(negs, query):
         ),
         max_size=12,
     ),
+    data=st.data(),
 )
-def test_edited_index_equals_a_fresh_one(lists, edits):
+def test_edited_index_equals_a_fresh_one(lists, edits, data):
     index = NegativeIndex(*lists)
     before = index_postings(index)
     lists = [set(negs) for negs in lists]
+    # Phrase edits besides the drawn ones: remove held phrase negatives and
+    # add new ones, so phrase heads come and go.
+    phrases = sorted(
+        {(i, n) for i, negs in enumerate(lists) for n in negs if n.match is MatchType.PHRASE},
+        key=lambda e: (e[0], e[1].sort_key()),
+    )
+    removed = data.draw(st.lists(st.sampled_from(phrases))) if phrases else []
+    added = data.draw(st.lists(st.tuples(st.integers(0, 4), keywords.map(phrase)), max_size=4))
+    edits = edits + [(i, n, False) for i, n in removed] + [(i, n, True) for i, n in added]
     bit_edits = []
     for i, neg, held in edits:
         i %= len(lists)
@@ -145,8 +155,23 @@ def test_edited_index_equals_a_fresh_one(lists, edits):
             lists[i].discard(neg)
         bit_edits.append((neg, 1 << i, held))
     edited = index.edited(bit_edits)
-    assert index_postings(edited) == index_postings(NegativeIndex(*lists))
+    fresh = NegativeIndex(*lists)
+    assert index_postings(edited) == index_postings(fresh)
+    assert edited.heads == fresh.heads
     assert index_postings(index) == before
+    # A query that repeats a phrase's first word, held or edited away, hits
+    # what the reference says at every place a phrase can start.
+    firsts = sorted({n.keyword.words[0] for _, n, _ in edits if n.match is MatchType.PHRASE})
+    head = data.draw(st.sampled_from(firsts or ["nike"]))
+    parts = data.draw(st.lists(st.lists(words, max_size=2), min_size=3, max_size=3))
+    q = Keyword((*parts[0], head, *parts[1], head, *parts[2]))
+    masks: dict[NegativeKeyword, int] = {}
+    for i, negs in enumerate(lists):
+        for n in negs:
+            if matches(q, n):
+                masks[n] = masks.get(n, 0) | 1 << i
+    reference = sorted(masks.items(), key=lambda hit: hit[0].sort_key())
+    assert edited.hits(QueryWords(q)) == reference
 
 
 def test_match_type_ordering():
@@ -192,15 +217,19 @@ def test_distinct_keywords_rejects_duplicates():
 
 @settings(max_examples=100, deadline=None)
 @given(kw=keywords, match=st.sampled_from(list(MatchType)))
-def test_negative_caches_the_dataclass_hash_and_sort_key(kw, match):
+def test_negative_hashes_compares_and_pickles_by_value(kw, match):
     import pickle
 
     neg = NegativeKeyword(kw, match)
-    assert hash(neg) == hash((kw, match))
-    assert neg.sort_key() == (list(MatchType).index(match), kw.words)
-    copy = pickle.loads(pickle.dumps(neg))
+    copy = NegativeKeyword(Keyword(tuple(kw.words)), MatchType(match.value))
     assert copy == neg and hash(copy) == hash(neg)
-    assert {neg: 1}[NegativeKeyword(Keyword(kw.words), match)] == 1
+    assert {neg: 1}[copy] == 1
+    unpickled = pickle.loads(pickle.dumps(neg))
+    assert unpickled == neg and hash(unpickled) == hash(neg)
+    assert neg.sort_key() == (list(MatchType).index(match), kw.words)
+    for other in MatchType:
+        if other is not match:
+            assert NegativeKeyword(kw, other) != neg
 
 
 @settings(max_examples=100, deadline=None)
@@ -208,8 +237,8 @@ def test_negative_caches_the_dataclass_hash_and_sort_key(kw, match):
 def test_keyword_hashes_compares_and_pickles_as_its_one_field(kw, other):
     import pickle
 
-    # Set layouts and iteration orders, and with them every pinned snapshot
-    # and change-log digest, rest on this hash.
+    # Equal keywords hash alike, in one process and across a pickle round
+    # trip; no output rests on the hash value, which str seeds per process.
     assert hash(kw) == hash((kw.words,))
     assert sorted([kw, other]) == [Keyword(ws) for ws in sorted([kw.words, other.words])]
     assert kw != kw.words
