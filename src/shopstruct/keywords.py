@@ -19,8 +19,9 @@ query's own words (an inverted-file lookup); a query's contiguous runs are
 looked up only when one of its words starts a phrase negative.  It can hold
 several lists at once, storing each distinct negative once with the set of
 lists that hold it, so one lookup per query gives every blocking negative with
-the bitmask of its lists, or just the bitmask of the lists that block the
-query; a list's first match is the first of those hits that it holds.  An
+the bitmask of its lists, sorted, or just the bitmask of the lists that block
+the query, ORed as the lookup finds each negative, with no hit list built; a
+list's first match is the first of those hits that it holds.  An
 index is never changed once built; ``NegativeIndex.edited`` derives the index
 of the lists after a few additions and removals from it, sharing every posting
 they leave alone.
@@ -259,10 +260,24 @@ class NegativeIndex:
         return [(neg, mask) for _, neg, mask in postings]
 
     def blocked(self, query: QueryWords) -> int:
-        """The bitmask of the indexed lists that block ``query``."""
-        mask = 0
-        for _, _, holders in self._postings(query):
-            mask |= holders
+        """The bitmask of the indexed lists that block ``query``: the OR of
+        the masks of ``hits``, taken as each posting is found, with no list
+        of postings built."""
+        hit = self.exact.get(query.words)
+        mask = 0 if hit is None else hit[2]
+        distinct = query.distinct
+        if not self.heads.isdisjoint(distinct):
+            phrases = self.phrases
+            for run in query.runs:
+                hit = phrases.get(run)
+                if hit is not None:
+                    mask |= hit[2]
+        larges = self.larges
+        if larges:
+            for word in distinct:
+                for needed, posting in larges.get(word, ()):
+                    if needed <= distinct:
+                        mask |= posting[2]
         return mask
 
 

@@ -95,6 +95,11 @@ class Trajectory:
     disposition: Disposition
 
 
+def _every(items: Sequence[Campaign | AdGroup]) -> int:
+    """The mask with a bit set for each of ``items``."""
+    return (1 << len(items)) - 1
+
+
 def _names(items: Sequence[Campaign | AdGroup], mask: int) -> tuple[str, ...]:
     """The names of the items whose bits are set in ``mask``, in order."""
     return tuple(x.name for i, x in enumerate(items) if mask >> i & 1)
@@ -106,22 +111,32 @@ class Simulator:
     Each tier's campaign negatives share one ``NegativeIndex``, as do the ad
     group negatives of each campaign, so routing a query costs one lookup per
     tier and one per campaign it enters, and a negative held by many lists is
-    matched once.
+    matched once.  Set-up also makes the mask of all of a tier's campaigns
+    and of all of each campaign's ad groups, and keeps each campaign's
+    ad-group index by its place in the tier, so a verdict makes no mask and
+    looks nothing up by name.
     """
 
     @gc_paused
     def __init__(self, account: Account) -> None:
         self.account = account
-        self._tiers: list[tuple[list[Campaign], NegativeIndex]] = []
-        self._adgroup_index: dict[str, NegativeIndex] = {}
+        # Per tier: its campaigns, their index, the mask of all of them, and
+        # per campaign its ad groups' index and the mask of all of them.
+        self._tiers: list[
+            tuple[list[Campaign], NegativeIndex, int, list[tuple[NegativeIndex, int]]]
+        ] = []
         # Each (campaign, ad group) name pair's tag, to read a Landed disposition.
         self.adgroup_tags: dict[tuple[str, str], AdGroupTag] = {}
         for priority in (Priority.HIGH, Priority.MEDIUM, Priority.LOW):
             tier = [c for c in account.campaigns if c.priority is priority]
             if tier:
-                self._tiers.append((tier, NegativeIndex(*(c.negatives for c in tier))))
+                adgroups = [
+                    (NegativeIndex(*(g.negatives for g in c.adgroups)), _every(c.adgroups))
+                    for c in tier
+                ]
+                index = NegativeIndex(*(c.negatives for c in tier))
+                self._tiers.append((tier, index, _every(tier), adgroups))
         for c in account.campaigns:
-            self._adgroup_index[c.name] = NegativeIndex(*(g.negatives for g in c.adgroups))
             for g in c.adgroups:
                 self.adgroup_tags[(c.name, g.name)] = g.tag
 
@@ -134,7 +149,7 @@ class Simulator:
         """Each campaign of the first ``met`` tiers that refuses the query, with
         its first matching negative: the first of its tier's hits it holds."""
         found: dict[str, NegativeKeyword] = {}
-        for tier, index in self._tiers[:met]:
+        for tier, index, _, _ in self._tiers[:met]:
             hits = index.hits(words)
             for pos, c in enumerate(tier):
                 by = next((neg for neg, mask in hits if mask >> pos & 1), None)
@@ -154,18 +169,19 @@ class Simulator:
         landing, a dead end or an ambiguity.  No admitting campaign in any
         tier means the query fell through.
         """
-        for met, (tier, index) in enumerate(self._tiers, 1):
-            admitted = ~index.blocked(words) & ((1 << len(tier)) - 1)
+        for met, (tier, index, all_campaigns, adgroups) in enumerate(self._tiers, 1):
+            admitted = all_campaigns & ~index.blocked(words)
             if not admitted:
                 continue
             if admitted & (admitted - 1):
                 return Ambiguous(_names(tier, admitted), ()), met
-            campaign = tier[admitted.bit_length() - 1]
-            groups = campaign.adgroups
-            blocked = self._adgroup_index[campaign.name].blocked(words)
-            open_groups = ~blocked & ((1 << len(groups)) - 1)
+            pos = admitted.bit_length() - 1
+            campaign = tier[pos]
+            group_index, all_groups = adgroups[pos]
+            open_groups = all_groups & ~group_index.blocked(words)
             if not open_groups:
                 return DeadEnd(campaign.name), met
+            groups = campaign.adgroups
             if open_groups & (open_groups - 1):
                 return Ambiguous((campaign.name,), _names(groups, open_groups)), met
             return Landed(campaign.name, groups[open_groups.bit_length() - 1].name), met
@@ -179,14 +195,14 @@ class Simulator:
         verdict, met = self._verdict(words)
         blockers = self._blockers(words, met)
         steps: list[Step] = []
-        for tier, _ in self._tiers[:met]:
+        for tier, _, _, adgroups in self._tiers[:met]:
             entered: list[Step] = []
             blocked: list[Step] = []
-            for c in tier:
+            for c, (group_index, _) in zip(tier, adgroups):
                 if c.name in blockers:
                     blocked.append(Step(c.name, Blocked(blockers[c.name])))
                 else:
-                    shut = self._adgroup_index[c.name].blocked(words)
+                    shut = group_index.blocked(words)
                     entered.append(Step(c.name, Entered(_names(c.adgroups, ~shut))))
             steps += entered + blocked if len(entered) > 1 else blocked + entered
         return Trajectory(query, tuple(steps), verdict)

@@ -25,12 +25,15 @@ cut by *family*, the ad-group lists of one campaign or the campaign lists of
 one tier: each list is its family's union, in rank order, less a few
 entries, and is written as the runs between the entries it lacks.
 
-Parsing interns negatives: the first entry with a given raw (keyword, match)
-pair is normalized and validated, and every later entry with that pair reuses
-its object.  A snapshot repeats each negative across many lists, so each raw
-pair is normalized once, and the unions of a list family meet identical
-objects.  Nothing else depends on it: built and updated accounts may hold
-equal copies, and nothing compares negatives by identity.
+Parsing interns negatives in a table by raw match, then by raw keyword: an
+entry costs two dict lookups on the strings json made, with no key built for
+it.  The first entry with a given raw (keyword, match) pair is normalized and
+validated, and every later entry with that pair reuses its object; the
+table holds one sub-table per match type, so an unknown match finds none.
+A snapshot repeats each negative across many lists, so each raw pair is
+normalized once, and the unions of a list family meet identical objects.
+Nothing else depends on it: built and updated accounts may hold equal
+copies, and nothing compares negatives by identity.
 """
 
 from __future__ import annotations
@@ -406,20 +409,23 @@ def _keywords(value: Any, what: str, each: str) -> tuple[Keyword, ...]:
 
 
 def _parse_negatives(
-    doc: Any, interned: dict[tuple[str, str], NegativeKeyword]
+    doc: Any, interned: dict[str, dict[str, NegativeKeyword]]
 ) -> frozenset[NegativeKeyword]:
-    """Parse one negative list, reusing the object ``interned`` holds for an
-    entry's raw (keyword, match) pair; the first occurrence is validated and
-    stored there."""
+    """Parse one negative list, reusing the object ``interned[match][keyword]``
+    holds for an entry's raw match and keyword; the first entry with a raw
+    pair is validated and stored there.  ``interned`` holds a table for each
+    match type's value, so an unknown match finds none."""
     out = []
     for item in _list(doc, "negatives"):
         try:
-            key = (item["keyword"], item["match"])
-            neg = interned.get(key)
+            keyword = item["keyword"]
+            table = interned[item["match"]]
+            neg = table.get(keyword)
             if neg is None:
-                if not isinstance(key[0], str):
+                if not isinstance(keyword, str):
                     raise TypeError("keyword is not a string")
-                neg = interned[key] = NegativeKeyword(normalize(key[0]), MatchType(key[1]))
+                match = MatchType(item["match"])
+                neg = table[keyword] = NegativeKeyword(normalize(keyword), match)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad negative entry: {item!r}") from exc
         out.append(neg)
@@ -487,7 +493,7 @@ def _parse_eraser(doc: Any) -> Eraser:
 def parse_account_document(doc: Any) -> Account:
     if not isinstance(doc, dict):
         raise InputError("account snapshot must be a JSON object")
-    interned: dict[tuple[str, str], NegativeKeyword] = {}
+    interned: dict[str, dict[str, NegativeKeyword]] = {m.value: {} for m in MatchType}
     try:
         erasers = [
             tuple(_parse_eraser(e) for e in _list(group, "eraser group"))

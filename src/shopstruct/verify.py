@@ -215,24 +215,22 @@ def verify_property2(
     rng = random.Random(seed)
     pool = _filler_pool(account)
     brand_campaign = account.brand_campaign()
-    brands = [account.brands[i % len(account.brands)] for i in range(probes)]
     special = account.brands + account.non_brands
 
-    # A brand whose words hold another special phrase has no admissible probe.
-    crowded = set()
-    for brand in set(brands):
+    # One (tag, description) target per brand, shared by its probes; a brand
+    # whose words hold another special phrase has no admissible probe.
+    target: dict[Keyword, tuple[BrandTag, str] | None] = {}
+    for brand in account.brands:
         runs = subword_set(brand)
-        if [b for b in special if b.words in runs] != [brand]:
-            crowded.add(brand)
+        crowded = [b for b in special if b.words in runs] != [brand]
+        target[brand] = None if crowded else (BrandTag(brand), f"ad group for brand {brand.text!r}")
 
     def draw(tag: BrandTag) -> Keyword:
         fillers = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
         cut = rng.randint(0, len(fillers))
         return Keyword(tuple(fillers[:cut]) + tag.brand.words + tuple(fillers[cut:]))
 
-    targets = [
-        None if b in crowded else (BrandTag(b), f"ad group for brand {b.text!r}") for b in brands
-    ]
+    targets = [target[account.brands[i % len(account.brands)]] for i in range(probes)]
     campaign = brand_campaign.name if brand_campaign else "?"
     return _probe_routing(sim, "brand routing", campaign, targets, draw)
 

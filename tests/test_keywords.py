@@ -174,6 +174,45 @@ def test_edited_index_equals_a_fresh_one(lists, edits, data):
     assert edited.hits(QueryWords(q)) == reference
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    lists=st.lists(negatives, min_size=2, max_size=5),
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 4),
+            st.builds(NegativeKeyword, keywords, st.sampled_from(list(MatchType))),
+            st.booleans(),
+        ),
+        max_size=12,
+    ),
+    data=st.data(),
+)
+def test_blocked_is_the_or_of_hits_and_the_reference_over_several_lists(lists, edits, data):
+    fresh = NegativeIndex(*lists)
+    held = [set(negs) for negs in lists]
+    bit_edits = []
+    for i, neg, keep in edits:
+        i %= len(held)
+        if keep:
+            held[i].add(neg)
+        else:
+            held[i].discard(neg)
+        bit_edits.append((neg, 1 << i, keep))
+    for index, negs in ((fresh, lists), (fresh.edited(bit_edits), held)):
+        # A query that repeats a phrase's first word, so a phrase can start
+        # at more than one of its places.
+        phrases = [n for s in negs for n in s if n.match is MatchType.PHRASE]
+        firsts = sorted({n.keyword.words[0] for n in phrases})
+        head = data.draw(st.sampled_from(firsts or ["nike"]))
+        parts = data.draw(st.lists(st.lists(words, max_size=2), min_size=3, max_size=3))
+        q = Keyword((*parts[0], head, *parts[1], head, *parts[2]))
+        reference = sum(1 << i for i, s in enumerate(negs) if any(matches(q, n) for n in s))
+        of_hits = 0
+        for _, mask in index.hits(QueryWords(q)):
+            of_hits |= mask
+        assert index.blocked(QueryWords(q)) == of_hits == reference
+
+
 def test_match_type_ordering():
     # Canonical order lives in the negatives' sort key; the match types
     # themselves carry no ordering.

@@ -181,6 +181,25 @@ def _set(path, value):
     return edit
 
 
+# The ad-group list of the group campaign, parsed after c1's exact "a b".
+_RULE_NEGATIVES = ["campaigns", 2, "adgroups", 0, "negatives"]
+
+
+def _after_exact(bad):
+    return _set(_RULE_NEGATIVES, [{"keyword": "a b", "match": "exact"}, bad])
+
+
+_BAD_ENTRIES = [
+    ("int keyword", {"keyword": 5, "match": "exact"}),
+    ("list keyword", {"keyword": ["a", "b"], "match": "exact"}),
+    ("list match", {"keyword": "a b", "match": ["exact"]}),
+    ("unknown match", {"keyword": "a b", "match": "broad"}),
+    ("missing match", {"keyword": "a b"}),
+    ("missing keyword", {"match": "exact"}),
+    ("string entry", "a b"),
+]
+
+
 def test_minimal_snapshot_parses():
     assert parse_account(json.dumps(_minimal_doc())).partition == (frozenset({normalize("a b")}),)
     account = parse_account(_with(_set(_TREE, _split())))
@@ -210,6 +229,12 @@ def test_minimal_snapshot_parses():
         pytest.param(
             _with(_set(["campaigns", 0, "negatives", 0, "match"], ["exact"])),
             id="list match type",
+        ),
+        # The same faults after a well-formed exact entry in the same list,
+        # once the parse has tables for the match and the keyword.
+        *(
+            pytest.param(_with(_after_exact(bad)), id=f"{name} after an exact")
+            for name, bad in _BAD_ENTRIES
         ),
         pytest.param(
             _with(_set(["campaigns", 2, "adgroups", 0, "tag", "keyword"], 5)),
@@ -250,6 +275,27 @@ def test_minimal_snapshot_parses():
 def test_malformed_snapshots_raise_input_error(text):
     with pytest.raises(InputError):
         parse_account(text)
+
+
+@pytest.mark.parametrize("bad", [bad for _, bad in _BAD_ENTRIES], ids=[n for n, _ in _BAD_ENTRIES])
+def test_bad_negative_entries_are_named_once_the_tables_are_warm(bad):
+    with pytest.raises(InputError, match="^bad negative entry: "):
+        parse_account(_with(_after_exact(bad)))
+
+
+def test_raw_spellings_of_one_negative_parse_to_equal_negatives():
+    doc = _minimal_doc()
+    doc["campaigns"][0]["negatives"].append({"keyword": "Nike  Shoes", "match": "phrase"})
+    doc["campaigns"][2]["adgroups"][0]["negatives"] = [
+        {"keyword": "nike shoes", "match": "phrase"},
+        {"keyword": " NIKE shoes", "match": "phrase"},
+    ]
+    account = parse_account(json.dumps(doc))
+    negative = NegativeKeyword(normalize("nike shoes"), MatchType.PHRASE)
+    a_b = NegativeKeyword(normalize("a b"), MatchType.EXACT)
+    assert account.campaigns[0].negatives == {a_b, negative}
+    # Two spellings in one list are one negative.
+    assert account.campaigns[2].adgroups[0].negatives == {negative}
 
 
 def _drop_last(key):
