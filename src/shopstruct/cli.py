@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .account import Money, Rule, negative_count
 from .bounds import (
@@ -261,7 +261,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _print_outcome(outcome: UpdateOutcome, as_json: bool) -> None:
+def _print_outcome(outcome: UpdateOutcome, as_json: bool, file: TextIO) -> None:
     if as_json:
         print(
             json.dumps(
@@ -277,33 +277,36 @@ def _print_outcome(outcome: UpdateOutcome, as_json: bool) -> None:
                     },
                 },
                 indent=2,
-            )
+            ),
+            file=file,
         )
         return
     if not outcome.changes:
-        print("no changes")
+        print("no changes", file=file)
     for c in outcome.changes:
-        print(c.describe())
+        print(c.describe(), file=file)
     if outcome.balance.recommended:
-        print("rebalance recommended:")
+        print("rebalance recommended:", file=file)
         for reason in outcome.balance.reasons:
-            print(f"  {reason}")
+            print(f"  {reason}", file=file)
     else:
-        print("group shapes are balanced")
+        print("group shapes are balanced", file=file)
 
 
 def _run_update(args, update, revise_rules) -> int:
     """Read the account and the ``--rules`` catalogue when given, apply
     ``update(account, rules)``, then write the snapshot and the catalogue
     ``revise_rules(rules, outcome)``.  Nothing is written unless every input
-    was read and the update succeeded."""
+    was read and the update succeeded.  The outcome goes to stderr when the
+    snapshot goes to stdout, which then holds the snapshot alone."""
     account = _read_account(args.account)
     rules = load_rules(args.rules) if args.rules else None
     outcome = update(account, rules)
-    _write_account(args.out or args.account, outcome.account)
+    out = args.out or args.account
+    _write_account(out, outcome.account)
     if rules is not None:
         save_rules(getattr(args, "rules_out", None) or args.rules, revise_rules(rules, outcome))
-    _print_outcome(outcome, args.json)
+    _print_outcome(outcome, args.json, sys.stderr if out == "-" else sys.stdout)
     return 0
 
 

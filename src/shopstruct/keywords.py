@@ -236,8 +236,9 @@ class NegativeIndex:
         new.heads = frozenset(words[0] for words in new.phrases)
         return new
 
-    def _postings(self, query: QueryWords) -> list[_Posting]:
-        """The posting of every indexed negative that blocks ``query``, unsorted."""
+    def hits(self, query: QueryWords) -> list[tuple[NegativeKeyword, int]]:
+        """Every indexed negative that blocks ``query``, with the bitmask of
+        the lists holding it, smallest ``sort_key`` first."""
         hit = self.exact.get(query.words)
         postings = [] if hit is None else [hit]
         if not self.heads.isdisjoint(query.distinct):
@@ -250,12 +251,6 @@ class NegativeIndex:
                 for needed, posting in self.larges.get(word, ())
                 if needed <= distinct
             ]
-        return postings
-
-    def hits(self, query: QueryWords) -> list[tuple[NegativeKeyword, int]]:
-        """Every indexed negative that blocks ``query``, with the bitmask of
-        the lists holding it, smallest ``sort_key`` first."""
-        postings = self._postings(query)
         postings.sort()
         return [(neg, mask) for _, neg, mask in postings]
 

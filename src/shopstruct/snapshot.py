@@ -19,11 +19,13 @@ only copy of the snapshot that is made.
 The structure repeats a few negatives across many lists: each ad group of a
 group campaign holds its siblings' exact negatives, and each group campaign
 the other groups' erasers.  So the renderer ranks the account's distinct
-negatives once and renders each one's entry text once per nesting depth,
-and every list is written as pieces that are those shared texts.  Lists are
-cut by *family*, the ad-group lists of one campaign or the campaign lists of
-one tier: each list is its family's union, in rank order, less a few
-entries, and is written as the runs between the entries it lacks.
+negatives once and renders each one's entry text, with its leading
+separator, once per nesting depth.  Lists are cut by *family*, the ad-group
+lists of one campaign or the campaign lists of one tier: each list is its
+family's union, in rank order, less a few entries.  A family keeps one list
+of those shared texts at its depth, and each of its lists is written as the
+slices of it between the entries the list lacks, with the list's first
+piece made anew from the opening bracket and that piece less its separator.
 
 Parsing interns negatives in a table by raw match, then by raw keyword: an
 entry costs two dict lookups on the strings json made, with no key built for
@@ -232,24 +234,6 @@ _LIST = {
 }
 
 
-class _Family:
-    """The negative lists of one family, each a cut of the family's union.
-
-    ``order`` is the account-wide rank of each of the union's entries, in
-    canonical order, and ``position`` maps each rank back to its place there.
-    ``texts`` holds, per nesting depth, the union's entry texts in that
-    order: each entry bare, to open a list, and after its leading separator.
-    """
-
-    def __init__(
-        self, union: frozenset[NegativeKeyword], rank: dict[NegativeKeyword, int]
-    ) -> None:
-        self.union = union
-        self.order = sorted(map(rank.__getitem__, union))
-        self.position = dict(zip(self.order, range(len(self.order))))
-        self.texts: dict[int, tuple[list[str], list[str]]] = {}
-
-
 class _Writer:
     """The snapshot schema written as ``json.dumps(account_document(...),
     indent=2)`` writes it, as str pieces that one ``"".join`` puts together.
@@ -261,18 +245,15 @@ class _Writer:
     json.dumps does; the parts that few entries hold, such as campaign tags
     and split trees, go through the generic ``_json``.
 
-    Negative lists are written by family (see the module docstring).  The
-    union of all family unions is sorted once, and each family orders its own
-    union by that account-wide rank.  The rank is keyed by the negative, a
-    value, so separate but equal objects rank alike.  Each distinct
-    negative's entry is rendered once per depth, bare and after its leading
-    separator, and the pieces of a list are those shared texts: the runs of
-    its family's order between the entries it lacks, found by a set
-    difference with the family's union.  In a built account a list lacks few
-    of its family's entries, so it costs a sort of those few and one slice
-    per run.  No text is made per list or per run, so the join's output is
-    the only copy of the snapshot; the piece list holds one reference per
-    entry, 1.58M of them (12.6 MB) at n=10000 for a 147 MB snapshot.
+    Negative lists are written by family (see the module docstring), each
+    family's union ordered by one account-wide rank.  The rank is keyed by
+    the negative, a value, so separate but equal objects rank alike.  In a
+    built account a list lacks few of its family's entries, found by a set
+    difference with the union, so it costs a sort of those few and one slice
+    per run.  The only text made per list is its first piece, so the join's
+    output is the only copy of the snapshot beyond one entry per list; the
+    piece list holds one reference per entry, 1.58M of them (12.6 MB) at
+    n=10000 for a 147 MB snapshot.
     """
 
     def __init__(self, account: Account) -> None:
@@ -286,35 +267,27 @@ class _Writer:
         families += [([g.negatives for g in c.adgroups], 5) for c in account.campaigns]
         unions = [frozenset().union(*lists) for lists, _ in families]
         ranked = sorted(frozenset().union(*unions), key=NegativeKeyword.sort_key)
-        self.rank = dict(zip(ranked, range(len(ranked))))
+        rank = dict(zip(ranked, range(len(ranked))))
         # The keyword's text and the match type's value of each, read without
         # the Keyword.text and Enum.value properties.
         fields = [
             (_encode(" ".join(n.keyword.words)), _encode(n.match._value_)) for n in ranked
         ]
-        # Every distinct negative's entry text at each depth a list sits at,
-        # by rank, bare and after its leading separator.
-        self.entries: dict[int, tuple[list[str], list[str]]] = {}
+        # Every distinct negative's entry text, after its leading separator,
+        # at each depth a list sits at, by rank.
+        entries = {}
         for level in (3, 5):
-            entry = _object(level + 1, ("keyword", "%s"), ("match", "%s"))
-            bare = list(map(entry.__mod__, fields))
-            self.entries[level] = (bare, list(map(_LIST[level][1].__add__, bare)))
-        self.family: dict[int, _Family] = {}
+            entry = _LIST[level][1] + _object(level + 1, ("keyword", "%s"), ("match", "%s"))
+            entries[level] = list(map(entry.__mod__, fields))
+        # Each list is filed under its depth too: one list object may sit in
+        # a campaign and in one of its ad groups.  One held by two families
+        # at a depth is a cut of either family's union.
+        self.family: dict[tuple[int, int], tuple[list[str], frozenset, dict]] = {}
         for (lists, level), union in zip(families, unions):
-            family = _Family(union, self.rank)
-            self.texts(family, level)
-            self.family.update((id(negs), family) for negs in lists)
-
-    def texts(self, family: _Family, level: int) -> tuple[list[str], list[str]]:
-        """The family's entry texts at depth ``level``, bare and separated."""
-        found = family.texts.get(level)
-        if found is None:
-            bare, separated = self.entries[level]
-            found = family.texts[level] = (
-                list(map(bare.__getitem__, family.order)),
-                list(map(separated.__getitem__, family.order)),
-            )
-        return found
+            order = sorted(map(rank.__getitem__, union))
+            texts = list(map(entries[level].__getitem__, order))
+            position = dict(zip(map(ranked.__getitem__, order), range(len(order))))
+            self.family.update(((id(negs), level), (texts, union, position)) for negs in lists)
 
     def render(self) -> str:
         account, parts = self.account, self.parts
@@ -357,28 +330,17 @@ class _Writer:
         if not negatives:
             parts.append("[]")
             return
-        family = self.family[id(negatives)]
-        bare, separated = self.texts(family, level)
-        lacked = [family.position[self.rank[n]] for n in family.union - negatives]
-        lacked.sort()
-        lacked.append(len(bare))
-        # Runs of the family's order between the lacked entries; the list's
-        # first entry goes without the separator the others carry.
-        stops = iter(lacked)
+        texts, union, position = self.family[id(negatives), level]
+        lacked = sorted(map(position.__getitem__, union - negatives))
+        lacked.append(len(texts))
+        first = len(parts)
         b = 0
-        for e in stops:
-            if b < e:
-                break
+        for e in lacked:
+            parts += texts[b:e]
             b = e + 1
-        open_, _, close = _LIST[level]
-        parts += (open_, bare[b])
-        parts += separated[b + 1 : e]
-        b = e + 1
-        for e in stops:
-            if b < e:
-                parts += separated[b:e]
-            b = e + 1
-        parts.append(close)
+        # The first entry opens the list: "[" in place of the separator's ",".
+        parts[first] = "[" + parts[first][1:]
+        parts.append(_LIST[level][2])
 
 
 def _string(value: Any, what: str) -> str:

@@ -566,3 +566,29 @@ def test_update_that_cannot_read_its_rules_writes_nothing(workspace, capsys, com
     assert capsys.readouterr().err.startswith("error: ")
     assert account.read_bytes() == before
     assert rules.exists() == (rules_file == "malformed")
+
+
+@pytest.mark.parametrize("command", ["add-rule", "rm-rule", "rm-item"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_update_to_stdout_writes_the_snapshot_alone(workspace, capsys, command, as_json):
+    account = workspace / "account.json"
+    keyword = load_rules(workspace / "rules.jsonl")[0].keyword.text
+    args = ["update", command, "--account", str(account)]
+    if command == "add-rule":
+        args += ["--keyword", "entirely new keyword", "--cpc-micros", "100", "--items", "i1"]
+    elif command == "rm-rule":
+        args += ["--keyword", keyword]
+    else:
+        args += ["--item", "item-0001", "--rules", str(workspace / "rules.jsonl")]
+        args += ["--rules-out", str(workspace / "rules-after.jsonl")]
+    if as_json:
+        args.append("--json")
+    target = workspace / "updated.json"
+    assert main(args + ["--out", str(target)]) == 0
+    changes = capsys.readouterr().out
+    assert main(args + ["--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == target.read_text()
+    parse_account(captured.out)
+    assert captured.err == changes
+    assert json.loads(changes)["changes"] if as_json else "no changes" not in changes

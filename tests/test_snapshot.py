@@ -593,6 +593,29 @@ def test_a_list_shared_by_a_campaign_and_its_ad_group_renders_at_both_depths(gol
     assert render_account(account) == json.dumps(account_document(account), indent=2) + "\n"
 
 
+@pytest.mark.parametrize("sharing", ["first ad groups", "high and group campaign"])
+def test_a_list_shared_by_two_families_at_one_depth_renders_in_each(golden_account, sharing):
+    # One frozenset in two families at the same depth is filed under one of
+    # them; it is a subset of both unions, so either family cuts it right.
+    one, two = golden_account.group_campaigns()[:2]
+    if sharing == "first ad groups":
+        held = one.adgroups[0].negatives
+        first = replace(two.adgroups[0], negatives=held)
+        shared = replace(two, adgroups=(first, *two.adgroups[1:]))
+    else:
+        held = golden_account.general_campaign().negatives
+        shared = replace(two, negatives=held)
+    assert held
+    account = replace(
+        golden_account,
+        campaigns=tuple(shared if c is two else c for c in golden_account.campaigns),
+    )
+    text = render_account(account)
+    assert text == json.dumps(account_document(account), indent=2) + "\n"
+    assert parse_account(text) == account
+    assert render_account(parse_account(text)) == text
+
+
 def test_render_ranks_by_value_when_identity_is_mixed_across_families(golden_account):
     # The High tier's exact of a keyword is the very object one ad group of a
     # group campaign holds, another ad group of that campaign holds a separate
