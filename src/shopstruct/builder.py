@@ -53,15 +53,7 @@ from .erasers import (
     welsh_powell,
 )
 from .errors import InputError
-from .keywords import (
-    Keyword,
-    NegativeIndex,
-    NegativeKeyword,
-    QueryWords,
-    distinct_keywords,
-    exact,
-    phrase,
-)
+from .keywords import Keyword, NegativeKeyword, distinct_keywords, exact, matches, phrase
 
 GENERAL_CAMPAIGN = "c1"
 BRAND_CAMPAIGN = "c2"
@@ -94,20 +86,18 @@ class BuildConfig:
 def _check_routable(keywords: Iterable[Keyword], non_brands: Sequence[Keyword]) -> None:
     """Reject keywords holding a blocked brand as a phrase: every campaign
     blocks such a keyword, so its traffic could never land anywhere.  Only a
-    keyword sharing a word with some blocked brand can hold one, so the
-    phrase index is built, and a keyword looked up, only for those."""
+    keyword sharing a word with some blocked brand can hold one, so only
+    those are matched, against the brands in sorted order."""
     brand_words = {w for b in non_brands for w in b.words}
-    blocked: NegativeIndex | None = None
+    ordered = sorted(non_brands)
     for kw in keywords:
         if brand_words.isdisjoint(kw.words):
             continue
-        if blocked is None:
-            blocked = NegativeIndex(phrase(b) for b in non_brands)
-        hits = blocked.hits(QueryWords(kw))
-        if hits:
+        held = next((b for b in ordered if matches(kw, phrase(b))), None)
+        if held is not None:
             raise InputError(
                 f"keyword {kw.text!r} contains the blocked brand"
-                f" {hits[0][0].keyword.text!r}, so no campaign can route it"
+                f" {held.text!r}, so no campaign can route it"
             )
 
 

@@ -120,15 +120,6 @@ def _filed(keywords: Iterable[Keyword]) -> dict[tuple[str, ...], list[Keyword]]:
     return filed
 
 
-def _subset_images(keywords: Iterable[Keyword]) -> dict[tuple[str, ...], frozenset[Keyword]]:
-    """Image over ``keywords`` of every word subset (size <= MAX_WORDS) of a
-    keyword that some other keyword also holds, keyed by its sorted word
-    tuple, in first-seen order.  The build's view of ``_filed``: it keeps
-    only images of two or more keywords, and most subsets belong to one
-    keyword alone, so those get none."""
-    return {ws: frozenset(kws) for ws, kws in _filed(keywords).items() if len(kws) > 1}
-
-
 def all_subset_images(keywords: Iterable[Keyword]) -> dict[tuple[str, ...], frozenset[Keyword]]:
     """Image over ``keywords`` of every word subset (size <= MAX_WORDS) of a
     keyword, keyed by its sorted word tuple, singletons included so that an
@@ -199,9 +190,8 @@ def enumerate_candidates(
     """
     if max_image is None:
         max_image = group_target(len(keywords))
-    images = _subset_images(keywords)
-
-    kept = {ws: img for ws, img in images.items() if 2 <= len(img) <= max_image}
+    filed = _filed(keywords)
+    kept = {ws: frozenset(kws) for ws, kws in filed.items() if 2 <= len(kws) <= max_image}
     # Images only shrink as words are added, so some strict subset has the
     # same image exactly when some one-word-smaller subset does.
     minimal = [
@@ -425,14 +415,18 @@ def reduce_keywords(
     Greedy cover (``_greedy_cover``) over the strict large candidates, those
     whose image lies inside ``members``.  The candidates are the word subsets
     of the universe's keywords, imaged in one pass over the universe (see
-    ``_subset_images``); a subset that some non-member holds has it in its
-    image and is not strict.
+    ``_filed``); a subset that some non-member holds has it in its image and
+    is not strict.
     """
     member_set = frozenset(members)
     universe_list = list(universe)
     if not member_set <= set(universe_list):
         raise InputError("reduce: members must lie inside the universe")
-    strict = {ws: img for ws, img in _subset_images(universe_list).items() if img <= member_set}
+    strict = {
+        ws: frozenset(kws)
+        for ws, kws in _filed(universe_list).items()
+        if len(kws) > 1 and member_set.issuperset(kws)
+    }
     return _greedy_cover(rank_subset_images(strict), member_set)
 
 

@@ -17,14 +17,13 @@ This module is the one place that decides whether a negative blocks a query.
 ``NegativeIndex`` answers for negative lists by hash lookups keyed by the
 query's own words (an inverted-file lookup); a query's contiguous runs are
 looked up only when one of its words starts a phrase negative.  It can hold
-several lists at once, storing each distinct negative once with the set of
-lists that hold it, so one lookup per query gives every blocking negative with
-the bitmask of its lists, sorted, or just the bitmask of the lists that block
-the query, ORed as the lookup finds each negative, with no hit list built; a
-list's first match is the first of those hits that it holds.  An
-index is never changed once built; ``NegativeIndex.edited`` derives the index
-of the lists after a few additions and removals from it, sharing every posting
-they leave alone.
+several lists at once, and keeps only the bitmask of the lists holding each
+distinct negative, keyed by its tokens, so one lookup per query gives the
+bitmask of the lists that block the query, ORed as each mask is found, with
+no hit list built.  ``hits`` makes the blocking negatives themselves, sorted,
+for explanations; a list's first match is the first of those hits that it
+holds.  An index is never changed once built; ``NegativeIndex.edited``
+derives the index of the lists after a few additions and removals from it.
 ``matches`` is the plain reference definition.
 """
 
@@ -141,21 +140,19 @@ class QueryWords:
         return self._runs
 
 
-_Posting = tuple[tuple[int, tuple[str, ...]], NegativeKeyword, int]
-
-
 class NegativeIndex:
     """One or more negative lists, keyed by query words.
 
     ``NegativeIndex(a, b, ...)`` indexes the lists ``a, b, ...`` together.
-    Each distinct negative is stored once, in a posting that carries a
-    bitmask of the lists holding it (bit ``i`` for the ``i``-th list), so a
-    negative shared by many campaigns or ad groups costs one entry and one
-    probe.  Exact negatives are keyed by their token tuple and phrase
-    negatives by theirs.  ``heads`` holds the phrase negatives' first words:
-    every phrase occurrence starts at one, so the query's contiguous runs are
-    looked up only when a head is among its words.  Large negatives are
-    bucketed under their smallest word and confirmed by word-set inclusion.
+    Each distinct negative is stored once, as the bitmask of the lists
+    holding it (bit ``i`` for the ``i``-th list), so a negative shared by
+    many campaigns or ad groups costs one entry and one probe.  Every table
+    maps a token tuple to its mask: ``exact`` and ``phrases`` key exact and
+    phrase negatives by their tokens, and ``larges`` buckets large negatives
+    under their smallest word, each confirmed by word-set inclusion.
+    ``heads`` holds the phrase negatives' first words: every phrase
+    occurrence starts at one, so the query's contiguous runs are looked up
+    only when a head is among its words.
 
     A list's first match is its hit with the smallest ``sort_key``: exact
     before phrase before large, canonical order within a type.
@@ -181,55 +178,45 @@ class NegativeIndex:
             else:
                 for neg in negatives:
                     masks[neg] |= bit
-        self.exact: dict[tuple[str, ...], _Posting] = {}
-        self.phrases: dict[tuple[str, ...], _Posting] = {}
-        self.larges: dict[str, list[tuple[frozenset[str], _Posting]]] = {}
+        self.exact: dict[tuple[str, ...], int] = {}
+        self.phrases: dict[tuple[str, ...], int] = {}
+        self.larges: dict[str, dict[tuple[str, ...], int]] = {}
         for neg, mask in masks.items():
-            words = neg.keyword.words
-            posting = (neg.sort_key(), neg, mask)
-            if neg.match is MatchType.EXACT:
-                self.exact[words] = posting
-            elif neg.match is MatchType.PHRASE:
-                self.phrases[words] = posting
-            else:
-                self.larges.setdefault(min(words), []).append((frozenset(words), posting))
+            self._table(neg)[neg.keyword.words] = mask
         self.heads = frozenset(words[0] for words in self.phrases)
+
+    def _table(self, negative: NegativeKeyword) -> dict[tuple[str, ...], int]:
+        """The table that files ``negative``: the large bucket of its
+        smallest word, made when missing, for a large one."""
+        if negative.match is MatchType.EXACT:
+            return self.exact
+        if negative.match is MatchType.PHRASE:
+            return self.phrases
+        return self.larges.setdefault(min(negative.keyword.words), {})
 
     def edited(self, edits: Iterable[tuple[NegativeKeyword, int, bool]]) -> NegativeIndex:
         """The index after each ``(negative, bit, held)`` edit in turn sets
-        (``held``) or clears list bit ``bit`` of ``negative``: as sets of
-        (negative, mask), the index a fresh build over the edited lists gives.
+        (``held``) or clears list bit ``bit`` of ``negative``: the index a
+        fresh build over the edited lists gives.
 
         ``self`` stays as it is.  The new index copies the three tables, and a
-        large bucket when an edit first touches it, and shares every posting.
+        large bucket when an edit first touches it.
         """
         new = object.__new__(NegativeIndex)
         new.exact, new.phrases, new.larges = dict(self.exact), dict(self.phrases), dict(self.larges)
         copied: set[str] = set()
         for neg, bit, held in edits:
             words = neg.keyword.words
-            if neg.match is not MatchType.LARGE:
-                table = new.exact if neg.match is MatchType.EXACT else new.phrases
-                posting = _edited(table.get(words), neg, bit, held)
-                if posting is None:
-                    table.pop(words, None)
-                else:
-                    table[words] = posting
-                continue
-            key = min(words)
-            if key not in copied:
+            if neg.match is MatchType.LARGE and (key := min(words)) not in copied:
                 copied.add(key)
-                new.larges[key] = list(new.larges.get(key, ()))
-            bucket = new.larges[key]
-            j = _position(bucket, neg)
-            posting = _edited(None if j is None else bucket[j][1], neg, bit, held)
-            if posting is None:
-                if j is not None:
-                    del bucket[j]
-            elif j is None:
-                bucket.append((frozenset(words), posting))
+                new.larges[key] = dict(new.larges.get(key, ()))
+            table = new._table(neg)
+            mask = table.get(words, 0)
+            mask = mask | bit if held else mask & ~bit
+            if mask:
+                table[words] = mask
             else:
-                bucket[j] = (bucket[j][0], posting)
+                table.pop(words, None)
         for key in copied:
             if not new.larges[key]:
                 del new.larges[key]
@@ -238,59 +225,35 @@ class NegativeIndex:
 
     def hits(self, query: QueryWords) -> list[tuple[NegativeKeyword, int]]:
         """Every indexed negative that blocks ``query``, with the bitmask of
-        the lists holding it, smallest ``sort_key`` first."""
-        hit = self.exact.get(query.words)
-        postings = [] if hit is None else [hit]
-        if not self.heads.isdisjoint(query.distinct):
-            postings += [self.phrases[r] for r in query.runs if r in self.phrases]
-        if self.larges:
-            distinct = query.distinct
-            postings += [
-                posting
-                for word in distinct
-                for needed, posting in self.larges.get(word, ())
-                if needed <= distinct
-            ]
-        postings.sort()
-        return [(neg, mask) for _, neg, mask in postings]
+        the lists holding it, smallest ``sort_key`` first.  Only explanations
+        ask, so the few negatives returned are made here."""
+        words, distinct, phrases, larges = query.words, query.distinct, self.phrases, self.larges
+        found = [(exact(query.query), self.exact[words])] if words in self.exact else []
+        if not self.heads.isdisjoint(distinct):
+            runs = sorted(run for run in query.runs if run in phrases)
+            found += [(phrase(Keyword(run)), phrases[run]) for run in runs]
+        tokens = sorted(t for w in distinct for t in larges.get(w, ()) if distinct.issuperset(t))
+        return found + [(large(Keyword(t)), larges[min(t)][t]) for t in tokens]
 
     def blocked(self, query: QueryWords) -> int:
         """The bitmask of the indexed lists that block ``query``: the OR of
-        the masks of ``hits``, taken as each posting is found, with no list
-        of postings built."""
-        hit = self.exact.get(query.words)
-        mask = 0 if hit is None else hit[2]
+        the masks of ``hits``, taken as each mask is found, with no hit list
+        built."""
+        mask = self.exact.get(query.words, 0)
         distinct = query.distinct
         if not self.heads.isdisjoint(distinct):
             phrases = self.phrases
             for run in query.runs:
-                hit = phrases.get(run)
-                if hit is not None:
-                    mask |= hit[2]
+                mask |= phrases.get(run, 0)
         larges = self.larges
         if larges:
             for word in distinct:
-                for needed, posting in larges.get(word, ()):
-                    if needed <= distinct:
-                        mask |= posting[2]
+                bucket = larges.get(word)
+                if bucket is not None:
+                    for words, held in bucket.items():
+                        if distinct.issuperset(words):
+                            mask |= held
         return mask
-
-
-def _position(bucket: list[tuple[frozenset[str], _Posting]], negative: NegativeKeyword) -> int | None:
-    """Where in a large bucket ``negative``'s posting sits, or None."""
-    return next((j for j, (_, p) in enumerate(bucket) if p[1].keyword == negative.keyword), None)
-
-
-def _edited(
-    posting: _Posting | None, negative: NegativeKeyword, bit: int, held: bool
-) -> _Posting | None:
-    """``posting`` (None when absent) with list bit ``bit`` set or cleared;
-    None once no list holds the negative."""
-    if posting is None:
-        return (negative.sort_key(), negative, bit) if held else None
-    key, stored, mask = posting
-    mask = mask | bit if held else mask & ~bit
-    return (key, stored, mask) if mask else None
 
 
 def exact(keyword: Keyword) -> NegativeKeyword:

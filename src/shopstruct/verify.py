@@ -43,7 +43,7 @@ from ._gcpause import gc_paused
 from .account import Account, AdGroupTag, BrandTag, CatchAllTag, Rule, RuleTag
 from .erasers import erases
 from .errors import InputError
-from .keywords import Keyword, subword_set
+from .keywords import Keyword, matches, phrase
 from .simulate import Disposition, Landed, Simulator
 
 
@@ -221,8 +221,7 @@ def verify_property2(
     # whose words hold another special phrase has no admissible probe.
     target: dict[Keyword, tuple[BrandTag, str] | None] = {}
     for brand in account.brands:
-        runs = subword_set(brand)
-        crowded = [b for b in special if b.words in runs] != [brand]
+        crowded = [b for b in special if matches(brand, phrase(b))] != [brand]
         target[brand] = None if crowded else (BrandTag(brand), f"ad group for brand {brand.text!r}")
 
     def draw(tag: BrandTag) -> Keyword:
@@ -268,7 +267,7 @@ def verify_structure(
 
     seen: dict[Keyword, int] = {}
     for pos, group in enumerate(account.partition):
-        for kw in group:
+        for kw in sorted(group):
             if kw in seen:
                 findings.append(
                     Finding(

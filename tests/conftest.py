@@ -149,14 +149,16 @@ def unlimited_accounts(limit_catalogues):
 
 
 def index_postings(index) -> set[tuple]:
-    """A ``NegativeIndex`` as the set of (family, key, negative, mask) of its
-    postings, so two indexes over the same lists compare equal whatever
-    order or history built them."""
-    out = {("exact", words, neg, mask) for words, (_, neg, mask) in index.exact.items()}
-    out |= {("phrase", words, neg, mask) for words, (_, neg, mask) in index.phrases.items()}
+    """A ``NegativeIndex`` as the set of (family, token tuple, mask) of its
+    entries, so two indexes over the same lists compare equal whatever
+    order or history built them; the family and the tokens name the
+    negative.  Each large bucket must be non-empty and hold only negatives
+    whose smallest word keys it."""
+    for word, bucket in index.larges.items():
+        assert bucket and all(min(words) == word for words in bucket)
+    out = {("exact", words, mask) for words, mask in index.exact.items()}
+    out |= {("phrase", words, mask) for words, mask in index.phrases.items()}
     out |= {
-        ("large", (word, needed), neg, mask)
-        for word, bucket in index.larges.items()
-        for needed, (_, neg, mask) in bucket
+        ("large", words, mask) for bucket in index.larges.values() for words, mask in bucket.items()
     }
     return out

@@ -559,7 +559,7 @@ def verify_structure(account: Account) -> tuple[Finding, ...]:
 
     seen: dict[Keyword, int] = {}
     for pos, group in enumerate(account.partition):
-        for kw in group:
+        for kw in sorted(group):
             if kw in seen:
                 findings.append(
                     Finding(

@@ -451,3 +451,17 @@ def test_routable_check_names_the_first_of_two_blocked_brands():
     first = "^keyword 'red nike shoes' contains the blocked brand 'nike',"
     with pytest.raises(InputError, match=first):
         _check_routable([normalize("red nike shoes")], non_brands)
+
+
+def test_build_names_the_smaller_of_two_blocked_brands_a_keyword_holds():
+    # The blocked brands are given largest first; the message names the
+    # smaller one, whatever their order or place in the keyword.
+    rules = [
+        Rule(normalize("red shoes nike"), Money(1000), frozenset({"item-0"})),
+        Rule(normalize("red"), Money(1000), frozenset({"item-1"})),
+    ]
+    non_brands = [normalize("shoes"), normalize("nike")]
+    refused = "^keyword 'red shoes nike' contains the blocked brand 'nike', so no campaign"
+    for given in (non_brands, non_brands[::-1]):
+        with pytest.raises(InputError, match=refused):
+            build_account(rules, (), given)

@@ -516,7 +516,7 @@ def test_reduce_keywords_matches_reference(inputs):
     ),
 )
 def test_subset_images_meets_its_definition(texts):
-    from shopstruct.erasers import _subset_images, all_subset_images
+    from shopstruct.erasers import all_subset_images
 
     keywords = [normalize(t) for t in texts]
     # Each sorted subset of up to MAX_WORDS of a keyword's distinct words,
@@ -528,9 +528,7 @@ def test_subset_images_meets_its_definition(texts):
         for combo in itertools.combinations(sorted(set(kw.words)), r)
     }
     image_of = {ws: {kw for kw in keywords if set(ws) <= set(kw.words)} for ws in subsets}
-    # The build's view keeps the subsets that two or more keywords hold.
-    assert _subset_images(keywords) == {ws: img for ws, img in image_of.items() if len(img) >= 2}
-    # The full filing keeps every subset, singletons too.
+    # The filing keeps every subset, singletons too.
     assert all_subset_images(keywords) == image_of
 
 

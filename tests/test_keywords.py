@@ -120,6 +120,17 @@ def test_index_and_blocks_agree_with_reference_matches(negs, query):
     assert index.blocked(QueryWords(q)) == (first is not None)
 
 
+def _reference_hits(lists, query):
+    """Each negative of ``lists`` that blocks ``query`` by ``matches``, with
+    the bitmask of the lists holding it, smallest ``sort_key`` first."""
+    masks: dict[NegativeKeyword, int] = {}
+    for i, negs in enumerate(lists):
+        for n in negs:
+            if matches(query, n):
+                masks[n] = masks.get(n, 0) | 1 << i
+    return sorted(masks.items(), key=lambda hit: hit[0].sort_key())
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     lists=st.lists(negatives, min_size=1, max_size=5),
@@ -165,13 +176,42 @@ def test_edited_index_equals_a_fresh_one(lists, edits, data):
     head = data.draw(st.sampled_from(firsts or ["nike"]))
     parts = data.draw(st.lists(st.lists(words, max_size=2), min_size=3, max_size=3))
     q = Keyword((*parts[0], head, *parts[1], head, *parts[2]))
-    masks: dict[NegativeKeyword, int] = {}
-    for i, negs in enumerate(lists):
-        for n in negs:
-            if matches(q, n):
-                masks[n] = masks.get(n, 0) | 1 << i
-    reference = sorted(masks.items(), key=lambda hit: hit[0].sort_key())
-    assert edited.hits(QueryWords(q)) == reference
+    assert edited.hits(QueryWords(q)) == _reference_hits(lists, q)
+
+
+_ab, _ba, _aa = normalize("a b"), normalize("b a"), normalize("a a")
+
+
+@pytest.mark.parametrize(
+    "lists",
+    [
+        # Large negatives with one word set, and one that repeats a word.
+        [{large(_ab)}, {large(_ba), large(_aa)}, {large(_ab), large(_aa)}, {large(_ba)}],
+        # An exact and a phrase negative with one token tuple.
+        [{exact(_ab)}, {phrase(_ab)}, {exact(_ab), phrase(_ab)}, {phrase(_ab), large(_ab)}],
+    ],
+    ids=["large a b, b a, a a", "exact and phrase a b"],
+)
+def test_negatives_sharing_tokens_or_words_stay_apart(lists):
+    fresh = NegativeIndex(*lists)
+    grown = NegativeIndex(*(set() for _ in lists)).edited(
+        (n, 1 << i, True) for i, negs in enumerate(lists) for n in negs
+    )
+    # List 0 emptied, and list 3 given list 2's negatives.
+    edits = [(n, 1, False) for n in lists[0]] + [(n, 1 << 3, True) for n in lists[2]]
+    moved = fresh.edited(edits)
+    moved_lists = [set(), lists[1], lists[2], lists[3] | lists[2]]
+    assert index_postings(grown) == index_postings(fresh)
+    assert index_postings(moved) == index_postings(NegativeIndex(*moved_lists))
+    for index, held in ((fresh, lists), (grown, lists), (moved, moved_lists)):
+        for text in ("a b", "b a", "a", "b", "a a", "c a b", "a b c", "b c a"):
+            q = QueryWords(normalize(text))
+            hits = index.hits(q)
+            assert hits == _reference_hits(held, q.query)
+            of_hits = 0
+            for _, mask in hits:
+                of_hits |= mask
+            assert index.blocked(q) == of_hits
 
 
 @settings(max_examples=300, deadline=None)

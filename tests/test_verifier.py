@@ -381,6 +381,24 @@ def test_report_equals_reference_verifier(equivalence_accounts, base, mutant):
     assert expected.passed == (mutant in ("as built", "rule ad group removed"))
 
 
+def test_partition_findings_come_in_partition_then_keyword_order(base_accounts):
+    # Three keywords of group 1 and three of group 3 also sit in group 2:
+    # group 2 repeats group 1's, and group 3 repeats the ones group 2 took.
+    account = base_accounts["synth-300-0"]
+    first, second, third = account.group_campaigns()[:3]
+    earlier, later = sorted(first.group)[-3:], sorted(third.group)[:3]
+    for source, keywords in ((first, earlier), (third, later)):
+        for kw in keywords:
+            account = _with_rule_adgroup_copied(account, source, second, kw)
+            second = account.group_campaigns()[1]
+    findings = verify_structure(Simulator(account), ())
+    expected = [f"keyword {kw.text!r} sits in groups 1 and 2" for kw in earlier]
+    expected += [f"keyword {kw.text!r} sits in groups 2 and 3" for kw in later]
+    assert [f.detail for f in findings if f.kind == "partition"] == expected
+    reference = oracles.verify_structure(account)
+    assert [f.detail for f in reference if f.kind == "partition"] == expected
+
+
 @pytest.mark.parametrize("name", LIMIT_CATALOGUES)
 def test_limit_findings_equal_the_reference(unlimited_accounts, name):
     unlimited = unlimited_accounts[name]
