@@ -247,6 +247,7 @@ def _cmd_synth(args) -> int:
         brand_fraction=args.brand_fraction,
         item_pool=args.item_pool,
         seed=args.seed,
+        shuffle_spellings=args.shuffle_spellings,
     )
     catalogue: SyntheticCatalogue = generate(spec)
     save_rules(args.rules_out, catalogue.rules)
@@ -410,6 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brand-fraction", type=float, default=0.3)
     p.add_argument("--item-pool", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--shuffle-spellings",
+        action="store_true",
+        help="spell the vocabulary in a seeded random order, not by word frequency",
+    )
     p.add_argument("--rules-out", required=True)
     p.add_argument("--brands-out")
     p.add_argument("--non-brands-out")

@@ -15,13 +15,17 @@ one word).
 
 This module is the one place that decides whether a negative blocks a query.
 ``NegativeIndex`` answers for negative lists by hash lookups keyed by the
-query's own words (an inverted-file lookup); a query's contiguous runs are
-looked up only when one of its words starts a phrase negative.  It can hold
-several lists at once, and keeps only the bitmask of the lists holding each
-distinct negative, keyed by its tokens, so one lookup per query gives the
-bitmask of the lists that block the query, ORed as each mask is found, with
-no hit list built.  ``hits`` makes the blocking negatives themselves, sorted,
-for explanations; a list's first match is the first of those hits that it
+query's own words (an inverted-file lookup).  A large negative is filed
+under one of its own words, the one rarest among the index's large
+negatives, so a query word's bucket holds only the few negatives that
+word is the rarest part of.  A phrase is looked up only at the query
+positions that hold a phrase's first word, and only up to the longest
+phrase starting with it.  An index can hold several lists at once, and
+keeps only the bitmask of the lists holding each distinct negative, keyed
+by its tokens, so one lookup per query gives the bitmask of the lists that
+block the query, ORed as each mask is found, with no hit list built.
+``hits`` makes the blocking negatives themselves, sorted, for
+explanations; a list's first match is the first of those hits that it
 holds.  An index is never changed once built; ``NegativeIndex.edited``
 derives the index of the lists after a few additions and removals from it.
 ``matches`` is the plain reference definition.
@@ -29,6 +33,8 @@ derives the index of the lists after a few additions and removals from it.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -122,22 +128,15 @@ def matches(query: Keyword, negative: NegativeKeyword) -> bool:
 
 
 class QueryWords:
-    """A query's token tuple, word set and contiguous runs, shared by every
-    negative list the query meets; the runs are made on first use."""
+    """A query's token tuple and word set, shared by every negative list the
+    query meets."""
 
-    __slots__ = ("query", "words", "distinct", "_runs")
+    __slots__ = ("query", "words", "distinct")
 
     def __init__(self, query: Keyword) -> None:
         self.query = query
         self.words = query.words
         self.distinct = frozenset(query.words)
-        self._runs: frozenset[tuple[str, ...]] | None = None
-
-    @property
-    def runs(self) -> frozenset[tuple[str, ...]]:
-        if self._runs is None:
-            self._runs = subword_set(self.query)
-        return self._runs
 
 
 class NegativeIndex:
@@ -148,11 +147,21 @@ class NegativeIndex:
     holding it (bit ``i`` for the ``i``-th list), so a negative shared by
     many campaigns or ad groups costs one entry and one probe.  Every table
     maps a token tuple to its mask: ``exact`` and ``phrases`` key exact and
-    phrase negatives by their tokens, and ``larges`` buckets large negatives
-    under their smallest word, each confirmed by word-set inclusion.
-    ``heads`` holds the phrase negatives' first words: every phrase
-    occurrence starts at one, so the query's contiguous runs are looked up
-    only when a head is among its words.
+    phrase negatives by their tokens, and ``larges`` buckets each large
+    negative under one of its words, confirmed by word-set inclusion.
+
+    The key rule: a fresh index files a large negative under its word held
+    by the fewest of the index's large negatives, the smallest such word on
+    a tie, so buckets stay short whatever a catalogue's spelling order.
+    ``edited`` files an added large negative under its word with the
+    smallest bucket at that point, and finds one already held in the
+    buckets of its own words, so an edited index may bucket an entry apart
+    from a fresh one; each large entry sits in exactly one bucket, keyed by
+    one of its own words, either way, and every answer is the same.
+
+    ``heads`` maps each phrase negative's first word to the length of the
+    longest phrase starting with it: a phrase occurrence starts at a head,
+    so only the query positions holding one are looked up.
 
     A list's first match is its hit with the smallest ``sort_key``: exact
     before phrase before large, canonical order within a type.
@@ -178,39 +187,49 @@ class NegativeIndex:
             else:
                 for neg in negatives:
                     masks[neg] |= bit
-        self.exact: dict[tuple[str, ...], int] = {}
-        self.phrases: dict[tuple[str, ...], int] = {}
-        self.larges: dict[str, dict[tuple[str, ...], int]] = {}
+        tables = {MatchType.EXACT: {}, MatchType.PHRASE: {}, MatchType.LARGE: {}}
         for neg, mask in masks.items():
-            self._table(neg)[neg.keyword.words] = mask
-        self.heads = frozenset(words[0] for words in self.phrases)
-
-    def _table(self, negative: NegativeKeyword) -> dict[tuple[str, ...], int]:
-        """The table that files ``negative``: the large bucket of its
-        smallest word, made when missing, for a large one."""
-        if negative.match is MatchType.EXACT:
-            return self.exact
-        if negative.match is MatchType.PHRASE:
-            return self.phrases
-        return self.larges.setdefault(min(negative.keyword.words), {})
+            tables[neg.match][neg.keyword.words] = mask
+        self.exact = tables[MatchType.EXACT]
+        self.phrases = tables[MatchType.PHRASE]
+        self.heads = _heads(self.phrases)
+        larges = tables[MatchType.LARGE]
+        # Each word's count among the large negatives, a repeated word once.
+        held_by = Counter(itertools.chain.from_iterable(map(dict.fromkeys, larges)))
+        self.larges: dict[str, dict[tuple[str, ...], int]] = {}
+        for words, mask in larges.items():
+            key = min(zip(map(held_by.__getitem__, words), words))[1]
+            self.larges.setdefault(key, {})[words] = mask
 
     def edited(self, edits: Iterable[tuple[NegativeKeyword, int, bool]]) -> NegativeIndex:
         """The index after each ``(negative, bit, held)`` edit in turn sets
         (``held``) or clears list bit ``bit`` of ``negative``: the index a
-        fresh build over the edited lists gives.
+        fresh build over the edited lists gives, up to which of its words
+        buckets each large negative.
 
         ``self`` stays as it is.  The new index copies the three tables, and a
         large bucket when an edit first touches it.
         """
         new = object.__new__(NegativeIndex)
-        new.exact, new.phrases, new.larges = dict(self.exact), dict(self.phrases), dict(self.larges)
+        new.exact, new.phrases, larges = dict(self.exact), dict(self.phrases), dict(self.larges)
+        new.larges = larges
         copied: set[str] = set()
         for neg, bit, held in edits:
             words = neg.keyword.words
-            if neg.match is MatchType.LARGE and (key := min(words)) not in copied:
-                copied.add(key)
-                new.larges[key] = dict(new.larges.get(key, ()))
-            table = new._table(neg)
+            if neg.match is MatchType.EXACT:
+                table = new.exact
+            elif neg.match is MatchType.PHRASE:
+                table = new.phrases
+            else:
+                key = next((w for w in words if words in larges.get(w, ())), None)
+                if key is None:
+                    if not held:
+                        continue
+                    key = min(zip([len(larges.get(w, ())) for w in words], words))[1]
+                if key not in copied:
+                    copied.add(key)
+                    larges[key] = dict(larges.get(key, ()))
+                table = larges[key]
             mask = table.get(words, 0)
             mask = mask | bit if held else mask & ~bit
             if mask:
@@ -218,42 +237,64 @@ class NegativeIndex:
             else:
                 table.pop(words, None)
         for key in copied:
-            if not new.larges[key]:
-                del new.larges[key]
-        new.heads = frozenset(words[0] for words in new.phrases)
+            if not larges[key]:
+                del larges[key]
+        new.heads = _heads(new.phrases)
         return new
 
     def hits(self, query: QueryWords) -> list[tuple[NegativeKeyword, int]]:
         """Every indexed negative that blocks ``query``, with the bitmask of
         the lists holding it, smallest ``sort_key`` first.  Only explanations
         ask, so the few negatives returned are made here."""
-        words, distinct, phrases, larges = query.words, query.distinct, self.phrases, self.larges
+        words, distinct, phrases = query.words, query.distinct, self.phrases
         found = [(exact(query.query), self.exact[words])] if words in self.exact else []
-        if not self.heads.isdisjoint(distinct):
-            runs = sorted(run for run in query.runs if run in phrases)
-            found += [(phrase(Keyword(run)), phrases[run]) for run in runs]
-        tokens = sorted(t for w in distinct for t in larges.get(w, ()) if distinct.issuperset(t))
-        return found + [(large(Keyword(t)), larges[min(t)][t]) for t in tokens]
+        runs = sorted(run for run in subword_set(query.query) if run in phrases)
+        found += [(phrase(Keyword(run)), phrases[run]) for run in runs]
+        larges = sorted(
+            (t, held)
+            for w in distinct
+            if w in self.larges
+            for t, held in self.larges[w].items()
+            if distinct.issuperset(t)
+        )
+        return found + [(large(Keyword(t)), held) for t, held in larges]
 
     def blocked(self, query: QueryWords) -> int:
         """The bitmask of the indexed lists that block ``query``: the OR of
         the masks of ``hits``, taken as each mask is found, with no hit list
         built."""
-        mask = self.exact.get(query.words, 0)
-        distinct = query.distinct
-        if not self.heads.isdisjoint(distinct):
+        words = query.words
+        mask = self.exact.get(words, 0)
+        heads = self.heads
+        if not heads.keys().isdisjoint(words):
+            # Only the runs that start at a head, none longer than the
+            # longest phrase from it.
             phrases = self.phrases
-            for run in query.runs:
-                mask |= phrases.get(run, 0)
+            for i, word in enumerate(words):
+                longest = heads.get(word)
+                if longest:
+                    for end in range(i + 1, min(len(words), i + longest) + 1):
+                        mask |= phrases.get(words[i:end], 0)
         larges = self.larges
         if larges:
+            distinct = query.distinct
             for word in distinct:
                 bucket = larges.get(word)
                 if bucket is not None:
-                    for words, held in bucket.items():
-                        if distinct.issuperset(words):
+                    for tokens, held in bucket.items():
+                        if distinct.issuperset(tokens):
                             mask |= held
         return mask
+
+
+def _heads(phrases: Iterable[tuple[str, ...]]) -> dict[str, int]:
+    """Each phrase's first word, with the length of the longest phrase
+    starting with it."""
+    heads: dict[str, int] = {}
+    for words in phrases:
+        if len(words) > heads.get(words[0], 0):
+            heads[words[0]] = len(words)
+    return heads
 
 
 def exact(keyword: Keyword) -> NegativeKeyword:

@@ -17,9 +17,13 @@ the shared index matches each distinct negative once per query.
 
 Every verdict is decided in one place, from the indexes' bitmasks: OR the
 masks of the lists that block the query, tier by tier, then the masks of the
-admitting campaign's ad groups.  ``Simulator.disposition`` returns that
-verdict alone.  ``Simulator.run`` takes the same verdict and only explains it:
-one ``Step`` per campaign of each tier the query met, naming each blocked
+admitting campaign's ad groups.  That verdict is plain positions: the tiers
+met and bitmasks over the deciding tier's campaigns and the entered
+campaign's ad groups.  ``Simulator.landing`` reads the landing off it, as
+the account's own campaign and ad group, with no object made.
+``Simulator.disposition`` builds the ``Landed``, ``DeadEnd``, ``Ambiguous``
+or ``FellThrough`` it stands for, and ``Simulator.run`` explains it: one
+``Step`` per campaign of each tier the query met, naming each blocked
 campaign's first matching negative.  ``Simulator.blockers`` names those same
 negatives for every campaign of every tier.
 """
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from ._gcpause import gc_paused
-from .account import Account, AdGroup, AdGroupTag, Campaign, Priority
+from .account import Account, AdGroup, Campaign, Priority
 from .keywords import Keyword, NegativeIndex, NegativeKeyword, QueryWords
 
 
@@ -125,8 +129,6 @@ class Simulator:
         self._tiers: list[
             tuple[list[Campaign], NegativeIndex, int, list[tuple[NegativeIndex, int]]]
         ] = []
-        # Each (campaign, ad group) name pair's tag, to read a Landed disposition.
-        self.adgroup_tags: dict[tuple[str, str], AdGroupTag] = {}
         for priority in (Priority.HIGH, Priority.MEDIUM, Priority.LOW):
             tier = [c for c in account.campaigns if c.priority is priority]
             if tier:
@@ -136,9 +138,6 @@ class Simulator:
                 ]
                 index = NegativeIndex(*(c.negatives for c in tier))
                 self._tiers.append((tier, index, _every(tier), adgroups))
-        for c in account.campaigns:
-            for g in c.adgroups:
-                self.adgroup_tags[(c.name, g.name)] = g.tag
 
     def blockers(self, query: Keyword) -> dict[str, NegativeKeyword]:
         """Each campaign, in every tier, that refuses ``query``, with the
@@ -157,42 +156,62 @@ class Simulator:
                     found[c.name] = by
         return found
 
+    def landing(self, query: Keyword) -> tuple[Campaign, AdGroup] | None:
+        """The campaign and ad group ``query`` lands in, or None for any other
+        verdict, read off the verdict's positions with no disposition made."""
+        met, admitted, open_groups = self._verdict(QueryWords(query))
+        if not open_groups or open_groups & (open_groups - 1):
+            return None
+        campaign = self._tiers[met - 1][0][admitted.bit_length() - 1]
+        return campaign, campaign.adgroups[open_groups.bit_length() - 1]
+
     def disposition(self, query: Keyword) -> Disposition:
         """``run(query).disposition``, without building any ``Step``."""
-        return self._verdict(QueryWords(query))[0]
+        return self._disposition(*self._verdict(QueryWords(query)))
 
-    def _verdict(self, words: QueryWords) -> tuple[Disposition, int]:
-        """The query's verdict and the number of tiers it met.
+    def _verdict(self, words: QueryWords) -> tuple[int, int, int]:
+        """The query's verdict as plain positions: the number of tiers it
+        met, the bitmask of the deciding tier's admitting campaigns, and,
+        when exactly one admits, the bitmask of its open ad groups.
 
-        The first tier with an admitting campaign decides: several admitting
-        campaigns are ambiguous; one is entered, and its open ad groups give a
-        landing, a dead end or an ambiguity.  No admitting campaign in any
-        tier means the query fell through.
+        The first tier with an admitting campaign decides.  No admitting
+        campaign in any tier gives ``(len(tiers), 0, 0)``, and several give
+        no ad-group mask.
         """
-        for met, (tier, index, all_campaigns, adgroups) in enumerate(self._tiers, 1):
+        for met, (_, index, all_campaigns, adgroups) in enumerate(self._tiers, 1):
             admitted = all_campaigns & ~index.blocked(words)
             if not admitted:
                 continue
             if admitted & (admitted - 1):
-                return Ambiguous(_names(tier, admitted), ()), met
-            pos = admitted.bit_length() - 1
-            campaign = tier[pos]
-            group_index, all_groups = adgroups[pos]
-            open_groups = all_groups & ~group_index.blocked(words)
-            if not open_groups:
-                return DeadEnd(campaign.name), met
-            groups = campaign.adgroups
-            if open_groups & (open_groups - 1):
-                return Ambiguous((campaign.name,), _names(groups, open_groups)), met
-            return Landed(campaign.name, groups[open_groups.bit_length() - 1].name), met
-        return FellThrough(), len(self._tiers)
+                return met, admitted, 0
+            group_index, all_groups = adgroups[admitted.bit_length() - 1]
+            return met, admitted, all_groups & ~group_index.blocked(words)
+        return len(self._tiers), 0, 0
+
+    def _disposition(self, met: int, admitted: int, open_groups: int) -> Disposition:
+        """The disposition a verdict's positions stand for: several admitting
+        campaigns are ambiguous; one is entered, and its open ad groups give a
+        landing, a dead end or an ambiguity; none fell through."""
+        if not admitted:
+            return FellThrough()
+        tier = self._tiers[met - 1][0]
+        if admitted & (admitted - 1):
+            return Ambiguous(_names(tier, admitted), ())
+        campaign = tier[admitted.bit_length() - 1]
+        groups = campaign.adgroups
+        if not open_groups:
+            return DeadEnd(campaign.name)
+        if open_groups & (open_groups - 1):
+            return Ambiguous((campaign.name,), _names(groups, open_groups))
+        return Landed(campaign.name, groups[open_groups.bit_length() - 1].name)
 
     def run(self, query: Keyword) -> Trajectory:
         """The verdict with one ``Step`` per campaign of each tier met: in the
         deciding tier, one entered campaign comes after the blocked ones and
         several come before them."""
         words = QueryWords(query)
-        verdict, met = self._verdict(words)
+        verdict = self._verdict(words)
+        met = verdict[0]
         blockers = self._blockers(words, met)
         steps: list[Step] = []
         for tier, _, _, adgroups in self._tiers[:met]:
@@ -205,4 +224,4 @@ class Simulator:
                     shut = group_index.blocked(words)
                     entered.append(Step(c.name, Entered(_names(c.adgroups, ~shut))))
             steps += entered + blocked if len(entered) > 1 else blocked + entered
-        return Trajectory(query, tuple(steps), verdict)
+        return Trajectory(query, tuple(steps), self._disposition(*verdict))

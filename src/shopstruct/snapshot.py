@@ -282,11 +282,14 @@ class _Writer:
         # Each list is filed under its depth too: one list object may sit in
         # a campaign and in one of its ad groups.  One held by two families
         # at a depth is a cut of either family's union.
+        # A family's place of each union entry is keyed by the entry's rank,
+        # an int, so each union entry is hashed once, into ``order``.
+        self.rank = rank
         self.family: dict[tuple[int, int], tuple[list[str], frozenset, dict]] = {}
         for (lists, level), union in zip(families, unions):
             order = sorted(map(rank.__getitem__, union))
             texts = list(map(entries[level].__getitem__, order))
-            position = dict(zip(map(ranked.__getitem__, order), range(len(order))))
+            position = dict(zip(order, range(len(order))))
             self.family.update(((id(negs), level), (texts, union, position)) for negs in lists)
 
     def render(self) -> str:
@@ -331,7 +334,7 @@ class _Writer:
             parts.append("[]")
             return
         texts, union, position = self.family[id(negatives), level]
-        lacked = sorted(map(position.__getitem__, union - negatives))
+        lacked = sorted(map(position.__getitem__, map(self.rank.__getitem__, union - negatives)))
         lacked.append(len(texts))
         first = len(parts)
         b = 0

@@ -4,6 +4,12 @@ Catalogues are a pure function of a spec: the same spec always yields the
 same rules, brands and blocked brands, byte for byte.  Word frequencies are
 skewed (rank r drawn with weight 1/(r+1)) so keywords share vocabulary the
 way real catalogues do, which is what gives large erasers something to grab.
+
+Words are spelled in rank order by default, so the most frequent words sort
+first, a tie between spelling and frequency that real catalogues lack.
+``shuffle_spellings`` hands the vocabulary's spellings to the ranks in a
+seeded random order instead; every draw stays as it is, so the catalogue
+keeps its shape and only its words' spellings move.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ class SyntheticSpec:
     brand_fraction: float = 0.3
     item_pool: int | None = None
     seed: int = 0
+    shuffle_spellings: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -81,6 +88,8 @@ def generate(spec: SyntheticSpec) -> SyntheticCatalogue:
 
     stream = (_pseudoword(i) for i in range(vocab_size + spec.brand_count + spec.non_brand_count))
     vocab = [next(stream) for _ in range(vocab_size)]
+    if spec.shuffle_spellings:
+        random.Random(f"spellings:{spec.seed}").shuffle(vocab)
     brands = tuple(Keyword((next(stream),)) for _ in range(spec.brand_count))
     non_brands = tuple(Keyword((next(stream),)) for _ in range(spec.non_brand_count))
 

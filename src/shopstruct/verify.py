@@ -14,21 +14,27 @@ word, so a probe holds just the special phrases its brand's own words hold
 (none for a generic probe), and a brand whose words hold another brand or a
 blocked brand, decided once per brand, has its probes skipped without a draw.
 
-Each query's verdict comes from ``Simulator.disposition``, which reads every
-verdict, failing ones included, off the index bitmasks and builds no
-trajectory, so a case costs a few mask lookups.
+Each case is checked against ``Simulator.landing``, which reads the verdict
+off the index bitmasks as the account's own campaign and ad group: a case
+passes when that campaign's name and that ad group's tag are the expected
+ones, so a passing case costs a few mask lookups and two comparisons.  Only
+a failing case is routed again for its ``Disposition``, and gets its
+expected text and its ``Failure``.
 
 Static structure checks (limits, partition discipline, eraser coverage) run
 alongside, and, given the rule catalogue the account was built from, a
 catalogue check: every rule keyword has a rule ad group and every account
 keyword a rule.  A group campaign's keyword group is read off its rule ad
 groups, so partition discipline means that no keyword has rule ad groups in
-two group campaigns.  The negatives audit (each group campaign admits its own group's
-keywords and blocks every other group's) audits property 1's failures only:
-every group campaign is in the Low tier, so a keyword that landed in its own
-campaign already proves the audit's claim for it.  The audit reads the campaigns
-that refuse a keyword, and the negative each refuses it by, from
-``Simulator.blockers``, and one ``Simulator`` serves every check.
+two group campaigns; the groups are sorted for that check only when their
+sizes sum past the catalogue's, which shows a repeat.  Eraser coverage reads
+each group's eraser images off per-group word postings.  The negatives audit
+(each group campaign admits its own group's keywords and blocks every other
+group's) audits property 1's failures only: every group campaign is in the
+Low tier, so a keyword that landed in its own campaign already proves the
+audit's claim for it.  The audit reads the campaigns that refuse a keyword,
+and the negative each refuses it by, from ``Simulator.blockers``, and one
+``Simulator`` serves every check.
 Verification never mutates the account and is deterministic for a given seed.
 """
 
@@ -40,11 +46,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ._gcpause import gc_paused
-from .account import Account, AdGroupTag, BrandTag, CatchAllTag, Rule, RuleTag
-from .erasers import erases
+from .account import Account, AdGroupTag, BrandTag, Campaign, CatchAllTag, Rule, RuleTag
+from .erasers import ExactEraser
 from .errors import InputError
 from .keywords import Keyword, matches, phrase
-from .simulate import Disposition, Landed, Simulator
+from .simulate import Disposition, Simulator
 
 
 @dataclass(frozen=True)
@@ -99,37 +105,47 @@ def describe_disposition(d: Disposition) -> str:
     return "fell through every campaign"
 
 
-def _landed_tag_matches(sim: Simulator, d: Disposition, campaign: str, tag) -> bool:
-    if not isinstance(d, Landed) or d.campaign != campaign:
-        return False
-    return sim.adgroup_tags[(d.campaign, d.adgroup)] == tag
+def _describe_tag(tag: AdGroupTag) -> str:
+    if isinstance(tag, RuleTag):
+        return f"ad group for {tag.keyword.text!r}"
+    if isinstance(tag, BrandTag):
+        return f"ad group for brand {tag.brand.text!r}"
+    return "the catch-all ad group"
 
 
 def _check_routes(
     sim: Simulator,
     name: str,
-    cases: Sequence[tuple[Keyword, str, AdGroupTag | None, str]],
+    cases: Sequence[tuple[Keyword, str, AdGroupTag]],
     note: str | None,
 ) -> tuple[PropertyResult, tuple[int, ...]]:
-    """Route each (query, campaign, ad-group tag, ad-group description) case.
+    """Route each (query, campaign, ad-group tag) case.
 
-    A case passes when its query lands in the ad group with that tag in that
-    campaign; a None tag matches no ad group.  Also returns the indexes in
-    ``cases`` of the failing cases.
+    A case passes when its query lands in that campaign, in an ad group with
+    that tag.  A passing case costs its routing and two comparisons; only a
+    failing one is routed again for its disposition and gets its text.
+    Also returns the indexes in ``cases`` of the failing cases.
     """
-    failures = []
+    landing = sim.landing
     failed = []
-    for i, (query, campaign, tag, what) in enumerate(cases):
-        d = sim.disposition(query)
-        if not _landed_tag_matches(sim, d, campaign, tag):
+    for i, (query, campaign, tag) in enumerate(cases):
+        landed = landing(query)
+        if landed is None or landed[0].name != campaign:
             failed.append(i)
-            failures.append(
-                Failure(
-                    query=query,
-                    expected=f"landed in campaign {campaign}, {what}",
-                    actual=describe_disposition(d),
-                )
+        else:
+            got = landed[1].tag
+            if got is not tag and got != tag:
+                failed.append(i)
+    failures = []
+    for i in failed:
+        query, campaign, tag = cases[i]
+        failures.append(
+            Failure(
+                query=query,
+                expected=f"landed in campaign {campaign}, {_describe_tag(tag)}",
+                actual=describe_disposition(sim.disposition(query)),
             )
+        )
     result = PropertyResult(
         name=name, checked=len(cases), failures=tuple(failures), note=note
     )
@@ -144,16 +160,16 @@ def verify_property1(
     Also returns each failing case as its keyword's (partition position,
     keyword), in partition order (keywords sorted within their group), for
     ``verify_structure`` to audit.  A keyword the partition repeats is a
-    case at each of its positions.
+    case at each of its positions.  Each case expects its campaign's own
+    ``RuleTag`` object for the keyword, so no tag is made per case.
     """
-    group_camps = sim.account.group_campaigns()
-    placed = [
-        (pos, kw) for pos, camp in enumerate(group_camps) for kw in sorted(camp.group)
-    ]
-    cases = [
-        (kw, group_camps[pos].name, RuleTag(kw), f"ad group for {kw.text!r}")
-        for pos, kw in placed
-    ]
+    placed = []
+    cases = []
+    for pos, camp in enumerate(sim.account.group_campaigns()):
+        tags = {g.tag.keyword: g.tag for g in camp.adgroups if type(g.tag) is RuleTag}
+        for kw in sorted(tags):
+            placed.append((pos, kw))
+            cases.append((kw, camp.name, tags[kw]))
     note = None if cases else "no catalogue keywords; own-keyword routing is vacuous"
     result, failed = _check_routes(sim, "own-keyword routing", cases, note)
     return result, tuple(placed[i] for i in failed)
@@ -173,22 +189,25 @@ def _probe_routing(
     sim: Simulator,
     name: str,
     campaign: str,
-    targets: Sequence[tuple[AdGroupTag, str] | None],
+    targets: Sequence[AdGroupTag | None],
     draw: Callable[[AdGroupTag], Keyword],
 ) -> PropertyResult:
-    """Route one seeded probe per (ad-group tag, description) target; a None
-    target is a probe skipped without a draw.
+    """Route one seeded probe per ad-group tag target; a None target is a
+    probe skipped without a draw.
 
     ``draw(tag)`` makes one attempt at an admissible probe query.  A probe
     gets 50 attempts, never uses a catalogue keyword, else is skipped.
     """
     catalogue = sim.account.keywords()
     cases = []
-    for tag, what in filter(None, targets):
-        attempts = (draw(tag) for _ in range(50))
-        query = next((q for q in attempts if q not in catalogue), None)
-        if query is not None:
-            cases.append((query, campaign, tag, what))
+    for tag in targets:
+        if tag is None:
+            continue
+        for _ in range(50):
+            query = draw(tag)
+            if query not in catalogue:
+                cases.append((query, campaign, tag))
+                break
     skipped = len(targets) - len(cases)
     note = f"{skipped} probes skipped (no admissible query found)" if skipped else None
     return _check_routes(sim, name, cases, note)[0]
@@ -217,17 +236,17 @@ def verify_property2(
     brand_campaign = account.brand_campaign()
     special = account.brands + account.non_brands
 
-    # One (tag, description) target per brand, shared by its probes; a brand
-    # whose words hold another special phrase has no admissible probe.
-    target: dict[Keyword, tuple[BrandTag, str] | None] = {}
+    # One tag per brand, shared by its probes; a brand whose words hold
+    # another special phrase has no admissible probe.
+    target: dict[Keyword, BrandTag | None] = {}
     for brand in account.brands:
         crowded = [b for b in special if matches(brand, phrase(b))] != [brand]
-        target[brand] = None if crowded else (BrandTag(brand), f"ad group for brand {brand.text!r}")
+        target[brand] = None if crowded else BrandTag(brand)
 
     def draw(tag: BrandTag) -> Keyword:
         fillers = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
         cut = rng.randint(0, len(fillers))
-        return Keyword(tuple(fillers[:cut]) + tag.brand.words + tuple(fillers[cut:]))
+        return Keyword((*fillers[:cut], *tag.brand.words, *fillers[cut:]))
 
     targets = [target[account.brands[i % len(account.brands)]] for i in range(probes)]
     campaign = brand_campaign.name if brand_campaign else "?"
@@ -244,9 +263,9 @@ def verify_property3(
     pool = _filler_pool(account)
 
     def draw(tag: CatchAllTag) -> Keyword:
-        return Keyword(tuple(rng.choice(pool) for _ in range(rng.randint(1, 4))))
+        return Keyword(tuple([rng.choice(pool) for _ in range(rng.randint(1, 4))]))
 
-    targets = [(CatchAllTag(), "the catch-all ad group")] * probes
+    targets = [CatchAllTag()] * probes
     general = account.general_campaign().name
     return _probe_routing(sim, "generic routing", general, targets, draw)
 
@@ -265,8 +284,12 @@ def verify_structure(
         for where, count in account.over_limit().items()
     ]
 
+    # Groups that sum to the catalogue's size repeat no keyword, so they are
+    # sorted only when the sizes show a repeat.
+    partition = account.partition
     seen: dict[Keyword, int] = {}
-    for pos, group in enumerate(account.partition):
+    repeats = sum(map(len, partition)) != len(account.keywords())
+    for pos, group in enumerate(partition if repeats else ()):
         for kw in sorted(group):
             if kw in seen:
                 findings.append(
@@ -315,9 +338,7 @@ def verify_structure(
             )
 
     for pos, camp in enumerate(group_camps, 1):
-        for kw in sorted(camp.group):
-            if any(erases(e, kw) for e in camp.erasers):
-                continue
+        for kw in sorted(camp.group - _erased(camp)):
             findings.append(
                 Finding(
                     kind="erasers",
@@ -357,6 +378,27 @@ def verify_structure(
                         )
                     )
     return tuple(findings)
+
+
+def _erased(camp: Campaign) -> set[Keyword]:
+    """The keywords of ``camp``'s group that one of its erasers erases: each
+    large eraser's image is the intersection of its words' postings over the
+    group, so no (keyword, eraser) pair is tested on its own."""
+    group = camp.group
+    postings: dict[str, set[Keyword]] = {}
+    for kw in group:
+        for word in kw.words:
+            postings.setdefault(word, set()).add(kw)
+    erased: set[Keyword] = set()
+    for e in camp.erasers:
+        if isinstance(e, ExactEraser):
+            if e.keyword in group:
+                erased.add(e.keyword)
+            continue
+        sets = [postings.get(word) for word in e.words]
+        if None not in sets:
+            erased.update(sets[0].intersection(*sets[1:]))
+    return erased
 
 
 def verify_catalogue(account: Account, rules: Sequence[Rule]) -> tuple[Finding, ...]:

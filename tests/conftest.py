@@ -151,11 +151,14 @@ def unlimited_accounts(limit_catalogues):
 def index_postings(index) -> set[tuple]:
     """A ``NegativeIndex`` as the set of (family, token tuple, mask) of its
     entries, so two indexes over the same lists compare equal whatever
-    order or history built them; the family and the tokens name the
-    negative.  Each large bucket must be non-empty and hold only negatives
-    whose smallest word keys it."""
-    for word, bucket in index.larges.items():
-        assert bucket and all(min(words) == word for words in bucket)
+    order or history built them, and whichever of its words buckets a large
+    negative; the family and the tokens name the negative.  Each large
+    bucket must be non-empty, and each large entry must sit in exactly one
+    bucket, keyed by one of its own words."""
+    larges = [(word, words) for word, bucket in index.larges.items() for words in bucket]
+    assert all(index.larges.values())
+    assert all(word in words for word, words in larges)
+    assert len({words for _, words in larges}) == len(larges)
     out = {("exact", words, mask) for words, mask in index.exact.items()}
     out |= {("phrase", words, mask) for words, mask in index.phrases.items()}
     out |= {

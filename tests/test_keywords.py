@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -251,6 +254,64 @@ def test_blocked_is_the_or_of_hits_and_the_reference_over_several_lists(lists, e
         for _, mask in index.hits(QueryWords(q)):
             of_hits |= mask
         assert index.blocked(QueryWords(q)) == of_hits == reference
+
+
+_TINY = ("a", "b", "c", "d")
+_tiny_larges = st.lists(st.sampled_from(_TINY), min_size=1, max_size=3).map(
+    lambda ws: large(Keyword(tuple(ws)))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lists=st.lists(
+        st.frozensets(
+            st.one_of(_tiny_larges, st.sampled_from([exact(_ab), phrase(_ab), phrase(_ba)])),
+            max_size=8,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    floods=st.lists(st.tuples(st.sampled_from(_TINY), st.integers(0, 3), st.booleans())),
+    edits=st.lists(st.tuples(st.integers(0, 3), _tiny_larges, st.booleans()), max_size=8),
+)
+def test_rarest_word_buckets_answer_as_the_reference(lists, floods, edits):
+    # Large a b, b a and a a are three negatives, held by list 0 whatever was drawn.
+    held = [set(negs) for negs in lists]
+    held[0] |= {large(_ab), large(_ba), large(_aa)}
+    fresh = NegativeIndex(*held)
+    # A fresh index keys each large negative by its word held by the fewest
+    # large negatives, the smallest such word on a tie.
+    larges = {words for bucket in fresh.larges.values() for words in bucket}
+    count = {w: sum(w in words for words in larges) for w in _TINY}
+    for word, bucket in fresh.larges.items():
+        assert all(word == min(words, key=lambda w: (count[w], w)) for words in bucket)
+    # A flood adds (or removes) large negatives pairing one word with every
+    # word, so the rarest word of the entries already filed changes.
+    edits = [
+        (i, large(Keyword((w, x))), keep) for w, i, keep in floods for x in _TINY
+    ] + edits
+    bit_edits = []
+    for i, neg, keep in edits:
+        i %= len(held)
+        if keep:
+            held[i].add(neg)
+        else:
+            held[i].discard(neg)
+        bit_edits.append((neg, 1 << i, keep))
+    edited = fresh.edited(bit_edits)
+    after = NegativeIndex(*held)
+    assert index_postings(edited) == index_postings(after)
+    queries = [Keyword(q) for size in (1, 2, 3) for q in itertools.product(_TINY, repeat=size)]
+    for index in (edited, after):
+        for q in queries:
+            words = QueryWords(q)
+            reference = sum(1 << i for i, s in enumerate(held) if any(matches(q, n) for n in s))
+            hits = index.hits(words)
+            assert hits == _reference_hits(held, q)
+            assert index.blocked(words) == functools.reduce(
+                int.__or__, (mask for _, mask in hits), 0
+            ) == reference
 
 
 def test_match_type_ordering():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -34,6 +35,27 @@ def test_different_seeds_differ():
     a = generate(SyntheticSpec(n=60, seed=1))
     b = generate(SyntheticSpec(n=60, seed=2))
     assert dumps_rules(a.rules) != dumps_rules(b.rules)
+
+
+def test_shuffled_spellings_rename_the_vocabulary_and_keep_every_draw():
+    plain = generate(SyntheticSpec(n=300, seed=3))
+    shuffled = generate(SyntheticSpec(n=300, seed=3, shuffle_spellings=True))
+    assert shuffled == generate(SyntheticSpec(n=300, seed=3, shuffle_spellings=True))
+    assert (shuffled.brands, shuffled.non_brands) == (plain.brands, plain.non_brands)
+    # One renaming of the words maps each rule onto its plain twin.
+    renamed: dict[str, str] = {}
+    for a, b in zip(plain.rules, shuffled.rules):
+        assert (a.cpc, a.items, len(a.keyword.words)) == (b.cpc, b.items, len(b.keyword.words))
+        for x, y in zip(a.keyword.words, b.keyword.words):
+            assert renamed.setdefault(x, y) == y
+    assert len(set(renamed.values())) == len(renamed)
+    assert any(x != y for x, y in renamed.items())
+    # Spelling no longer follows frequency: the smallest spelling is no
+    # longer the most frequent word.
+    counts = Counter(w for r in shuffled.rules for w in r.keyword.words)
+    special = {b.words[0] for b in shuffled.brands}
+    plain_words = sorted(set(counts) - special)
+    assert counts[plain_words[0]] < max(counts[w] for w in plain_words)
 
 
 def test_generated_keywords_are_distinct():

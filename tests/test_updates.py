@@ -1074,12 +1074,6 @@ def test_update_limit_verdict_equals_the_full_check(kind, data):
             assert verdict == (account.limit_message(*over[0]) if over else None)
 
 
-_SMALL = generate(SyntheticSpec(n=60, seed=4))
-_SPECIAL = {w for b in _SMALL.brands + _SMALL.non_brands for w in b.words}
-_PLAIN_WORDS = sorted({w for r in _SMALL.rules for w in r.keyword.words} - _SPECIAL)
-_ITEMS = sorted({i for r in _SMALL.rules for i in r.items})
-
-
 class UpdateSequence(RuleBasedStateMachine):
     """Random add_rule / remove_rule / remove_item sequences on a small
     account: every step must leave a verified account that the step's change
@@ -1088,10 +1082,16 @@ class UpdateSequence(RuleBasedStateMachine):
     a removal, a fresh cover on each opened campaign), so the renderer's
     cuts see other shapes here than on built accounts."""
 
+    catalogue = generate(SyntheticSpec(n=60, seed=4))
+
     @initialize()
     def build(self):
-        self.rules = list(_SMALL.rules)
-        self.account = build_account(self.rules, _SMALL.brands, _SMALL.non_brands)
+        cat = self.catalogue
+        special = {w for b in cat.brands + cat.non_brands for w in b.words}
+        self.plain_words = sorted({w for r in cat.rules for w in r.keyword.words} - special)
+        self.items = sorted({i for r in cat.rules for i in r.items})
+        self.rules = list(cat.rules)
+        self.account = build_account(self.rules, cat.brands, cat.non_brands)
         self.account.admission_index
 
     def _step(self, outcome):
@@ -1107,28 +1107,26 @@ class UpdateSequence(RuleBasedStateMachine):
         account.admission_index
         self.account = account
 
-    def _add(self, kw, items):
+    def _add(self, kw, data):
+        items = data.draw(st.lists(st.sampled_from(self.items), min_size=1, max_size=2))
         new_rule = Rule(kw, Money(90_000), frozenset(items))
         self._step(add_rule(self.account, new_rule))
         self.rules.append(new_rule)
 
-    @rule(
-        words=st.lists(st.sampled_from(_PLAIN_WORDS), min_size=1, max_size=3, unique=True),
-        items=st.lists(st.sampled_from(_ITEMS), min_size=1, max_size=2),
-    )
-    def add_plain(self, words, items):
+    @rule(data=st.data())
+    def add_plain(self, data):
+        words = data.draw(
+            st.lists(st.sampled_from(self.plain_words), min_size=1, max_size=3, unique=True)
+        )
         kw = normalize(" ".join(words))
         if kw not in self.account.keywords():
-            self._add(kw, items)
+            self._add(kw, data)
 
-    @rule(
-        seed=st.integers(0, 2**16),
-        items=st.lists(st.sampled_from(_ITEMS), min_size=1, max_size=2),
-    )
-    def add_blocked(self, seed, items):
+    @rule(seed=st.integers(0, 2**16), data=st.data())
+    def add_blocked(self, seed, data):
         kw = _blocked_everywhere(self.account, random.Random(seed))
         if kw is not None:
-            self._add(kw, items)
+            self._add(kw, data)
 
     @precondition(lambda self: len(self.rules) > 1)
     @rule(data=st.data())
@@ -1147,10 +1145,17 @@ class UpdateSequence(RuleBasedStateMachine):
             self.rules = list(outcome.rules)
 
 
-UpdateSequence.TestCase.settings = settings(
-    max_examples=15, stateful_step_count=8, deadline=None
-)
+class ShuffledUpdateSequence(UpdateSequence):
+    """The same sequences with the catalogue's words spelled in a seeded
+    random order, so large negatives bucket under other words."""
+
+    catalogue = generate(SyntheticSpec(n=60, seed=4, shuffle_spellings=True))
+
+
+for _machine in (UpdateSequence, ShuffledUpdateSequence):
+    _machine.TestCase.settings = settings(max_examples=15, stateful_step_count=8, deadline=None)
 test_update_sequences = UpdateSequence.TestCase
+test_update_sequences_with_shuffled_spellings = ShuffledUpdateSequence.TestCase
 
 
 

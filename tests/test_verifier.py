@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from shopstruct import (
     MatchType,
     RuleTag,
     Simulator,
+    SyntheticCatalogue,
     SyntheticSpec,
     build_account,
     exact,
@@ -314,23 +316,25 @@ def _mutants(account):
     }
 
 
+@functools.cache
+def _synth_bases() -> dict[str, SyntheticCatalogue]:
+    """Synth n=300 seeds 0 and 1, and seed 0 with shuffled spellings."""
+    specs = {f"synth-300-{seed}": SyntheticSpec(n=300, seed=seed) for seed in (0, 1)}
+    specs["synth-300-0-shuffled"] = SyntheticSpec(n=300, seed=0, shuffle_spellings=True)
+    return {name: generate(spec) for name, spec in specs.items()}
+
+
 @pytest.fixture(scope="module")
 def base_rules(golden_rules):
     """The rule catalogue of each base account."""
-    rules = {"golden": golden_rules}
-    for seed in (0, 1):
-        rules[f"synth-300-{seed}"] = generate(SyntheticSpec(n=300, seed=seed)).rules
-    return rules
+    return {"golden": golden_rules} | {name: cat.rules for name, cat in _synth_bases().items()}
 
 
 @pytest.fixture(scope="module")
 def base_accounts(golden_account):
     bases = {"golden": golden_account}
-    for seed in (0, 1):
-        cat = generate(SyntheticSpec(n=300, seed=seed))
-        bases[f"synth-300-{seed}"] = build_account(
-            cat.rules, cat.brands, cat.non_brands
-        )
+    for name, cat in _synth_bases().items():
+        bases[name] = build_account(cat.rules, cat.brands, cat.non_brands)
     return bases
 
 
@@ -356,7 +360,9 @@ def test_dropped_group_campaign_is_bad_input(base_accounts, base):
         parse_account_document(doc)
 
 
-@pytest.mark.parametrize("base", ["golden", "synth-300-0", "synth-300-1"])
+@pytest.mark.parametrize(
+    "base", ["golden", "synth-300-0", "synth-300-1", "synth-300-0-shuffled"]
+)
 @pytest.mark.parametrize(
     "mutant",
     [
