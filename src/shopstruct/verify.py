@@ -127,18 +127,13 @@ def _check_routes(
     Also returns the indexes in ``cases`` of the failing cases.
     """
     landing = sim.landing
+    failures = []
     failed = []
     for i, (query, campaign, tag) in enumerate(cases):
         landed = landing(query)
-        if landed is None or landed[0].name != campaign:
-            failed.append(i)
-        else:
-            got = landed[1].tag
-            if got is not tag and got != tag:
-                failed.append(i)
-    failures = []
-    for i in failed:
-        query, campaign, tag = cases[i]
+        if landed and landed[0].name == campaign and (landed[1].tag is tag or landed[1].tag == tag):
+            continue
+        failed.append(i)
         failures.append(
             Failure(
                 query=query,
@@ -381,23 +376,19 @@ def verify_structure(
 
 
 def _erased(camp: Campaign) -> set[Keyword]:
-    """The keywords of ``camp``'s group that one of its erasers erases: each
-    large eraser's image is the intersection of its words' postings over the
-    group, so no (keyword, eraser) pair is tested on its own."""
-    group = camp.group
+    """The keywords ``camp``'s erasers erase, all of its group's among them:
+    a large eraser's image in the group is the intersection of its words'
+    postings over the group, so no (keyword, eraser) pair is tested alone."""
     postings: dict[str, set[Keyword]] = {}
-    for kw in group:
+    for kw in camp.group:
         for word in kw.words:
             postings.setdefault(word, set()).add(kw)
     erased: set[Keyword] = set()
     for e in camp.erasers:
         if isinstance(e, ExactEraser):
-            if e.keyword in group:
-                erased.add(e.keyword)
-            continue
-        sets = [postings.get(word) for word in e.words]
-        if None not in sets:
-            erased.update(sets[0].intersection(*sets[1:]))
+            erased.add(e.keyword)
+        elif None not in (images := [postings.get(word) for word in e.words]):
+            erased.update(images[0].intersection(*images[1:]))
     return erased
 
 
