@@ -27,7 +27,7 @@ from .simulate import Blocked, Simulator, Trajectory
 from .snapshot import parse_account, render_account
 from .synth import SyntheticCatalogue, SyntheticSpec, generate
 from .updates import UpdateOutcome, add_rule, remove_item, remove_rule
-from .verify import VerificationReport, verify_account
+from .verify import VerificationReport, describe_disposition, verify_account
 
 
 def _read_account(path: str):
@@ -115,8 +115,6 @@ def _cmd_simulate(args) -> int:
         else:
             names = ", ".join(repr(n) for n in step.outcome.open_adgroups) or "none"
             print(f"  campaign {step.campaign}: entered (open ad groups: {names})")
-    from .verify import describe_disposition
-
     print(f"-> {describe_disposition(t.disposition)}")
     return 0
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InfeasibleTargetError, InputError
-from .keywords import Keyword, MatchType, NegativeKeyword, word_set
+from .keywords import Keyword, MatchType, NegativeKeyword
 
 # The most words a large eraser holds, at build and in updates alike.
 MAX_WORDS = 3
@@ -357,7 +357,7 @@ def make_group_plan(
     for kw in keywords:
         if kw in seen:
             continue
-        words = word_set(kw)
+        words = frozenset(kw.words)
         # levels[j]: the open groups holding more than j of the keyword's
         # words, so the last non-empty level holds the groups sharing most.
         levels: list[int] = []

@@ -15,7 +15,9 @@ one word).
 
 This module is the one place that decides whether a negative blocks a query.
 ``NegativeIndex`` answers for negative lists by hash lookups keyed by the
-query's own words (an inverted-file lookup).  A large negative is filed
+query's own words (an inverted-file lookup): it takes the query ``Keyword``
+itself, and makes the query's word set only when it holds large negatives,
+the one lookup that needs it.  A large negative is filed
 under one of its own words, the one rarest among the index's large
 negatives, so a query word's bucket holds only the few negatives that
 word is the rarest part of.  A phrase is looked up only at the query
@@ -38,7 +40,7 @@ from collections import Counter
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .errors import EmptyKeywordError
+from .errors import DuplicateKeywordError, EmptyKeywordError
 
 
 class Keyword(NamedTuple):
@@ -69,11 +71,6 @@ def normalize(text: str) -> Keyword:
     if not tokens:
         raise EmptyKeywordError(f"keyword text has no tokens: {text!r}")
     return Keyword(tokens)
-
-
-def word_set(keyword: Keyword) -> frozenset[str]:
-    """The set of distinct words of a keyword."""
-    return frozenset(keyword.words)
 
 
 def subword_set(keyword: Keyword) -> frozenset[tuple[str, ...]]:
@@ -125,18 +122,6 @@ def matches(query: Keyword, negative: NegativeKeyword) -> bool:
         k = len(needle)
         return any(hay[i : i + k] == needle for i in range(len(hay) - k + 1))
     return set(needle) <= set(hay)
-
-
-class QueryWords:
-    """A query's token tuple and word set, shared by every negative list the
-    query meets."""
-
-    __slots__ = ("query", "words", "distinct")
-
-    def __init__(self, query: Keyword) -> None:
-        self.query = query
-        self.words = query.words
-        self.distinct = frozenset(query.words)
 
 
 class NegativeIndex:
@@ -242,14 +227,17 @@ class NegativeIndex:
         new.heads = _heads(new.phrases)
         return new
 
-    def hits(self, query: QueryWords) -> list[tuple[NegativeKeyword, int]]:
+    def hits(self, query: Keyword) -> list[tuple[NegativeKeyword, int]]:
         """Every indexed negative that blocks ``query``, with the bitmask of
         the lists holding it, smallest ``sort_key`` first.  Only explanations
         ask, so the few negatives returned are made here."""
-        words, distinct, phrases = query.words, query.distinct, self.phrases
-        found = [(exact(query.query), self.exact[words])] if words in self.exact else []
-        runs = sorted(run for run in subword_set(query.query) if run in phrases)
+        words, phrases = query.words, self.phrases
+        found = [(exact(query), self.exact[words])] if words in self.exact else []
+        runs = sorted(run for run in subword_set(query) if run in phrases)
         found += [(phrase(Keyword(run)), phrases[run]) for run in runs]
+        if not self.larges:
+            return found
+        distinct = frozenset(words)
         larges = sorted(
             (t, held)
             for w in distinct
@@ -259,7 +247,7 @@ class NegativeIndex:
         )
         return found + [(large(Keyword(t)), held) for t, held in larges]
 
-    def blocked(self, query: QueryWords) -> int:
+    def blocked(self, query: Keyword) -> int:
         """The bitmask of the indexed lists that block ``query``: the OR of
         the masks of ``hits``, taken as each mask is found, with no hit list
         built."""
@@ -277,7 +265,7 @@ class NegativeIndex:
                         mask |= phrases.get(words[i:end], 0)
         larges = self.larges
         if larges:
-            distinct = query.distinct
+            distinct = frozenset(words)
             for word in distinct:
                 bucket = larges.get(word)
                 if bucket is not None:
@@ -311,8 +299,6 @@ def large(keyword: Keyword) -> NegativeKeyword:
 
 def distinct_keywords(keywords: Iterable[Keyword]) -> None:
     """Raise when the iterable repeats a keyword; used at rule ingestion."""
-    from .errors import DuplicateKeywordError
-
     seen: set[Keyword] = set()
     for kw in keywords:
         if kw in seen:

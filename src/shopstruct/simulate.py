@@ -17,7 +17,8 @@ the shared index matches each distinct negative once per query.
 
 Every verdict is decided in one place, from the indexes' bitmasks: OR the
 masks of the lists that block the query, tier by tier, then the masks of the
-admitting campaign's ad groups.  That verdict is plain positions: the tiers
+admitting campaign's ad groups, asking each index with the query ``Keyword``
+itself.  That verdict is plain positions: the tiers
 met and bitmasks over the deciding tier's campaigns and the entered
 campaign's ad groups.  ``Simulator.landing`` reads the landing off it, as
 the account's own campaign and ad group, with no object made.
@@ -35,7 +36,7 @@ from typing import Sequence, Union
 
 from ._gcpause import gc_paused
 from .account import Account, AdGroup, Campaign, Priority
-from .keywords import Keyword, NegativeIndex, NegativeKeyword, QueryWords
+from .keywords import Keyword, NegativeIndex, NegativeKeyword
 
 
 @dataclass(frozen=True)
@@ -142,14 +143,14 @@ class Simulator:
     def blockers(self, query: Keyword) -> dict[str, NegativeKeyword]:
         """Each campaign, in every tier, that refuses ``query``, with the
         negative ``run`` names for it."""
-        return self._blockers(QueryWords(query), len(self._tiers))
+        return self._blockers(query, len(self._tiers))
 
-    def _blockers(self, words: QueryWords, met: int) -> dict[str, NegativeKeyword]:
+    def _blockers(self, query: Keyword, met: int) -> dict[str, NegativeKeyword]:
         """Each campaign of the first ``met`` tiers that refuses the query, with
         its first matching negative: the first of its tier's hits it holds."""
         found: dict[str, NegativeKeyword] = {}
         for tier, index, _, _ in self._tiers[:met]:
-            hits = index.hits(words)
+            hits = index.hits(query)
             for pos, c in enumerate(tier):
                 by = next((neg for neg, mask in hits if mask >> pos & 1), None)
                 if by is not None:
@@ -159,7 +160,7 @@ class Simulator:
     def landing(self, query: Keyword) -> tuple[Campaign, AdGroup] | None:
         """The campaign and ad group ``query`` lands in, or None for any other
         verdict, read off the verdict's positions with no disposition made."""
-        met, admitted, open_groups = self._verdict(QueryWords(query))
+        met, admitted, open_groups = self._verdict(query)
         if not open_groups or open_groups & (open_groups - 1):
             return None
         campaign = self._tiers[met - 1][0][admitted.bit_length() - 1]
@@ -167,9 +168,9 @@ class Simulator:
 
     def disposition(self, query: Keyword) -> Disposition:
         """``run(query).disposition``, without building any ``Step``."""
-        return self._disposition(*self._verdict(QueryWords(query)))
+        return self._disposition(*self._verdict(query))
 
-    def _verdict(self, words: QueryWords) -> tuple[int, int, int]:
+    def _verdict(self, query: Keyword) -> tuple[int, int, int]:
         """The query's verdict as plain positions: the number of tiers it
         met, the bitmask of the deciding tier's admitting campaigns, and,
         when exactly one admits, the bitmask of its open ad groups.
@@ -179,13 +180,13 @@ class Simulator:
         no ad-group mask.
         """
         for met, (_, index, all_campaigns, adgroups) in enumerate(self._tiers, 1):
-            admitted = all_campaigns & ~index.blocked(words)
+            admitted = all_campaigns & ~index.blocked(query)
             if not admitted:
                 continue
             if admitted & (admitted - 1):
                 return met, admitted, 0
             group_index, all_groups = adgroups[admitted.bit_length() - 1]
-            return met, admitted, all_groups & ~group_index.blocked(words)
+            return met, admitted, all_groups & ~group_index.blocked(query)
         return len(self._tiers), 0, 0
 
     def _disposition(self, met: int, admitted: int, open_groups: int) -> Disposition:
@@ -209,10 +210,9 @@ class Simulator:
         """The verdict with one ``Step`` per campaign of each tier met: in the
         deciding tier, one entered campaign comes after the blocked ones and
         several come before them."""
-        words = QueryWords(query)
-        verdict = self._verdict(words)
+        verdict = self._verdict(query)
         met = verdict[0]
-        blockers = self._blockers(words, met)
+        blockers = self._blockers(query, met)
         steps: list[Step] = []
         for tier, _, _, adgroups in self._tiers[:met]:
             entered: list[Step] = []
@@ -221,7 +221,7 @@ class Simulator:
                 if c.name in blockers:
                     blocked.append(Step(c.name, Blocked(blockers[c.name])))
                 else:
-                    shut = group_index.blocked(words)
+                    shut = group_index.blocked(query)
                     entered.append(Step(c.name, Entered(_names(c.adgroups, ~shut))))
             steps += entered + blocked if len(entered) > 1 else blocked + entered
         return Trajectory(query, tuple(steps), self._disposition(*verdict))

@@ -27,7 +27,7 @@ from .builder import (
 )
 from .erasers import Eraser, ExactEraser, cover_beside, erases, group_target
 from .errors import DuplicateKeywordError, InputError
-from .keywords import Keyword, NegativeKeyword, QueryWords, exact, phrase
+from .keywords import Keyword, NegativeKeyword, exact, phrase
 
 
 # --- change log ----------------------------------------------------------
@@ -432,7 +432,7 @@ def add_rule(account: Account, rule: Rule) -> UpdateOutcome:
     # The account's admission index gives the group campaigns whose lists
     # hold a negative that blocks the keyword (by value, so equal copies
     # agree); every other group campaign admits it.
-    blocked = account.admission_index.blocked(QueryWords(kw))
+    blocked = account.admission_index.blocked(kw)
     blocking = _tier_campaigns(account)
     admitting = [camp for i, camp in enumerate(group_camps) if not blocked >> i & 1]
     if admitting:

@@ -51,10 +51,8 @@ from shopstruct.keywords import (
     MatchType,
     NegativeIndex,
     NegativeKeyword,
-    QueryWords,
     normalize,
     subword_set,
-    word_set,
 )
 from shopstruct.simulate import (
     Ambiguous,
@@ -137,7 +135,7 @@ def make_group_plan(
     def vocabulary(g: int) -> set[str]:
         vocab: set[str] = set()
         for kw in group_kws[g]:
-            vocab.update(word_set(kw))
+            vocab.update(kw.words)
         return vocab
 
     def large_covered(g: int) -> int:
@@ -149,7 +147,7 @@ def make_group_plan(
 
     uncovered = [kw for kw in keywords if kw not in seen]
     for kw in uncovered:
-        words = word_set(kw)
+        words = frozenset(kw.words)
         open_groups = [g for g in range(k) if size(g) < target_size]
         affine = [
             (len(words & vocabulary(g)), g) for g in open_groups
@@ -240,12 +238,12 @@ def enumerate_candidates(
         max_image = max(1, math.ceil(math.sqrt(n)))
     by_word: dict[str, set[Keyword]] = {}
     for kw in keywords:
-        for w in word_set(kw):
+        for w in kw.words:
             by_word.setdefault(w, set()).add(kw)
 
     images: dict[frozenset[str], frozenset[Keyword]] = {}
     for kw in keywords:
-        toks = sorted(word_set(kw))
+        toks = sorted(frozenset(kw.words))
         for r in range(1, min(max_words, len(toks)) + 1):
             for combo in itertools.combinations(toks, r):
                 ws = frozenset(combo)
@@ -300,14 +298,14 @@ def reduce_keywords(
     seen_sets: set[frozenset[str]] = set()
     strict: list[tuple[frozenset[str], frozenset[Keyword]]] = []
     for kw in sorted(member_set):
-        toks = sorted(word_set(kw))
+        toks = sorted(frozenset(kw.words))
         for r in range(1, min(max_words, len(toks)) + 1):
             for combo in itertools.combinations(toks, r):
                 ws = frozenset(combo)
                 if ws in seen_sets:
                     continue
                 seen_sets.add(ws)
-                img = frozenset(k for k in universe_list if ws <= word_set(k))
+                img = frozenset(k for k in universe_list if ws <= frozenset(k.words))
                 if len(img) >= 2 and img <= member_set:
                     strict.append((ws, img))
     strict.sort(key=lambda t: (-len(t[1]), tuple(sorted(t[0]))))
@@ -403,12 +401,12 @@ def _filler_pool(account: Account) -> list[str]:
     """Filler words that can never form a brand or blocked-brand phrase."""
     excluded: set[str] = set()
     for b in account.brands:
-        excluded.update(word_set(b))
+        excluded.update(b.words)
     for b in account.non_brands:
-        excluded.update(word_set(b))
+        excluded.update(b.words)
     pool: set[str] = set()
     for kw in account.keywords():
-        pool.update(word_set(kw) - excluded)
+        pool.update(frozenset(kw.words) - excluded)
     pool.update(f"zzfill{i}" for i in range(16))
     return sorted(pool)
 
@@ -523,9 +521,9 @@ def verify_property3(
     )
 
 
-def _first(index: NegativeIndex, words: QueryWords) -> NegativeKeyword | None:
+def _first(index: NegativeIndex, query: Keyword) -> NegativeKeyword | None:
     """The index's first match for the query: its first hit, or None."""
-    hits = index.hits(words)
+    hits = index.hits(query)
     return hits[0][0] if hits else None
 
 
@@ -607,8 +605,7 @@ def verify_structure(account: Account) -> tuple[Finding, ...]:
     indexes = [NegativeIndex(c.negatives) for c in group_camps]
     for pos, group in enumerate(account.partition):
         for kw in sorted(group):
-            words = QueryWords(kw)
-            hit = _first(indexes[pos], words)
+            hit = _first(indexes[pos], kw)
             if hit is not None:
                 findings.append(
                     Finding(
@@ -622,7 +619,7 @@ def verify_structure(account: Account) -> tuple[Finding, ...]:
             for other_pos in range(len(account.partition)):
                 if other_pos == pos:
                     continue
-                if _first(indexes[other_pos], words) is None:
+                if _first(indexes[other_pos], kw) is None:
                     findings.append(
                         Finding(
                             kind="negatives",
@@ -714,26 +711,22 @@ class Simulator:
 
     def campaign_blocker(self, campaign: str, query: Keyword) -> NegativeKeyword | None:
         """The negative of ``campaign`` that refuses ``query``, or None."""
-        return _first(self._campaign_index[campaign], QueryWords(query))
+        return _first(self._campaign_index[campaign], query)
 
     def open_adgroups(self, campaign: Campaign, query: Keyword) -> list[AdGroup]:
-        return self._open_adgroups(campaign, QueryWords(query))
-
-    def _open_adgroups(self, campaign: Campaign, words: QueryWords) -> list[AdGroup]:
         return [
             g
             for g in campaign.adgroups
-            if _first(self._adgroup_index[(campaign.name, g.name)], words) is None
+            if _first(self._adgroup_index[(campaign.name, g.name)], query) is None
         ]
 
     def run(self, query: Keyword) -> Trajectory:
-        words = QueryWords(query)
         steps: list[Step] = []
         for tier in self._tiers:
             admitted: list[Campaign] = []
             blocked: list[Step] = []
             for c in tier:
-                hit = _first(self._campaign_index[c.name], words)
+                hit = _first(self._campaign_index[c.name], query)
                 if hit is None:
                     admitted.append(c)
                 else:
@@ -743,7 +736,7 @@ class Simulator:
                 continue
             if len(admitted) > 1:
                 for c in admitted:
-                    names = tuple(g.name for g in self._open_adgroups(c, words))
+                    names = tuple(g.name for g in self.open_adgroups(c, query))
                     steps.append(Step(c.name, Entered(names)))
                 steps.extend(blocked)
                 return Trajectory(
@@ -752,7 +745,7 @@ class Simulator:
                     Ambiguous(tuple(c.name for c in admitted), ()),
                 )
             campaign = admitted[0]
-            open_groups = self._open_adgroups(campaign, words)
+            open_groups = self.open_adgroups(campaign, query)
             steps.extend(blocked)
             steps.append(
                 Step(campaign.name, Entered(tuple(g.name for g in open_groups)))

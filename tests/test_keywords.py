@@ -21,9 +21,7 @@ from shopstruct import (
     normalize,
     phrase,
     subword_set,
-    word_set,
 )
-from shopstruct.keywords import QueryWords
 from conftest import index_postings
 
 words = st.sampled_from(["nike", "adidas", "shoes", "air", "max", "large", "red"])
@@ -75,9 +73,8 @@ def test_large_ignores_order_and_extra_words():
     assert not matches(normalize("nike sandals"), large(kw))
 
 
-def test_word_set_and_subword_set():
+def test_subword_set():
     kw = normalize("a b c")
-    assert word_set(kw) == frozenset({"a", "b", "c"})
     assert subword_set(kw) == frozenset(
         {("a",), ("b",), ("c",), ("a", "b"), ("b", "c"), ("a", "b", "c")}
     )
@@ -114,13 +111,13 @@ negatives = st.frozensets(
 def test_index_and_blocks_agree_with_reference_matches(negs, query):
     q = Keyword(tuple(query))
     index = NegativeIndex(negs)
-    hits = index.hits(QueryWords(q))
+    hits = index.hits(q)
     first = hits[0][0] if hits else None
     reference = min(
         (n for n in negs if matches(q, n)), key=NegativeKeyword.sort_key, default=None
     )
     assert first == reference
-    assert index.blocked(QueryWords(q)) == (first is not None)
+    assert index.blocked(q) == (first is not None)
 
 
 def _reference_hits(lists, query):
@@ -179,7 +176,7 @@ def test_edited_index_equals_a_fresh_one(lists, edits, data):
     head = data.draw(st.sampled_from(firsts or ["nike"]))
     parts = data.draw(st.lists(st.lists(words, max_size=2), min_size=3, max_size=3))
     q = Keyword((*parts[0], head, *parts[1], head, *parts[2]))
-    assert edited.hits(QueryWords(q)) == _reference_hits(lists, q)
+    assert edited.hits(q) == _reference_hits(lists, q)
 
 
 _ab, _ba, _aa = normalize("a b"), normalize("b a"), normalize("a a")
@@ -208,9 +205,9 @@ def test_negatives_sharing_tokens_or_words_stay_apart(lists):
     assert index_postings(moved) == index_postings(NegativeIndex(*moved_lists))
     for index, held in ((fresh, lists), (grown, lists), (moved, moved_lists)):
         for text in ("a b", "b a", "a", "b", "a a", "c a b", "a b c", "b c a"):
-            q = QueryWords(normalize(text))
+            q = normalize(text)
             hits = index.hits(q)
-            assert hits == _reference_hits(held, q.query)
+            assert hits == _reference_hits(held, q)
             of_hits = 0
             for _, mask in hits:
                 of_hits |= mask
@@ -251,9 +248,9 @@ def test_blocked_is_the_or_of_hits_and_the_reference_over_several_lists(lists, e
         q = Keyword((*parts[0], head, *parts[1], head, *parts[2]))
         reference = sum(1 << i for i, s in enumerate(negs) if any(matches(q, n) for n in s))
         of_hits = 0
-        for _, mask in index.hits(QueryWords(q)):
+        for _, mask in index.hits(q):
             of_hits |= mask
-        assert index.blocked(QueryWords(q)) == of_hits == reference
+        assert index.blocked(q) == of_hits == reference
 
 
 _TINY = ("a", "b", "c", "d")
@@ -305,11 +302,10 @@ def test_rarest_word_buckets_answer_as_the_reference(lists, floods, edits):
     queries = [Keyword(q) for size in (1, 2, 3) for q in itertools.product(_TINY, repeat=size)]
     for index in (edited, after):
         for q in queries:
-            words = QueryWords(q)
             reference = sum(1 << i for i, s in enumerate(held) if any(matches(q, n) for n in s))
-            hits = index.hits(words)
+            hits = index.hits(q)
             assert hits == _reference_hits(held, q)
-            assert index.blocked(words) == functools.reduce(
+            assert index.blocked(q) == functools.reduce(
                 int.__or__, (mask for _, mask in hits), 0
             ) == reference
 

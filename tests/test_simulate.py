@@ -40,7 +40,7 @@ from shopstruct import (
     phrase,
     remove_rule,
 )
-from shopstruct.keywords import QueryWords, matches
+from shopstruct.keywords import matches
 from test_verifier import _mutants
 
 
@@ -153,7 +153,7 @@ def test_exact_beats_phrase_beats_large_as_reported_blocker():
     idx = NegativeIndex(negatives)
 
     def first(text):
-        hits = idx.hits(QueryWords(normalize(text)))
+        hits = idx.hits(normalize(text))
         return hits[0][0] if hits else None
 
     assert first("a b") == exact(normalize("a b"))
@@ -220,15 +220,15 @@ def test_shared_index_gives_each_lists_first_match(lists, query):
         for negs in lists
     ]
     index = NegativeIndex(*lists)
-    hits = index.hits(QueryWords(q))
+    hits = index.hits(q)
     first = [next((n for n, mask in hits if mask >> i & 1), None) for i in range(len(lists))]
     assert first == expected
-    alone = [NegativeIndex(negs).hits(QueryWords(q)) for negs in lists]
+    alone = [NegativeIndex(negs).hits(q) for negs in lists]
     assert [h[0][0] if h else None for h in alone] == expected
     hit = sorted({n for negs in lists for n in negs if matches(q, n)}, key=NegativeKeyword.sort_key)
     holders = [sum(1 << i for i, negs in enumerate(lists) if n in negs) for n in hit]
     assert hits == list(zip(hit, holders))
-    assert index.blocked(QueryWords(q)) == functools.reduce(int.__or__, holders, 0)
+    assert index.blocked(q) == functools.reduce(int.__or__, holders, 0)
 
 
 def test_blocker_ties_across_match_types_follow_the_reference():

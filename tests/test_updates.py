@@ -49,7 +49,7 @@ from shopstruct import (
     verify_account,
 )
 from shopstruct.erasers import all_subset_images, group_target, rank_subset_images
-from shopstruct.keywords import QueryWords, matches
+from shopstruct.keywords import matches
 from shopstruct.updates import (
     AddAdGroup,
     AddCampaign,
@@ -738,7 +738,7 @@ def _blocked_everywhere(account, rng):
         if g1 == g2:
             continue
         kw = normalize(" ".join(w1 + [w for w in w2 if w not in w1]))
-        if kw not in present and index.blocked(QueryWords(kw)) == (1 << len(camps)) - 1:
+        if kw not in present and index.blocked(kw) == (1 << len(camps)) - 1:
             return kw
     return None
 
@@ -859,7 +859,7 @@ def _admitted_somewhere(account, rng):
     for _ in range(1000):
         kw = Keyword(tuple(rng.sample(vocabulary, rng.randint(1, 2))))
         if kw not in account.keywords():
-            if account.admission_index.blocked(QueryWords(kw)) != everywhere:
+            if account.admission_index.blocked(kw) != everywhere:
                 return kw
     raise AssertionError("no admitted keyword found")
 
