@@ -13,10 +13,10 @@ Everything here is immutable; updates build new values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import ClassVar, Collection, Iterator, Mapping, Sequence, Union
+from typing import ClassVar, Collection, Iterable, Mapping, Sequence, Union
 
 from ._gcpause import gc_paused
 from .erasers import Eraser, Ranked, all_subset_images, rank_subset_images, refile_subset_images
@@ -77,16 +77,6 @@ class Split:
 
 
 ProductTree = Union[Leaf, Split]
-
-
-def tree_leaves(tree: ProductTree) -> Iterator[Leaf]:
-    """Yield every leaf of a product tree."""
-    if isinstance(tree, Leaf):
-        yield tree
-        return
-    for _, sub in tree.branches:
-        yield from tree_leaves(sub)
-    yield from tree_leaves(tree.others)
 
 
 class Priority(Enum):
@@ -196,7 +186,8 @@ class Account:
     account: each group campaign's ``group`` (the keywords of its rule ad
     groups) and ``erasers``, in campaign storage order.  ``keywords()``,
     ``admission_index``, ``subset_images`` and ``cover_ranking`` are derived
-    state of the same kind; like them they stay out of ``==``.
+    state of the same kind; like them they stay out of ``==``.  An update
+    makes its account with ``successor``, which hands on what still holds.
     """
 
     limit: int
@@ -230,10 +221,10 @@ class Account:
     @gc_paused
     def admission_index(self) -> NegativeIndex:
         """The group campaigns' own lists in one index, bit ``i`` for the
-        ``i``-th group campaign: the campaigns that block a new keyword.
-        Built on first read, with the collector paused (see
-        ``_catalogue_filing``); an update derives its account's index from
-        this one by the batch's list edits (``updates._Draft.freeze``)."""
+        ``i``-th group campaign: the campaigns that block a new keyword, and
+        the Low tier's campaign index in a ``Simulator``.  Built on first
+        read, with the collector paused (see ``_catalogue_filing``), unless
+        ``successor`` derived it from the account before."""
         return NegativeIndex(*(c.negatives for c in self.group_campaigns()))
 
     @property
@@ -255,15 +246,48 @@ class Account:
     ) -> tuple[Mapping[tuple[str, ...], frozenset[Keyword]], Sequence[Ranked]]:
         """``subset_images`` and ``cover_ranking``, built together on first
         read of either: a built or parsed account files and ranks its whole
-        catalogue once.  An updated account is handed a base by
-        ``updates._Draft.freeze``, the keywords, images and ranking of the
-        nearest account before it that read them, and on first read refiles
-        only the keywords that came or went since."""
+        catalogue once.  An account made by ``successor`` is handed a base,
+        the keywords, images and ranking of the nearest account before it
+        that read them, and on first read refiles only the keywords that
+        came or went since."""
         base = vars(self).pop("_images_base", None)
         if base is None:
             return _catalogue_filing(self.keywords())
         keywords, images, ranking = base
         return refile_subset_images(images, ranking, keywords, self.keywords())
+
+    def successor(
+        self,
+        campaigns: Iterable[Campaign],
+        list_edits: Iterable[tuple[str, NegativeKeyword, bool]] | None,
+    ) -> Account:
+        """This account with ``campaigns`` swapped in, handed the derived
+        state that carries over.
+
+        ``campaigns`` keep this account's group campaigns in their order,
+        any new one after them, and ``list_edits`` are the ``(campaign name,
+        negative, held)`` edits, in order, that take the campaigns' own
+        lists from this account's to theirs.  When this account has built
+        its ``admission_index``, the new account's is derived from it by
+        those edits.  ``list_edits`` is None after a campaign is removed,
+        which shifts the bits of the ones after it; the new account then
+        builds its own index when it is first read.  The new account is also
+        handed the base its ``subset_images`` and ``cover_ranking`` are
+        refiled from: this account's keywords, images and ranking when it
+        read them, else the base it was handed."""
+        account = replace(self, campaigns=tuple(campaigns))
+        mine, theirs = vars(self), vars(account)
+        index = mine.get("admission_index")
+        if index is not None and list_edits is not None:
+            bits = {c.name: 1 << i for i, c in enumerate(account.group_campaigns())}
+            edits = [(neg, bits[name], held) for name, neg, held in list_edits if name in bits]
+            # Fill the cached_property's slot, so the account never builds it.
+            theirs["admission_index"] = index.edited(edits)
+        if "_subset_filing" in mine:
+            theirs["_images_base"] = (self.keywords(), *mine["_subset_filing"])
+        elif "_images_base" in mine:
+            theirs["_images_base"] = mine["_images_base"]
+        return account
 
     def keywords(self) -> frozenset[Keyword]:
         """All bidding keywords (the union of the partition)."""

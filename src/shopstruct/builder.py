@@ -132,7 +132,6 @@ def naive_partition(
     return GroupPlan(
         tuple(frozenset(chunk) for chunk in chunks),
         tuple(tuple(ExactEraser(kw) for kw in chunk) for chunk in chunks),
-        target_size,
     )
 
 

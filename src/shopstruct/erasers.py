@@ -81,10 +81,6 @@ def erases(eraser: Eraser, keyword: Keyword) -> bool:
     return eraser.keyword == keyword
 
 
-def eraser_image(eraser: Eraser, keywords: Iterable[Keyword]) -> frozenset[Keyword]:
-    return frozenset(kw for kw in keywords if erases(eraser, kw))
-
-
 def group_target(n: int, target_size: int | None = None) -> int:
     """The keyword-group size target for n keywords: ``target_size`` when
     given, else ceil(sqrt(n)) and at least 1.  Raises InputError below 1."""
@@ -277,7 +273,6 @@ class GroupPlan:
 
     groups: tuple[frozenset[Keyword], ...]
     erasers: tuple[tuple[Eraser, ...], ...]
-    target_size: int
 
     def __post_init__(self) -> None:
         if len(self.groups) != len(self.erasers):
@@ -317,7 +312,7 @@ def make_group_plan(
 
     k = math.ceil(n / target_size)
     if k == 0:
-        return GroupPlan((), (), target_size)
+        return GroupPlan((), ())
 
     position = {kw: i for i, kw in enumerate(keywords)}
     group_kws: list[list[Keyword]] = [[] for _ in range(k)]
@@ -389,7 +384,6 @@ def make_group_plan(
     return GroupPlan(
         tuple(frozenset(g) for g in group_kws),
         tuple(tuple(e) for e in group_erasers),
-        target_size,
     )
 
 

@@ -24,13 +24,6 @@ from .keywords import Keyword, distinct_keywords, normalize
 _FIELDS = {"keyword", "cpc_micros", "items"}
 
 
-def parse_rule_line(line: str, *, where: str = "rule") -> Rule:
-    try:
-        return _parse_rule(line)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from exc
-
-
 def _parse_rule(line: str) -> Rule:
     """One rule line; its errors leave the caller to name where it was."""
     try:

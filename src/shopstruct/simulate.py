@@ -13,7 +13,9 @@ A ``Simulator`` indexes each tier's campaign negatives together, and each
 campaign's ad-group negatives together, in one shared ``NegativeIndex``: the
 structure repeats a negative across many lists (a group's erasers sit in
 every other group campaign, a keyword's exact in every sibling ad group), and
-the shared index matches each distinct negative once per query.
+the shared index matches each distinct negative once per query.  The Low
+tier's index is the account's own ``admission_index``, the one its updates
+read and carry on, so an account builds it at most once.
 
 Every verdict is decided in one place, from the indexes' bitmasks: OR the
 masks of the lists that block the query, tier by tier, then the masks of the
@@ -137,7 +139,10 @@ class Simulator:
                     (NegativeIndex(*(g.negatives for g in c.adgroups)), _every(c.adgroups))
                     for c in tier
                 ]
-                index = NegativeIndex(*(c.negatives for c in tier))
+                if priority is Priority.LOW:  # the group campaigns, in bit order
+                    index = account.admission_index
+                else:
+                    index = NegativeIndex(*(c.negatives for c in tier))
                 self._tiers.append((tier, index, _every(tier), adgroups))
 
     def blockers(self, query: Keyword) -> dict[str, NegativeKeyword]:

@@ -65,14 +65,9 @@ class _Draft:
     so each named list is longer than in the parent account.
 
     Every edit of a campaign's own list is also kept, in order, in
-    ``list_edits``.  When the account has built its ``admission_index``,
-    ``freeze`` derives the new account's index from it by those edits.  A
-    removed campaign shifts the bits of the ones after it, so after one the
-    new account builds its own index when it is first read.  ``freeze``
-    also hands the new account the base its ``subset_images`` and
-    ``cover_ranking`` are refiled from on first read: the account's own
-    keywords, images and ranking when it read them, else the base it was
-    handed."""
+    ``list_edits``, until a campaign is removed.  ``freeze`` hands them to
+    ``Account.successor``, which carries the account's derived state over
+    to the new one."""
 
     def __init__(self, account: Account) -> None:
         self.account = account
@@ -180,21 +175,8 @@ class _Draft:
     def freeze(self) -> Account:
         for name in list(self.pending):
             self._fold(name)
-        account = replace(self.account, campaigns=tuple(self.campaigns.values()))
-        index = vars(self.account).get("admission_index")
-        if index is not None and self.list_edits is not None:
-            # The group campaigns keep their order and any new one comes
-            # last, so the parent's bits hold and a new campaign's is next.
-            bits = {c.name: 1 << i for i, c in enumerate(account.group_campaigns())}
-            edits = [(neg, bits[name], held) for name, neg, held in self.list_edits if name in bits]
-            # Fill the cached_property's slot, so the account never builds it.
-            vars(account)["admission_index"] = index.edited(edits)
-        mine = vars(self.account)
-        if "_subset_filing" in mine:
-            vars(account)["_images_base"] = (self.account.keywords(), *mine["_subset_filing"])
-        elif "_images_base" in mine:
-            vars(account)["_images_base"] = mine["_images_base"]
-        return account
+        # Campaigns keep their place in the dict and a new one comes last.
+        return self.account.successor(self.campaigns.values(), self.list_edits)
 
 
 class Change:

@@ -38,8 +38,6 @@ from shopstruct.erasers import (
     ExactEraser,
     GroupPlan,
     LargeEraser,
-    eraser_image,
-    erases,
 )
 from shopstruct.errors import (
     InfeasibleTargetError,
@@ -51,6 +49,7 @@ from shopstruct.keywords import (
     MatchType,
     NegativeIndex,
     NegativeKeyword,
+    matches,
     normalize,
     subword_set,
 )
@@ -108,7 +107,7 @@ def make_group_plan(
 
     k = max(1, math.ceil(n / target_size)) if n else 0
     if k == 0:
-        return GroupPlan((), (), target_size)
+        return GroupPlan((), ())
 
     position = {kw: i for i, kw in enumerate(keywords)}
     group_kws: list[list[Keyword]] = [[] for _ in range(k)]
@@ -142,7 +141,7 @@ def make_group_plan(
         covered: set[Keyword] = set()
         for er in group_erasers[g]:
             if isinstance(er, LargeEraser):
-                covered.update(kw for kw in group_kws[g] if erases(er, kw))
+                covered.update(image(er, group_kws[g]))
         return len(covered)
 
     uncovered = [kw for kw in keywords if kw not in seen]
@@ -164,8 +163,14 @@ def make_group_plan(
     return GroupPlan(
         tuple(frozenset(g) for g in group_kws),
         tuple(tuple(e) for e in group_erasers),
-        target_size,
     )
+
+
+def image(eraser: Eraser, universe: Iterable[Keyword]) -> frozenset[Keyword]:
+    """The keywords of ``universe`` that ``eraser``'s negative blocks, by
+    ``keywords.matches``."""
+    negative = eraser.to_negative()
+    return frozenset(kw for kw in universe if matches(kw, negative))
 
 
 def expand(erasers: Iterable[Eraser], universe: Iterable[Keyword]) -> frozenset[Keyword]:
@@ -173,7 +178,7 @@ def expand(erasers: Iterable[Eraser], universe: Iterable[Keyword]) -> frozenset[
     universe_list = list(universe)
     out: set[Keyword] = set()
     for er in erasers:
-        out.update(eraser_image(er, universe_list))
+        out.update(image(er, universe_list))
     return frozenset(out)
 
 
@@ -632,7 +637,9 @@ def verify_structure(account: Account) -> tuple[Finding, ...]:
 
     for pos, erasers in enumerate(account.erasers):
         own = account.partition[pos]
-        uncovered = [kw for kw in sorted(own) if not any(erases(e, kw) for e in erasers)]
+        uncovered = [
+            kw for kw in sorted(own) if not any(matches(kw, e.to_negative()) for e in erasers)
+        ]
         for kw in uncovered:
             findings.append(
                 Finding(

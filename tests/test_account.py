@@ -26,7 +26,6 @@ from shopstruct import (
     exact,
     negative_count,
     normalize,
-    tree_leaves,
 )
 from shopstruct.updates import AddNegative, RemoveNegative, _replay
 import oracles
@@ -65,15 +64,6 @@ def test_rule_requires_items():
 def test_split_rejects_duplicate_branch_values():
     with pytest.raises(InputError):
         Split("brand", (("x", _leaf()), ("x", _leaf())), _leaf())
-
-
-def test_tree_leaves_walks_every_branch():
-    tree = Split(
-        "brand",
-        (("x", Leaf(Money(1))), ("y", Split("size", (("s", Leaf(Money(2))),), Leaf(Money(3))))),
-        Leaf(Money(4)),
-    )
-    assert sorted(leaf.bid.micros for leaf in tree_leaves(tree)) == [1, 2, 3, 4]
 
 
 def test_campaign_needs_adgroups_with_unique_names():

@@ -58,7 +58,6 @@ def test_naive_partition_chunks_sorted_keywords():
     kws = [normalize(t) for t in FOUR_KEYWORDS]
     plan = naive_partition(kws)
     groups, erasers = plan.groups, plan.erasers
-    assert plan.target_size == 2
     assert [_texts(g) for g in groups] == [
         ["adidas shoes", "garmin chronometer"],
         ["large tee-shirt", "nike shoes"],
@@ -73,7 +72,7 @@ def test_naive_partition_explicit_target_and_empty():
     kws = [normalize(t) for t in FOUR_KEYWORDS]
     groups = naive_partition(kws, target_size=3).groups
     assert [len(g) for g in groups] == [3, 1]
-    assert naive_partition([]) == GroupPlan((), (), 1)
+    assert naive_partition([]) == GroupPlan((), ())
 
 
 def test_plan_groups_naive_mode_uses_exact_erasers():

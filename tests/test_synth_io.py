@@ -17,7 +17,6 @@ from shopstruct import (
     loads_keywords,
     loads_rules,
     normalize,
-    parse_rule_line,
     save_keywords,
     save_rules,
 )
@@ -138,7 +137,7 @@ def test_rules_round_trip(tmp_path):
 
 def test_parse_rule_line_field_validation():
     good = '{"keyword": "a b", "cpc_micros": 5, "items": ["x"]}'
-    rule = parse_rule_line(good)
+    [rule] = loads_rules(good)
     assert rule.keyword == normalize("a b")
 
     cases = [
@@ -162,7 +161,7 @@ def test_parse_rule_line_field_validation():
     ]
     for line, fragment in cases:
         with pytest.raises(InputError, match=fragment):
-            parse_rule_line(line)
+            loads_rules(line)
 
 
 def test_loads_rules_reports_line_numbers():

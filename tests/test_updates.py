@@ -988,6 +988,21 @@ def test_each_open_along_the_seeded_updates_covers_as_reduce_keywords():
         _assert_opens_the_reduced_cover(before, changes)
 
 
+def test_simulator_routes_the_low_tier_through_the_admission_index():
+    """A ``Simulator``'s Low-tier index is its account's admission index
+    itself, on a built, a parsed and an updated account; the updated one
+    carries the index derived from its parent's."""
+    built = replace(_admission_accounts()["synth-300"])
+    parsed = parse_account(render_account(built))
+    kw = _admitted_somewhere(built, random.Random(2))
+    updated = add_rule(built, Rule(kw, Money(90_000), frozenset({"item-new"}))).account
+    assert "admission_index" in vars(updated)
+    for account in (built, parsed, updated):
+        tier, index = Simulator(account)._tiers[-1][:2]
+        assert tier == list(account.group_campaigns())
+        assert index is account.admission_index
+
+
 def test_only_a_read_files_an_accounts_subset_images():
     """Updates that open no campaign file and rank nothing: each new account
     only holds the base its first read refiles from, here the images and
@@ -1090,6 +1105,7 @@ class UpdateSequence(RuleBasedStateMachine):
         special = {w for b in cat.brands + cat.non_brands for w in b.words}
         self.plain_words = sorted({w for r in cat.rules for w in r.keyword.words} - special)
         self.items = sorted({i for r in cat.rules for i in r.items})
+        self.words = sorted({w for r in cat.rules for w in r.keyword.words} | special)
         self.rules = list(cat.rules)
         self.account = build_account(self.rules, cat.brands, cat.non_brands)
         self.account.admission_index
@@ -1102,7 +1118,16 @@ class UpdateSequence(RuleBasedStateMachine):
         assert verify_account(account, probes=200).passed
         text = render_account(account)
         assert text == json.dumps(account_document(account), indent=2) + "\n"
-        assert parse_account(text) == account
+        parsed = parse_account(text)
+        assert parsed == account
+        # The carried index routes as one built from scratch, down to each
+        # Blocked.by its hits name.
+        rng = random.Random(len(self.rules))
+        queries = rng.sample(sorted(account.keywords()), min(10, len(account.keywords())))
+        queries += [Keyword(tuple(rng.sample(self.words, rng.randint(1, 3)))) for _ in range(20)]
+        carried, fresh = Simulator(account), Simulator(parsed)
+        for query in queries:
+            assert carried.run(query) == fresh.run(query)
         # Built after a closed campaign, so every next update derives one.
         account.admission_index
         self.account = account
