@@ -27,15 +27,32 @@ of those shared texts at its depth, and each of its lists is written as the
 slices of it between the entries the list lacks, with the list's first
 piece made anew from the opening bracket and that piece less its separator.
 
-Parsing interns negatives in a table by raw match, then by raw keyword: an
-entry costs two dict lookups on the strings json made, with no key built for
-it.  The first entry with a given raw (keyword, match) pair is normalized and
+Parsing interns negatives in a table by raw match, then by raw keyword.
+The first entry with a given raw (keyword, match) pair is normalized and
 validated, and every later entry with that pair reuses its object; the
 table holds one sub-table per match type, so an unknown match finds none.
 A snapshot repeats each negative across many lists, so each raw pair is
 normalized once, and the unions of a list family meet identical objects.
 Nothing else depends on it: built and updated accounts may hold equal
 copies, and nothing compares negatives by identity.
+
+The read path follows the writer's layout where the text has it.  Each
+non-empty negative list is *cut* from the text: its opening is a whole line
+holding the ``"negatives": [`` key at a campaign's or an ad group's depth,
+which only that key can be, since no JSON string holds a line break; its
+entries are split at the fixed text between two of them, up to its closing
+line.  These texts come from the writer's own templates.  Each distinct
+entry text is parsed by json once, accepted only if the writer's template
+writes it back to the same text, and interned in the table above, so every
+later copy costs one dict lookup.  What is left, the *skeleton*, holds the
+marker string "\\u0000<k>" in place of the k-th cut list, and is parsed by
+json and walked as any document, the walk taking each marker's list once.
+The whole text is parsed as one document instead when it holds no list so
+laid out, when a list found is not the writer's or an entry does not
+validate, when the skeleton holds another ``\\u0000``, is not a JSON object
+or is not a sound account, or when a marker is left unread.  So parse
+accepts the texts it accepted before, gives the same accounts and raises
+the same errors.
 """
 
 from __future__ import annotations
@@ -232,6 +249,8 @@ _LIST = {
     level: ("[" + _pad(level + 1), "," + _pad(level + 1), _pad(level) + "]")
     for level in (1, 3, 5)
 }
+# A negative list's entry at each depth a list sits at.
+_ENTRY = {level: _object(level + 1, ("keyword", "%s"), ("match", "%s")) for level in (3, 5)}
 
 
 class _Writer:
@@ -277,8 +296,7 @@ class _Writer:
         # at each depth a list sits at, by rank.
         entries = {}
         for level in (3, 5):
-            entry = _LIST[level][1] + _object(level + 1, ("keyword", "%s"), ("match", "%s"))
-            entries[level] = list(map(entry.__mod__, fields))
+            entries[level] = list(map((_LIST[level][1] + _ENTRY[level]).__mod__, fields))
         # Each list is filed under its depth too: one list object may sit in
         # a campaign and in one of its ad groups.  One held by two families
         # at a depth is a cut of either family's union.
@@ -373,27 +391,36 @@ def _keywords(value: Any, what: str, each: str) -> tuple[Keyword, ...]:
     return tuple(_keyword(text, each) for text in _list(value, what))
 
 
+def _negative(
+    keyword: Any, match: Any, interned: dict[str, dict[str, NegativeKeyword]]
+) -> NegativeKeyword:
+    """The object ``interned[match][keyword]`` holds for a raw pair, made
+    there from the first entry with the pair.  ``interned`` holds a table
+    for each match type's value, so an unknown match finds none."""
+    table = interned[match]
+    neg = table.get(keyword)
+    if neg is None:
+        if not isinstance(keyword, str):
+            raise TypeError("keyword is not a string")
+        neg = table[keyword] = NegativeKeyword(normalize(keyword), MatchType(match))
+    return neg
+
+
 def _parse_negatives(
-    doc: Any, interned: dict[str, dict[str, NegativeKeyword]]
+    doc: Any,
+    interned: dict[str, dict[str, NegativeKeyword]],
+    cut: dict[str, frozenset[NegativeKeyword]] | None,
 ) -> frozenset[NegativeKeyword]:
-    """Parse one negative list, reusing the object ``interned[match][keyword]``
-    holds for an entry's raw match and keyword; the first entry with a raw
-    pair is validated and stored there.  ``interned`` holds a table for each
-    match type's value, so an unknown match finds none."""
+    """Parse one negative list, or take the list ``cut`` holds for its
+    marker, once: a second read of a marker finds none."""
+    if cut is not None and type(doc) is str:
+        return cut.pop(doc)
     out = []
     for item in _list(doc, "negatives"):
         try:
-            keyword = item["keyword"]
-            table = interned[item["match"]]
-            neg = table.get(keyword)
-            if neg is None:
-                if not isinstance(keyword, str):
-                    raise TypeError("keyword is not a string")
-                match = MatchType(item["match"])
-                neg = table[keyword] = NegativeKeyword(normalize(keyword), match)
+            out.append(_negative(item["keyword"], item["match"], interned))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad negative entry: {item!r}") from exc
-        out.append(neg)
     return frozenset(out)
 
 
@@ -458,7 +485,10 @@ def _parse_eraser(doc: Any) -> Eraser:
 def parse_account_document(doc: Any) -> Account:
     if not isinstance(doc, dict):
         raise InputError("account snapshot must be a JSON object")
-    interned: dict[str, dict[str, NegativeKeyword]] = {m.value: {} for m in MatchType}
+    if type(doc) is _Skeleton:
+        cut, interned = doc.cut, doc.interned
+    else:
+        cut, interned = None, {m.value: {} for m in MatchType}
     try:
         erasers = [
             tuple(_parse_eraser(e) for e in _list(group, "eraser group"))
@@ -472,7 +502,7 @@ def parse_account_document(doc: Any) -> Account:
                 AdGroup(
                     name=_string(g["name"], "ad group name"),
                     tag=_parse_adgroup_tag(g["tag"]),
-                    negatives=_parse_negatives(g["negatives"], interned),
+                    negatives=_parse_negatives(g["negatives"], interned, cut),
                     tree=_parse_tree(g["tree"]),
                 )
                 for g in _list(cdoc["adgroups"], "ad groups")
@@ -481,7 +511,7 @@ def parse_account_document(doc: Any) -> Account:
             camp = Campaign(
                 name=_string(cdoc["name"], "campaign name"),
                 tag=tag,
-                negatives=_parse_negatives(cdoc["negatives"], interned),
+                negatives=_parse_negatives(cdoc["negatives"], interned, cut),
                 adgroups=adgroups,
                 erasers=next(owned, ()) if isinstance(tag, GroupCampaignTag) else (),
             )
@@ -502,6 +532,10 @@ def parse_account_document(doc: Any) -> Account:
         raise InputError(f"malformed account snapshot: {exc}") from exc
     except RecursionError as exc:
         raise InputError(_TOO_DEEP) from exc
+    # Every cut list must be one the account holds; on this error
+    # ``parse_account`` parses the text whole.
+    if cut:
+        raise InputError("a negative list was cut from where no list is read")
     owners = sum(isinstance(c.tag, GroupCampaignTag) for c in campaigns)
     if len(erasers) != owners:
         raise InputError(f"erasers lists {len(erasers)} groups for {owners} group campaigns")
@@ -512,8 +546,132 @@ def parse_account_document(doc: Any) -> Account:
     return account
 
 
+# The reader's view of the non-empty negative lists the writer lays out.
+# ``_KEY`` is the key as the writer's templates write it before a list's
+# hole, and by depth: the text from the line break before the key through
+# the "[" and the first entry's "{", the text between two entries' braces,
+# and the text from the last entry's "}" through the "]".
+_KEY = _CAMPAIGN[0].rsplit(_pad(3), 1)[1]
+_NEGATIVES = {
+    level: (
+        _pad(level) + _KEY + _LIST[level][0] + "{",
+        "}" + _LIST[level][1] + "{",
+        "}" + _LIST[level][2],
+    )
+    for level in (3, 5)
+}
+# A cut list's marker in the skeleton, and the escape it starts with.
+_NUL = "\\u0000"
+_MARKER = '"' + _NUL + '%d"'
+
+
+class _Skeleton(dict):
+    """A snapshot's document with its non-empty negative lists cut out: the
+    value of the k-th cut list is the marker string "\\0<k>", and ``cut``
+    maps each marker to its parsed list.  ``interned`` is the table of
+    negatives that the cut filled."""
+
+    __slots__ = ("cut", "interned")
+
+    cut: dict[str, frozenset[NegativeKeyword]]
+    interned: dict[str, dict[str, NegativeKeyword]]
+
+
+def _read_entry(
+    body: str, level: int, interned: dict[str, dict[str, NegativeKeyword]]
+) -> NegativeKeyword | None:
+    """The negative that a list entry at depth ``level``, less its braces,
+    holds, or None unless the writer writes that entry so and the entry
+    parses."""
+    text = "{" + body + "}"
+    try:
+        doc = json.loads(text)
+        keyword, match = doc["keyword"], doc["match"]
+        if _ENTRY[level] % (_encode(keyword), _encode(match)) == text:
+            return _negative(keyword, match, interned)
+    except (KeyError, TypeError, ValueError, RecursionError, InputError):
+        pass
+    return None
+
+
+def _cut_lists(text: str) -> _Skeleton | None:
+    """The document of ``text`` with each non-empty negative list that sits
+    where the writer puts one read straight from its text, or None when a
+    list found there is not written as the writer writes it, an entry does
+    not parse, or the rest holds another ``\\u0000`` or is not a JSON
+    object.
+
+    A list's opening is a whole line, and no JSON string holds a line break,
+    so the opening is a key at the list's depth.  Each distinct entry text
+    is parsed once; each list is then one lookup per entry.
+    """
+    # Each list as (the start of its opening, the end of its entries, depth).
+    spans = []
+    at = text.find(_KEY)
+    while at >= 0:
+        for level, (opening, _, closing) in _NEGATIVES.items():
+            start = at - len(_pad(level))
+            if text.startswith(opening, start):
+                at = text.find(closing, at)
+                if at < 0:
+                    return None
+                spans.append((start, at, level))
+                break
+        at = text.find(_KEY, at + 1)
+    if not spans:
+        return None
+    interned: dict[str, dict[str, NegativeKeyword]] = {m.value: {} for m in MatchType}
+    # The negative of each entry text read; its indent tells its depth, so
+    # the texts of the two depths never meet.
+    known: dict[str, NegativeKeyword] = {}
+    cut: dict[str, frozenset[NegativeKeyword]] = {}
+    pieces = []
+    done = 0
+    for start, end, level in spans:
+        opening, between, closing = _NEGATIVES[level]
+        entries = text[start + len(opening) : end].split(between)
+        try:
+            negs = frozenset(map(known.__getitem__, entries))
+        except KeyError:
+            for body in entries:
+                if body not in known:
+                    neg = _read_entry(body, level, interned)
+                    if neg is None:
+                        return None
+                    known[body] = neg
+            negs = frozenset(map(known.__getitem__, entries))
+        # The list's value starts at the "[" after the key.
+        value = start + len(_pad(level) + _KEY)
+        pieces += (text[done:value], _MARKER % len(cut))
+        cut["\0%d" % len(cut)] = negs
+        done = end + len(closing)
+    pieces.append(text[done:])
+    skeleton = "".join(pieces)
+    if skeleton.count(_NUL) != len(cut):
+        return None
+    try:
+        doc = json.loads(skeleton)
+    except (ValueError, RecursionError):
+        return None
+    if type(doc) is not dict:
+        return None
+    out = _Skeleton(doc)
+    out.cut, out.interned = cut, interned
+    return out
+
+
 @gc_paused
 def parse_account(text: str) -> Account:
+    """The account a snapshot holds.  A snapshot laid out as the writer lays
+    it out is read through ``_cut_lists``; any other text, and any text whose
+    cut skeleton is not a sound account, is parsed whole, so the account or
+    the error is the one ``parse_account_document(json.loads(text))`` gives."""
+    skeleton = _cut_lists(text) if isinstance(text, str) else None
+    if skeleton is not None:
+        try:
+            return parse_account_document(skeleton)
+        except InputError:
+            pass
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

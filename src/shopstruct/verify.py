@@ -214,9 +214,10 @@ def _check_probes(probes: int) -> None:
 
 
 def verify_property2(
-    sim: Simulator, *, probes: int = 1000, seed: int = 0
+    sim: Simulator, *, probes: int = 1000, seed: int = 0, _pool: list[str] | None = None
 ) -> PropertyResult:
-    """Seeded brand probes: one brand phrase, nothing else special."""
+    """Seeded brand probes: one brand phrase, nothing else special.
+    ``_pool`` is ``_filler_pool(sim.account)`` when the caller made it."""
     _check_probes(probes)
     account = sim.account
     if not account.brands:
@@ -227,7 +228,7 @@ def verify_property2(
             note="no brands configured; brand routing is vacuous",
         )
     rng = random.Random(seed)
-    pool = _filler_pool(account)
+    pool = _filler_pool(account) if _pool is None else _pool
     brand_campaign = account.brand_campaign()
     special = account.brands + account.non_brands
 
@@ -249,13 +250,14 @@ def verify_property2(
 
 
 def verify_property3(
-    sim: Simulator, *, probes: int = 1000, seed: int = 0
+    sim: Simulator, *, probes: int = 1000, seed: int = 0, _pool: list[str] | None = None
 ) -> PropertyResult:
-    """Seeded generic probes: no catalogue keyword, no brand, no blocked brand."""
+    """Seeded generic probes: no catalogue keyword, no brand, no blocked brand.
+    ``_pool`` is ``_filler_pool(sim.account)`` when the caller made it."""
     _check_probes(probes)
     account = sim.account
     rng = random.Random(seed)
-    pool = _filler_pool(account)
+    pool = _filler_pool(account) if _pool is None else _pool
 
     def draw(tag: CatchAllTag) -> Keyword:
         return Keyword(tuple([rng.choice(pool) for _ in range(rng.randint(1, 4))]))
@@ -427,11 +429,12 @@ def verify_account(
     findings = verify_structure(sim, failures)
     if rules is not None:
         findings += verify_catalogue(account, rules)
+    pool = _filler_pool(account)
     return VerificationReport(
         properties=(
             own_keyword,
-            verify_property2(sim, probes=probes, seed=seed),
-            verify_property3(sim, probes=probes, seed=seed),
+            verify_property2(sim, probes=probes, seed=seed, _pool=pool),
+            verify_property3(sim, probes=probes, seed=seed, _pool=pool),
         ),
         findings=findings,
     )

@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from shopstruct import (
+    Account,
     BuildConfig,
+    InputError,
     Money,
+    NegativeKeyword,
     Rule,
     build_account,
     generate,
     normalize,
+    parse_account,
     SyntheticSpec,
 )
+from shopstruct import snapshot
 
 GOLDEN_KEYWORDS = (
     "nike shoes",
@@ -165,3 +172,54 @@ def index_postings(index) -> set[tuple]:
         ("large", words, mask) for bucket in index.larges.values() for words, mask in bucket.items()
     }
     return out
+
+
+def negative_objects(account: Account) -> list[tuple[int, ...]]:
+    """Each negative list of ``account``, campaign then its ad groups, as
+    the numbers of the objects its negatives are, in ``sort_key`` order,
+    numbered by first sight: two parses that share objects alike give equal
+    numbers."""
+    ids: dict[int, int] = {}
+    out = []
+    for c in account.campaigns:
+        for negatives in (c.negatives, *(g.negatives for g in c.adgroups)):
+            ordered = sorted(negatives, key=NegativeKeyword.sort_key)
+            out.append(tuple(ids.setdefault(id(n), len(ids)) for n in ordered))
+    return out
+
+
+def parse_outcome(text: str, cut: bool = True):
+    """``parse_account(text)`` as the account and its ``negative_objects``,
+    or its error's type and message; with ``cut`` false, as the whole text
+    parses with no list read from the writer's layout."""
+    try:
+        if cut:
+            account = parse_account(text)
+        else:
+            with mock.patch.object(snapshot, "_cut_lists", lambda text: None):
+                account = parse_account(text)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return account, negative_objects(account)
+
+
+def assert_parses_as_a_whole(text: str) -> None:
+    """``parse_account(text)`` gives what parsing the whole text gives: the
+    same account holding the same objects list by list, or the same error."""
+    assert parse_outcome(text) == parse_outcome(text, cut=False)
+
+
+def assert_every_list_is_cut(account: Account, text: str) -> None:
+    """``text``, ``account``'s snapshot, has each of its non-empty negative
+    lists read from the writer's layout, and its skeleton parses to the
+    account with every list taken."""
+    lists = [
+        negatives
+        for c in account.campaigns
+        for negatives in (c.negatives, *(g.negatives for g in c.adgroups))
+    ]
+    skeleton = snapshot._cut_lists(text)
+    assert skeleton is not None
+    assert len(skeleton.cut) == sum(1 for negatives in lists if negatives)
+    assert snapshot.parse_account_document(skeleton) == account
+    assert not skeleton.cut

@@ -38,16 +38,26 @@ from shopstruct.cli import main
 
 @pytest.fixture(scope="module")
 def synth300():
-    """Synth n=300 seed 0: its catalogue, rules text, account and snapshot."""
+    """Synth n=300 seed 0: its catalogue, rules text, account and snapshot,
+    and the snapshot re-indented, which parses whole."""
     cat = generate(SyntheticSpec(n=300, seed=0))
     catalogue = (cat.rules, cat.brands, cat.non_brands)
     account = build_account(*catalogue)
+    text = render_account(account)
     return SimpleNamespace(
         catalogue=catalogue,
         rules=dumps_rules(cat.rules),
         account=account,
-        text=render_account(account),
+        text=text,
+        reindented=json.dumps(json.loads(text), indent=4),
     )
+
+
+def _unknown_match(text: str) -> str:
+    """The snapshot, still laid out as the writer lays it out, with an
+    unknown match in its first entry: the cut reads the entry and falls
+    back to the whole parse, which names it."""
+    return text.replace('"match": "exact"', '"match": "broad"', 1)
 
 
 def _bad_negative(text: str) -> str:
@@ -62,6 +72,7 @@ CALLS = {
     "build_account": (lambda s: build_account(*s.catalogue), None),
     "render_account": (lambda s: render_account(s.account), None),
     "parse_account": (lambda s: parse_account(s.text), None),
+    "parse_reindented": (lambda s: parse_account(s.reindented), None),
     "verify_account": (lambda s: verify_account(s.account), None),
     "Simulator": (lambda s: Simulator(s.account), None),
     "admission_index": (lambda s: parse_account(s.text).admission_index, None),
@@ -74,6 +85,7 @@ CALLS = {
     "loads_rules_not_json": (lambda s: loads_rules("{" + s.rules), InputError),
     "parse_not_json": (lambda s: parse_account("{" + s.text), InputError),
     "parse_bad_negative": (lambda s: parse_account(_bad_negative(s.text)), InputError),
+    "parse_unknown_match": (lambda s: parse_account(_unknown_match(s.text)), InputError),
 }
 
 

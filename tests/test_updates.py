@@ -66,6 +66,8 @@ from conftest import (
     GOLDEN_BRANDS,
     GOLDEN_NON_BRANDS,
     LIMIT_CATALOGUES,
+    assert_every_list_is_cut,
+    assert_parses_as_a_whole,
     index_postings,
     make_golden_rules,
 )
@@ -1120,6 +1122,8 @@ class UpdateSequence(RuleBasedStateMachine):
         assert text == json.dumps(account_document(account), indent=2) + "\n"
         parsed = parse_account(text)
         assert parsed == account
+        assert_every_list_is_cut(account, text)
+        assert_parses_as_a_whole(text)
         # The carried index routes as one built from scratch, down to each
         # Blocked.by its hits name.
         rng = random.Random(len(self.rules))
