@@ -27,37 +27,44 @@ of those shared texts at its depth, and each of its lists is written as the
 slices of it between the entries the list lacks, with the list's first
 piece made anew from the opening bracket and that piece less its separator.
 
-Parsing interns negatives in a table by raw match, then by raw keyword.
-The first entry with a given raw (keyword, match) pair is normalized and
-validated, and every later entry with that pair reuses its object; the
-table holds one sub-table per match type, so an unknown match finds none.
-A snapshot repeats each negative across many lists, so each raw pair is
-normalized once, and the unions of a list family meet identical objects.
-Nothing else depends on it: built and updated accounts may hold equal
-copies, and nothing compares negatives by identity.
+Parsing interns keywords and negatives.  Each distinct keyword text is
+normalized once per parse, wherever it sits: a list entry, a rule or brand
+tag, an eraser, the brands or the partition.  Negatives sit in a table by
+raw match, then by raw keyword: the first entry with a given raw (keyword,
+match) pair is validated and made, and every later entry with that pair
+reuses its object; the table holds one sub-table per match type, so an
+unknown match finds none.  A snapshot repeats each negative across many
+lists, so the unions of a list family meet identical objects.  Nothing else
+depends on it: built and updated accounts may hold equal copies, and
+nothing compares negatives by identity.
 
-The read path follows the writer's layout where the text has it.  Each
-non-empty negative list is *cut* from the text: its opening is a whole line
-holding the ``"negatives": [`` key at a campaign's or an ad group's depth,
-which only that key can be, since no JSON string holds a line break; its
-entries are split at the fixed text between two of them, up to its closing
-line.  These texts come from the writer's own templates.  Each distinct
-entry text is parsed by json once, accepted only if the writer's template
-writes it back to the same text, and interned in the table above, so every
-later copy costs one dict lookup.  What is left, the *skeleton*, holds the
-marker string "\\u0000<k>" in place of the k-th cut list, and is parsed by
-json and walked as any document, the walk taking each marker's list once.
-The whole text is parsed as one document instead when it holds no list so
-laid out, when a list found is not the writer's or an entry does not
-validate, when the skeleton holds another ``\\u0000``, is not a JSON object
-or is not a sound account, or when a marker is left unread.  So parse
-accepts the texts it accepted before, gives the same accounts and raises
-the same errors.
+The read path follows the writer's layout where the text has it, and
+searches and splits it at single characters (``str.find`` looks for one
+with ``memchr``), never at the writer's runs of spaces.  Each non-empty negative list is *cut* from the text: its
+opening is a whole line holding the ``"negatives": [`` key at a campaign's
+or an ad group's depth, which only that key can be, since no JSON string
+holds a line break; its closing is the first "]" after that which ends the
+writer's closing line.  The entries between are split at each "}", and each
+piece must be an entry as the writer's template writes it, after its
+leading separator: the template's text, the keyword's JSON string, which
+``json.decoder.scanstring`` reads and the writer's encoder must write back
+to the same text, and a match's JSON string.  Each distinct piece is read
+once and interned, so every later copy costs one dict lookup.  A keyword
+that holds "}" splits its entry, and that text is parsed whole.  What is
+left, the *skeleton*, holds the marker string "\\u0000<k>" in place of the
+k-th cut list, and is parsed by json and walked as any document, the walk
+taking each marker's list once.  The whole text is parsed as one document
+instead when it holds no list so laid out, when a list found is not the
+writer's or an entry does not validate, when the skeleton holds another
+``\\u0000``, is not a JSON object or is not a sound account, or when a
+marker is left unread.  So parse accepts the texts it accepted before,
+gives the same accounts and raises the same errors.
 """
 
 from __future__ import annotations
 
 import json
+from json.decoder import scanstring as _scanstring
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Any, Callable, Iterable, Sequence
 
@@ -383,33 +390,40 @@ def _integer(value: Any, what: str) -> int:
     return value
 
 
-def _keyword(text: Any, what: str) -> Keyword:
-    return normalize(_string(text, what))
+class _Interned:
+    """What one parse makes once per distinct raw text: each keyword text's
+    ``Keyword``, and each raw (keyword, match) pair's negative, in a table
+    per match type's value, so an unknown match finds none."""
 
+    __slots__ = ("keywords", "negatives")
 
-def _keywords(value: Any, what: str, each: str) -> tuple[Keyword, ...]:
-    return tuple(_keyword(text, each) for text in _list(value, what))
+    def __init__(self) -> None:
+        self.keywords: dict[str, Keyword] = {}
+        self.negatives: dict[str, tuple[MatchType, dict[str, NegativeKeyword]]] = {
+            m.value: (m, {}) for m in MatchType
+        }
 
+    def keyword(self, text: Any, what: str) -> Keyword:
+        kw = self.keywords.get(text) if isinstance(text, str) else None
+        if kw is None:
+            kw = self.keywords[text] = normalize(_string(text, what))
+        return kw
 
-def _negative(
-    keyword: Any, match: Any, interned: dict[str, dict[str, NegativeKeyword]]
-) -> NegativeKeyword:
-    """The object ``interned[match][keyword]`` holds for a raw pair, made
-    there from the first entry with the pair.  ``interned`` holds a table
-    for each match type's value, so an unknown match finds none."""
-    table = interned[match]
-    neg = table.get(keyword)
-    if neg is None:
-        if not isinstance(keyword, str):
-            raise TypeError("keyword is not a string")
-        neg = table[keyword] = NegativeKeyword(normalize(keyword), MatchType(match))
-    return neg
+    def keyword_tuple(self, value: Any, what: str, each: str) -> tuple[Keyword, ...]:
+        return tuple(self.keyword(text, each) for text in _list(value, what))
+
+    def negative(self, keyword: Any, match: Any) -> NegativeKeyword:
+        match_type, table = self.negatives[match]
+        neg = table.get(keyword)
+        if neg is None:
+            if not isinstance(keyword, str):
+                raise TypeError("keyword is not a string")
+            neg = table[keyword] = NegativeKeyword(self.keyword(keyword, "keyword"), match_type)
+        return neg
 
 
 def _parse_negatives(
-    doc: Any,
-    interned: dict[str, dict[str, NegativeKeyword]],
-    cut: dict[str, frozenset[NegativeKeyword]] | None,
+    doc: Any, interned: _Interned, cut: dict[str, frozenset[NegativeKeyword]] | None
 ) -> frozenset[NegativeKeyword]:
     """Parse one negative list, or take the list ``cut`` holds for its
     marker, once: a second read of a marker finds none."""
@@ -418,7 +432,7 @@ def _parse_negatives(
     out = []
     for item in _list(doc, "negatives"):
         try:
-            out.append(_negative(item["keyword"], item["match"], interned))
+            out.append(interned.negative(item["keyword"], item["match"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad negative entry: {item!r}") from exc
     return frozenset(out)
@@ -452,32 +466,32 @@ def _parse_campaign_tag(doc: Any) -> CampaignTag:
     raise InputError(f"unknown campaign tag: {doc!r}")
 
 
-def _parse_adgroup_tag(doc: Any) -> AdGroupTag:
+def _parse_adgroup_tag(doc: Any, interned: _Interned) -> AdGroupTag:
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind == "catch_all":
         return CatchAllTag()
     if kind == "brand":
-        return BrandTag(_keyword(doc["brand"], "brand tag"))
+        return BrandTag(interned.keyword(doc["brand"], "brand tag"))
     if kind == "rule":
-        return RuleTag(_keyword(doc["keyword"], "rule tag keyword"))
+        return RuleTag(interned.keyword(doc["keyword"], "rule tag keyword"))
     raise InputError(f"unknown ad group tag: {doc!r}")
 
 
-def _eraser_word(value: Any) -> str:
+def _eraser_word(value: Any, interned: _Interned) -> str:
     """One normalized word, as every keyword is normalized on parse."""
-    words = _keyword(value, "large eraser word").words
+    words = interned.keyword(value, "large eraser word").words
     if len(words) != 1:
         raise InputError(f"large eraser word must be a single word: {value!r}")
     return words[0]
 
 
-def _parse_eraser(doc: Any) -> Eraser:
+def _parse_eraser(doc: Any, interned: _Interned) -> Eraser:
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind == "large":
         words = _list(doc["words"], "large eraser words")
-        return LargeEraser(frozenset(_eraser_word(w) for w in words))
+        return LargeEraser(frozenset(_eraser_word(w, interned) for w in words))
     if kind == "exact":
-        return ExactEraser(_keyword(doc["keyword"], "exact eraser keyword"))
+        return ExactEraser(interned.keyword(doc["keyword"], "exact eraser keyword"))
     raise InputError(f"unknown eraser kind: {doc!r}")
 
 
@@ -488,10 +502,10 @@ def parse_account_document(doc: Any) -> Account:
     if type(doc) is _Skeleton:
         cut, interned = doc.cut, doc.interned
     else:
-        cut, interned = None, {m.value: {} for m in MatchType}
+        cut, interned = None, _Interned()
     try:
         erasers = [
-            tuple(_parse_eraser(e) for e in _list(group, "eraser group"))
+            tuple(_parse_eraser(e, interned) for e in _list(group, "eraser group"))
             for group in _list(doc["erasers"], "erasers")
         ]
         # The i-th eraser entry belongs to the i-th group campaign.
@@ -501,7 +515,7 @@ def parse_account_document(doc: Any) -> Account:
             adgroups = tuple(
                 AdGroup(
                     name=_string(g["name"], "ad group name"),
-                    tag=_parse_adgroup_tag(g["tag"]),
+                    tag=_parse_adgroup_tag(g["tag"], interned),
                     negatives=_parse_negatives(g["negatives"], interned, cut),
                     tree=_parse_tree(g["tree"]),
                 )
@@ -522,10 +536,10 @@ def parse_account_document(doc: Any) -> Account:
                 )
             campaigns.append(camp)
         limit = _integer(doc["limit"], "limit")
-        brands = _keywords(doc["brands"], "brands", "brand")
-        non_brands = _keywords(doc["non_brands"], "blocked brands", "blocked brand")
+        brands = interned.keyword_tuple(doc["brands"], "brands", "brand")
+        non_brands = interned.keyword_tuple(doc["non_brands"], "blocked brands", "blocked brand")
         partition = [
-            frozenset(_keywords(group, "partition group", "partition keyword"))
+            frozenset(interned.keyword_tuple(group, "partition group", "partition keyword"))
             for group in _list(doc["partition"], "partition")
         ]
     except (KeyError, TypeError, ValueError) as exc:
@@ -548,18 +562,29 @@ def parse_account_document(doc: Any) -> Account:
 
 # The reader's view of the non-empty negative lists the writer lays out.
 # ``_KEY`` is the key as the writer's templates write it before a list's
-# hole, and by depth: the text from the line break before the key through
-# the "[" and the first entry's "{", the text between two entries' braces,
-# and the text from the last entry's "}" through the "]".
+# hole.  By depth, ``_NEGATIVES`` holds a list's opening, the text from the
+# line break before the key through the "[" and the first entry's "{"; its
+# closing, the text from the last entry's "}" through the "]"; and how an
+# entry reads once the list is split at "}": its lead, the "," and the line
+# break before its "{", then the entry template up to its keyword's JSON
+# string, the template between that string and the match's, and each
+# match's JSON string with the line break after it, mapped to the match's
+# value.
 _KEY = _CAMPAIGN[0].rsplit(_pad(3), 1)[1]
-_NEGATIVES = {
-    level: (
+
+
+def _negatives_layout(level: int) -> tuple[str, str, str, str, dict[str, str]]:
+    head, middle, tail = _ENTRY[level].split("%s")
+    return (
         _pad(level) + _KEY + _LIST[level][0] + "{",
-        "}" + _LIST[level][1] + "{",
         "}" + _LIST[level][2],
+        _LIST[level][1] + head,
+        middle,
+        {_encode(m.value) + tail[:-1]: m.value for m in MatchType},
     )
-    for level in (3, 5)
-}
+
+
+_NEGATIVES = {level: _negatives_layout(level) for level in (3, 5)}
 # A cut list's marker in the skeleton, and the escape it starts with.
 _NUL = "\\u0000"
 _MARKER = '"' + _NUL + '%d"'
@@ -568,51 +593,65 @@ _MARKER = '"' + _NUL + '%d"'
 class _Skeleton(dict):
     """A snapshot's document with its non-empty negative lists cut out: the
     value of the k-th cut list is the marker string "\\0<k>", and ``cut``
-    maps each marker to its parsed list.  ``interned`` is the table of
-    negatives that the cut filled."""
+    maps each marker to its parsed list.  ``interned`` holds the keywords
+    and negatives that the cut made."""
 
     __slots__ = ("cut", "interned")
 
     cut: dict[str, frozenset[NegativeKeyword]]
-    interned: dict[str, dict[str, NegativeKeyword]]
+    interned: _Interned
 
 
-def _read_entry(
-    body: str, level: int, interned: dict[str, dict[str, NegativeKeyword]]
-) -> NegativeKeyword | None:
-    """The negative that a list entry at depth ``level``, less its braces,
-    holds, or None unless the writer writes that entry so and the entry
-    parses."""
-    text = "{" + body + "}"
+def _read_entry(piece: str, level: int, interned: _Interned) -> NegativeKeyword | None:
+    """The negative that a piece of a list at depth ``level`` holds, the
+    entry less its "}" after its lead, or None unless the writer writes that
+    piece so and its keyword normalizes."""
+    _, _, head, middle, ends = _NEGATIVES[level]
+    if not piece.startswith(head):
+        return None
+    at = len(head)
     try:
-        doc = json.loads(text)
-        keyword, match = doc["keyword"], doc["match"]
-        if _ENTRY[level] % (_encode(keyword), _encode(match)) == text:
-            return _negative(keyword, match, interned)
-    except (KeyError, TypeError, ValueError, RecursionError, InputError):
-        pass
-    return None
+        keyword, end = _scanstring(piece, at + 1)
+    except ValueError:
+        return None
+    # The keyword's string must be the one the writer encodes, which also
+    # makes ``piece[at]`` its opening quote.
+    if _encode(keyword) != piece[at:end] or not piece.startswith(middle, end):
+        return None
+    match = ends.get(piece[end + len(middle) :])
+    if match is None:
+        return None
+    try:
+        return interned.negative(keyword, match)
+    except InputError:
+        return None
 
 
 def _cut_lists(text: str) -> _Skeleton | None:
     """The document of ``text`` with each non-empty negative list that sits
     where the writer puts one read straight from its text, or None when a
-    list found there is not written as the writer writes it, an entry does
-    not parse, or the rest holds another ``\\u0000`` or is not a JSON
-    object.
+    list found there is not written as the writer writes it, an entry's
+    keyword holds "}" or does not normalize, or the rest holds another
+    ``\\u0000`` or is not a JSON object.
 
     A list's opening is a whole line, and no JSON string holds a line break,
-    so the opening is a key at the list's depth.  Each distinct entry text
-    is parsed once; each list is then one lookup per entry.
+    so the opening is a key at the list's depth; its closing is the first
+    "]" after it that ends the closing text.  The entries between are split
+    at each "}" and each piece is given the lead the first one lacks, so
+    every piece must be the writer's entry.  Each distinct piece is read
+    once; each list is then one lookup per entry.
     """
-    # Each list as (the start of its opening, the end of its entries, depth).
+    # Each list as (the start of its opening, its closing "]", depth).
     spans = []
     at = text.find(_KEY)
     while at >= 0:
-        for level, (opening, _, closing) in _NEGATIVES.items():
+        for level, layout in _NEGATIVES.items():
+            opening, closing = layout[:2]
             start = at - len(_pad(level))
             if text.startswith(opening, start):
-                at = text.find(closing, at)
+                at = text.find("]", start + len(opening))
+                while at >= 0 and not text.startswith(closing, at + 1 - len(closing)):
+                    at = text.find("]", at + 1)
                 if at < 0:
                     return None
                 spans.append((start, at, level))
@@ -620,33 +659,36 @@ def _cut_lists(text: str) -> _Skeleton | None:
         at = text.find(_KEY, at + 1)
     if not spans:
         return None
-    interned: dict[str, dict[str, NegativeKeyword]] = {m.value: {} for m in MatchType}
-    # The negative of each entry text read; its indent tells its depth, so
-    # the texts of the two depths never meet.
+    interned = _Interned()
+    # The negative of each piece read; its indent tells its depth, so the
+    # pieces of the two depths never meet.
     known: dict[str, NegativeKeyword] = {}
     cut: dict[str, frozenset[NegativeKeyword]] = {}
-    pieces = []
+    parts = []
     done = 0
     for start, end, level in spans:
-        opening, between, closing = _NEGATIVES[level]
-        entries = text[start + len(opening) : end].split(between)
+        closing = _NEGATIVES[level][1]
+        # The list's value starts at the "[" after the key; the entries run
+        # from after it to before the closing's "}", so no piece follows the
+        # last "}" split at.
+        value = start + len(_pad(level) + _KEY)
+        entries = text[value + 1 : end + 1 - len(closing)].split("}")
+        entries[0] = "," + entries[0]
         try:
             negs = frozenset(map(known.__getitem__, entries))
         except KeyError:
-            for body in entries:
-                if body not in known:
-                    neg = _read_entry(body, level, interned)
+            for piece in entries:
+                if piece not in known:
+                    neg = _read_entry(piece, level, interned)
                     if neg is None:
                         return None
-                    known[body] = neg
+                    known[piece] = neg
             negs = frozenset(map(known.__getitem__, entries))
-        # The list's value starts at the "[" after the key.
-        value = start + len(_pad(level) + _KEY)
-        pieces += (text[done:value], _MARKER % len(cut))
+        parts += (text[done:value], _MARKER % len(cut))
         cut["\0%d" % len(cut)] = negs
-        done = end + len(closing)
-    pieces.append(text[done:])
-    skeleton = "".join(pieces)
+        done = end + 1
+    parts.append(text[done:])
+    skeleton = "".join(parts)
     if skeleton.count(_NUL) != len(cut):
         return None
     try:

@@ -19,6 +19,7 @@ from shopstruct import (
     BuildConfig,
     InputError,
     LimitExceededError,
+    Rule,
     ShopstructError,
     Simulator,
     SyntheticSpec,
@@ -26,6 +27,7 @@ from shopstruct import (
     dumps_rules,
     generate,
     loads_rules,
+    normalize,
     parse_account,
     reduction_stats,
     render_account,
@@ -50,7 +52,20 @@ def synth300():
         account=account,
         text=text,
         reindented=json.dumps(json.loads(text), indent=4),
+        braced=_braced(catalogue),
     )
+
+
+def _braced(catalogue) -> str:
+    """The snapshot of the catalogue with a "}" after its first keyword:
+    laid out as the writer lays it out, but the cut splits each entry of
+    that keyword at its brace, so the text is parsed whole."""
+    rules, brands, non_brands = catalogue
+    first = rules[0]
+    braced = Rule(normalize(first.keyword.text + "}"), first.cpc, first.items)
+    text = render_account(build_account((braced, *rules[1:]), brands, non_brands))
+    assert snapshot._cut_lists(text) is None
+    return text
 
 
 def _unknown_match(text: str) -> str:
@@ -73,6 +88,7 @@ CALLS = {
     "render_account": (lambda s: render_account(s.account), None),
     "parse_account": (lambda s: parse_account(s.text), None),
     "parse_reindented": (lambda s: parse_account(s.reindented), None),
+    "parse_braced": (lambda s: parse_account(s.braced), None),
     "verify_account": (lambda s: verify_account(s.account), None),
     "Simulator": (lambda s: Simulator(s.account), None),
     "admission_index": (lambda s: parse_account(s.text).admission_index, None),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     GOLDEN_BRANDS,
+    GOLDEN_KEYWORDS,
     GOLDEN_NON_BRANDS,
     assert_every_list_is_cut,
     assert_parses_as_a_whole,
@@ -22,6 +23,8 @@ from conftest import (
 from shopstruct import (
     Account,
     InputError,
+    Money,
+    Rule,
     SyntheticSpec,
     build_account,
     generate,
@@ -99,23 +102,48 @@ def _edit_doc(edit):
     return text
 
 
-def _edit_text(old: str, new: str):
-    """The golden snapshot with its first ``old`` replaced by ``new``."""
+def _edit_text(old: str, new: str, count: int = 1):
+    """The golden snapshot with its first ``count`` copies of ``old``, or
+    all with ``count`` -1, replaced by ``new``."""
 
     def text() -> str:
         golden = _golden_text()
         assert old in golden
-        return golden.replace(old, new, 1)
+        return golden.replace(old, new, count)
 
     return text
 
 
 _FIRST = '"keyword": "adidas running shoes",\n          "match": "exact"'
 _ONE_ENTRY = [{"keyword": "air max", "match": "exact"}]
+# The first campaign's list from its last entry's keyword through its "]".
+_FIRST_CLOSE = '"reebok",\n          "match": "phrase"\n        }\n      ]'
 
 
 def _first_campaign(**fields):
     return lambda doc: doc["campaigns"][0].update(fields)
+
+
+def _marked_account(mark: str) -> Account:
+    """The golden account with ``mark`` inside the word "superstar", which
+    its negative lists and its skeleton both hold."""
+    return build_account(
+        tuple(
+            Rule(normalize(text.replace("superstar", f"super{mark}star")), rule.cpc, rule.items)
+            for text, rule in zip(GOLDEN_KEYWORDS, make_golden_rules())
+        ),
+        tuple(normalize(b) for b in GOLDEN_BRANDS),
+        tuple(normalize(b) for b in GOLDEN_NON_BRANDS),
+    )
+
+
+def _list_keywords(account: Account) -> set[str]:
+    return {
+        n.keyword.text
+        for c in account.campaigns
+        for negatives in (c.negatives, *(g.negatives for g in c.adgroups))
+        for n in negatives
+    }
 
 
 # name -> (the text, whether its lists are cut, the error it raises or None)
@@ -123,6 +151,32 @@ _HAND_MADE = {
     "re-indented by 4": (lambda: json.dumps(json.loads(_golden_text()), indent=4), False, None),
     "one entry with an extra space": (
         _edit_text(_FIRST, _FIRST.replace('": "', '":  "', 1)),
+        False,
+        None,
+    ),
+    "an entry whose separator lost a space": (
+        _edit_text(_FIRST + "\n        },\n        {", _FIRST + "\n        },\n       {"),
+        False,
+        None,
+    ),
+    "a space after a list's last entry": (
+        _edit_text(_FIRST_CLOSE, _FIRST_CLOSE.replace("}", "} ")),
+        False,
+        None,
+    ),
+    "text after a list's last entry": (
+        _edit_text(_FIRST_CLOSE, _FIRST_CLOSE.replace("}", "} x")),
+        False,
+        InputError,
+    ),
+    # Every copy of the keyword, in lists and elsewhere, is escaped alike.
+    "a keyword escaped as json.dumps does not": (
+        _edit_text('"air max"', '"\\u0061ir max"', -1),
+        False,
+        None,
+    ),
+    "a slash escaped as json.dumps does not": (
+        lambda: render_account(_marked_account("/")).replace("super/star", "super\\/star"),
         False,
         None,
     ),
@@ -204,6 +258,64 @@ def test_a_hand_made_text_parses_as_a_whole_parse_reads_it(name):
     assert_parses_as_a_whole(text)
     result = parse_outcome(text)[0]
     assert issubclass(result, error) if error else isinstance(result, Account)
+
+
+# name -> (the mark, whether the snapshot's lists are cut): a "}" splits the
+# entry that holds it, so that text is parsed whole; the writer escapes '"',
+# "\\", "é" and control characters, and no escape holds a brace.
+_MARKS = {
+    "a closing brace": ("}", False),
+    "a closing bracket": ("]", True),
+    "a quote": ('"', True),
+    "a backslash": ("\\", True),
+    "a slash": ("/", True),
+    "e acute": ("é", True),
+    "a control character": ("\x01", True),
+}
+
+
+@pytest.mark.parametrize("name", _MARKS)
+def test_a_canonical_text_with_punctuated_keywords_parses_as_a_whole_parse_reads_it(name):
+    mark, cut = _MARKS[name]
+    account = _marked_account(mark)
+    assert any(f"super{mark}star" in keyword for keyword in _list_keywords(account))
+    text = render_account(account)
+    if cut:
+        assert_every_list_is_cut(account, text)
+    else:
+        assert snapshot._cut_lists(text) is None
+    assert_parses_as_a_whole(text)
+    assert parse_outcome(text)[0] == account
+
+
+def _punctuated_texts(alphabet: str) -> st.SearchStrategy[list[str]]:
+    words = st.text(alphabet=alphabet, min_size=1, max_size=3)
+    return st.lists(
+        st.lists(words, min_size=1, max_size=3).map(" ".join),
+        min_size=1,
+        max_size=8,
+        unique_by=lambda text: normalize(text),
+    )
+
+
+# Half the examples draw no "}", so that their lists are cut.
+@settings(max_examples=50, deadline=None)
+@given(texts=st.sampled_from(['ab]"\\é\x01/', 'ab}]"\\é\x01/']).flatmap(_punctuated_texts))
+def test_a_built_account_with_punctuated_keywords_parses_as_a_whole_parse_reads_it(texts):
+    rules = tuple(
+        Rule(normalize(text), Money(100_000 + i), frozenset({f"item-{i}"}))
+        for i, text in enumerate(texts)
+    )
+    account = build_account(rules)
+    text = render_account(account)
+    listed = _list_keywords(account)
+    # Only a list entry's "}" keeps the cut from reading its list.
+    if listed and not any("}" in keyword for keyword in listed):
+        assert_every_list_is_cut(account, text)
+    else:
+        assert snapshot._cut_lists(text) is None
+    assert_parses_as_a_whole(text)
+    assert parse_outcome(text)[0] == account
 
 
 def test_the_two_probe_properties_of_one_verify_share_one_filler_pool(monkeypatch):
