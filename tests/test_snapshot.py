@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import replace
@@ -30,6 +29,7 @@ from shopstruct import (
     verify_account,
 )
 from shopstruct.cli import main
+from pins import pin, sha256
 
 
 def test_round_trip_preserves_value(golden_account):
@@ -668,9 +668,9 @@ def test_render_ranks_by_value_when_identity_is_mixed_across_families(golden_acc
 # sha256 of the rendered synth catalogues at n=300, as the quadratic packing,
 # per-sibling emission and json.dumps renderer produced them.
 PINNED_DIGESTS = {
-    0: "617140a88c24d498558f4d67a0ab6467a20cc6a4a1609cda39729d4dd9de8ba2",
-    1: "4319407069f6c2d10acc82073c51ef364d737357288769432a215461363bace3",
-    2: "80c55a1638851bbaba01853dd16baf33afd96dcdd7cf230df1c505fca437aa6a",
+    0: pin("synth-300-seed-0"),
+    1: pin("synth-300-seed-1"),
+    2: pin("synth-300-seed-2"),
 }
 
 
@@ -678,9 +678,9 @@ PINNED_DIGESTS = {
 # ranked every negative globally and joined one entry per stored negative
 # produced them.
 PINNED_DIGESTS_1000 = {
-    0: "afe5c6741a92dc70117b2fea1ea8f10e7e393a1857be22fbcbd392967f22da16",
-    1: "17d3e3530377443aa06af3e15234ab061cf17b67fc351c993a94e378152f1cc3",
-    2: "d8f27b59b53774e3d17fe8a9fdc192fd70f2de7a83d5d2ebf9a6c5485e43542c",
+    0: pin("synth-1000-seed-0"),
+    1: pin("synth-1000-seed-1"),
+    2: pin("synth-1000-seed-2"),
 }
 
 
@@ -688,8 +688,8 @@ PINNED_DIGESTS_1000 = {
 # least ceil(sqrt(300)) = 18, where the candidate cap stays ceil(sqrt(n)), as
 # the builder with a separate max_image setting produced them.
 PINNED_TARGET_DIGESTS = {
-    27: "205d001048f71f82655dbc4817be671f18e798f57728b3cee0ac0636fd7e118b",
-    36: "3edf5b238a863d058ae8d71b7358c8d3644435737af1da9b9429878b4c713449",
+    27: pin("synth-300-seed-0-target-27"),
+    36: pin("synth-300-seed-0-target-36"),
 }
 
 
@@ -697,7 +697,7 @@ def _pinned_snapshot(n: int, seed: int, digest: str, config: BuildConfig | None 
     cat = generate(SyntheticSpec(n=n, seed=seed))
     account = build_account(cat.rules, cat.brands, cat.non_brands, config=config)
     text = render_account(account)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert sha256(text) == digest
     assert render_account(parse_account(text)) == text
 
 

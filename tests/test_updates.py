@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import functools
-import hashlib
 import importlib
 import json
 import random
@@ -71,6 +70,7 @@ from conftest import (
     index_postings,
     make_golden_rules,
 )
+from pins import pin, sha256
 
 
 def _op(change) -> str:
@@ -921,8 +921,8 @@ def test_blocked_add_opens_one_campaign_that_admits_only_its_keyword(name, seed)
 # ``_seeded_updates``; both are fixed by the update algorithms, so a change to
 # either shows here.
 UPDATE_SEQUENCE_DIGESTS = {
-    "account": "771463cfa9cea130bb80c4641ff99e95a8c4fc2be156e701aee7f1a20eb89898",
-    "log": "9b6cb03477782e13708ab4c083e8d82ec2784da3fc1c80abc14d9607b8e1dfb3",
+    "account": pin("update-sequence-account"),
+    "log": pin("update-sequence-log"),
 }
 
 
@@ -1038,8 +1038,8 @@ def test_seeded_update_sequence_is_pinned():
     assert verify_account(account).passed
     assert any(line.startswith("remove campaign") for line in lines)
     digests = {
-        "account": hashlib.sha256(render_account(account).encode()).hexdigest(),
-        "log": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+        "account": sha256(render_account(account)),
+        "log": sha256("\n".join(lines)),
     }
     assert digests == UPDATE_SEQUENCE_DIGESTS
 
