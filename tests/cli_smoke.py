@@ -4,15 +4,15 @@ Run as a script, it calls ``shopstruct.cli.main`` on each argv of
 ``commands(out)`` in turn, writing into the directory ``out``, and fails on
 the first that does not exit 0::
 
-    python -I -S tests/cli_smoke.py OUT
-    python -X dev -W error tests/cli_smoke.py OUT 2> OUT/stderr
+    python -I -S -X dev -W error tests/cli_smoke.py OUT
 
 Under ``-S`` no site-packages are on the path, and the script then fails
 if any module outside the standard library was imported.  Under
 ``-W error`` a warning raised in a call fails the run; one raised while an
 object is collected is only printed, so the caller reads stderr too.
-``test_smokes.py`` runs the same list in process and checks that it names
-every subcommand of the parser.
+``test_smokes.py`` runs the script so, and fails on a warning on stderr; it
+also runs the same list in process and checks that it names every
+subcommand of the parser.
 """
 
 from __future__ import annotations

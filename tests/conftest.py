@@ -19,6 +19,8 @@ from shopstruct import (
 )
 from shopstruct import snapshot
 
+from pins import sha256
+
 GOLDEN_KEYWORDS = (
     "nike shoes",
     "nike soccer white",
@@ -223,3 +225,29 @@ def assert_every_list_is_cut(account: Account, text: str) -> None:
     assert len(skeleton.cut) == sum(1 for negatives in lists if negatives)
     assert snapshot.parse_account_document(skeleton) == account
     assert not skeleton.cut
+
+
+def assert_same_text(text: str, expected: str) -> None:
+    """``text == expected``, failing fast on snapshot-sized texts.
+
+    pytest explains a failing ``==`` between two strings with a diff of
+    their lines, which runs for minutes on a snapshot of a few MB.  This
+    names the texts' lengths and sha256 digests instead, and the first
+    offset where they differ with the text around it on each side."""
+    if text == expected:
+        return
+    # The first differing offset, by halving: text[:lo] == expected[:lo].
+    lo, hi = 0, min(len(text), len(expected))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if text[lo : mid + 1] == expected[lo : mid + 1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    start = max(0, lo - 40)
+    raise AssertionError(
+        f"texts differ at offset {lo}: lengths {len(text)} and {len(expected)}, "
+        f"sha256 {sha256(text)} and {sha256(expected)}\n"
+        f"  text:     {text[start : lo + 40]!r}\n"
+        f"  expected: {expected[start : lo + 40]!r}"
+    )

@@ -1,10 +1,13 @@
-"""End-to-end smokes: the CLI on synth catalogues and on hand-made rules, and
-two seeded update runs at n=3000 through the API.
+"""End-to-end smokes: the CLI on synth catalogues and on hand-made rules,
+the CLI in fresh interpreters, and the API at n=3000.
 
 Each CLI command runs in process through ``shopstruct.cli.main``, and each
 pinned output is checked against its entry in ``pins.json``.  Most smokes
 start from the ``synth300`` fixture: synth n=300 seed 0 and its reduced
-build, written once by the CLI and only read after that.
+build, written once by the CLI and only read after that.  The checks that
+need their own interpreter, ``cli_smoke.py`` under ``-I -S -X dev -W error``
+and the n=300 pipeline under ``PYTHONHASHSEED`` 0 and 1, run as
+subprocesses started together by the ``interpreters`` fixture.
 """
 
 from __future__ import annotations
@@ -12,8 +15,14 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
+import re
 import shutil
+import subprocess
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -40,7 +49,10 @@ from shopstruct.erasers import LargeEraser, all_subset_images, rank_subset_image
 from shopstruct.updates import AddCampaign
 
 import cli_smoke
+from conftest import assert_same_text
 from pins import pin, sha256
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -120,8 +132,8 @@ def swapped(synth300, tmp_path_factory) -> Path:
 
 
 def test_cli_smoke_names_every_subcommand():
-    # CI runs cli_smoke under -I -S and -X dev -W error, so a command the
-    # parser gains must join its list.
+    # cli_smoke runs under -I -S -X dev -W error in a fresh interpreter, so a
+    # command the parser gains must join its list.
     def leaves(parser, path=()):
         [subs] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)] or [None]
         if subs is None:
@@ -137,6 +149,117 @@ def test_cli_smoke_names_every_subcommand():
 def test_cli_smoke_runs_in_process(tmp_path, capsys):
     for argv in cli_smoke.commands(str(tmp_path)):
         assert run(capsys, *argv)[0] == 0, argv
+
+
+def test_the_workflow_runs_tier_1_and_the_benchmark_gates_only():
+    # Every other check is a tier-1 test, so tier-1 and the benchmark bind
+    # all that CI checks.
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    steps = [step.strip() for step in re.findall(r"^\s*(?:- )?run:(.*)$", workflow, re.M)]
+    gates = [step for step in steps if step.startswith("python3 bench/run.py ")]
+    assert [step for step in steps if step not in gates] == [
+        "python -m pip install pytest hypothesis",
+        "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q"
+        " --continue-on-collection-errors",
+    ]
+
+
+HASH_SEED_FILES = (
+    "rules.jsonl",
+    "brands.txt",
+    "non_brands.txt",
+    "account.json",
+    "admitted.json",
+    "update.json",
+    "report.json",
+    "twice_report.json",
+    "shuffled/rules.jsonl",
+    "shuffled/account.json",
+    "shuffled/report.json",
+)
+
+
+def _hash_seed_pipeline(out: Path, hashseed: int) -> Path:
+    """At n=300, synth, build, an admitted add with ``--json`` and ``verify
+    --json`` of it, of an account with four keywords in two groups and of a
+    shuffled-spelling account, each command in its own interpreter under
+    ``PYTHONHASHSEED`` ``hashseed``; return ``out``, which then holds
+    ``HASH_SEED_FILES``."""
+    env = {**os.environ, "PYTHONHASHSEED": str(hashseed), "PYTHONPATH": str(ROOT / "src")}
+
+    def cli(code: int, *argv, stdout: str | None = None) -> None:
+        argv = [sys.executable, "-m", "shopstruct.cli", *map(str, argv)]
+        done = subprocess.run(argv, env=env, capture_output=True)
+        assert done.returncode == code, (argv, done.stderr.decode())
+        if stdout:
+            (out / stdout).write_bytes(done.stdout)
+
+    def synth_and_build(where: Path, *flags: str) -> None:
+        where.mkdir(exist_ok=True)
+        cli(0, "synth", "--n", 300, "--seed", 0, *flags, "--rules-out", where / "rules.jsonl",
+            "--brands-out", where / "brands.txt", "--non-brands-out", where / "non_brands.txt")
+        cli(0, "build", *catalogue(where), "--out", where / "account.json")
+
+    def place_twice(doc):
+        # Four rule ad groups of c3_1 copied into c3_2, the partition key
+        # rewritten to match: each copy is a partition finding.
+        c = {x["name"]: x for x in doc["campaigns"]}
+        g = [x for x in c["c3_1"]["adgroups"] if x["tag"]["kind"] == "rule"][:4]
+        c["c3_2"]["adgroups"] += g
+        doc["partition"][1] += [x["tag"]["keyword"] for x in g]
+
+    synth_and_build(out)
+    argv = ["update", "add-rule", "--account", out / "account.json", "--keyword", "ba babe"]
+    argv += ["--cpc-micros", 90000, "--items", "item-new", "--json", "--out", out / "admitted.json"]
+    cli(0, *argv, stdout="update.json")
+    cli(0, "verify", "--account", out / "admitted.json", "--json", stdout="report.json")
+    edited(out / "account.json", out / "twice.json", place_twice)
+    cli(1, "verify", "--account", out / "twice.json", "--json", stdout="twice_report.json")
+    # Words spelled in a seeded random order: which word buckets a large
+    # negative may follow iteration order, but no output may.
+    synth_and_build(out / "shuffled", "--shuffle-spellings")
+    argv = ["verify", "--account", out / "shuffled" / "account.json", "--json"]
+    cli(0, *argv, stdout="shuffled/report.json")
+    return out
+
+
+@pytest.fixture(scope="module")
+def interpreters(tmp_path_factory):
+    """The fresh-interpreter checks, started together, each as a future:
+    ``"smoke"`` gives the finished ``cli_smoke.py`` run, and ``0`` and ``1``
+    the directory of the hash-seed pipeline under that ``PYTHONHASHSEED``."""
+    out = tmp_path_factory.mktemp("smoke")
+    smoke = [sys.executable, "-I", "-S", "-X", "dev", "-W", "error", cli_smoke.__file__, str(out)]
+    with ThreadPoolExecutor(3) as pool:
+        started = {"smoke": pool.submit(subprocess.run, smoke, capture_output=True, text=True)}
+        for hashseed in (0, 1):
+            out = tmp_path_factory.mktemp(f"hashseed{hashseed}")
+            started[hashseed] = pool.submit(_hash_seed_pipeline, out, hashseed)
+        yield started
+
+
+def test_cli_smoke_in_a_flagged_interpreter(interpreters):
+    # -I -S leaves site-packages off the path, and the script then fails if
+    # it imported a module outside the standard library.  -W error turns a
+    # warning raised in a call into an exception; one raised while an
+    # unclosed file is collected is only printed, so stderr must name none.
+    done = interpreters["smoke"].result()
+    assert done.returncode == 0, done.stderr
+    assert "Warning" not in done.stderr, done.stderr
+
+
+def test_outputs_rest_on_no_hash_value(interpreters):
+    # str hashes are seeded per process: every file is written alike under
+    # PYTHONHASHSEED 0 and 1.
+    def digests(out: Path) -> dict[str, str]:
+        return {name: sha256((out / name).read_bytes()) for name in HASH_SEED_FILES}
+
+    zero, one = (digests(interpreters[hashseed].result()) for hashseed in (0, 1))
+    assert zero == one
+    assert zero["account.json"] == pin("synth-300-seed-0")
+    assert zero["admitted.json"] == pin("admitted-snapshot")
+    assert zero["update.json"] == pin("admitted-update-json")
+    assert zero["twice_report.json"] == pin("partition-twice-report")
 
 
 def test_passing_report_at_1000_is_pinned(tmp_path, capsys):
@@ -340,12 +463,43 @@ def _large_words(account) -> list[tuple[int, list[str]]]:
     ]
 
 
-def test_campaign_opens_at_3000_cover_as_reduce_keywords():
+@pytest.fixture(scope="module")
+def built3000():
+    """The reduced build of synth n=3000 seed 0."""
+    cat = generate(SyntheticSpec(n=3000, seed=0))
+    return build_account(cat.rules, cat.brands, cat.non_brands)
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the peak of the memory traced while it ran, its
+    result included."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_render_keeps_one_copy(built3000):
+    text, peak = traced_peak(render_account, built3000)
+    # One join writes the snapshot once; a renderer that writes it into a
+    # buffer and then decodes it peaks at about twice its length.
+    assert peak < 1.5 * len(text), (peak, len(text))
+
+
+def test_parse_keeps_memory(built3000):
+    text = render_account(built3000)
+    _, peak = traced_peak(parse_account, text)
+    # The lists are read from the snapshot's own layout; a parse that builds
+    # the whole JSON document first peaks at about 4x its length.
+    assert peak < 1.5 * len(text), (peak, len(text))
+
+
+def test_campaign_opens_at_3000_cover_as_reduce_keywords(built3000):
     """Seeded campaign-opening adds at synth n=3000 seed 0, and removals of
     the opened keywords: each opened list is the reduced cover, and the final
     snapshot is pinned."""
-    cat = generate(SyntheticSpec(n=3000, seed=0))
-    account = build_account(cat.rules, cat.brands, cat.non_brands)
+    account = built3000
     rng = random.Random(0)
     opened = []
     for i in range(12):
@@ -386,8 +540,8 @@ def test_schema_writer_at_3000_after_seeded_updates():
 
     def check(account):
         text = render_account(account)
-        assert text == json.dumps(account_document(account), indent=2) + "\n"
-        assert render_account(parse_account(text)) == text
+        assert_same_text(text, json.dumps(account_document(account), indent=2) + "\n")
+        assert_same_text(render_account(parse_account(text)), text)
 
     cat = generate(SyntheticSpec(n=3000, seed=1))
     account = build_account(cat.rules, cat.brands, cat.non_brands)

@@ -29,6 +29,7 @@ from shopstruct import (
     verify_account,
 )
 from shopstruct.cli import main
+from conftest import assert_same_text
 from pins import pin, sha256
 
 
@@ -488,8 +489,8 @@ def _accounts(draw):
 @given(_accounts())
 def test_render_writes_the_json_dumps_bytes(account):
     text = render_account(account)
-    assert text == json.dumps(account_document(account), indent=2) + "\n"
-    assert render_account(parse_account(text)) == text
+    assert_same_text(text, json.dumps(account_document(account), indent=2) + "\n")
+    assert_same_text(render_account(parse_account(text)), text)
     # The same account with a separate object per occurrence of a negative.
     fresh = lambda negs: frozenset(NegativeKeyword(n.keyword, n.match) for n in negs)
     unshared = replace(
@@ -503,7 +504,7 @@ def test_render_writes_the_json_dumps_bytes(account):
             for c in account.campaigns
         ),
     )
-    assert render_account(unshared) == text
+    assert_same_text(render_account(unshared), text)
 
 
 _negatives = st.builds(
@@ -575,7 +576,7 @@ def _cut_accounts(draw):
 @settings(max_examples=150, deadline=None)
 @given(_cut_accounts())
 def test_render_cuts_any_subset_of_a_family(account):
-    assert render_account(account) == json.dumps(account_document(account), indent=2) + "\n"
+    assert_same_text(render_account(account), json.dumps(account_document(account), indent=2) + "\n")
 
 
 def test_a_list_shared_by_a_campaign_and_its_ad_group_renders_at_both_depths(golden_account):

@@ -67,6 +67,7 @@ from conftest import (
     LIMIT_CATALOGUES,
     assert_every_list_is_cut,
     assert_parses_as_a_whole,
+    assert_same_text,
     index_postings,
     make_golden_rules,
 )
@@ -1119,7 +1120,7 @@ class UpdateSequence(RuleBasedStateMachine):
         _assert_carries_its_images(self.account, outcome)
         assert verify_account(account, probes=200).passed
         text = render_account(account)
-        assert text == json.dumps(account_document(account), indent=2) + "\n"
+        assert_same_text(text, json.dumps(account_document(account), indent=2) + "\n")
         parsed = parse_account(text)
         assert parsed == account
         assert_every_list_is_cut(account, text)
